@@ -1,20 +1,12 @@
-"""Kernel backend selection.
+"""The hot kernels, bound where the rest of the package imports them.
 
-The compiled extension is preferred when it imports; set AXIAL_PURE_KERNELS=1
-to force the pure-Python twin (used by the parity tests and the benchmark).
+`axial._kernels_py` is the one implementation; `kernel_backend()` names it
+in the benchmark's context line.
 """
 
-import os
-
-if os.environ.get("AXIAL_PURE_KERNELS"):
-    from axial import _kernels_py as kernels
-else:
-    try:
-        from axial import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from axial import _kernels_py as kernels  # type: ignore[no-redef]
+from axial import _kernels_py as kernels
 
 
 def kernel_backend() -> str:
-    """Name of the active kernel implementation: 'compiled' or 'pure'."""
-    return kernels.IMPLEMENTATION
+    """Name of the kernel implementation."""
+    return "pure"

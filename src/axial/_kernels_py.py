@@ -1,14 +1,12 @@
-"""Pure-Python hot kernels: exact row reduction and sparse polynomial reduction.
+"""Hot kernels: exact row reduction and sparse polynomial reduction.
 
-`axial._kernels` is the compiled twin with the same contract; `axial._backend`
-picks whichever is available.  Both operate on plain Python data (lists of
-Fractions, dicts keyed by exponent tuples) so results are bit-identical.
+Both work on plain Python data (lists of Fractions, dicts keyed by exponent
+tuples).  `axial.linalg` and `axial.groebner` reach them through
+`axial._backend`.
 """
 
 from fractions import Fraction
 from math import gcd
-
-IMPLEMENTATION = "pure"
 
 _ZERO = Fraction(0)
 

@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from sympy import factorint
+
 from axial._backend import kernels
 from axial.linalg import Vec, kernel as matrix_kernel, mat
 from axial.mpoly import Exponent, MPoly
@@ -357,17 +359,9 @@ def content_primes(value: Fraction) -> list[int]:
     i.e. where the certified system could acquire common roots.
     """
     n = abs(value.numerator)
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
+    if n in (0, 1):
+        return []
+    return sorted(factorint(n))
 
 
 __all__ = [

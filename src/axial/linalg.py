@@ -139,6 +139,20 @@ def solve(a: Mat, b: Vec) -> Optional[Vec]:
     return particular
 
 
+def _null_basis(reduced: Mat, pivots: list[int], ncols: int) -> list[Vec]:
+    """Null-space basis read off an RREF: one vector per free column."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
 def solve_affine(a: Mat, b: Vec) -> Optional[tuple[Vec, list[Vec]]]:
     """General solution of a x = b as (particular, kernel basis); None if inconsistent."""
     nrows = len(a)
@@ -150,15 +164,7 @@ def solve_affine(a: Mat, b: Vec) -> Optional[tuple[Vec, list[Vec]]]:
     particular = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
         particular[c] = reduced[r][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(tuple(v))
-    return tuple(particular), basis
+    return tuple(particular), _null_basis(reduced, pivots, ncols)
 
 
 class Subspace:
@@ -233,15 +239,7 @@ def kernel(m: Mat) -> Subspace:
     if not m:
         return full_space(ncols)
     reduced, rk, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(tuple(v))
-    return Subspace(ncols, basis)
+    return Subspace(ncols, _null_basis(reduced, pivots, ncols))
 
 
 def eigenspace(m: Mat, lam) -> Subspace:

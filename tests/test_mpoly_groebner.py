@@ -185,3 +185,11 @@ def test_certificate_rejects_single_polynomial():
 def test_content_primes():
     assert content_primes(F(49, 128)) == [7]
     assert content_primes(F(12, 5)) == [2, 3]
+
+
+def test_content_primes_of_large_primes_and_trivial_values():
+    m61 = 2**61 - 1
+    assert content_primes(F(m61)) == [m61]
+    assert content_primes(F((2**31 - 1) * m61)) == [2**31 - 1, m61]
+    assert content_primes(F(0)) == []
+    assert content_primes(F(360, 7)) == [2, 3, 5]

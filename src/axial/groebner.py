@@ -10,6 +10,7 @@ returned as witnesses instead.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,13 @@ class CapExceeded(Exception):
 
 @dataclass(frozen=True)
 class SolverCaps:
-    """Hard limits for a single Groebner computation."""
+    """Hard limits for a single Groebner computation.
+
+    `max_pairs` counts the critical pairs whose S-polynomial is reduced;
+    pairs the product and chain criteria discard do not count.  `max_degree`
+    bounds the total degree of each element the pair loop adds, and
+    `max_basis` the number of basis elements before autoreduction.
+    """
 
     max_basis: int = 512
     max_degree: int = 64
@@ -63,16 +70,21 @@ class SolveResult:
         return self.status == FINITE and not self.eliminant_factors
 
 
-def _normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
-    if not p.terms or not basis:
+def _divisor(g: MPoly) -> tuple[Exponent, Fraction, list]:
+    """The (lead_exp, lead_coeff, tail) triple `kernels.normal_form` divides by."""
+    lead_exp, lead_coeff = g.lead()
+    tail = [(e, c) for e, c in g.terms.items() if e != lead_exp]
+    return lead_exp, lead_coeff, tail
+
+
+def _reduce(p: MPoly, divisors: Sequence[tuple]) -> MPoly:
+    if not p.terms or not divisors:
         return p
-    divisors = []
-    for g in basis:
-        lead_exp, lead_coeff = g.lead()
-        tail = [(e, c) for e, c in g.terms.items() if e != lead_exp]
-        divisors.append((lead_exp, lead_coeff, tail))
-    reduced = kernels.normal_form(p.terms, divisors)
-    return MPoly(p.nvars, reduced, _clean=False)
+    return MPoly(p.nvars, kernels.normal_form(p.terms, divisors), _clean=False)
+
+
+def _normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
+    return _reduce(p, [_divisor(g) for g in basis])
 
 
 def normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
@@ -83,7 +95,7 @@ def normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     ef, cf = f.lead()
     eg, cg = g.lead()
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    lcm = _lcm_exp(ef, eg)
     mf = MPoly(f.nvars, {tuple(l - a for l, a in zip(lcm, ef)): 1 / cf}, _clean=False)
     mg = MPoly(g.nvars, {tuple(l - a for l, a in zip(lcm, eg)): 1 / cg}, _clean=False)
     return mf * f - mg * g
@@ -100,6 +112,11 @@ def _is_product(e1: Exponent, e2: Exponent) -> bool:
 def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[MPoly]:
     """Reduced lexicographic Groebner basis of the ideal the generators span.
 
+    Pending pairs wait in a heap ordered by the degree of their LCM, then the
+    LCM itself.  Each new basis element passes through the Gebauer-Moeller
+    update (Buchberger's product and chain criteria), so only pairs the
+    criteria cannot discard are reduced.
+
     Raises CapExceeded instead of returning a silently truncated basis when a
     resource limit is hit.
     """
@@ -108,38 +125,60 @@ def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[M
         raise ValueError("empty generator list")
     nvars = gens[0].nvars
     basis: list[MPoly] = []
+    divisors: list[tuple[Exponent, Fraction, list]] = []  # one per element, in basis order
+    leads: list[Exponent] = []
+    queue: list[tuple[int, Exponent, int, int]] = []  # (degree of lcm, lcm, i, j)
+
+    def add(g: MPoly) -> None:
+        new = len(basis)
+        divisor = _divisor(g)
+        eh = divisor[0]
+        basis.append(g)
+        divisors.append(divisor)
+        leads.append(eh)
+        # Chain criterion among the new pairs (k, new): drop a pair when
+        # another pending or kept new pair's LCM divides its LCM.  Pairs with
+        # coprime leads stay as witnesses here and are dropped below.
+        candidates = [(_lcm_exp(leads[k], eh), k) for k in range(new)]
+        kept: list[tuple[Exponent, int]] = []
+        for idx, (lcm, k) in enumerate(candidates):
+            if _is_product(leads[k], eh) or not any(
+                kernels.exp_divides(other, lcm)
+                for other, _ in itertools.chain(candidates[idx + 1 :], kept)
+            ):
+                kept.append((lcm, k))
+        # An old pair (i, j) is redundant when the new lead divides its LCM
+        # and that LCM equals neither lcm(i, new) nor lcm(j, new).
+        queue[:] = [
+            entry
+            for entry in queue
+            if not kernels.exp_divides(eh, entry[1])
+            or _lcm_exp(leads[entry[2]], eh) == entry[1]
+            or _lcm_exp(leads[entry[3]], eh) == entry[1]
+        ]
+        heapq.heapify(queue)
+        for lcm, k in kept:
+            if not _is_product(leads[k], eh):  # product criterion
+                heapq.heappush(queue, (sum(lcm), lcm, k, new))
+
     for g in gens:
-        r = _normal_form(g, basis)
+        r = _reduce(g, divisors)
         if r:
-            basis.append(r.monic())
-
-    def lead(i):
-        return basis[i].lead()[0]
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    processed = 0
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (sum(_lcm_exp(lead(p[0]), lead(p[1]))), _lcm_exp(lead(p[0]), lead(p[1]))),
-        )
-        pairs.discard((i, j))
-        processed += 1
-        if processed > caps.max_pairs:
+            add(r.monic())
+    reduced_pairs = 0
+    while queue:
+        _, _, i, j = heapq.heappop(queue)
+        reduced_pairs += 1
+        if reduced_pairs > caps.max_pairs:
             raise CapExceeded(f"pair limit {caps.max_pairs} exceeded")
-        if _is_product(lead(i), lead(j)):
-            continue
-        s = s_polynomial(basis[i], basis[j])
-        r = _normal_form(s, basis)
+        r = _reduce(s_polynomial(basis[i], basis[j]), divisors)
         if not r:
             continue
         if r.total_degree() > caps.max_degree:
             raise CapExceeded(f"degree limit {caps.max_degree} exceeded")
-        basis.append(r.monic())
-        if len(basis) > caps.max_basis:
+        if len(basis) >= caps.max_basis:
             raise CapExceeded(f"basis size limit {caps.max_basis} exceeded")
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        add(r.monic())
     return _autoreduce(basis, nvars)
 
 
@@ -281,6 +320,9 @@ class ConstantCertificate:
     constant: Fraction
 
 
+MAX_CERTIFICATE_KERNEL_DIM = 5  # 7**5 = 16807 combinations
+
+
 def certify_no_common_root(polys: Sequence[MPoly]) -> Optional[ConstantCertificate]:
     """Search for an integer combination of univariate polynomials equal to a
     nonzero constant.
@@ -290,6 +332,9 @@ def certify_no_common_root(polys: Sequence[MPoly]) -> Optional[ConstantCertifica
     polynomials with the smallest integer entries and a nonzero constant term
     is returned, sign-normalized so the constant is positive.  Absence of such
     a combination returns None.
+
+    The search tries 7**k combinations for a k-dimensional kernel, so it
+    raises CapExceeded, naming k, when k exceeds MAX_CERTIFICATE_KERNEL_DIM.
     """
     if len(polys) < 2:
         raise ValueError("need at least two polynomials")
@@ -309,6 +354,11 @@ def certify_no_common_root(polys: Sequence[MPoly]) -> Optional[ConstantCertifica
     null = matrix_kernel(mat(rows))
     if null.is_zero():
         return None
+    if null.dim > MAX_CERTIFICATE_KERNEL_DIM:
+        raise CapExceeded(
+            f"certificate search over a kernel of dimension {null.dim} exceeds "
+            f"the limit {MAX_CERTIFICATE_KERNEL_DIM}"
+        )
     constants = [c[0] for c in coeff_lists]
     best = None
     for combo in itertools.product(range(-3, 4), repeat=null.dim):

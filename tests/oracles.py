@@ -1,11 +1,12 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package.  Elimination goes through Sylvester resultants whose determinants
-are computed by evaluation at integer nodes plus Lagrange interpolation,
-rational roots come from the rational root theorem, and every candidate
-point is verified by substitution into the original system, so spurious
-resultant roots are harmless.
+package except `reference_buchberger`, the former pair loop kept to test the
+current one against.  Elimination goes through Sylvester resultants whose
+determinants are computed by evaluation at integer nodes plus Lagrange
+interpolation, rational roots come from the rational root theorem, and every
+candidate point is verified by substitution into the original system, so
+spurious resultant roots are harmless.
 """
 
 from fractions import Fraction
@@ -423,3 +424,63 @@ def oracle_idempotents(gamma_entries):
         poly = poly - xs[k]
         system.append(poly)
     return solve_three_vars(system)
+
+
+def reference_buchberger(gens, caps=None):
+    """Reduced lex Groebner basis by the all-pairs loop, for differential tests.
+
+    This is the package's engine as it was before the heap-ordered pair queue
+    and the Gebauer-Moeller criteria: every pending pair is scanned for the
+    least (degree, LCM) on each step, and only the product criterion prunes.
+    It is kept as an oracle for that rewrite.  Unlike the rest of this
+    module it reuses the package's polynomial type, normal form and final
+    autoreduction, so it checks the pair loop alone.
+    """
+    from axial.groebner import (
+        DEFAULT_CAPS,
+        CapExceeded,
+        _autoreduce,
+        _is_product,
+        _lcm_exp,
+        _normal_form,
+        s_polynomial,
+    )
+
+    caps = caps or DEFAULT_CAPS
+    gens = [g for g in gens if g]
+    if not gens:
+        raise ValueError("empty generator list")
+    nvars = gens[0].nvars
+    basis = []
+    for g in gens:
+        r = _normal_form(g, basis)
+        if r:
+            basis.append(r.monic())
+
+    def lead(i):
+        return basis[i].lead()[0]
+
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    processed = 0
+    while pairs:
+        i, j = min(
+            pairs,
+            key=lambda p: (sum(_lcm_exp(lead(p[0]), lead(p[1]))), _lcm_exp(lead(p[0]), lead(p[1]))),
+        )
+        pairs.discard((i, j))
+        processed += 1
+        if processed > caps.max_pairs:
+            raise CapExceeded(f"pair limit {caps.max_pairs} exceeded")
+        if _is_product(lead(i), lead(j)):
+            continue
+        r = _normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if not r:
+            continue
+        if r.total_degree() > caps.max_degree:
+            raise CapExceeded(f"degree limit {caps.max_degree} exceeded")
+        basis.append(r.monic())
+        if len(basis) > caps.max_basis:
+            raise CapExceeded(f"basis size limit {caps.max_basis} exceeded")
+        new = len(basis) - 1
+        pairs.update((k, new) for k in range(new))
+    return _autoreduce(basis, nvars)

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from axial import groebner
 from axial.algebra import diagonal_algebra
 from axial.groebner import (
     CapExceeded,
@@ -18,8 +19,10 @@ from axial.groebner import (
     normal_form,
     s_polynomial,
 )
+from axial.linalg import unit_vec
 from axial.mpoly import MPoly
 from axial.search import idempotent_system
+from oracles import reference_buchberger
 
 
 def xvar(n, i):
@@ -90,6 +93,58 @@ def test_buchberger_output_is_groebner(term_dicts):
     # ideal membership: every generator reduces to zero
     for g in gens:
         assert normal_form(g, gb).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+            min_size=1,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_buchberger_matches_reference_engine(term_dicts):
+    gens = [MPoly(3, terms) for terms in term_dicts]
+    assume(any(gens))
+    caps = SolverCaps(max_basis=64, max_degree=24, max_pairs=5000)
+    try:
+        want = reference_buchberger(gens, caps)
+    except CapExceeded:
+        assume(False)
+    assert buchberger(gens, caps) == want
+
+
+def test_buchberger_matches_reference_on_diagonal_idempotents():
+    gens = idempotent_system(diagonal_algebra(3), [unit_vec(3, i) for i in range(3)])
+    assert buchberger(gens) == reference_buchberger(gens)
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_buchberger_matches_reference_on_triple_2b(triple_2b, dim):
+    gens = idempotent_system(triple_2b, [unit_vec(7, i) for i in range(dim)])
+    assert buchberger(gens) == reference_buchberger(gens)
+
+
+def test_buchberger_s_polynomial_count(triple_2b, monkeypatch):
+    # Work counter: the number of S-polynomials reduced for the idempotent
+    # system of triple2b on e1..e5 is deterministic, so it is pinned exactly.
+    # The all-pairs loop without the chain criterion reduced 37.
+    calls = []
+    original = groebner.s_polynomial
+
+    def counting(f, g):
+        calls.append(1)
+        return original(f, g)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counting)
+    gens = idempotent_system(triple_2b, [unit_vec(7, i) for i in range(5)])
+    buchberger(gens)
+    assert len(calls) == 16
 
 
 def test_spoly_of_coprime_leads_reduces():
@@ -163,6 +218,22 @@ def test_cap_exceeded_is_loud():
         )
 
 
+def test_pair_cap_counts_reduced_pairs():
+    x, y = xvar(2, 0), xvar(2, 1)
+    gens = [x * x * x - y, x * y * y - x - 1, y * y * y - x * x]
+    with pytest.raises(CapExceeded, match="pair limit 1"):
+        buchberger(gens, SolverCaps(max_pairs=1))
+
+
+def test_degree_cap_is_loud():
+    x, y = xvar(2, 0), xvar(2, 1)
+    # the reduced basis is [x - y**2, y**3 - 1]: it needs degree 3
+    gens = [x * x - y, x * y - 1]
+    assert buchberger(gens) == [x - y * y, y * y * y - 1]
+    with pytest.raises(CapExceeded, match="degree limit 2"):
+        buchberger(gens, SolverCaps(max_degree=2))
+
+
 def test_certificate_trivial_pair():
     x = xvar(1, 0)
     cert = certify_no_common_root([x, x - 1])
@@ -180,6 +251,13 @@ def test_certificate_rejects_single_polynomial():
     x = xvar(1, 0)
     with pytest.raises(ValueError):
         certify_no_common_root([x])
+
+
+def test_certificate_search_refuses_a_large_kernel():
+    # seven polynomials x + i leave a 6-dimensional kernel: 7**6 combinations
+    x = xvar(1, 0)
+    with pytest.raises(CapExceeded, match="kernel of dimension 6"):
+        certify_no_common_root([x + i for i in range(7)])
 
 
 def test_content_primes():

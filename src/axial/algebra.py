@@ -16,13 +16,12 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
-    det,
     frac,
+    inverse,
     kernel,
     mat,
     mat_from_cols,
     mat_vec,
-    rref,
     solve,
     solve_affine,
     unit_vec,
@@ -322,12 +321,12 @@ class Algebra:
         gram_b = tuple(
             tuple(self.form_value(basis[r], basis[s]) for s in range(k)) for r in range(k)
         )
-        if k and det(gram_b) == 0:
-            raise DegenerateFormError("form is degenerate on the subspace")
         rhs = tuple(self.form_value(one, basis[r]) for r in range(k))
         coeffs = solve(gram_b, rhs) if k else ()
+        if coeffs is None:
+            raise DegenerateFormError("form is degenerate on the subspace")
         result = zero_vec(self.dim)
-        for c, bvec in zip(coeffs or (), basis):
+        for c, bvec in zip(coeffs, basis):
             result = vadd(result, vscale(c, bvec))
         for w in basis:
             if self.product(result, w) != w:
@@ -338,17 +337,18 @@ class Algebra:
         """The algebra induced on a product-closed subspace, in the given basis."""
         basis = [vec(b) for b in basis]
         k = len(basis)
-        basis_mat = mat_from_cols(basis)
-        _, rk, _ = rref(mat(basis))
-        if rk != k:
+        span = Subspace(self.dim, basis)
+        if span.dim != k:
             raise AlgebraError("restriction basis is linearly dependent")
+        # canonical coordinates -> coordinates in the given basis
+        to_basis = inverse(mat_from_cols([span.coordinates(b) for b in basis]))
         gamma = []
         for r in range(k):
             for s in range(r, k):
-                p = self.product(basis[r], basis[s])
-                coords = solve(basis_mat, p)
-                if coords is None:
+                canonical = span.coordinates(self.product(basis[r], basis[s]))
+                if canonical is None:
                     raise AlgebraError("subspace is not closed under the product")
+                coords = mat_vec(to_basis, canonical)
                 for t, c in enumerate(coords):
                     if c:
                         gamma.append((r, s, t, c))

@@ -28,13 +28,13 @@ from axial.linalg import (
     Vec,
     identity,
     intersect,
+    inverse,
     kernel,
     mat,
     mat_from_cols,
     mat_mul,
     mat_sub,
     mat_vec,
-    solve,
     unit_vec,
     vscale,
 )
@@ -108,11 +108,10 @@ def transport_axis(axis: Axis, g: Mat, g_inv: Mat) -> Axis:
     )
 
 
-def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512, verify: bool = False) -> Axet:
+def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512) -> Axet:
     """Orbit closure of the seeds under the involutions of all found axes.
 
-    New axes are produced by conjugation transport; `verify=True` re-runs the
-    full axis check on every image as well.
+    New axes are produced by conjugation transport.
     """
     if not seed_axes:
         raise ValueError("need at least one seed axis")
@@ -140,11 +139,6 @@ def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512, verify: 
                 if w in seen:
                     continue
                 image = transport_axis(a, g, g)  # involutions are self-inverse
-                if verify:
-                    confirmed = check_axis(alg, image.vector, law)
-                    if confirmed is None:
-                        raise AlgebraError("closure image failed the axis check")
-                    image = confirmed
                 seen[image.vector] = len(axes)
                 axes.append(image)
                 changed = True
@@ -471,7 +465,8 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
     ]
 
     index = {v: i for i, v in enumerate(vectors)}
-    basis_cols = mat_from_cols([vectors[i] for i in basis_positions])
+    basis_inv = inverse(mat_from_cols([vectors[i] for i in basis_positions]))
+    assert basis_inv is not None
     matrices: list[Mat] = []
     perms: list[tuple[int, ...]] = []
 
@@ -489,18 +484,9 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
             return False
         return True
 
-    # coordinates of each standard basis vector in the spanning subset,
-    # computed once; the candidate map is image_cols applied to these
-    basis_coords = []
-    for j in range(n):
-        coords = solve(basis_cols, unit_vec(n, j))
-        assert coords is not None
-        basis_coords.append(coords)
-
     def extend(assigned: list[int]):
         if len(assigned) == len(basis_positions):
-            image_cols = mat_from_cols([vectors[k] for k in assigned])
-            g = mat_from_cols([mat_vec(image_cols, coords) for coords in basis_coords])
+            g = mat_mul(mat_from_cols([vectors[k] for k in assigned]), basis_inv)
             if not is_automorphism(alg, g):
                 return
             perm = []

@@ -23,7 +23,7 @@ from axial.axet import (
 )
 from axial.decomp import decompose_joint, extension_space, generate_probes, partial_decomposition, sign_kernel
 from axial.fusion import Axis, FusionLaw, check_axis_verbose, derivation_space
-from axial.groebner import CapExceeded, POSITIVE_DIMENSIONAL, SolverCaps
+from axial.groebner import DEFAULT_CAPS, CapExceeded, POSITIVE_DIMENSIONAL, SolverCaps
 from axial.io import (
     AlgebraFileError,
     emit_algebra,
@@ -83,18 +83,21 @@ def _vector_str(v) -> str:
     return " ".join(format_rational(x) for x in v)
 
 
-def _parse_caps(spec: str | None) -> SolverCaps:
-    if not spec:
-        return SolverCaps()
+_CAPS_FIELDS = {"basis": "max_basis", "degree": "max_degree", "pairs": "max_pairs"}
+
+
+def _parse_caps(spec: str) -> SolverCaps:
+    """The argparse type of `--caps`: comma-separated `key=int` entries."""
     values = {}
     for part in spec.split(","):
         key, _, raw = part.partition("=")
-        values[key.strip()] = int(raw)
-    return SolverCaps(
-        max_basis=values.get("basis", SolverCaps.max_basis),
-        max_degree=values.get("degree", SolverCaps.max_degree),
-        max_pairs=values.get("pairs", SolverCaps.max_pairs),
-    )
+        try:
+            values[_CAPS_FIELDS[key.strip()]] = int(raw)
+        except (KeyError, ValueError):
+            raise argparse.ArgumentTypeError(
+                f"bad caps entry {part!r}; expected basis=N, degree=N or pairs=N"
+            ) from None
+    return SolverCaps(**values)
 
 
 def _load(args) -> tuple[Algebra, list[tuple[str, tuple]], FusionLaw | None]:
@@ -173,7 +176,7 @@ def cmd_derivations(args, report):
 
 def cmd_axes_naive(args, report):
     alg, _, custom = _load(args)
-    caps = _parse_caps(args.caps)
+    caps = args.caps
     length = Fraction(args.length) if args.length else None
     result = naive_idempotents(alg, length=length, caps=caps)
     report.add("status", result.status)
@@ -205,7 +208,7 @@ def cmd_axes_nuanced(args, report):
         target_law=law,
         length=Fraction(args.length) if args.length else None,
         z_lengths=z_lengths,
-        caps=_parse_caps(args.caps),
+        caps=args.caps,
     )
     result = nuanced_axes(alg, seed_axis, cfg)
     report.add("axes", [list(a.vector) for a in result.axes])
@@ -220,7 +223,7 @@ def cmd_twins(args, report):
     alg, tagged, custom = _load(args)
     axes = _verified_axes(alg, tagged, custom)
     (axis,) = _pick_axes(axes, args.axis)
-    twins = twins_of(alg, axis, caps=_parse_caps(args.caps))
+    twins = twins_of(alg, axis, caps=args.caps)
     report.add("twins", [list(t.vector) for t in twins])
     report.note(f"twin count: {len(twins)}")
 
@@ -231,7 +234,7 @@ def cmd_jordan(args, report):
     axet = close_axet(alg, axes)
     group = miyamoto_group(alg, axet)
     law = _law_from_args(args, custom)
-    found = jordan_axes(alg, group, law, caps=_parse_caps(args.caps))
+    found = jordan_axes(alg, group, law, caps=args.caps)
     report.add("jordan_axes", [list(a.vector) for a in found])
     report.note(f"jordan axis count: {len(found)}")
 
@@ -420,6 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    def add_caps(p):
+        p.add_argument(
+            "--caps", type=_parse_caps, default=DEFAULT_CAPS, help="solver caps, e.g. basis=512,pairs=1000"
+        )
+
     for name, handler, help_text in [
         ("info", cmd_info, "summarize an algebra file"),
         ("unit", cmd_unit, "find the multiplicative identity"),
@@ -433,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--length", help="idempotent length constraint, e.g. 1 or 11/2")
     p.add_argument("--law", default="m:1/4:1/32")
-    p.add_argument("--caps", help="solver caps, e.g. basis=512,degree=64")
+    add_caps(p)
 
     p = add("axes-nuanced", cmd_axes_nuanced, help="0-eigenspace axis search")
     p.add_argument("file")
@@ -441,17 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", default="1")
     p.add_argument("--law", default="m:1/4:1/32")
     p.add_argument("--z-lengths", default="auto", help="comma list, empty for unconstrained")
-    p.add_argument("--caps")
+    add_caps(p)
 
     p = add("twins", cmd_twins, help="axes sharing an involution")
     p.add_argument("file")
     p.add_argument("--axis", required=True)
-    p.add_argument("--caps")
+    add_caps(p)
 
     p = add("jordan", cmd_jordan, help="axes with trivial involution")
     p.add_argument("file")
     p.add_argument("--law", default="m:1/4:1/32")
-    p.add_argument("--caps")
+    add_caps(p)
 
     p = add("miy", cmd_miy, help="Miyamoto group of the closed axet")
     p.add_argument("file")

@@ -25,10 +25,8 @@ from axial.linalg import (
     intersect,
     kernel,
     mat,
-    mat_from_cols,
     mat_vec,
     perp_space,
-    solve,
     subspace_sum,
     vadd,
     vscale,
@@ -205,7 +203,6 @@ def extension_space(alg: Algebra, u: Subspace, w: Subspace, phi: Mat) -> Extensi
             if lhs != rhs:
                 raise AlgebraError("phi is not an automorphism of the subalgebra")
 
-    w_cols = mat_from_cols(w.basis)
     rows = []
     if m == 0:
         return ExtensionSpace(phi, Subspace(0), 0)
@@ -214,13 +211,13 @@ def extension_space(alg: Algebra, u: Subspace, w: Subspace, phi: Mat) -> Extensi
         action = []
         for c in range(m):
             p = alg.product(phi_vectors[r], w.basis[c])
-            coords = solve(w_cols, p)
+            coords = w.coordinates(p)
             if coords is None:
                 raise AlgebraError("module violation under phi")
             action.append(coords)
         module_coords = []
         for j in range(m):
-            q = solve(w_cols, alg.product(u.basis[r], w.basis[j]))
+            q = w.coordinates(alg.product(u.basis[r], w.basis[j]))
             assert q is not None
             module_coords.append(q)
         for j in range(m):

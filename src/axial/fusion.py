@@ -22,12 +22,13 @@ from axial.linalg import (
     eigenspace,
     frac,
     identity,
+    inverse,
     is_zero_vec,
     kernel,
     mat,
     mat_from_cols,
+    mat_mul,
     mat_vec,
-    solve,
     subspace_sum,
     unit_vec,
     vec,
@@ -202,9 +203,7 @@ class Axis:
         return hash(self.vector)
 
 
-def _graded_involution(
-    eigendata: Sequence[tuple[Fraction, Subspace]], negated: frozenset, n: int
-) -> Mat:
+def _graded_involution(eigendata: Sequence[tuple[Fraction, Subspace]], negated: frozenset) -> Mat:
     """The linear map acting as +1 / -1 on the graded eigenspace split."""
     cols: list[Vec] = []
     basis: list[Vec] = []
@@ -213,15 +212,9 @@ def _graded_involution(
         for b in space.basis:
             basis.append(b)
             cols.append(tuple(sign * x for x in b))
-    change = mat_from_cols(basis)
-    signed = mat_from_cols(cols)
-    # tau = signed . change^{-1}, assembled column by column
-    columns = []
-    for j in range(n):
-        coords = solve(change, unit_vec(n, j))
-        assert coords is not None
-        columns.append(mat_vec(signed, coords))
-    return mat_from_cols(columns)
+    change = inverse(mat_from_cols(basis))
+    assert change is not None
+    return mat_mul(mat_from_cols(cols), change)
 
 
 def check_axis_verbose(
@@ -261,7 +254,7 @@ def check_axis_verbose(
     if minus:
         present_minus = frozenset(lam for lam, _ in eigendata) & minus
         if present_minus:
-            miyamoto = _graded_involution(eigendata, minus, n)
+            miyamoto = _graded_involution(eigendata, minus)
         else:
             miyamoto = identity(n)
     sigma = None
@@ -270,7 +263,7 @@ def check_axis_verbose(
         # eigenvalue part (the alpha eigenspace for Monster-type laws).
         inner = [lam for lam, _ in eigendata if lam not in (ONE, ZERO)]
         if inner:
-            sigma = _graded_involution(eigendata, frozenset(inner), n)
+            sigma = _graded_involution(eigendata, frozenset(inner))
     axis = Axis(
         vector=v,
         law=law,
@@ -369,29 +362,18 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     eigendata = spectrum.eigenpairs
     assert eigendata is not None
     values = [lam for lam, _ in eigendata]
+    owners = [lam for lam, space in eigendata for _ in space.basis]
+    to_eigen = inverse(mat_from_cols([b for _, space in eigendata for b in space.basis]))
+    assert to_eigen is not None
     star = {}
-    n = alg.dim
     for (lam, sl), (mu, sm) in itertools.combinations_with_replacement(eigendata, 2):
         support = set()
         for x in sl.basis:
             for y in sm.basis:
-                p = alg.product(x, y)
-                if not is_zero_vec(p):
-                    support |= _eigen_support(p, eigendata, n)
+                coords = mat_vec(to_eigen, alg.product(x, y))
+                support.update(owners[i] for i, c in enumerate(coords) if c)
         star[(lam, mu)] = support
     try:
         return FusionLaw(values, star)
     except ValueError:
         return None
-
-
-def _eigen_support(p: Vec, eigendata, n: int) -> set[Fraction]:
-    columns = []
-    owners = []
-    for lam, space in eigendata:
-        for b in space.basis:
-            columns.append(b)
-            owners.append(lam)
-    coords = solve(mat_from_cols(columns), p)
-    assert coords is not None
-    return {owners[i] for i, c in enumerate(coords) if c}

@@ -254,8 +254,10 @@ def _contains_nonzero_constant(polys: Sequence[MPoly]) -> bool:
 def enumerate_points(gb: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> SolveResult:
     """All rational points of a zero-dimensional ideal, by lex elimination.
 
-    The least variable's eliminant is factored over Z; rational roots are
-    substituted back breadth-first, recomputing a basis for each branch.
+    `gb` must be a lex Groebner basis: the zero-dimensionality test is only
+    valid on one, and it is used as given.  The least variable's eliminant is
+    factored over Z; rational roots are substituted back breadth-first,
+    recomputing a basis for each branch.
     Irreducible factors of degree >= 2 found along consistent branches are
     collected as extension witnesses and flagged via the status.
     """
@@ -281,7 +283,7 @@ def _extract(gens, active, fixed, points, factors, caps):
         nvars = gens[0].nvars if gens else len(fixed)
         points.append(tuple(fixed[i] for i in range(nvars)))
         return
-    gb = buchberger(gens, caps) if gens else []
+    gb = buchberger(gens, caps) if fixed and gens else gens
     if _contains_nonzero_constant(gb):
         return
     if not gb or all(not g for g in gb):

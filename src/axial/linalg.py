@@ -128,6 +128,17 @@ def det(m: Mat) -> Fraction:
     return result
 
 
+def inverse(m: Mat) -> Optional[Mat]:
+    """Inverse of a square matrix from one RREF of [m | I]; None when singular."""
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("inverse of a non-square matrix")
+    reduced, _, pivots = rref(tuple(tuple(r) + e for r, e in zip(m, identity(n))))
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n:] for row in reduced)
+
+
 def solve(a: Mat, b: Vec) -> Optional[Vec]:
     """Unique solution of a x = b, or None when inconsistent or underdetermined."""
     sol = solve_affine(a, b)
@@ -173,7 +184,7 @@ class Subspace:
     The canonical form makes subspace equality plain data equality.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, vectors: Iterable[Vec] = ()):
         rows = [vec(v) for v in vectors]
@@ -181,10 +192,12 @@ class Subspace:
             if len(r) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
         if rows:
-            reduced, rk, _ = rref(mat(rows))
+            reduced, rk, pivots = rref(mat(rows))
             self.basis: tuple[Vec, ...] = reduced[:rk]
+            self.pivots: tuple[int, ...] = tuple(pivots)
         else:
             self.basis = ()
+            self.pivots = ()
         self.ambient = ambient
 
     @property
@@ -195,25 +208,25 @@ class Subspace:
         return not self.basis
 
     def contains(self, v: Vec) -> bool:
-        """Exact membership via reduction against the canonical basis."""
-        residue = list(v)
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            c = residue[lead]
-            if c:
-                for i in range(lead, self.ambient):
-                    residue[i] -= c * row[i]
-        return all(x == 0 for x in residue)
+        return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
     def coordinates(self, v: Vec) -> Optional[Vec]:
-        """Coefficients of v in the canonical basis, or None if v is outside."""
-        if not self.basis:
-            return () if is_zero_vec(v) else None
-        coords = solve(mat_from_cols(self.basis), v)
-        return coords
+        """Coefficients of v in the canonical basis, or None if v is outside.
+
+        Basis row i is the only row nonzero at its pivot, where it is 1, so
+        the i-th coefficient can only be v at that pivot; v lies in the span
+        exactly when that combination reproduces it.
+        """
+        coords = tuple(frac(v[p]) for p in self.pivots)
+        residue = list(v)
+        for c, p, row in zip(coords, self.pivots, self.basis):
+            if c:
+                for i in range(p, self.ambient):
+                    residue[i] -= c * row[i]
+        return None if any(residue) else coords
 
     def __eq__(self, other) -> bool:
         return (

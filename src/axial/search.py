@@ -30,8 +30,6 @@ from axial.linalg import (
     Vec,
     eigenspace,
     frac,
-    mat_from_cols,
-    solve,
     unit_vec,
     vadd,
     vscale,
@@ -248,7 +246,6 @@ def determinant_relation(
     if m > dim_cap:
         raise ValueError(f"eigenspace dimension {m} exceeds the symbolic cap {dim_cap}")
     nvars = z_symbolic[0].nvars
-    w_cols = mat_from_cols(w_basis.basis)
     entries = [[MPoly.zero(nvars) for _ in range(m)] for _ in range(m)]
     for emi in range(alg.dim):
         coeff = z_symbolic[emi]
@@ -256,7 +253,7 @@ def determinant_relation(
             continue
         for j in range(m):
             p = alg.product(unit_vec(alg.dim, emi), w_basis.basis[j])
-            coords = solve(w_cols, p)
+            coords = w_basis.coordinates(p)
             if coords is None:
                 raise ValueError("subspace is not invariant under the action")
             for t, c in enumerate(coords):

@@ -1,8 +1,10 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except `reference_buchberger`, the former pair loop kept to test the
-current one against.  Elimination goes through Sylvester resultants whose
+package except three former implementations kept to test the current ones
+against: `reference_buchberger` (the all-pairs loop), `reference_coordinates`
+(one linear solve per vector) and `reference_graded_involution` (one solve
+per column).  Elimination goes through Sylvester resultants whose
 determinants are computed by evaluation at integer nodes plus Lagrange
 interpolation, rational roots come from the rational root theorem, and every
 candidate point is verified by substitution into the original system, so
@@ -484,3 +486,40 @@ def reference_buchberger(gens, caps=None):
         new = len(basis) - 1
         pairs.update((k, new) for k in range(new))
     return _autoreduce(basis, nvars)
+
+
+def reference_coordinates(basis, v):
+    """Coordinates of v in the given basis by one linear solve, or None.
+
+    The package's `Subspace.coordinates` as it was before it read the
+    coefficients off the RREF pivots; kept as an oracle for that rewrite.
+    """
+    from axial.linalg import is_zero_vec, mat_from_cols, solve
+
+    if not basis:
+        return () if is_zero_vec(v) else None
+    return solve(mat_from_cols(basis), v)
+
+
+def reference_graded_involution(eigendata, negated, n):
+    """The +1 / -1 map on the graded eigenspace split, one solve per column.
+
+    The package's `_graded_involution` as it was before it inverted the
+    change of basis once; kept as an oracle for that rewrite.
+    """
+    from axial.linalg import mat_from_cols, mat_vec, solve, unit_vec
+
+    basis, cols = [], []
+    for lam, space in eigendata:
+        sign = -1 if lam in negated else 1
+        for b in space.basis:
+            basis.append(b)
+            cols.append(tuple(sign * x for x in b))
+    change = mat_from_cols(basis)
+    signed = mat_from_cols(cols)
+    columns = []
+    for j in range(n):
+        coords = solve(change, unit_vec(n, j))
+        assert coords is not None
+        columns.append(mat_vec(signed, coords))
+    return mat_from_cols(columns)

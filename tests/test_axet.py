@@ -18,6 +18,7 @@ from axial.axet import (
 )
 from axial.fusion import MONSTER_QUARTER, check_axis, jordan_law, monster_law
 from axial.linalg import identity, mat_vec, unit_vec, vec
+from axial.matsuo import matsuo_algebra
 
 
 def test_close_axet_matsuo_s3(matsuo_s3_quarter):
@@ -236,3 +237,22 @@ def test_single_axis_spanning_trivial_group():
     axis = check_axis(alg, unit_vec(1, 0), MONSTER_QUARTER)
     aut = aut_from_axis_permutations(alg, Axet((axis,)))
     assert aut.order == 1
+
+
+def _axis_record(a):
+    return (a.vector, a.eigendata, a.miyamoto, a.sigma)
+
+
+def test_close_axet_transport_agrees_with_axis_check(s4_data, q2, q2_axes):
+    # every axis the closure transports is what a full axis check of its
+    # vector finds: the same eigendata, tau and sigma
+    law = jordan_law(F(1, 4))
+    alg = matsuo_algebra(s4_data, F(1, 4))
+    seeds = [check_axis(alg, unit_vec(s4_data.size, i), law) for i in (0, 1)]
+    for algebra, axes in ((alg, seeds), (q2, [q2_axes[0], q2_axes[2]])):
+        axet = close_axet(algebra, axes)
+        assert len(axet) > len(axes)
+        for a in axet.axes:
+            checked = check_axis(algebra, a.vector, a.law)
+            assert checked is not None
+            assert _axis_record(checked) == _axis_record(a)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from axial.fusion import (
     miyamoto_involution,
     monster_law,
 )
+from axial.io import parse_algebra, parse_law_spec
 from axial.linalg import (
     Subspace,
     identity,
@@ -28,7 +30,8 @@ from axial.linalg import (
     vscale,
     zero_vec,
 )
-from axial.matsuo import matsuo_algebra, transposition_perm
+from axial.matsuo import matsuo_algebra, symmetric_transpositions, transposition_perm
+from oracles import reference_graded_involution
 
 
 def test_law_construction_rejects_bad_unit_row():
@@ -185,3 +188,50 @@ def test_infer_fusion_law(q2, matsuo_s3_quarter):
             assert law.star(lam, mu) <= reference.star(lam, mu)
     # a non-idempotent has no law
     assert infer_fusion_law(q2, vec([2, 0, 0, 0])) is None
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _s5_quarter_axes():
+    """Every axis of Matsuo S5 at 1/4, under its Jordan law (tau) and under
+    the Monster (1/4, 1/32) law, where it is of Jordan type (sigma)."""
+    data = symmetric_transpositions(5)
+    alg = matsuo_algebra(data, F(1, 4))
+    return [
+        (alg, check_axis(alg, unit_vec(data.size, i), law))
+        for law in (jordan_law(F(1, 4)), MONSTER_QUARTER)
+        for i in range(data.size)
+    ]
+
+
+def _fixture_axes():
+    out = []
+    for name in ("q2.alg", "triple2b.alg"):
+        parsed = parse_algebra(FIXTURES / name)
+        for tag, v in parsed.axes:
+            out.append((parsed.algebra, check_axis(parsed.algebra, v, parse_law_spec(tag, parsed.law))))
+    return out
+
+
+def test_graded_involutions_match_reference_solves():
+    checked_sigma = 0
+    for alg, axis in _s5_quarter_axes() + _fixture_axes():
+        assert axis is not None
+        n = alg.dim
+        _, minus = axis.law.c2_grading()
+        present = {lam for lam, _ in axis.eigendata}
+        expected_tau = (
+            reference_graded_involution(axis.eigendata, minus, n) if present & minus else identity(n)
+        )
+        assert axis.miyamoto == expected_tau
+        involutions = [axis.miyamoto]
+        if axis.sigma is not None:
+            inner = frozenset(present - {F(1), F(0)})
+            assert axis.sigma == reference_graded_involution(axis.eigendata, inner, n)
+            involutions.append(axis.sigma)
+            checked_sigma += 1
+        for g in involutions:
+            assert mat_mul(g, g) == identity(n)
+            assert is_automorphism(alg, g)
+    assert checked_sigma > 0

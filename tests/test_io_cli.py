@@ -253,3 +253,14 @@ def test_cli_cap_exit_code(tmp_path, capsys):
         == 3
     )
     assert "solver cap exceeded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["pair=1", "pairs", "pairs=x"])
+def test_cli_rejects_bad_caps_as_usage_error(spec, capsys):
+    assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--caps", spec]) == 2
+    assert f"bad caps entry '{spec}'" in capsys.readouterr().err
+
+
+def test_cli_caps_pairs_key_is_applied(capsys):
+    assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--caps", "pairs=1"]) == 3
+    assert "solver cap exceeded" in capsys.readouterr().out

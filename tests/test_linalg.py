@@ -11,16 +11,22 @@ from axial.linalg import (
     full_space,
     identity,
     intersect,
+    inverse,
     kernel,
     mat,
+    mat_mul,
     mat_vec,
     perp_space,
     rref,
     semisimple_spectrum,
     solve,
     unit_vec,
+    vadd,
     vec,
+    vscale,
+    zero_vec,
 )
+from oracles import reference_coordinates
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -153,3 +159,49 @@ def test_subspace_membership_and_coordinates():
     assert coords == vec([2, 5])
     assert not s.contains(vec([1, 0, 0]))
     assert s.coordinates(vec([1, 0, 0])) is None
+
+
+square_matrices = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices)
+def test_inverse_is_two_sided_or_none(rows):
+    m = mat(rows)
+    inv = inverse(m)
+    if det(m) == 0:
+        assert inv is None
+    else:
+        assert mat_mul(m, inv) == identity(len(m))
+        assert mat_mul(inv, m) == identity(len(m))
+
+
+def test_inverse_of_a_singular_matrix_is_none():
+    assert inverse(mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) is None
+    assert inverse(mat([[0, 0], [0, 0]])) is None
+    with pytest.raises(ValueError):
+        inverse(mat([[1, 2, 3], [4, 5, 6]]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.lists(fractions, min_size=4, max_size=4), min_size=0, max_size=4),
+    st.lists(fractions, min_size=4, max_size=4),
+    st.lists(fractions, min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_coordinates_match_reference_solve(vectors, coeffs, outside, inside):
+    s = Subspace(4, vectors)
+    if inside:
+        v = zero_vec(4)
+        for c, b in zip(coeffs, s.basis):
+            v = vadd(v, vscale(c, b))
+    else:
+        v = vec(outside)
+    coords = s.coordinates(v)
+    assert coords == reference_coordinates(s.basis, v)
+    assert s.contains(v) == (coords is not None)
+    if inside:
+        assert coords == vec(coeffs[: s.dim])

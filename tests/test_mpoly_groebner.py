@@ -271,3 +271,20 @@ def test_content_primes_of_large_primes_and_trivial_values():
     assert content_primes(F((2**31 - 1) * m61)) == [2**31 - 1, m61]
     assert content_primes(F(0)) == []
     assert content_primes(F(360, 7)) == [2, 3, 5]
+
+
+def test_enumerate_points_reuses_the_given_basis(monkeypatch):
+    # x0 = x1, x1^2 = 1: two branches; only their substituted systems need
+    # a new basis, not the reduced basis the caller passes in
+    x, y = xvar(2, 0), xvar(2, 1)
+    gb = buchberger([x - y, y * y - 1])
+    calls = []
+
+    def counting(gens, caps=groebner.DEFAULT_CAPS):
+        calls.append(gens)
+        return buchberger(gens, caps)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    res = enumerate_points(gb)
+    assert res.points == [(F(-1), F(-1)), (F(1), F(1))]
+    assert len(calls) == 2

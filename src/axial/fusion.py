@@ -24,11 +24,10 @@ from axial.linalg import (
     identity,
     inverse,
     is_zero_vec,
-    kernel,
-    mat,
     mat_from_cols,
     mat_mul,
     mat_vec,
+    sparse_kernel,
     subspace_sum,
     unit_vec,
     vec,
@@ -313,35 +312,36 @@ def dict_to_vec(sparse_row, n: int) -> Vec:
 def derivation_space(alg: Algebra) -> Subspace:
     """Solutions d of the Leibniz identity on all basis pairs, as n^2 vectors.
 
-    A zero space certifies that the automorphism group (an algebraic group in
-    characteristic zero) is finite.
+    The unknown d[r][c] (the e_r part of d(e_c)) is entry r*n + c.  Each
+    equation d(e_i e_j) = d(e_i) e_j + e_i d(e_j), read at one output e_k, is
+    built straight from the nonzero structure constants and solved by
+    `sparse_kernel`.  Full rank mod p there proves the space zero; a rank
+    deficit mod p proves nothing until its kernel passes the exact check
+    against every equation.  A zero space certifies that the automorphism
+    group (an algebraic group in characteristic zero) is finite.
     """
     n = alg.dim
+    partners: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
+    for (a, b), product in alg.table.items():
+        partners[a].append((b, product))
+        if a != b:
+            partners[b].append((a, product))
     rows = []
     for i in range(n):
         for j in range(i, n):
-            pij = dict_to_vec(alg.basis_product(i, j), n)
-            # unknowns d[r][c] flattened row-major; equation vector per output k
-            for k in range(n):
-                row = [Fraction(0)] * (n * n)
-                # d applied to e_i e_j
-                for m, coeff in enumerate(pij):
-                    if coeff:
-                        row[k * n + m] += coeff
-                # minus d(e_i) e_j: d(e_i) = sum_r d[r][i] e_r
-                for r in range(n):
-                    gamma_rj = alg.basis_product(r, j)
-                    for kk, c in gamma_rj:
-                        if kk == k:
-                            row[r * n + i] -= c
-                # minus e_i d(e_j)
-                for r in range(n):
-                    gamma_ir = alg.basis_product(i, r)
-                    for kk, c in gamma_ir:
-                        if kk == k:
-                            row[r * n + j] -= c
-                rows.append(tuple(row))
-    return kernel(mat(rows))
+            eqs: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            # d(e_i e_j) = sum_m gamma_ij^m d(e_m), whose e_k part is d[k][m]
+            for m, c in alg.basis_product(i, j):
+                for k in range(n):
+                    eqs[k][k * n + m] = c
+            # minus d(e_i) e_j = sum_r d[r][i] e_r e_j, and e_i d(e_j) likewise
+            for col, others in ((i, partners[j]), (j, partners[i])):
+                for r, product in others:
+                    key = r * n + col
+                    for k, c in product:
+                        eqs[k][key] = eqs[k].get(key, ZERO) - c
+            rows.extend(eq for eq in eqs if eq)
+    return sparse_kernel(rows, n * n)
 
 
 def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from axial._backend import kernels
@@ -60,7 +61,7 @@ def vscale(c, v: Vec) -> Vec:
 
 
 def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 def is_zero_vec(v: Vec) -> bool:
@@ -72,8 +73,18 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
+    """Product a b, adding x * b[k] only where x = a[i][k] is nonzero."""
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * ncols
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
@@ -253,6 +264,121 @@ def kernel(m: Mat) -> Subspace:
         return full_space(ncols)
     reduced, rk, pivots = rref(m)
     return Subspace(ncols, _null_basis(reduced, pivots, ncols))
+
+
+SparseVec = dict[int, Fraction]
+
+# A fixed prime for the rank screen of `sparse_kernel`; any prime gives exact
+# answers, only the number of rows it picks can change.
+MODULUS = 2**31 - 1
+
+
+def _reduce_sparse(work: dict, pivots: dict, modulus: Optional[int] = None) -> Optional[int]:
+    """Reduce `work` in place by the pivot rows until its least column is free.
+
+    Each pivot row is 1 at its pivot column, its least column.  Returns that
+    free column, or None when the row reduces to zero.  Arithmetic is over Q,
+    or modulo `modulus` on integer entries.
+    """
+    while work:
+        c = min(work)
+        prow = pivots.get(c)
+        if prow is None:
+            return c
+        f = work[c]
+        for j, v in prow.items():
+            x = work.get(j, 0) - f * v
+            if modulus is not None:
+                x %= modulus
+            if x:
+                work[j] = x
+            else:
+                del work[j]
+    return None
+
+
+def _independent_rows_mod_p(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
+    """The rows that raise the rank mod MODULUS, scanned in order.
+
+    Each row is scaled to integers first, so no denominator needs an inverse
+    mod p.  Rows independent mod p are independent over Q.  The scan stops
+    once the picked rows reach full column rank.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    picked = []
+    for row in rows:
+        denom = 1
+        for x in row.values():
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        work = {}
+        for c, x in row.items():
+            v = x.numerator * (denom // x.denominator) % MODULUS
+            if v:
+                work[c] = v
+        c = _reduce_sparse(work, pivots, MODULUS)
+        if c is not None:
+            inv = pow(work[c], -1, MODULUS)
+            pivots[c] = {j: v * inv % MODULUS for j, v in work.items()}
+            picked.append(row)
+            if len(picked) == ncols:
+                break
+    return picked
+
+
+def _sparse_null_basis(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
+    """Exact null-space basis over Q of sparse rows: one vector per free column."""
+    pivots: dict[int, SparseVec] = {}
+    for row in rows:
+        work = {c: x for c, x in row.items() if x}
+        c = _reduce_sparse(work, pivots)
+        if c is not None:
+            inv = 1 / work[c]
+            pivots[c] = {j: v * inv for j, v in work.items()}
+    # Back-substitute, highest pivot first: a pivot row holds no column left
+    # of its pivot, and the rows it subtracts are already clear of pivots.
+    for c in sorted(pivots, reverse=True):
+        prow = pivots[c]
+        for q in [q for q in prow if q != c and q in pivots]:
+            f = prow.pop(q)
+            for j, v in pivots[q].items():
+                if j != q:
+                    x = prow.get(j, 0) - f * v
+                    if x:
+                        prow[j] = x
+                    else:
+                        del prow[j]
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    for c, prow in pivots.items():
+        for f, x in prow.items():
+            if f != c:
+                basis[f][c] = -x
+    return list(basis.values())
+
+
+def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
+    """Canonical null space of a sparse system, rows given as {column: value}.
+
+    The rank is screened modulo the prime MODULUS first.  Full column rank
+    mod p proves the kernel over Q is zero.  A rank deficit mod p proves
+    nothing: the kernel of the rows picked mod p is solved exactly, and is
+    accepted only when every basis vector satisfies every row of the whole
+    system (it can be too big, never too small).  Should that check fail,
+    the whole system is solved exactly.
+    """
+    rows = sorted(rows, key=len)  # sparsest first keeps the fill-in low
+    picked = _independent_rows_mod_p(rows, ncols)
+    if len(picked) == ncols:
+        return Subspace(ncols)
+    basis = _sparse_null_basis(picked, ncols)
+    if not all(
+        sum(x * v[c] for c, x in row.items() if c in v) == 0 for v in basis for row in rows
+    ):
+        basis = _sparse_null_basis(rows, ncols)
+    dense = [[Fraction(0)] * ncols for _ in basis]
+    for out, v in zip(dense, basis):
+        for c, x in v.items():
+            out[c] = x
+    return Subspace(ncols, dense)
 
 
 def eigenspace(m: Mat, lam) -> Subspace:

@@ -1,14 +1,15 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except three former implementations kept to test the current ones
+package except four former implementations kept to test the current ones
 against: `reference_buchberger` (the all-pairs loop), `reference_coordinates`
-(one linear solve per vector) and `reference_graded_involution` (one solve
-per column).  Elimination goes through Sylvester resultants whose
-determinants are computed by evaluation at integer nodes plus Lagrange
-interpolation, rational roots come from the rational root theorem, and every
-candidate point is verified by substitution into the original system, so
-spurious resultant roots are harmless.
+(one linear solve per vector), `reference_graded_involution` (one solve per
+column) and `reference_derivation_space` (one dense RREF).  Elimination goes
+through Sylvester resultants whose determinants are computed by evaluation
+at integer nodes plus Lagrange interpolation, rational roots come from the
+rational root theorem, and every candidate point is verified by
+substitution into the original system, so spurious resultant roots are
+harmless.
 """
 
 from fractions import Fraction
@@ -523,3 +524,44 @@ def reference_graded_involution(eigendata, negated, n):
         assert coords is not None
         columns.append(mat_vec(signed, coords))
     return mat_from_cols(columns)
+
+
+def reference_derivation_space(alg):
+    """Derivations of an algebra by one dense RREF of the whole Leibniz system.
+
+    The package's `derivation_space` as it was before it built sparse rows
+    and screened their rank mod p; kept as an oracle for that rewrite.
+    """
+    from axial.linalg import kernel, mat
+
+    n = alg.dim
+
+    def dense(sparse_row):
+        out = [Fraction(0)] * n
+        for k, c in sparse_row:
+            out[k] = c
+        return out
+
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            pij = dense(alg.basis_product(i, j))
+            # unknowns d[r][c] flattened row-major; equation vector per output k
+            for k in range(n):
+                row = [Fraction(0)] * (n * n)
+                # d applied to e_i e_j
+                for m, coeff in enumerate(pij):
+                    if coeff:
+                        row[k * n + m] += coeff
+                # minus d(e_i) e_j: d(e_i) = sum_r d[r][i] e_r
+                for r in range(n):
+                    for kk, c in alg.basis_product(r, j):
+                        if kk == k:
+                            row[r * n + i] -= c
+                # minus e_i d(e_j)
+                for r in range(n):
+                    for kk, c in alg.basis_product(i, r):
+                        if kk == k:
+                            row[r * n + j] -= c
+                rows.append(tuple(row))
+    return kernel(mat(rows))

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from axial._backend import kernels
 from axial.algebra import Algebra, diagonal_algebra
 from axial.fusion import (
     FusionLaw,
@@ -19,6 +21,7 @@ from axial.fusion import (
 )
 from axial.io import parse_algebra, parse_law_spec
 from axial.linalg import (
+    MODULUS,
     Subspace,
     identity,
     mat_mul,
@@ -31,7 +34,7 @@ from axial.linalg import (
     zero_vec,
 )
 from axial.matsuo import matsuo_algebra, symmetric_transpositions, transposition_perm
-from oracles import reference_graded_involution
+from oracles import reference_derivation_space, reference_graded_involution
 
 
 def test_law_construction_rejects_bad_unit_row():
@@ -175,6 +178,85 @@ def test_derivation_space_matsuo(s3_data):
     for eta in (F(1, 4), F(2)):
         m = matsuo_algebra(s3_data, eta)
         assert derivation_space(m).is_zero()
+
+
+DERIVATION_ETAS = ("1/2", "1/4", "1/3", "2/5", "3/8", "2")
+
+
+def _derivation_cases():
+    s4, s5 = symmetric_transpositions(4), symmetric_transpositions(5)
+    cases = [(f"S4 at {eta}", matsuo_algebra(s4, F(eta))) for eta in DERIVATION_ETAS]
+    cases += [(f"S5 at {eta}", matsuo_algebra(s5, F(eta))) for eta in ("1/2", "1/4")]
+    for name in ("q2.alg", "triple2b.alg"):
+        cases.append((name, parse_algebra(FIXTURES / name).algebra))
+    cases.append(("zero algebra", Algebra.from_gamma(1, [])))
+    return cases
+
+
+def test_derivation_space_matches_dense_reference():
+    dims = {}
+    for name, alg in _derivation_cases():
+        space = derivation_space(alg)
+        assert space == reference_derivation_space(alg), name
+        dims[name] = space.dim
+    assert dims["S4 at 1/2"] == 3 and dims["S5 at 1/2"] == 6 and dims["zero algebra"] == 1
+    assert sum(dims.values()) == 10
+
+
+# structure constants, mostly zero: three draws in four are 0
+sparse_constants = st.tuples(st.integers(0, 3), st.fractions(-2, 2, max_denominator=3)).map(
+    lambda p: p[1] if p[0] == 0 else F(0)
+)
+
+
+@st.composite
+def sparse_algebras(draw):
+    n = draw(st.integers(1, 4))
+    gamma = [
+        (i, j, k, draw(sparse_constants))
+        for i in range(n)
+        for j in range(i, n)
+        for k in range(n)
+    ]
+    return Algebra.from_gamma(n, gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_algebras())
+def test_derivation_space_matches_reference_on_random_algebras(alg):
+    assert derivation_space(alg) == reference_derivation_space(alg)
+
+
+@pytest.mark.parametrize("value", [F(MODULUS), 1 / F(MODULUS)], ids=["p", "1/p"])
+def test_derivation_space_with_the_screening_prime_as_a_constant(value):
+    # e0 e0 = e0 and e1 e1 = value e1.  With value = p the rows that fix the
+    # e1 part of d(e1) vanish mod p, so the candidate kernel is too big and
+    # must fail the exact check; 1/p has no inverse mod p.
+    alg = Algebra.from_gamma(2, [(0, 0, 0, 1), (1, 1, 1, value)])
+    space = derivation_space(alg)
+    assert space == reference_derivation_space(alg)
+    assert space.is_zero()
+
+
+def test_derivation_space_matsuo_s7_is_zero():
+    assert derivation_space(matsuo_algebra(symmetric_transpositions(7), F(1, 4))).is_zero()
+
+
+def test_derivation_space_s5_needs_no_dense_rref(monkeypatch):
+    # Work counter: at 1/4 the Leibniz system of Matsuo S5 (100 unknowns)
+    # has full rank mod p, which certifies the zero space with no RREF over
+    # Q at all.  The dense solve ran one 550 x 100 RREF.
+    alg = matsuo_algebra(symmetric_transpositions(5), F(1, 4))
+    calls = []
+    original = kernels.rref
+
+    def counting(rows):
+        calls.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(kernels, "rref", counting)
+    assert derivation_space(alg).is_zero()
+    assert len(calls) == 0
 
 
 def test_infer_fusion_law(q2, matsuo_s3_quarter):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axial.linalg import (
+    MODULUS,
     Subspace,
     char_poly,
     det,
@@ -20,6 +21,7 @@ from axial.linalg import (
     rref,
     semisimple_spectrum,
     solve,
+    sparse_kernel,
     unit_vec,
     vadd,
     vec,
@@ -205,3 +207,72 @@ def test_coordinates_match_reference_solve(vectors, coeffs, outside, inside):
     assert s.contains(v) == (coords is not None)
     if inside:
         assert coords == vec(coeffs[: s.dim])
+
+
+# mostly zero entries: three draws in four are 0
+sparse_entries = st.tuples(st.integers(0, 3), fractions).map(lambda p: p[1] if p[0] == 0 else F(0))
+
+
+@st.composite
+def product_shapes(draw):
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def matrix(r, c):
+        return tuple(tuple(draw(sparse_entries) for _ in range(c)) for _ in range(r))
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_shapes())
+def test_mat_mul_matches_triple_loop(pair):
+    a, b = pair
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    want = tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(inner)), F(0)) for j in range(cols))
+        for row in a
+    )
+    got = mat_mul(a, b)
+    assert got == want
+    assert all(type(x) is F for row in got for x in row)
+    for j in range(cols):
+        column = tuple(b[k][j] for k in range(inner))
+        products = mat_vec(a, column)
+        assert products == tuple(row[j] for row in want)
+        assert all(type(x) is F for x in products)
+
+
+def _dense(rows, ncols):
+    return mat([[row.get(c, 0) for c in range(ncols)] for row in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda ncols: st.tuples(
+            st.just(ncols),
+            st.lists(
+                st.dictionaries(st.integers(0, ncols - 1), fractions, max_size=3),
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_sparse_kernel_matches_dense_kernel(system):
+    ncols, rows = system
+    want = kernel(_dense(rows, ncols)) if rows else full_space(ncols)
+    assert sparse_kernel(rows, ncols) == want
+
+
+def test_sparse_kernel_certificate_directions():
+    # 2**31 - 1 vanishes mod the prime: the screen sees rank 1, the exact
+    # check rejects its 1-dimensional candidate, and the exact solve finds 0.
+    p = F(MODULUS)
+    assert sparse_kernel([{0: F(1), 1: F(1)}, {1: p}], 2).is_zero()
+    # 1/(2**31 - 1) has no inverse mod p; the row is scaled to integers first.
+    assert sparse_kernel([{0: 1 / p}, {0: F(1), 1: F(2)}], 2).is_zero()
+    # a true deficit survives the check
+    assert sparse_kernel([{0: F(1), 1: p}], 2) == Subspace(2, [vec([-p, 1])])
+    assert sparse_kernel([], 3) == full_space(3)
+    assert sparse_kernel([], 0) == Subspace(0)

@@ -141,20 +141,36 @@ class Algebra:
                     raise ValueError(f"declared unit fails on basis vector {j}")
 
     def _frobenius_violation(self) -> Optional[tuple[int, int, int]]:
-        n = self.dim
+        """The least (i, j, k) with (e_i e_j, e_k) != (e_i, e_j e_k), or None.
+
+        F(i, j, k) = (e_i e_j, e_k) is symmetric in i and j, and with the
+        Gram matrix symmetric (checked first) the right side is F(j, k, i).
+        A triple can fail only where one side is nonzero, so only the
+        triples that put a nonzero value of F on one side are tested; those
+        values come from the table and the nonzero Gram entries.
+        """
         gram = self.gram
         assert gram is not None
-        for i in range(n):
-            for j in range(n):
-                left = self.basis_product(i, j)
-                for k in range(n):
-                    lhs = sum((c * gram[m][k] for m, c in left), Fraction(0))
-                    rhs = sum(
-                        (c * gram[i][m] for m, c in self._sparse(j, k)), Fraction(0)
-                    )
-                    if lhs != rhs:
-                        return (i, j, k)
-        return None
+        gram_rows = [[(k, g) for k, g in enumerate(row) if g] for row in gram]
+        values: dict[tuple[int, int, int], Fraction] = {}
+        for (a, b), row in self.table.items():
+            for m, c in row:
+                for k, g in gram_rows[m]:
+                    values[(a, b, k)] = values.get((a, b, k), 0) + c * g
+
+        def f(i, j, k):
+            return values.get((i, j, k) if i <= j else (j, i, k), 0)
+
+        return min(
+            (
+                t
+                for (a, b, c), x in values.items()
+                if x
+                for t in ((a, b, c), (b, a, c), (c, a, b), (c, b, a))
+                if f(*t) != f(t[1], t[2], t[0])
+            ),
+            default=None,
+        )
 
     def _sparse(self, i: int, j: int) -> SparseRow:
         return self.table.get((i, j) if i <= j else (j, i), ())

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from math import lcm
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from axial.algebra import Algebra
 from axial.linalg import (
@@ -202,24 +203,117 @@ class Axis:
         return hash(self.vector)
 
 
-def _graded_involution(eigendata: Sequence[tuple[Fraction, Subspace]], negated: frozenset) -> Mat:
-    """The linear map acting as +1 / -1 on the graded eigenspace split."""
-    cols: list[Vec] = []
-    basis: list[Vec] = []
+def _eigenbasis_inverse(eigendata: Sequence[tuple[Fraction, Subspace]]) -> Mat:
+    """Inverse of the matrix whose columns are the eigenbasis vectors in order.
+
+    Row r of the inverse reads off the coordinate of a vector on eigenbasis
+    vector r.  Eigenspaces of distinct eigenvalues spanning the whole space
+    form a basis, so the inverse exists.
+    """
+    inv = inverse(mat_from_cols([b for _, space in eigendata for b in space.basis]))
+    assert inv is not None
+    return inv
+
+
+def _graded_involution(
+    eigendata: Sequence[tuple[Fraction, Subspace]], negated: frozenset, to_eigen: Mat
+) -> Mat:
+    """The linear map acting as +1 / -1 on the graded eigenspace split.
+
+    `to_eigen` is the inverse of the eigenbasis matrix (`_eigenbasis_inverse`).
+    """
+    cols = [
+        tuple(-x for x in b) if lam in negated else b
+        for lam, space in eigendata
+        for b in space.basis
+    ]
+    return mat_mul(mat_from_cols(cols), to_eigen)
+
+
+def _integer_entries(v: Vec) -> list[tuple[int, int]]:
+    """The nonzero entries of v times the lcm of their denominators, as (index, integer)."""
+    denom = 1
+    for x in v:
+        denom = lcm(denom, x.denominator)
+    return [(i, x.numerator * (denom // x.denominator)) for i, x in enumerate(v) if x]
+
+
+def _integer_product(table: dict, x: list[tuple[int, int]], y: list[tuple[int, int]]) -> dict:
+    """The product of two sparse integer vectors over an integer table, as {index: value}."""
+    out: dict[int, int] = {}
+    for i, p in x:
+        for j, q in y:
+            for k, c in table.get((i, j) if i <= j else (j, i), ()):
+                out[k] = out.get(k, 0) + p * q * c
+    return out
+
+
+def _block_supports(
+    alg: Algebra,
+    eigendata: Sequence[tuple[Fraction, Subspace]],
+    to_eigen: Mat,
+    watched: Callable[[Fraction, Fraction], Iterable[Fraction]],
+) -> Iterator[tuple[Fraction, Fraction, frozenset]]:
+    """Project the products of eigenbasis vectors onto the eigenbasis.
+
+    For each pair of eigenspaces (lam, mu), in `combinations_with_replacement`
+    order, yields (lam, mu, hit): the eigenvalues nu among `watched(lam, mu)`
+    such that some product x y, x in the basis of A_lam and y in that of
+    A_mu, has a nonzero coordinate on a basis vector of A_nu.  By bilinearity
+    these products span A_lam A_mu, so A_lam A_mu lies in the sum of the
+    unwatched eigenspaces exactly when `hit` is empty.  Within one eigenspace
+    each unordered pair is formed once, as the product is commutative.
+
+    The coordinates are rows of `to_eigen` dotted with the product.  The
+    work runs on integer copies: each basis vector and each row of
+    `to_eigen` scaled by the lcm of its denominators, and the structure
+    constants by one common denominator.  Each coordinate so computed is the
+    true one times a nonzero integer, so every zero test is exact and every
+    pair is still tested against every watched row.
+    """
+    denom = 1
+    for row in alg.table.values():
+        for _, c in row:
+            denom = lcm(denom, c.denominator)
+    table = {
+        key: [(k, c.numerator * (denom // c.denominator)) for k, c in row]
+        for key, row in alg.table.items()
+    }
+    rows = [dict(_integer_entries(r)) for r in to_eigen]
+    rows_of: dict[Fraction, list[dict[int, int]]] = {}
+    blocks = []
     for lam, space in eigendata:
-        sign = -1 if lam in negated else 1
-        for b in space.basis:
-            basis.append(b)
-            cols.append(tuple(sign * x for x in b))
-    change = inverse(mat_from_cols(basis))
-    assert change is not None
-    return mat_mul(mat_from_cols(cols), change)
+        rows_of[lam] = rows[: space.dim]
+        rows = rows[space.dim :]
+        blocks.append((lam, [_integer_entries(b) for b in space.basis]))
+    for (lam, xs), (mu, ys) in itertools.combinations_with_replacement(blocks, 2):
+        pending = {nu: rows_of[nu] for nu in watched(lam, mu)}
+        hit = set()
+        if lam == mu:
+            pairs = itertools.combinations_with_replacement(xs, 2)
+        else:
+            pairs = itertools.product(xs, ys)
+        for x, y in pairs:
+            if not pending:
+                break
+            product = _integer_product(table, x, y)
+            for nu, nu_rows in list(pending.items()):
+                if any(sum(r[k] * z for k, z in product.items() if k in r) for r in nu_rows):
+                    hit.add(nu)
+                    del pending[nu]
+        yield lam, mu, frozenset(hit)
 
 
 def check_axis_verbose(
     alg: Algebra, v: Vec, law: FusionLaw
 ) -> tuple[Optional[Axis], Optional[str]]:
-    """Verify the axis conditions, returning (axis, None) or (None, reason)."""
+    """Verify the axis conditions, returning (axis, None) or (None, reason).
+
+    The fusion law is checked by projecting every product of eigenbasis
+    vectors onto the eigenbasis (`_block_supports`): the product lies in the
+    allowed sum exactly when its coordinates on the disallowed eigenspaces
+    vanish.  The one inverse this needs also gives tau and sigma.
+    """
     v = vec(v)
     n = alg.dim
     if is_zero_vec(v):
@@ -236,33 +330,34 @@ def check_axis_verbose(
             total += space.dim
     if total != n:
         return None, f"bad_spectrum: eigenspaces for the law span {total} of {n}"
-    for (lam, sl), (mu, sm) in itertools.combinations_with_replacement(eigendata, 2):
+    to_eigen = _eigenbasis_inverse(eigendata)
+    present = [lam for lam, _ in eigendata]
+
+    def disallowed(lam, mu):
         allowed = law.star(lam, mu)
-        target = subspace_sum(
-            [space for nu, space in eigendata if nu in allowed], ambient=n
-        )
-        for x in sl.basis:
-            for y in sm.basis:
-                if not target.contains(alg.product(x, y)):
-                    return None, f"fusion_violation: {lam} * {mu}"
+        return [nu for nu in present if nu not in allowed]
+
+    for lam, mu, hit in _block_supports(alg, eigendata, to_eigen, disallowed):
+        if hit:
+            return None, f"fusion_violation: {lam} * {mu}"
     one_space = next((s for lam, s in eigendata if lam == ONE), None)
     if one_space is None or one_space.dim != 1:
         return None, "not_primitive"
     plus, minus = law.c2_grading()
     miyamoto = None
     if minus:
-        present_minus = frozenset(lam for lam, _ in eigendata) & minus
+        present_minus = frozenset(present) & minus
         if present_minus:
-            miyamoto = _graded_involution(eigendata, minus)
+            miyamoto = _graded_involution(eigendata, minus, to_eigen)
         else:
             miyamoto = identity(n)
     sigma = None
-    if minus and all(lam not in minus for lam, _ in eigendata):
+    if minus and all(lam not in minus for lam in present):
         # Jordan-type axis inside a larger graded law: negate the middle
         # eigenvalue part (the alpha eigenspace for Monster-type laws).
-        inner = [lam for lam, _ in eigendata if lam not in (ONE, ZERO)]
+        inner = [lam for lam in present if lam not in (ONE, ZERO)]
         if inner:
-            sigma = _graded_involution(eigendata, frozenset(inner))
+            sigma = _graded_involution(eigendata, frozenset(inner), to_eigen)
     axis = Axis(
         vector=v,
         law=law,
@@ -362,17 +457,11 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     eigendata = spectrum.eigenpairs
     assert eigendata is not None
     values = [lam for lam, _ in eigendata]
-    owners = [lam for lam, space in eigendata for _ in space.basis]
-    to_eigen = inverse(mat_from_cols([b for _, space in eigendata for b in space.basis]))
-    assert to_eigen is not None
-    star = {}
-    for (lam, sl), (mu, sm) in itertools.combinations_with_replacement(eigendata, 2):
-        support = set()
-        for x in sl.basis:
-            for y in sm.basis:
-                coords = mat_vec(to_eigen, alg.product(x, y))
-                support.update(owners[i] for i, c in enumerate(coords) if c)
-        star[(lam, mu)] = support
+    to_eigen = _eigenbasis_inverse(eigendata)
+    star = {
+        (lam, mu): hit
+        for lam, mu, hit in _block_supports(alg, eigendata, to_eigen, lambda lam, mu: values)
+    }
     try:
         return FusionLaw(values, star)
     except ValueError:

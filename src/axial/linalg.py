@@ -195,7 +195,7 @@ class Subspace:
     The canonical form makes subspace equality plain data equality.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "_nonzero")
 
     def __init__(self, ambient: int, vectors: Iterable[Vec] = ()):
         rows = [vec(v) for v in vectors]
@@ -210,6 +210,7 @@ class Subspace:
             self.basis = ()
             self.pivots = ()
         self.ambient = ambient
+        self._nonzero: Optional[tuple[tuple[tuple[int, Fraction], ...], ...]] = None
 
     @property
     def dim(self) -> int:
@@ -229,14 +230,19 @@ class Subspace:
 
         Basis row i is the only row nonzero at its pivot, where it is 1, so
         the i-th coefficient can only be v at that pivot; v lies in the span
-        exactly when that combination reproduces it.
+        exactly when that combination reproduces it.  The subtraction runs
+        over the nonzero entries of each basis row only.
         """
+        if self._nonzero is None:
+            self._nonzero = tuple(
+                tuple((i, x) for i, x in enumerate(row) if x) for row in self.basis
+            )
         coords = tuple(frac(v[p]) for p in self.pivots)
         residue = list(v)
-        for c, p, row in zip(coords, self.pivots, self.basis):
+        for c, row in zip(coords, self._nonzero):
             if c:
-                for i in range(p, self.ambient):
-                    residue[i] -= c * row[i]
+                for i, x in row:
+                    residue[i] -= c * x
         return None if any(residue) else coords
 
     def __eq__(self, other) -> bool:
@@ -382,13 +388,12 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
 
 
 def eigenspace(m: Mat, lam) -> Subspace:
-    """Exact eigenspace: kernel(m - lam I)."""
-    n = len(m)
+    """Exact eigenspace: kernel(m - lam I), shifting only the diagonal."""
     lam = frac(lam)
-    shifted = tuple(
-        tuple(m[i][j] - (lam if i == j else 0) for j in range(n)) for i in range(n)
-    )
-    return kernel(shifted)
+    shifted = [list(row) for row in m]
+    for i, row in enumerate(shifted):
+        row[i] -= lam
+    return kernel(tuple(tuple(row) for row in shifted))
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:

@@ -1,10 +1,12 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except four former implementations kept to test the current ones
+package except six former implementations kept to test the current ones
 against: `reference_buchberger` (the all-pairs loop), `reference_coordinates`
 (one linear solve per vector), `reference_graded_involution` (one solve per
-column) and `reference_derivation_space` (one dense RREF).  Elimination goes
+column), `reference_derivation_space` (one dense RREF),
+`reference_check_axis` (one membership test per eigenvector product) and
+`reference_frobenius_violation` (the n^3 triple loop).  Elimination goes
 through Sylvester resultants whose determinants are computed by evaluation
 at integer nodes plus Lagrange interpolation, rational roots come from the
 rational root theorem, and every candidate point is verified by
@@ -565,3 +567,78 @@ def reference_derivation_space(alg):
                             row[r * n + j] -= c
                 rows.append(tuple(row))
     return kernel(mat(rows))
+
+
+def reference_check_axis(alg, v, law):
+    """The axis check as (eigendata, tau, sigma) or the reason it fails.
+
+    The package's `check_axis_verbose` as it was before it projected onto the
+    eigenbasis inverse: every product of eigenbasis vectors is tested for
+    membership in the allowed sum of eigenspaces, built as a subspace per
+    pair of eigenvalues; tau and sigma come from `reference_graded_involution`.
+    Kept as an oracle for that rewrite.
+    """
+    import itertools
+
+    from axial.linalg import eigenspace, identity, is_zero_vec, subspace_sum, vec
+
+    v = vec(v)
+    n = alg.dim
+    if is_zero_vec(v):
+        return "not_idempotent: zero vector"
+    if alg.product(v, v) != v:
+        return "not_idempotent"
+    ad = alg.ad_matrix(v)
+    eigendata = []
+    total = 0
+    for lam in law.values:
+        space = eigenspace(ad, lam)
+        if not space.is_zero():
+            eigendata.append((lam, space))
+            total += space.dim
+    if total != n:
+        return f"bad_spectrum: eigenspaces for the law span {total} of {n}"
+    for (lam, sl), (mu, sm) in itertools.combinations_with_replacement(eigendata, 2):
+        allowed = law.star(lam, mu)
+        target = subspace_sum([space for nu, space in eigendata if nu in allowed], ambient=n)
+        for x in sl.basis:
+            for y in sm.basis:
+                if not target.contains(alg.product(x, y)):
+                    return f"fusion_violation: {lam} * {mu}"
+    one_space = next((s for lam, s in eigendata if lam == 1), None)
+    if one_space is None or one_space.dim != 1:
+        return "not_primitive"
+    _, minus = law.c2_grading()
+    present = [lam for lam, _ in eigendata]
+    tau = None
+    if minus:
+        if set(present) & minus:
+            tau = reference_graded_involution(eigendata, minus, n)
+        else:
+            tau = identity(n)
+    sigma = None
+    if minus and all(lam not in minus for lam in present):
+        inner = frozenset(lam for lam in present if lam not in (0, 1))
+        if inner:
+            sigma = reference_graded_involution(eigendata, inner, n)
+    return tuple(eigendata), tau, sigma
+
+
+def reference_frobenius_violation(alg):
+    """The least (i, j, k) with (e_i e_j, e_k) != (e_i, e_j e_k), or None.
+
+    The package's `Algebra._frobenius_violation` as it was before it tested
+    only the triples that touch a nonzero value: all n^3 triples, with dense
+    Gram rows.  Kept as an oracle for that rewrite.
+    """
+    n = alg.dim
+    gram = alg.gram
+    for i in range(n):
+        for j in range(n):
+            left = alg.basis_product(i, j)
+            for k in range(n):
+                lhs = sum((c * gram[m][k] for m, c in left), Fraction(0))
+                rhs = sum((c * gram[i][m] for m, c in alg.basis_product(j, k)), Fraction(0))
+                if lhs != rhs:
+                    return (i, j, k)
+    return None

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axial.algebra import (
     Algebra,
@@ -12,6 +13,7 @@ from axial.algebra import (
     direct_sum,
 )
 from axial.linalg import Subspace, det, is_zero_vec, unit_vec, vadd, vec, vscale, zero_vec
+from oracles import reference_frobenius_violation
 
 
 def test_q2_products_match_table(q2):
@@ -118,6 +120,43 @@ def test_frobenius_violation_rejected():
     # e0*e0 = e1, e0*e1 = 0: then (e0 e0, e1) = 1 but (e0, e0 e1) = 0
     with pytest.raises(ValueError, match="not Frobenius"):
         Algebra.from_gamma(2, [(0, 0, 1, 1)], gram=[[1, 0], [0, 1]])
+
+
+# mostly zero entries: three draws in four are 0
+sparse_entries = st.tuples(st.integers(0, 3), st.fractions(-2, 2, max_denominator=3)).map(
+    lambda p: p[1] if p[0] == 0 else F(0)
+)
+
+
+@st.composite
+def algebras_with_forms(draw):
+    n = draw(st.integers(1, 4))
+    gamma = [
+        (i, j, k, draw(sparse_entries)) for i in range(n) for j in range(i, n) for k in range(n)
+    ]
+    gram = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(sparse_entries)
+    return gamma, gram
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_with_forms())
+def test_sparse_frobenius_check_matches_triple_loop(case):
+    gamma, gram = case
+    n = len(gram)
+    alg = Algebra.from_gamma(n, gamma, gram=gram, check=False)
+    bad = reference_frobenius_violation(alg)
+    assert alg._frobenius_violation() == bad
+    if bad is None:
+        Algebra.from_gamma(n, gamma, gram=gram)
+    else:
+        i, j, k = bad
+        message = f"form is not Frobenius: (e{i}*e{j}, e{k}) != (e{i}, e{j}*e{k})"
+        with pytest.raises(ValueError) as err:
+            Algebra.from_gamma(n, gamma, gram=gram)
+        assert str(err.value) == message
 
 
 def test_declared_unit_checked():

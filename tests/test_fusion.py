@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from axial import fusion, linalg
 from axial._backend import kernels
 from axial.algebra import Algebra, diagonal_algebra
 from axial.fusion import (
@@ -24,6 +25,7 @@ from axial.linalg import (
     MODULUS,
     Subspace,
     identity,
+    inverse,
     mat_mul,
     mat_vec,
     subspace_sum,
@@ -34,7 +36,7 @@ from axial.linalg import (
     zero_vec,
 )
 from axial.matsuo import matsuo_algebra, symmetric_transpositions, transposition_perm
-from oracles import reference_derivation_space, reference_graded_involution
+from oracles import reference_check_axis, reference_derivation_space, reference_graded_involution
 
 
 def test_law_construction_rejects_bad_unit_row():
@@ -317,3 +319,136 @@ def test_graded_involutions_match_reference_solves():
             assert mat_mul(g, g) == identity(n)
             assert is_automorphism(alg, g)
     assert checked_sigma > 0
+
+
+def _outcome(alg, v, law):
+    """`check_axis_verbose` in the shape `reference_check_axis` returns."""
+    axis, reason = check_axis_verbose(alg, v, law)
+    if axis is None:
+        return reason
+    assert axis.vector == vec(v) and axis.law == law and axis.primitive
+    return axis.eigendata, axis.miyamoto, axis.sigma
+
+
+def _narrow_jordan_law(eta):
+    """The Jordan law at eta with eta * eta = {1}: Matsuo axes break it."""
+    return FusionLaw([1, 0, eta], {(0, 0): {0}, (0, eta): {eta}, (eta, eta): {1}})
+
+
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("eta", DERIVATION_ETAS)
+def test_check_axis_matches_reference_on_matsuo(m, eta):
+    eta = F(eta)
+    data = symmetric_transpositions(m)
+    alg = matsuo_algebra(data, eta)
+    n = data.size
+    orthogonal = vadd(
+        unit_vec(n, data.index_of(transposition_perm(m, 1, 2))),
+        unit_vec(n, data.index_of(transposition_perm(m, 3, 4))),
+    )
+    not_idempotent = vadd(unit_vec(n, 0), unit_vec(n, 1))
+    vectors = [unit_vec(n, i) for i in range(n)] + [orthogonal, not_idempotent]
+    reasons = set()
+    for law in (jordan_law(eta), monster_law(eta, F(1, 32)), _narrow_jordan_law(eta)):
+        for v in vectors:
+            outcome = _outcome(alg, v, law)
+            assert outcome == reference_check_axis(alg, v, law), (law, v)
+            reasons.add(outcome if isinstance(outcome, str) else None)
+    assert {None, "not_idempotent", f"fusion_violation: {eta} * {eta}"} <= reasons
+
+
+def test_check_axis_matches_reference_on_fixture_axes():
+    for name in ("q2.alg", "triple2b.alg"):
+        parsed = parse_algebra(FIXTURES / name)
+        for tag, v in parsed.axes:
+            law = parse_law_spec(tag, parsed.law)
+            outcome = _outcome(parsed.algebra, v, law)
+            assert not isinstance(outcome, str), (name, tag)
+            assert outcome == reference_check_axis(parsed.algebra, v, law), (name, tag)
+
+
+AXIS_CASE_LAWS = (jordan_law(F(1, 4)), MONSTER_QUARTER, monster_law(F(1, 2), F(1, 4)))
+
+
+@st.composite
+def axis_cases(draw):
+    """An algebra where e0 is idempotent with diagonal adjoint, seen in another basis.
+
+    e0 e_j = lam_j e_j with lam_j drawn from a menu wider than the laws, the
+    other constants mostly zero; a unitriangular change of basis makes the
+    eigenvectors dense.  The vector is e0 in the new basis, sometimes doubled.
+    """
+    n = draw(st.integers(1, 4))
+    menu = st.sampled_from([F(1), F(0), F(1, 4), F(1, 32), F(1, 2)])
+    lams = [F(1)] + [draw(menu) for _ in range(1, n)]
+    gamma = [(0, j, j, lam) for j, lam in enumerate(lams)]
+    gamma += [
+        (i, j, k, draw(sparse_constants)) for i in range(1, n) for j in range(i, n) for k in range(n)
+    ]
+    plain = Algebra.from_gamma(n, gamma)
+    above = st.sampled_from([F(0), F(1), F(-1), F(1, 2)])
+    change = tuple(
+        tuple(F(1) if a == i else draw(above) if a < i else F(0) for i in range(n))
+        for a in range(n)
+    )
+    back = inverse(change)
+    cols = [tuple(row[i] for row in change) for i in range(n)]
+    new_gamma = [
+        (i, j, k, c)
+        for i in range(n)
+        for j in range(i, n)
+        for k, c in enumerate(mat_vec(back, plain.product(cols[i], cols[j])))
+    ]
+    alg = Algebra.from_gamma(n, new_gamma)
+    v = vscale(draw(st.sampled_from([1, 1, 1, 2])), mat_vec(back, unit_vec(n, 0)))
+    return alg, v, draw(st.sampled_from(AXIS_CASE_LAWS))
+
+
+def test_check_axis_matches_reference_on_random_algebras():
+    kinds = []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(axis_cases())
+    def compare(case):
+        outcome = _outcome(*case)
+        assert outcome == reference_check_axis(*case)
+        kinds.append(outcome.split(":")[0] if isinstance(outcome, str) else "axis")
+
+    compare()
+    # The comparison is only as good as its draws: they must reach passes
+    # and every kind of failure, not only passes.
+    assert set(kinds) == {
+        "axis", "fusion_violation", "bad_spectrum", "not_primitive", "not_idempotent"
+    }
+
+
+def test_check_axis_inverts_once_and_tests_no_membership(monkeypatch):
+    # Work counter: the fusion check projects onto one eigenbasis inverse,
+    # which tau and sigma reuse; it never asks Subspace.contains.
+    data = symmetric_transpositions(5)
+    alg = matsuo_algebra(data, F(1, 4))
+    counts = {"inverse": 0, "contains": 0}
+
+    def counting(name, original):
+        def wrapped(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(fusion, "inverse", counting("inverse", fusion.inverse))
+    monkeypatch.setattr(linalg, "inverse", counting("inverse", linalg.inverse))
+    monkeypatch.setattr(Subspace, "contains", counting("contains", Subspace.contains))
+    for law, graded in ((jordan_law(F(1, 4)), "miyamoto"), (MONSTER_QUARTER, "sigma")):
+        counts.update(inverse=0, contains=0)
+        axis = check_axis(alg, unit_vec(data.size, 0), law)
+        assert getattr(axis, graded) != identity(data.size)
+        assert counts == {"inverse": 1, "contains": 0}, law
+
+
+@pytest.mark.parametrize("eta", ["1/4", "1/3", "2"])
+def test_infer_fusion_law_on_matsuo_s5_axes(eta):
+    data = symmetric_transpositions(5)
+    alg = matsuo_algebra(data, F(eta))
+    for i in (0, data.size - 1):
+        assert infer_fusion_law(alg, unit_vec(data.size, i)) == jordan_law(F(eta))

@@ -1,9 +1,9 @@
 """Closed axis sets, the Miyamoto group, twins, Jordan axes, pair classes.
 
-Group elements act on coordinate vectors as matrices; when the axis set spans
-the algebra the action on axes is faithful and elements are handled as
-permutations with one matrix witness each, which keeps exact arithmetic off
-the hot path.
+The Miyamoto group and the automorphisms permuting an axet are held as
+sympy permutation groups on spanning sets of vectors, with one matrix per
+generator; their orders and orbits come from deterministic Schreier-Sims,
+and no element is listed or stored as a matrix.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from axial.algebra import Algebra, AlgebraError
 from axial.fusion import (
@@ -21,7 +23,7 @@ from axial.fusion import (
     is_automorphism,
     jordan_law,
 )
-from axial.groebner import DEFAULT_CAPS, POSITIVE_DIMENSIONAL, SolverCaps
+from axial.groebner import DEFAULT_CAPS, POSITIVE_DIMENSIONAL, CapExceeded, SolverCaps
 from axial.linalg import (
     Mat,
     Subspace,
@@ -52,10 +54,6 @@ NS_UNIT_LENGTHS: dict[str, Fraction] = {
     "5A": Fraction(32, 7),
     "6A": Fraction(51, 10),
 }
-
-
-class ClosureCapExceeded(AlgebraError):
-    """Axis-set closure exceeded the configured cap."""
 
 
 @dataclass
@@ -143,85 +141,60 @@ def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512) -> Axet:
                 axes.append(image)
                 changed = True
                 if len(axes) > cap:
-                    raise ClosureCapExceeded(f"axis closure exceeded cap {cap}")
+                    raise CapExceeded(f"axis closure exceeded cap {cap}")
     return Axet(tuple(axes), closed=True)
 
 
 @dataclass
 class MiyGroup:
-    """The group generated by the axet's involutions.
+    """The group generated by the axet's involutions, as permutations of points.
 
-    `elements` maps the permutation of the axet to one matrix witness; when
-    the axet does not span, the fallback stores matrices directly and the
-    permutation keys are synthetic.
+    The points are the axet vectors and, when the axet does not span the
+    algebra, the orbits of the unit vectors appended after them.  The points
+    span, and a linear map is fixed by its action on a spanning set, so the
+    action is faithful: `group.order()` is the order of the Miyamoto group.
+    `faithful` records whether the axet alone spans.
     """
 
     generators: list[Mat]
-    elements: dict[tuple[int, ...], Mat]
-    order: int
+    points: list[Vec]
+    group: PermutationGroup
     faithful: bool
+
+    @property
+    def order(self) -> int:
+        return self.group.order()
 
 
 def miyamoto_group(alg: Algebra, axet: Axet, cap: int = 200_000) -> MiyGroup:
-    """Enumerate the Miyamoto group through its action on the axet."""
+    """The Miyamoto group, from the permutations its involutions induce.
+
+    `cap` bounds the number of points; an infinite group has an infinite
+    orbit, so the cap is what makes the call return.
+    """
     if not axet.closed:
         raise ValueError("axet must be closed")
     n = alg.dim
-    taus = axet.taus()
-    vectors = axet.vectors()
-    index = {v: i for i, v in enumerate(vectors)}
+    taus = list(dict.fromkeys(axet.taus()))
+    points = axet.vectors()
     faithful = axet.spans(n)
-
-    unique_taus: list[Mat] = []
-    seen_taus = set()
-    for t in taus:
-        if t not in seen_taus:
-            seen_taus.add(t)
-            unique_taus.append(t)
-
-    if faithful:
-        def to_perm(g: Mat) -> tuple[int, ...]:
-            out = []
-            for v in vectors:
-                w = mat_vec(g, v)
-                if w not in index:
+    if not faithful:
+        points += [e for e in (unit_vec(n, j) for j in range(n)) if e not in points]
+    index = {v: i for i, v in enumerate(points)}
+    images: list[list[int]] = [[] for _ in taus]
+    for v in points:  # the list grows while it is read
+        for g, image in zip(taus, images):
+            w = mat_vec(g, v)
+            if w not in index:
+                if faithful:
                     raise AlgebraError("involution does not preserve the axet")
-                out.append(index[w])
-            return tuple(out)
-
-        gen_perms = [(to_perm(g), g) for g in unique_taus]
-        ident = tuple(range(len(vectors)))
-        elements: dict[tuple[int, ...], Mat] = {ident: identity(n)}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q, gmat in gen_perms:
-                    composed = tuple(q[p[i]] for i in range(len(p)))
-                    if composed not in elements:
-                        elements[composed] = mat_mul(gmat, elements[p])
-                        nxt.append(composed)
-                        if len(elements) > cap:
-                            raise ClosureCapExceeded("group enumeration cap exceeded")
-            frontier = nxt
-        return MiyGroup(unique_taus, elements, len(elements), True)
-
-    # Unfaithful fallback: enumerate matrices directly under the cap.
-    elements_m: dict[Mat, None] = {identity(n): None}
-    frontier_m = [identity(n)]
-    while frontier_m:
-        nxt = []
-        for m in frontier_m:
-            for g in unique_taus:
-                prod = mat_mul(g, m)
-                if prod not in elements_m:
-                    elements_m[prod] = None
-                    nxt.append(prod)
-                    if len(elements_m) > cap:
-                        raise ClosureCapExceeded("group enumeration cap exceeded")
-        frontier_m = nxt
-    synthetic = {(i,): m for i, m in enumerate(elements_m)}
-    return MiyGroup(unique_taus, synthetic, len(elements_m), False)
+                if len(points) >= cap:
+                    raise CapExceeded(f"Miyamoto group points exceeded cap {cap}")
+                index[w] = len(points)
+                points.append(w)
+            image.append(index[w])
+    perms = [Permutation(image) for image in images] or [Permutation(len(points) - 1)]
+    return MiyGroup(taus, points, PermutationGroup(perms), faithful)
 
 
 def twins_of(alg: Algebra, a: Axis, caps: SolverCaps = DEFAULT_CAPS) -> list[Axis]:
@@ -420,22 +393,32 @@ def _row_matches(row: dict, dim, tau_order, form_value, unit_length) -> bool:
 
 @dataclass
 class AutGroup:
-    """Automorphisms realized as permutations of a spanning axet."""
+    """Automorphisms permuting a spanning axet, held by strong generators.
 
-    matrices: list[Mat]
-    perms: list[tuple[int, ...]]
+    `group` acts on the positions of the axet; `generators` are the
+    matrices of its generators, in the same order.
+    """
+
+    generators: list[Mat]
+    group: PermutationGroup
 
     @property
     def order(self) -> int:
-        return len(self.matrices)
+        return self.group.order()
 
 
 def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
-    """All algebra automorphisms permuting a spanning closed axis set.
+    """The stabiliser of a spanning closed axis set in Aut(A).
 
-    Candidate permutations are pruned by form values (an edge-colored graph
-    isomorphism constraint), then each surviving assignment of a spanning
-    subset determines a unique linear map which is verified exactly:
+    This is all of Aut(A) only when the axet holds every axis of its type,
+    for example as certified by `nuanced_axes`; otherwise it may be a proper
+    subgroup.  The greedy spanning axes b_0, b_1, ... form a base, since a
+    map fixing them fixes A.  Working from the deepest level up, each
+    image of b_l outside the orbit found so far is tried in turn, and the
+    first map fixing b_0 ... b_(l-1) that sends b_l there becomes a strong
+    generator.  Candidate assignments are pruned by form values (an
+    edge-colored graph isomorphism constraint) and zero products; each
+    assignment determines a unique linear map, which is verified exactly:
     multiplicative, bijective on the axet, form-preserving.
     """
     n = alg.dim
@@ -467,8 +450,6 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
     index = {v: i for i, v in enumerate(vectors)}
     basis_inv = inverse(mat_from_cols([vectors[i] for i in basis_positions]))
     assert basis_inv is not None
-    matrices: list[Mat] = []
-    perms: list[tuple[int, ...]] = []
 
     def consistent(assigned: list[int], candidate: int) -> bool:
         pos = len(assigned)
@@ -484,32 +465,38 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
             return False
         return True
 
-    def extend(assigned: list[int]):
-        if len(assigned) == len(basis_positions):
-            g = mat_mul(mat_from_cols([vectors[k] for k in assigned]), basis_inv)
-            if not is_automorphism(alg, g):
-                return
-            perm = []
-            for v in vectors:
-                w = mat_vec(g, v)
-                if w not in index:
-                    return
-                perm.append(index[w])
-            if len(set(perm)) != m:
-                return
-            if alg.gram is not None:
-                gt = tuple(zip(*g))
-                if mat_mul(mat(gt), mat_mul(alg.gram, g)) != alg.gram:
-                    return
-            matrices.append(g)
-            perms.append(tuple(perm))
-            return
-        used = set(assigned)
-        for candidate in range(m):
-            if candidate in used:
-                continue
-            if consistent(assigned, candidate):
-                extend(assigned + [candidate])
+    def first_map(assigned: list[int]) -> Optional[tuple[Mat, Permutation]]:
+        """The first verified map that extends the assignment, and its permutation."""
+        if len(assigned) < len(basis_positions):
+            for candidate in range(m):
+                if candidate not in assigned and consistent(assigned, candidate):
+                    found = first_map(assigned + [candidate])
+                    if found is not None:
+                        return found
+            return None
+        g = mat_mul(mat_from_cols([vectors[k] for k in assigned]), basis_inv)
+        if not is_automorphism(alg, g):
+            return None
+        perm = [index.get(mat_vec(g, v)) for v in vectors]
+        if None in perm or len(set(perm)) != m:
+            return None
+        if alg.gram is not None and mat_mul(mat(tuple(zip(*g))), mat_mul(alg.gram, g)) != alg.gram:
+            return None
+        return g, Permutation(perm)
 
-    extend([])
-    return AutGroup(matrices, perms)
+    matrices: list[Mat] = []
+    perms: list[Permutation] = []
+    group = PermutationGroup([Permutation(m - 1)])
+    for level in reversed(range(len(basis_positions))):
+        fixed = basis_positions[:level]
+        orbit = group.orbit(basis_positions[level])
+        for candidate in range(m):
+            if candidate in orbit or candidate in fixed or not consistent(fixed, candidate):
+                continue
+            found = first_map(fixed + [candidate])
+            if found is not None:
+                matrices.append(found[0])
+                perms.append(found[1])
+                group = PermutationGroup(perms)
+                orbit = group.orbit(basis_positions[level])
+    return AutGroup(matrices, group)

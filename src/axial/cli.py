@@ -285,7 +285,11 @@ def cmd_aut_perm(args, report):
     aut = aut_from_axis_permutations(alg, axet)
     report.add("axet_size", len(axet))
     report.add("aut_order", aut.order, f"automorphism group order {aut.order}")
-    report.add("permutations", [list(p) for p in aut.perms])
+    report.add("generators", [p.array_form for p in aut.group.generators])
+    report.note(
+        "note: this is the stabiliser of the axet in Aut(A); it is all of Aut(A)"
+        " only if the axet holds every axis of its type"
+    )
 
 
 def _decomposition(args, report, partial=False):

@@ -1,12 +1,14 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except six former implementations kept to test the current ones
+package except eight former implementations kept to test the current ones
 against: `reference_buchberger` (the all-pairs loop), `reference_coordinates`
 (one linear solve per vector), `reference_graded_involution` (one solve per
 column), `reference_derivation_space` (one dense RREF),
-`reference_check_axis` (one membership test per eigenvector product) and
-`reference_frobenius_violation` (the n^3 triple loop).  Elimination goes
+`reference_check_axis` (one membership test per eigenvector product),
+`reference_frobenius_violation` (the n^3 triple loop),
+`reference_miyamoto_group` (every element, one matrix each) and
+`reference_aut_from_axis_permutations` (every candidate map verified).  Elimination goes
 through Sylvester resultants whose determinants are computed by evaluation
 at integer nodes plus Lagrange interpolation, rational roots come from the
 rational root theorem, and every candidate point is verified by
@@ -642,3 +644,113 @@ def reference_frobenius_violation(alg):
                 if lhs != rhs:
                     return (i, j, k)
     return None
+
+
+def reference_miyamoto_group(alg, axet):
+    """Every element of the Miyamoto group, by breadth-first enumeration.
+
+    The package's `miyamoto_group` as it was before it held the group as a
+    permutation group: when the axet spans, a dict from each permutation of
+    the axet to one matrix witness; otherwise a dict from each matrix to
+    None.  Returns that dict and whether the axet spans.  Kept as an oracle
+    for that rewrite.
+    """
+    from axial.linalg import identity, mat_mul, mat_vec
+
+    n = alg.dim
+    vectors = axet.vectors()
+    index = {v: i for i, v in enumerate(vectors)}
+    taus = list(dict.fromkeys(axet.taus()))
+    if axet.spans(n):
+        def to_perm(g):
+            return tuple(index[mat_vec(g, v)] for v in vectors)
+
+        gens = [(to_perm(g), g) for g in taus]
+        ident = tuple(range(len(vectors)))
+        elements = {ident: identity(n)}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for q, g in gens:
+                    composed = tuple(q[p[i]] for i in range(len(p)))
+                    if composed not in elements:
+                        elements[composed] = mat_mul(g, elements[p])
+                        nxt.append(composed)
+            frontier = nxt
+        return elements, True
+    matrices = {identity(n): None}
+    frontier = [identity(n)]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in taus:
+                prod = mat_mul(g, m)
+                if prod not in matrices:
+                    matrices[prod] = None
+                    nxt.append(prod)
+        frontier = nxt
+    return matrices, False
+
+
+def reference_aut_from_axis_permutations(alg, axet):
+    """Every automorphism permuting a spanning axet, as (matrices, perms).
+
+    The package's `aut_from_axis_permutations` as it was before it searched
+    for strong generators: every assignment of the greedy spanning axes that
+    passes the form-value and zero-product pruning is turned into a matrix
+    and verified.  Kept as an oracle for that rewrite.
+    """
+    from axial.fusion import is_automorphism
+    from axial.linalg import Subspace, inverse, mat, mat_from_cols, mat_mul, mat_vec
+
+    n = alg.dim
+    vectors = axet.vectors()
+    m = len(vectors)
+    basis_positions = []
+    current = Subspace(n)
+    for i, v in enumerate(vectors):
+        bigger = Subspace(n, list(current.basis) + [v])
+        if bigger.dim > current.dim:
+            basis_positions.append(i)
+            current = bigger
+        if current.dim == n:
+            break
+    color = None
+    if alg.gram is not None:
+        color = [[alg.form_value(vectors[i], vectors[j]) for j in range(m)] for i in range(m)]
+    zero = tuple([Fraction(0)] * n)
+    zero_product = [[alg.product(vectors[i], vectors[j]) == zero for j in range(m)] for i in range(m)]
+    index = {v: i for i, v in enumerate(vectors)}
+    basis_inv = inverse(mat_from_cols([vectors[i] for i in basis_positions]))
+    matrices, perms = [], []
+
+    def consistent(assigned, candidate):
+        i_new = basis_positions[len(assigned)]
+        for prev, img in enumerate(assigned):
+            i_old = basis_positions[prev]
+            if color is not None and color[i_old][i_new] != color[img][candidate]:
+                return False
+            if zero_product[i_old][i_new] != zero_product[img][candidate]:
+                return False
+        return color is None or color[i_new][i_new] == color[candidate][candidate]
+
+    def extend(assigned):
+        if len(assigned) == len(basis_positions):
+            g = mat_mul(mat_from_cols([vectors[k] for k in assigned]), basis_inv)
+            if not is_automorphism(alg, g):
+                return
+            perm = [index.get(mat_vec(g, v)) for v in vectors]
+            if None in perm or len(set(perm)) != m:
+                return
+            if alg.gram is not None and mat_mul(mat(tuple(zip(*g))), mat_mul(alg.gram, g)) != alg.gram:
+                return
+            matrices.append(g)
+            perms.append(tuple(perm))
+            return
+        for candidate in range(m):
+            if candidate not in assigned and consistent(assigned, candidate):
+                extend(assigned + [candidate])
+
+    extend([])
+    return matrices, perms

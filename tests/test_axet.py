@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from axial.algebra import AlgebraError, diagonal_algebra
+import axial.axet
+from axial.algebra import Algebra, AlgebraError, diagonal_algebra
 from axial.axet import (
     Axet,
     NS_UNIT_LENGTHS,
@@ -16,9 +17,21 @@ from axial.axet import (
     transport_axis,
     twins_of,
 )
-from axial.fusion import MONSTER_QUARTER, check_axis, jordan_law, monster_law
-from axial.linalg import identity, mat_vec, unit_vec, vec
-from axial.matsuo import matsuo_algebra
+from axial.fusion import MONSTER_QUARTER, check_axis, is_automorphism, jordan_law, monster_law
+from axial.groebner import CapExceeded
+from axial.linalg import (
+    Subspace,
+    identity,
+    inverse,
+    mat,
+    mat_from_cols,
+    mat_mul,
+    mat_vec,
+    unit_vec,
+    vec,
+)
+from axial.matsuo import matsuo_algebra, symmetric_transpositions, transposition_perm
+from oracles import reference_aut_from_axis_permutations, reference_miyamoto_group
 
 
 def test_close_axet_matsuo_s3(matsuo_s3_quarter):
@@ -198,7 +211,7 @@ def test_classify_pair_with_reference(q2, q2_axes):
 def test_aut_q2_order_four(q2, q2_axes):
     aut = aut_from_axis_permutations(q2, Axet(tuple(q2_axes)))
     assert aut.order == 4
-    perms = set(aut.perms)
+    perms = _perms(aut.group)
     assert (0, 1, 2, 3) in perms
     assert (1, 0, 3, 2) in perms
 
@@ -210,20 +223,16 @@ def test_aut_matsuo_s3(matsuo_s3_quarter):
     aut = aut_from_axis_permutations(matsuo_s3_quarter, axet)
     group = miyamoto_group(matsuo_s3_quarter, axet)
     assert aut.order >= group.order == 6
-    aut_perms = set(aut.perms)
-    for perm in group.elements:
-        assert perm in aut_perms
+    # the axet spans, so both groups permute the same points
+    assert group.points == axet.vectors()
+    assert _perms(group.group) <= _perms(aut.group)
 
 
 def test_aut_preserves_form_and_axet(q2, q2_axes):
-    from axial.linalg import mat, mat_mul
-
     aut = aut_from_axis_permutations(q2, Axet(tuple(q2_axes)))
-    vectors = {a.vector for a in q2_axes}
-    for g in aut.matrices:
-        gt = mat(tuple(zip(*g)))
-        assert mat_mul(gt, mat_mul(q2.gram, g)) == q2.gram
-        assert {mat_vec(g, v) for v in vectors} == vectors
+    assert len(aut.generators) == len(aut.group.generators)
+    for g in aut.generators:
+        assert _preserves(q2, g, [a.vector for a in q2_axes])
 
 
 def test_aut_requires_spanning_axet(two_b):
@@ -256,3 +265,133 @@ def test_close_axet_transport_agrees_with_axis_check(s4_data, q2, q2_axes):
             checked = check_axis(algebra, a.vector, a.law)
             assert checked is not None
             assert _axis_record(checked) == _axis_record(a)
+
+
+def test_close_axet_cap_is_a_cap(q2, q2_axes):
+    with pytest.raises(CapExceeded, match="cap 2"):
+        close_axet(q2, [q2_axes[0], q2_axes[2]], cap=2)
+
+
+def _matsuo_s3_skewed():
+    """Matsuo S3 at 1/4 in the basis e1, e1 + e2, e3, with its axis e1.
+
+    The involution of e1 swaps e2 and e3, so it moves the unit vectors of
+    this basis off the unit vectors: the axet {e1} does not span, and the
+    orbits of the unit vectors grow from 3 points to 5.
+    """
+    plain = matsuo_algebra(symmetric_transpositions(3), F(1, 4))
+    cols = [unit_vec(3, 0), vec([1, 1, 0]), unit_vec(3, 2)]
+    back = inverse(mat_from_cols(cols))
+    gamma = [
+        (i, j, k, c)
+        for i in range(3)
+        for j in range(i, 3)
+        for k, c in enumerate(mat_vec(back, plain.product(cols[i], cols[j])))
+    ]
+    alg = Algebra.from_gamma(3, gamma)
+    return alg, Axet((check_axis(alg, unit_vec(3, 0), jordan_law(F(1, 4))),))
+
+
+def test_miyamoto_group_cap_is_a_cap():
+    alg, axet = _matsuo_s3_skewed()
+    group = miyamoto_group(alg, axet)
+    assert (group.order, len(group.points), group.faithful) == (2, 5, False)
+    with pytest.raises(CapExceeded, match="cap 4"):
+        miyamoto_group(alg, axet, cap=4)
+
+
+def _perms(group):
+    return {tuple(p.array_form) for p in group.generate()}
+
+
+def _matrix(points, perm):
+    """The linear map sending each point to the point its image names."""
+    positions, span = [], Subspace(len(points[0]))
+    for i, v in enumerate(points):
+        bigger = Subspace(span.ambient, list(span.basis) + [v])
+        if bigger.dim > span.dim:
+            positions.append(i)
+            span = bigger
+    source = inverse(mat_from_cols([points[i] for i in positions]))
+    return mat_mul(mat_from_cols([points[perm[i]] for i in positions]), source)
+
+
+def _preserves(alg, g, vectors):
+    """g is an automorphism that preserves the form and permutes the vectors."""
+    form_kept = alg.gram is None or mat_mul(mat(tuple(zip(*g))), mat_mul(alg.gram, g)) == alg.gram
+    return is_automorphism(alg, g) and form_kept and {mat_vec(g, v) for v in vectors} == set(vectors)
+
+
+def _check_against_oracles(alg, axet):
+    miy = miyamoto_group(alg, axet)
+    elements, spans = reference_miyamoto_group(alg, axet)
+    assert miy.faithful == spans
+    assert miy.points[: len(axet)] == axet.vectors()
+    matrices = {_matrix(miy.points, p.array_form) for p in miy.group.generate()}
+    if spans:
+        assert _perms(miy.group) == set(elements)
+        assert matrices == set(elements.values())
+    else:
+        assert matrices == set(elements)
+    assert set(miy.generators) == set(axet.taus())
+    assert all(_preserves(alg, g, axet.vectors()) for g in miy.generators)
+    if not spans:
+        return
+    aut = aut_from_axis_permutations(alg, axet)
+    _, perms = reference_aut_from_axis_permutations(alg, axet)
+    assert _perms(aut.group) == set(perms)
+    for g, perm in zip(aut.generators, aut.group.generators):
+        assert _matrix(axet.vectors(), perm.array_form) == g
+        assert _preserves(alg, g, axet.vectors())
+
+
+BENCHMARK_ETAS = ("1/2", "1/4", "1/3", "2/5", "3/8", "2")
+
+
+@pytest.mark.parametrize("eta", BENCHMARK_ETAS)
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_groups_match_enumeration_on_matsuo(m, eta):
+    data = symmetric_transpositions(m)
+    alg = matsuo_algebra(data, F(eta))
+    axes = [check_axis(alg, unit_vec(data.size, i), jordan_law(F(eta))) for i in range(data.size)]
+    _check_against_oracles(alg, close_axet(alg, axes))
+
+
+def test_groups_match_enumeration_on_small_algebras(q2, q2_axes, two_b):
+    _check_against_oracles(q2, Axet(tuple(q2_axes)))
+    _check_against_oracles(q2, Axet((q2_axes[2], q2_axes[3])))  # does not span
+    _check_against_oracles(*_matsuo_s3_skewed())  # does not span; the orbits grow
+    axes = [check_axis(two_b, unit_vec(2, i), MONSTER_QUARTER) for i in range(2)]
+    _check_against_oracles(two_b, Axet(tuple(axes)))
+    one = diagonal_algebra(1)
+    _check_against_oracles(one, Axet((check_axis(one, unit_vec(1, 0), MONSTER_QUARTER),)))
+
+
+@pytest.mark.parametrize("m, order", [(6, 720), (7, 5040), (8, 40320)])
+def test_group_orders_beyond_enumeration(m, order):
+    # the symmetric group S_m, out of reach of listing its elements
+    data = symmetric_transpositions(m)
+    alg = matsuo_algebra(data, F(1, 4))
+    law = jordan_law(F(1, 4))
+    seeds = [data.index_of(transposition_perm(m, a, a + 1)) for a in range(1, m)]
+    axet = close_axet(alg, [check_axis(alg, unit_vec(data.size, i), law) for i in seeds])
+    assert len(axet) == data.size
+    assert miyamoto_group(alg, axet).order == order
+    assert aut_from_axis_permutations(alg, axet).order == order
+
+
+def test_aut_verifies_one_map_per_strong_generator(monkeypatch):
+    # listing S5 verified all 120 candidate maps; the strong generators need 4
+    data = symmetric_transpositions(5)
+    alg = matsuo_algebra(data, F(1, 4))
+    law = jordan_law(F(1, 4))
+    axet = close_axet(alg, [check_axis(alg, unit_vec(10, i), law) for i in range(10)])
+    calls = []
+
+    def counting(alg, g):
+        calls.append(g)
+        return is_automorphism(alg, g)
+
+    monkeypatch.setattr(axial.axet, "is_automorphism", counting)
+    assert aut_from_axis_permutations(alg, axet).order == 120
+    assert len(calls) <= 6

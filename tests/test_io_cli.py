@@ -255,6 +255,22 @@ def test_cli_cap_exit_code(tmp_path, capsys):
     assert "solver cap exceeded" in capsys.readouterr().out
 
 
+def test_cli_closure_cap_exits_as_a_cap(tmp_path, monkeypatch, capsys):
+    import functools
+
+    import axial.cli
+
+    # only s1 and d1: the closure adds s2 and d2
+    text = (FIXTURES / "q2.alg").read_text()
+    path = tmp_path / "q2_two_axes.alg"
+    path.write_text(text.replace("m:1/2:1/4 0 1 0 0\n", "").replace("m:1/2:1/4 0 0 0 1\n", ""))
+    assert main(["miy", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(axial.cli, "close_axet", functools.partial(axial.cli.close_axet, cap=2))
+    assert main(["miy", str(path)]) == 3
+    assert "axis closure exceeded cap 2" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("spec", ["pair=1", "pairs", "pairs=x"])
 def test_cli_rejects_bad_caps_as_usage_error(spec, capsys):
     assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--caps", spec]) == 2

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from axial import groebner
 from axial.algebra import diagonal_algebra
@@ -95,9 +95,10 @@ def test_buchberger_output_is_groebner(term_dicts):
         assert normal_form(g, gb).is_zero()
 
 
-# A system on which the all-pairs oracle runs for 135 s, drawn under
-# --hypothesis-seed=1, with the reduced basis reference_buchberger computed
-# for it once.
+# Systems on which the all-pairs oracle runs for long, each with the reduced
+# basis reference_buchberger computed for it once: the first (135 s) was
+# drawn under --hypothesis-seed=1, the second (7 s) is in the draw of
+# @seed(1) below.
 SLOW_SYSTEMS = [
     (
         [
@@ -107,6 +108,79 @@ SLOW_SYSTEMS = [
             {(2, 0, 1): F(-2), (1, 1, 1): F(3), (1, 0, 0): F(1)},
         ],
         [{(1, 0, 0): F(1)}, {(0, 2, 0): F(1)}],
+    ),
+    (
+        [
+            {
+                (1, 2, 0): F(3),
+                (2, 0, 0): F(-7, 4),
+                (1, 0, 0): F(-5, 3),
+            },
+            {
+                (2, 2, 1): F(2, 3),
+                (0, 2, 1): F(-5, 4),
+                (2, 2, 0): F(1, 3),
+            },
+            {
+                (0, 2, 0): F(-2, 3),
+                (0, 1, 2): F(5, 3),
+                (1, 1, 2): F(3),
+            },
+        ],
+        [
+            {
+                (2, 0, 0): F(1),
+                (1, 0, 0): F(20, 21),
+                (0, 1, 12): F(-3832065377401966519535, 93281101349393376),
+                (0, 1, 11): F(-371632180740532129715, 11660137668674172),
+                (0, 1, 10): F(204993049228469055, 55981456571138),
+                (0, 1, 9): F(-158255784885893670, 27990728285569),
+                (0, 1, 8): F(39743814498318404590, 26235309754516887),
+                (0, 1, 7): F(-27767399840401079590, 26235309754516887),
+                (0, 1, 6): F(1338814025129970, 3998675469367),
+                (0, 1, 5): F(-2099017896687270, 27990728285569),
+                (0, 1, 4): F(561088225580700837323, 6611298058138255524),
+                (0, 1, 3): F(-144185098056029804365, 13222596116276511048),
+            },
+            {
+                (1, 1, 2): F(1),
+                (0, 1, 12): F(-248695588883111204975, 20729133633198528),
+                (0, 1, 11): F(-14913646690090244915, 2591141704149816),
+                (0, 1, 10): F(-153219140234415, 15994701877468),
+                (0, 1, 9): F(-3547765026763245, 3998675469367),
+                (0, 1, 8): F(400141142710126415, 2915034417168543),
+                (0, 1, 7): F(-380807279219118335, 2915034417168543),
+                (0, 1, 6): F(96461463851175, 3998675469367),
+                (0, 1, 5): F(37996974450000, 3998675469367),
+                (0, 1, 4): F(1488522536524569065, 209882478036135096),
+                (0, 1, 3): F(1610082537185122601, 419764956072270192),
+            },
+            {
+                (0, 2, 0): F(1),
+                (0, 1, 12): F(-248695588883111204975, 4606474140710784),
+                (0, 1, 11): F(-14913646690090244915, 575809267588848),
+                (0, 1, 10): F(-1378972262109735, 31989403754936),
+                (0, 1, 9): F(-31929885240869205, 7997350938734),
+                (0, 1, 8): F(400141142710126415, 647785426037454),
+                (0, 1, 7): F(-380807279219118335, 647785426037454),
+                (0, 1, 6): F(868153174660575, 7997350938734),
+                (0, 1, 5): F(170986385025000, 3998675469367),
+                (0, 1, 4): F(1488522536524569065, 46640550674696688),
+                (0, 1, 3): F(1610082537185122601, 93281101349393376),
+                (0, 1, 2): F(-5, 2),
+            },
+            {
+                (0, 1, 13): F(1),
+                (0, 1, 12): F(-40, 203),
+                (0, 1, 11): F(400, 41209),
+                (0, 1, 9): F(32, 370881),
+                (0, 1, 8): F(-1264, 370881),
+                (0, 1, 7): F(-640, 370881),
+                (0, 1, 5): F(-5464, 16689645),
+                (0, 1, 4): F(-172, 16689645),
+                (0, 1, 3): F(256, 3337929),
+            },
+        ],
     ),
 ]
 
@@ -118,6 +192,7 @@ def _reference_basis(term_dicts, gens, caps):
     return reference_buchberger(gens, caps)
 
 
+@seed(1)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.lists(

@@ -172,12 +172,9 @@ class Algebra:
             default=None,
         )
 
-    def _sparse(self, i: int, j: int) -> SparseRow:
-        return self.table.get((i, j) if i <= j else (j, i), ())
-
     def basis_product(self, i: int, j: int) -> SparseRow:
         """Sparse product of basis vectors i and j."""
-        return self._sparse(i, j)
+        return self.table.get((i, j) if i <= j else (j, i), ())
 
     def product(self, u: Vec, v: Vec) -> Vec:
         """Bilinear commutative product of two coordinate vectors."""
@@ -190,7 +187,7 @@ class Algebra:
         for i, a in nz_u:
             for j, b in nz_v:
                 ab = a * b
-                for k, c in self._sparse(i, j):
+                for k, c in self.basis_product(i, j):
                     out[k] += ab * c
         return tuple(out)
 
@@ -205,7 +202,7 @@ class Algebra:
             col = [Fraction(0)] * n
             for i, a in enumerate(u):
                 if a:
-                    for k, c in self._sparse(i, j):
+                    for k, c in self.basis_product(i, j):
                         col[k] += a * c
             cols.append(tuple(col))
         return mat_from_cols(cols)
@@ -247,7 +244,7 @@ class Algebra:
         return candidate
 
     def _gamma(self, i: int, j: int, k: int) -> Fraction:
-        for m, c in self._sparse(i, j):
+        for m, c in self.basis_product(i, j):
             if m == k:
                 return c
         return Fraction(0)

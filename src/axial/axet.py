@@ -28,8 +28,8 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
+    full_space,
     identity,
-    intersect,
     inverse,
     kernel,
     mat,
@@ -37,8 +37,12 @@ from axial.linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
+    rref,
+    transpose,
     unit_vec,
+    vdot,
     vscale,
+    zero_vec,
 )
 from axial.search import axes_from_idempotents, naive_idempotents
 
@@ -61,7 +65,6 @@ class Axet:
     """A set of axes closed under all of their graded involutions."""
 
     axes: tuple[Axis, ...]
-    closed: bool = True
 
     def __len__(self):
         return len(self.axes)
@@ -107,9 +110,14 @@ def transport_axis(axis: Axis, g: Mat, g_inv: Mat) -> Axis:
 
 
 def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512) -> Axet:
-    """Orbit closure of the seeds under the involutions of all found axes.
+    """Orbit of the seeds under the group G their involutions generate.
 
-    New axes are produced by conjugation transport.
+    For an automorphism g the involution of g(a) is g tau_a g^-1, so every
+    involution of an axis in the orbit lies in G, and an orbit of G is closed
+    under each of them: the orbit is the closure of the seeds under the
+    involutions of all axes found.  One pass applies each distinct seed
+    involution to each axis of a list that grows while it is read; new axes
+    are produced by conjugation transport.
     """
     if not seed_axes:
         raise ValueError("need at least one seed axis")
@@ -117,32 +125,22 @@ def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512) -> Axet:
     if any(a.law != law for a in seed_axes):
         raise ValueError("seed axes must share one fusion law")
     axes: list[Axis] = []
-    seen: dict[Vec, int] = {}
+    seen: set[Vec] = set()
     for a in seed_axes:
         if a.vector not in seen:
-            seen[a.vector] = len(axes)
+            seen.add(a.vector)
             axes.append(a)
-    changed = True
-    while changed:
-        changed = False
-        taus = []
-        tau_seen = set()
-        for a in axes:
-            if a.miyamoto is not None and a.miyamoto not in tau_seen:
-                tau_seen.add(a.miyamoto)
-                taus.append(a.miyamoto)
+    taus = list(dict.fromkeys(a.miyamoto for a in axes if a.miyamoto is not None))
+    for a in axes:  # the list grows while it is read
         for g in taus:
-            for a in list(axes):
-                w = mat_vec(g, a.vector)
-                if w in seen:
-                    continue
-                image = transport_axis(a, g, g)  # involutions are self-inverse
-                seen[image.vector] = len(axes)
-                axes.append(image)
-                changed = True
-                if len(axes) > cap:
-                    raise CapExceeded(f"axis closure exceeded cap {cap}")
-    return Axet(tuple(axes), closed=True)
+            w = mat_vec(g, a.vector)
+            if w in seen:
+                continue
+            if len(axes) >= cap:
+                raise CapExceeded(f"axis closure exceeded cap {cap}")
+            seen.add(w)
+            axes.append(transport_axis(a, g, g))  # involutions are self-inverse
+    return Axet(tuple(axes))
 
 
 @dataclass
@@ -172,8 +170,6 @@ def miyamoto_group(alg: Algebra, axet: Axet, cap: int = 200_000) -> MiyGroup:
     `cap` bounds the number of points; an infinite group has an infinite
     orbit, so the cap is what makes the call return.
     """
-    if not axet.closed:
-        raise ValueError("axet must be closed")
     n = alg.dim
     taus = list(dict.fromkeys(axet.taus()))
     points = axet.vectors()
@@ -240,9 +236,7 @@ def tau_realizer(
         raise AlgebraError("tau is not an algebra automorphism")
     if mat_mul(tau, tau) != identity(n):
         raise AlgebraError("tau is not an involution")
-    commutator_image = Subspace(
-        n, [mat_vec(mat_sub(tau, identity(n)), unit_vec(n, j)) for j in range(n)]
-    )
+    commutator_image = Subspace(n, transpose(mat_sub(tau, identity(n))))
     ann = alg.annihilator(commutator_image)
     _, minus = law.c2_grading()
     if len(minus) == 1:
@@ -263,12 +257,14 @@ def tau_realizer(
 
 
 def fixed_subalgebra(alg: Algebra, group: MiyGroup) -> Subspace:
-    """Common fixed space of the group generators (hence of the group)."""
+    """Common fixed space of the group generators (hence of the group).
+
+    One kernel of the rows of g - I stacked over the generators; with no
+    generators every vector is fixed.
+    """
     n = alg.dim
-    space = Subspace(n, identity(n))
-    for g in group.generators:
-        space = intersect(space, kernel(mat_sub(g, identity(n))))
-    return space
+    rows = tuple(row for g in group.generators for row in mat_sub(g, identity(n)))
+    return kernel(rows) if rows else full_space(n)
 
 
 def jordan_axes(
@@ -424,27 +420,21 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
     n = alg.dim
     vectors = axet.vectors()
     m = len(vectors)
-    if not axet.spans(n):
+    # the greedy spanning subset: the pivot columns
+    basis_positions = rref(mat_from_cols(vectors))[2]
+    if len(basis_positions) != n:
         raise AlgebraError("axet does not span the algebra")
 
-    # greedy spanning subset
-    basis_positions: list[int] = []
-    current = Subspace(n)
-    for i, v in enumerate(vectors):
-        bigger = Subspace(n, list(current.basis) + [v])
-        if bigger.dim > current.dim:
-            basis_positions.append(i)
-            current = bigger
-        if current.dim == n:
-            break
-
-    if alg.gram is not None:
-        color = [[alg.form_value(vectors[i], vectors[j]) for j in range(m)] for i in range(m)]
-    else:
-        color = None
-    zero_product = [
-        [alg.product(vectors[i], vectors[j]) == tuple([Fraction(0)] * n) for j in range(m)]
-        for i in range(m)
+    # edge colours: (form value or None, whether the product is zero); the
+    # diagonal flag is always False, as a_i a_i = a_i
+    zero = zero_vec(n)
+    gram_images = [mat_vec(alg.gram, v) for v in vectors] if alg.gram is not None else [None] * m
+    color = [
+        [
+            (vdot(u, w) if w is not None else None, alg.product(u, v) == zero)
+            for v, w in zip(vectors, gram_images)
+        ]
+        for u in vectors
     ]
 
     index = {v: i for i, v in enumerate(vectors)}
@@ -452,18 +442,11 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
     assert basis_inv is not None
 
     def consistent(assigned: list[int], candidate: int) -> bool:
-        pos = len(assigned)
-        i_new = basis_positions[pos]
-        for prev, img in enumerate(assigned):
-            i_old = basis_positions[prev]
-            if color is not None:
-                if color[i_old][i_new] != color[img][candidate]:
-                    return False
-            if zero_product[i_old][i_new] != zero_product[img][candidate]:
-                return False
-        if color is not None and color[i_new][i_new] != color[candidate][candidate]:
-            return False
-        return True
+        i_new = basis_positions[len(assigned)]
+        return all(
+            color[i][i_new] == color[img][candidate]
+            for i, img in zip(basis_positions, assigned + [candidate])
+        )
 
     def first_map(assigned: list[int]) -> Optional[tuple[Mat, Permutation]]:
         """The first verified map that extends the assignment, and its permutation."""

@@ -1,6 +1,6 @@
 """Command-line interface: inspect algebra files, search axes, decompose.
 
-Exit codes: 0 success, 2 usage, 3 solver cap exceeded, 4 validation failure.
+Exit codes: 0 success, 2 usage, 3 cap exceeded, 4 validation failure.
 Reports go to stdout as text; --out writes the same data as JSON.  Runs are
 deterministic for a fixed --seed.
 """
@@ -516,7 +516,7 @@ def main(argv=None) -> int:
         args.handler(args, report)
         code = 0
     except CapExceeded as exc:
-        report.note(f"solver cap exceeded: {exc}")
+        report.note(f"cap exceeded: {exc}")
         code = CAP_ERROR
     except (AlgebraFileError, AlgebraError, ValueError, OSError) as exc:
         report.note(f"error: {exc}")

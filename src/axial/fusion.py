@@ -30,7 +30,7 @@ from axial.linalg import (
     mat_vec,
     sparse_kernel,
     subspace_sum,
-    unit_vec,
+    transpose,
     vec,
 )
 
@@ -385,12 +385,12 @@ def miyamoto_involution(ax: Axis) -> Mat:
 def is_automorphism(alg: Algebra, g: Mat) -> bool:
     """Exact multiplicativity check on all basis pairs, plus invertibility."""
     n = alg.dim
-    cols = [mat_vec(g, unit_vec(n, j)) for j in range(n)]
+    cols = transpose(g)
     if Subspace(n, cols).dim != n:
         return False
     for i in range(n):
         for j in range(i, n):
-            lhs = mat_vec(g, vec(dict_to_vec(alg.basis_product(i, j), n)))
+            lhs = mat_vec(g, dict_to_vec(alg.basis_product(i, j), n))
             rhs = alg.product(cols[i], cols[j])
             if lhs != rhs:
                 return False

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from axial.algebra import Algebra, AlgebraError
-from axial.linalg import Subspace, Vec, frac, unit_vec, vadd
+from axial.linalg import Vec, frac, mat_from_cols, rref, unit_vec, vadd
 
 Perm = tuple[int, ...]
 
@@ -234,21 +234,15 @@ def double_axes_and_flip(
         raise AlgebraError("flip has no single or double axes")
     closure = ambient.subalgebra_closure(gens)
 
-    tagged = [(v, f"s{k + 1}") for k, v in enumerate(singles)] + [
-        (v, f"d{k + 1}") for k, v in enumerate(doubles)
-    ]
+    # the generators span part of the closure; its canonical basis completes
+    # them, and the greedy choice is the pivot columns of one RREF
+    candidates = gens + list(closure.basis)
+    tags = [f"s{k + 1}" for k in range(len(singles))] + [f"d{k + 1}" for k in range(len(doubles))]
     basis: list[Vec] = []
     labels: list[str] = []
-    for v, tag in tagged:
-        if Subspace(n, basis + [v]).dim > len(basis):
-            basis.append(v)
-            labels.append(tag)
-    for v in closure.basis:
-        if len(basis) == closure.dim:
-            break
-        if Subspace(n, basis + [v]).dim > len(basis):
-            basis.append(v)
-            labels.append(f"b{len(basis)}")
+    for i in rref(mat_from_cols(candidates))[2]:
+        basis.append(candidates[i])
+        labels.append(tags[i] if i < len(tags) else f"b{len(basis)}")
 
     restricted = ambient.restrict(basis, labels=tuple(labels))
     single_idx = [basis.index(v) for v in singles if v in basis]

@@ -76,14 +76,6 @@ class MPoly:
                     used.add(i)
         return used
 
-    def coefficient_of_var_powers(self, i: int) -> dict[int, "MPoly"]:
-        """Split into coefficients of powers of variable i."""
-        buckets: dict[int, dict[Exponent, Fraction]] = {}
-        for exp, c in self.terms.items():
-            rest = exp[:i] + (0,) + exp[i + 1 :]
-            buckets.setdefault(exp[i], {})[rest] = c
-        return {k: MPoly(self.nvars, t, _clean=False) for k, t in buckets.items()}
-
     def univariate_coeffs(self, i: int) -> list[Fraction]:
         """Coefficients in variable i, lowest degree first; requires p in Q[x_i]."""
         if not self.variables_used() <= {i}:

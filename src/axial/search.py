@@ -50,6 +50,12 @@ Z_LENGTHS: tuple[Fraction, ...] = (
     Fraction(41, 10),
 )
 
+# A positive-dimensional branch is retried with the determinant relation of
+# each of these eigenvalues whose eigenspace has at most DETERMINANT_DIM_CAP
+# dimensions; the symbolic determinant grows factorially beyond that.
+DETERMINANT_EIGENVALUES: tuple[Fraction, ...] = (Fraction(1, 32),)
+DETERMINANT_DIM_CAP = 8
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -64,8 +70,6 @@ class SearchConfig:
     length: Optional[Fraction] = Fraction(1)
     z_lengths: Optional[tuple[Fraction, ...]] = Z_LENGTHS
     caps: SolverCaps = DEFAULT_CAPS
-    determinant_eigenvalues: tuple[Fraction, ...] = (Fraction(1, 32),)
-    determinant_dim_cap: int = 8
 
 
 def symbolic_coordinates(
@@ -229,7 +233,7 @@ def determinant_relation(
     z_symbolic: Sequence[MPoly],
     w_basis: Subspace,
     lam,
-    dim_cap: int = 8,
+    dim_cap: int = DETERMINANT_DIM_CAP,
 ) -> MPoly:
     """det(ad_z|_W - (1 - lambda) Id) as a polynomial in the unknowns of z.
 
@@ -345,11 +349,11 @@ def _retry_with_determinant(alg, a: Axis, u_space: Subspace, r, cfg: SearchConfi
     basis = u_space.basis
     z_symbolic = symbolic_coordinates(alg, basis)
     extra = []
-    for lam in cfg.determinant_eigenvalues:
+    for lam in DETERMINANT_EIGENVALUES:
         w = a.eigenspace(lam)
-        if w.is_zero() or w.dim > cfg.determinant_dim_cap:
+        if w.is_zero() or w.dim > DETERMINANT_DIM_CAP:
             continue
-        extra.append(determinant_relation(alg, z_symbolic, w, lam, cfg.determinant_dim_cap))
+        extra.append(determinant_relation(alg, z_symbolic, w, lam))
     if not extra:
         return SolveResult(POSITIVE_DIMENSIONAL)
     return naive_idempotents(

@@ -66,10 +66,3 @@ def rational_roots(coeffs) -> dict[Fraction, int]:
             b, a = factor
             roots[Fraction(-b, a)] = mult
     return roots
-
-
-def poly_degree(coeffs) -> int:
-    ints = [Fraction(c) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    return len(ints) - 1

@@ -1,19 +1,20 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except eight former implementations kept to test the current ones
+package except nine former implementations kept to test the current ones
 against: `reference_buchberger` (the all-pairs loop), `reference_coordinates`
 (one linear solve per vector), `reference_graded_involution` (one solve per
 column), `reference_derivation_space` (one dense RREF),
 `reference_check_axis` (one membership test per eigenvector product),
 `reference_frobenius_violation` (the n^3 triple loop),
-`reference_miyamoto_group` (every element, one matrix each) and
-`reference_aut_from_axis_permutations` (every candidate map verified).  Elimination goes
-through Sylvester resultants whose determinants are computed by evaluation
-at integer nodes plus Lagrange interpolation, rational roots come from the
-rational root theorem, and every candidate point is verified by
-substitution into the original system, so spurious resultant roots are
-harmless.
+`reference_miyamoto_group` (every element, one matrix each),
+`reference_aut_from_axis_permutations` (every candidate map verified) and
+`reference_close_axet` (rounds under every found involution to a
+fixpoint).  Elimination goes through Sylvester resultants whose
+determinants are computed by evaluation at integer nodes plus Lagrange
+interpolation, rational roots come from the rational root theorem, and
+every candidate point is verified by substitution into the original
+system, so spurious resultant roots are harmless.
 """
 
 from fractions import Fraction
@@ -754,3 +755,49 @@ def reference_aut_from_axis_permutations(alg, axet):
 
     extend([])
     return matrices, perms
+
+
+def reference_close_axet(alg, seed_axes, cap=512):
+    """Closure of the seeds under the involutions of all found axes.
+
+    The package's `close_axet` as it was before it became one orbit pass
+    under the seed involutions: each round collects the distinct involutions
+    of every axis found so far and applies each to every axis, until a round
+    adds nothing.  Kept as an oracle for that rewrite.
+    """
+    from axial.axet import Axet, transport_axis
+    from axial.groebner import CapExceeded
+    from axial.linalg import mat_vec
+
+    if not seed_axes:
+        raise ValueError("need at least one seed axis")
+    law = seed_axes[0].law
+    if any(a.law != law for a in seed_axes):
+        raise ValueError("seed axes must share one fusion law")
+    axes = []
+    seen = {}
+    for a in seed_axes:
+        if a.vector not in seen:
+            seen[a.vector] = len(axes)
+            axes.append(a)
+    changed = True
+    while changed:
+        changed = False
+        taus = []
+        tau_seen = set()
+        for a in axes:
+            if a.miyamoto is not None and a.miyamoto not in tau_seen:
+                tau_seen.add(a.miyamoto)
+                taus.append(a.miyamoto)
+        for g in taus:
+            for a in list(axes):
+                w = mat_vec(g, a.vector)
+                if w in seen:
+                    continue
+                image = transport_axis(a, g, g)  # involutions are self-inverse
+                seen[image.vector] = len(axes)
+                axes.append(image)
+                changed = True
+                if len(axes) > cap:
+                    raise CapExceeded(f"axis closure exceeded cap {cap}")
+    return Axet(tuple(axes))

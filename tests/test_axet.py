@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -22,16 +23,26 @@ from axial.groebner import CapExceeded
 from axial.linalg import (
     Subspace,
     identity,
+    intersect,
     inverse,
+    kernel,
     mat,
     mat_from_cols,
     mat_mul,
+    mat_sub,
     mat_vec,
+    rref,
     unit_vec,
     vec,
 )
 from axial.matsuo import matsuo_algebra, symmetric_transpositions, transposition_perm
-from oracles import reference_aut_from_axis_permutations, reference_miyamoto_group
+from oracles import (
+    reference_aut_from_axis_permutations,
+    reference_close_axet,
+    reference_miyamoto_group,
+)
+
+BENCHMARK_ETAS = ("1/2", "1/4", "1/3", "2/5", "3/8", "2")
 
 
 def test_close_axet_matsuo_s3(matsuo_s3_quarter):
@@ -267,6 +278,65 @@ def test_close_axet_transport_agrees_with_axis_check(s4_data, q2, q2_axes):
             assert _axis_record(checked) == _axis_record(a)
 
 
+def _coxeter_seeds(m, eta):
+    """Matsuo S_m at eta with the axes of the transpositions (a, a+1)."""
+    data = symmetric_transpositions(m)
+    alg = matsuo_algebra(data, F(eta))
+    law = jordan_law(F(eta))
+    seeds = [data.index_of(transposition_perm(m, a, a + 1)) for a in range(1, m)]
+    return alg, [check_axis(alg, unit_vec(data.size, i), law) for i in seeds]
+
+
+def _assert_same_closure(alg, seeds):
+    # the two closures list the axes in different orders; compare by vector
+    closed = {a.vector: _axis_record(a) for a in close_axet(alg, seeds).axes}
+    expected = {a.vector: _axis_record(a) for a in reference_close_axet(alg, seeds).axes}
+    assert closed == expected
+
+
+@pytest.mark.parametrize("eta", BENCHMARK_ETAS)
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_close_axet_matches_fixpoint_loop_on_matsuo(m, eta):
+    _assert_same_closure(*_coxeter_seeds(m, eta))
+
+
+def test_close_axet_matches_fixpoint_loop_on_q2_pairs(q2, q2_axes):
+    for a in q2_axes:
+        for b in q2_axes:
+            if a is not b:
+                _assert_same_closure(q2, [a, b])
+
+
+def test_close_axet_forms_one_image_per_seed_tau_and_axis(monkeypatch):
+    # S6 from its 5 Coxeter seeds: 15 axes, each moved once by each seed
+    # involution
+    alg, seeds = _coxeter_seeds(6, "1/4")
+    images = []
+
+    def counting(m, v):
+        if sys._getframe(1).f_code.co_name == "close_axet":
+            images.append(v)
+        return mat_vec(m, v)
+
+    monkeypatch.setattr(axial.axet, "mat_vec", counting)
+    assert len(close_axet(alg, seeds)) == 15
+    assert len(images) == 5 * 15
+
+
+def test_fixed_subalgebra_is_the_intersection_of_fixed_spaces(q2, q2_axes):
+    s4, seeds = _coxeter_seeds(4, "1/4")
+    cases = [(q2, Axet(tuple(q2_axes))), (q2, Axet((q2_axes[2],))), (s4, close_axet(s4, seeds))]
+    for alg, axet in cases:
+        group = miyamoto_group(alg, axet)
+        n = alg.dim
+        expected = Subspace(n, identity(n))
+        for g in group.generators:
+            expected = intersect(expected, kernel(mat_sub(g, identity(n))))
+        assert fixed_subalgebra(alg, group) == expected
+    # no generators: every vector is fixed
+    assert fixed_subalgebra(q2, miyamoto_group(q2, Axet(()))) == Subspace(4, identity(4))
+
+
 def test_close_axet_cap_is_a_cap(q2, q2_axes):
     with pytest.raises(CapExceeded, match="cap 2"):
         close_axet(q2, [q2_axes[0], q2_axes[2]], cap=2)
@@ -306,12 +376,7 @@ def _perms(group):
 
 def _matrix(points, perm):
     """The linear map sending each point to the point its image names."""
-    positions, span = [], Subspace(len(points[0]))
-    for i, v in enumerate(points):
-        bigger = Subspace(span.ambient, list(span.basis) + [v])
-        if bigger.dim > span.dim:
-            positions.append(i)
-            span = bigger
+    positions = rref(mat_from_cols(points))[2]
     source = inverse(mat_from_cols([points[i] for i in positions]))
     return mat_mul(mat_from_cols([points[perm[i]] for i in positions]), source)
 
@@ -345,9 +410,6 @@ def _check_against_oracles(alg, axet):
         assert _preserves(alg, g, axet.vectors())
 
 
-BENCHMARK_ETAS = ("1/2", "1/4", "1/3", "2/5", "3/8", "2")
-
-
 @pytest.mark.parametrize("eta", BENCHMARK_ETAS)
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_groups_match_enumeration_on_matsuo(m, eta):
@@ -370,12 +432,9 @@ def test_groups_match_enumeration_on_small_algebras(q2, q2_axes, two_b):
 @pytest.mark.parametrize("m, order", [(6, 720), (7, 5040), (8, 40320)])
 def test_group_orders_beyond_enumeration(m, order):
     # the symmetric group S_m, out of reach of listing its elements
-    data = symmetric_transpositions(m)
-    alg = matsuo_algebra(data, F(1, 4))
-    law = jordan_law(F(1, 4))
-    seeds = [data.index_of(transposition_perm(m, a, a + 1)) for a in range(1, m)]
-    axet = close_axet(alg, [check_axis(alg, unit_vec(data.size, i), law) for i in seeds])
-    assert len(axet) == data.size
+    alg, seeds = _coxeter_seeds(m, "1/4")
+    axet = close_axet(alg, seeds)
+    assert len(axet) == alg.dim
     assert miyamoto_group(alg, axet).order == order
     assert aut_from_axis_permutations(alg, axet).order == order
 

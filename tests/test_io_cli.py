@@ -252,7 +252,7 @@ def test_cli_cap_exit_code(tmp_path, capsys):
         )
         == 3
     )
-    assert "solver cap exceeded" in capsys.readouterr().out
+    assert "cap exceeded: basis size limit 1 exceeded" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_closure_cap_exits_as_a_cap(tmp_path, monkeypatch, capsys):
@@ -268,7 +268,7 @@ def test_cli_closure_cap_exits_as_a_cap(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setattr(axial.cli, "close_axet", functools.partial(axial.cli.close_axet, cap=2))
     assert main(["miy", str(path)]) == 3
-    assert "axis closure exceeded cap 2" in capsys.readouterr().out
+    assert "cap exceeded: axis closure exceeded cap 2" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("spec", ["pair=1", "pairs", "pairs=x"])
@@ -279,4 +279,4 @@ def test_cli_rejects_bad_caps_as_usage_error(spec, capsys):
 
 def test_cli_caps_pairs_key_is_applied(capsys):
     assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--caps", "pairs=1"]) == 3
-    assert "solver cap exceeded" in capsys.readouterr().out
+    assert "cap exceeded: pair limit 1 exceeded" in capsys.readouterr().out.splitlines()

@@ -8,49 +8,29 @@ tuples).  `axial.linalg` and `axial.groebner` reach them through
 from fractions import Fraction
 from math import gcd
 
+from axial.univariate import primitive_part
+
 _ZERO = Fraction(0)
 
 
-def _integer_rows(rows):
-    """Scale each row to coprime integers (row scaling leaves the RREF alone)."""
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            d = x.denominator
-            denom = denom * d // gcd(denom, d)
-        ints = [int(x * denom) for x in row] if denom != 1 else [int(x) for x in row]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-        if content > 1:
-            ints = [v // content for v in ints]
-        out.append(ints)
-    return out
-
-
 def _reduce_content(row):
-    content = 0
-    for v in row:
-        content = gcd(content, v)
-        if content == 1:
-            return
+    content = gcd(*row)
     if content > 1:
-        for j, v in enumerate(row):
-            row[j] = v // content
+        row[:] = [v // content for v in row]
 
 
 def rref(rows):
     """Reduce a list of Fraction rows to reduced row-echelon form, in place.
 
     Returns the list of pivot column indices.  Zero rows sink to the bottom.
-    Elimination runs fraction-free on integer rows (cross-multiplication with
-    content reduction); pivot rows are divided back out at the end, so the
-    result is the exact canonical RREF.
+    Each row is first scaled to its `primitive_part` (row scaling leaves the
+    RREF alone).  Elimination then runs fraction-free on the integer rows
+    (cross-multiplication with content reduction); pivot rows are divided
+    back out at the end, so the result is the exact canonical RREF.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    work = _integer_rows(rows)
+    work = [primitive_part(row) for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):

@@ -16,6 +16,7 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
+    combination,
     frac,
     inverse,
     kernel,
@@ -25,11 +26,8 @@ from axial.linalg import (
     solve,
     solve_affine,
     unit_vec,
-    vadd,
     vdot,
     vec,
-    vscale,
-    zero_vec,
 )
 
 
@@ -338,15 +336,13 @@ class Algebra:
         coeffs = solve(gram_b, rhs) if k else ()
         if coeffs is None:
             raise DegenerateFormError("form is degenerate on the subspace")
-        result = zero_vec(self.dim)
-        for c, bvec in zip(coeffs, basis):
-            result = vadd(result, vscale(c, bvec))
+        result = combination(coeffs, basis, self.dim)
         for w in basis:
             if self.product(result, w) != w:
                 raise AlgebraError("projection is not an identity; subspace is not a subalgebra")
         return result
 
-    def restrict(self, basis: Sequence[Vec], labels=None, check: bool = True) -> "Algebra":
+    def restrict(self, basis: Sequence[Vec], labels=None) -> "Algebra":
         """The algebra induced on a product-closed subspace, in the given basis."""
         basis = [vec(b) for b in basis]
         k = len(basis)
@@ -371,7 +367,7 @@ class Algebra:
                 tuple(self.form_value(basis[r], basis[s]) for s in range(k))
                 for r in range(k)
             )
-        return Algebra.from_gamma(k, gamma, gram=gram, labels=labels, check=check)
+        return Algebra.from_gamma(k, gamma, gram=gram, labels=labels)
 
     def __repr__(self):
         parts = [f"dim={self.dim}"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -21,6 +21,7 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
+    combination,
     identity,
     intersect,
     kernel,
@@ -28,10 +29,13 @@ from axial.linalg import (
     mat_vec,
     perp_space,
     subspace_sum,
-    vadd,
-    vscale,
     zero_vec,
 )
+
+# Random probe elements have integer coefficients in [-COEFF_BOUND, COEFF_BOUND],
+# and each probe is drawn at most PROBE_RETRIES times.
+COEFF_BOUND = 3
+PROBE_RETRIES = 16
 
 
 @dataclass
@@ -185,22 +189,12 @@ def extension_space(alg: Algebra, u: Subspace, w: Subspace, phi: Mat) -> Extensi
         raise AlgebraError("first subspace is not a subalgebra")
     if not _is_module(alg, u, w):
         raise AlgebraError("second subspace is not a module over the first")
-    phi_vectors = []
-    for r in range(l):
-        vec_r = zero_vec(alg.dim)
-        for t in range(l):
-            if phi[t][r]:
-                vec_r = vadd(vec_r, vscale(phi[t][r], u.basis[t]))
-        phi_vectors.append(vec_r)
+    phi_vectors = [combination(column, u.basis, alg.dim) for column in zip(*phi)]
     for r in range(l):
         for s in range(r, l):
             lhs = alg.product(phi_vectors[r], phi_vectors[s])
             product_coords = _coords_in(u, alg.product(u.basis[r], u.basis[s]))
-            rhs = zero_vec(alg.dim)
-            for t, c in enumerate(product_coords):
-                if c:
-                    rhs = vadd(rhs, vscale(c, phi_vectors[t]))
-            if lhs != rhs:
+            if lhs != combination(product_coords, phi_vectors, alg.dim):
                 raise AlgebraError("phi is not an automorphism of the subalgebra")
 
     rows = []
@@ -362,18 +356,12 @@ def sign_kernel(
     return SignKernelResult(admissible, records, certified)
 
 
-def random_component_element(
-    space: Subspace, rng: random.Random, bound: int = 3
-) -> Vec:
-    """A random nonzero small-integer combination of the basis."""
+def random_component_element(space: Subspace, rng: random.Random) -> Vec:
+    """A random nonzero combination of the basis, coefficients in [-COEFF_BOUND, COEFF_BOUND]."""
     for _ in range(64):
-        coeffs = [rng.randint(-bound, bound) for _ in space.basis]
+        coeffs = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in space.basis]
         if any(coeffs):
-            v = zero_vec(space.ambient)
-            for c, b in zip(coeffs, space.basis):
-                if c:
-                    v = vadd(v, vscale(c, b))
-            return v
+            return combination(coeffs, space.basis, space.ambient)
     raise AlgebraError("could not draw a nonzero element")
 
 
@@ -382,20 +370,19 @@ def generate_probes(
     u_space: Subspace,
     components: Sequence[Subspace],
     seed: int = 0,
-    retries: int = 16,
     triples: Optional[Sequence[tuple[int, int, int]]] = None,
     long_probes: Sequence[tuple[int, int, int]] = (),
 ) -> list[object]:
     """Draw random probes with nonzero pairings, deterministically per seed.
 
-    Each square probe is retried until (w^2, u) is nonzero (up to the retry
-    cap); pairing probes likewise.  Vanishing probes are kept out of the
-    returned set; sign_kernel records whatever it is given.
+    Each square probe is retried until (w^2, u) is nonzero (at most
+    PROBE_RETRIES draws); pairing probes likewise.  Vanishing probes are
+    kept out of the returned set; sign_kernel records whatever it is given.
     """
     rng = random.Random(seed)
     probes: list[object] = []
     for i, comp in enumerate(components):
-        for _ in range(retries):
+        for _ in range(PROBE_RETRIES):
             w = random_component_element(comp, rng)
             u = random_component_element(u_space, rng) if not u_space.is_zero() else zero_vec(alg.dim)
             if alg.form_value(alg.product(w, w), u) != 0:
@@ -405,7 +392,7 @@ def generate_probes(
         triples = list(itertools.combinations(range(len(components)), 3))
     for combo in triples:
         a, b, c = combo
-        for _ in range(retries):
+        for _ in range(PROBE_RETRIES):
             wa = random_component_element(components[a], rng)
             wb = random_component_element(components[b], rng)
             wc = random_component_element(components[c], rng)
@@ -414,7 +401,7 @@ def generate_probes(
                 break
     for combo in long_probes:
         a, b, c = combo
-        for _ in range(retries):
+        for _ in range(PROBE_RETRIES):
             wa = random_component_element(components[a], rng)
             wb = random_component_element(components[b], rng)
             wc = random_component_element(components[c], rng)

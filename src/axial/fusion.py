@@ -33,6 +33,7 @@ from axial.linalg import (
     transpose,
     vec,
 )
+from axial.univariate import primitive_part
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -231,11 +232,8 @@ def _graded_involution(
 
 
 def _integer_entries(v: Vec) -> list[tuple[int, int]]:
-    """The nonzero entries of v times the lcm of their denominators, as (index, integer)."""
-    denom = 1
-    for x in v:
-        denom = lcm(denom, x.denominator)
-    return [(i, x.numerator * (denom // x.denominator)) for i, x in enumerate(v) if x]
+    """The nonzero entries of the `primitive_part` of v, as (index, integer)."""
+    return [(i, x) for i, x in enumerate(primitive_part(v)) if x]
 
 
 def _integer_product(table: dict, x: list[tuple[int, int]], y: list[tuple[int, int]]) -> dict:
@@ -266,15 +264,13 @@ def _block_supports(
 
     The coordinates are rows of `to_eigen` dotted with the product.  The
     work runs on integer copies: each basis vector and each row of
-    `to_eigen` scaled by the lcm of its denominators, and the structure
-    constants by one common denominator.  Each coordinate so computed is the
-    true one times a nonzero integer, so every zero test is exact and every
-    pair is still tested against every watched row.
+    `to_eigen` replaced by its `primitive_part`, and the structure constants
+    scaled by one common denominator, the lcm over the whole table.  Each
+    coordinate so computed is the true one times a nonzero integer, so every
+    zero test is exact and every pair is still tested against every watched
+    row.
     """
-    denom = 1
-    for row in alg.table.values():
-        for _, c in row:
-            denom = lcm(denom, c.denominator)
+    denom = lcm(*(c.denominator for row in alg.table.values() for _, c in row))
     table = {
         key: [(k, c.numerator * (denom // c.denominator)) for k, c in row]
         for key, row in alg.table.items()

@@ -14,15 +14,14 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from sympy import factorint
 
 from axial._backend import kernels
-from axial.linalg import Vec, kernel as matrix_kernel, mat
+from axial.linalg import Vec, combination, kernel as matrix_kernel, mat
 from axial.mpoly import Exponent, MPoly
-from axial.univariate import irreducible_factors
+from axial.univariate import irreducible_factors, primitive_part
 
 
 class CapExceeded(Exception):
@@ -366,21 +365,9 @@ def certify_no_common_root(polys: Sequence[MPoly]) -> Optional[ConstantCertifica
     for combo in itertools.product(range(-3, 4), repeat=null.dim):
         if all(c == 0 for c in combo):
             continue
-        v = [Fraction(0)] * len(polys)
-        for c, basis_vec in zip(combo, null.basis):
-            if c:
-                for k, entry in enumerate(basis_vec):
-                    v[k] += c * entry
-        if all(x == 0 for x in v):
+        ints = primitive_part(combination(combo, null.basis, len(polys)))
+        if not any(ints):
             continue
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in v]
-        content = 0
-        for x in ints:
-            content = gcd(content, abs(x))
-        ints = [x // content for x in ints]
         constant = sum((i * c for i, c in zip(ints, constants)), Fraction(0))
         if not constant:
             continue

@@ -35,6 +35,13 @@ def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
     return Fraction(token)
 
 
+def _positive_int(parts: list[str], line: int) -> int:
+    """The value of a 'KEY n' line such as DIM or DEGREE; n must be a positive integer."""
+    if len(parts) != 2 or not re.fullmatch(r"[0-9]+", parts[1]) or int(parts[1]) == 0:
+        raise AlgebraFileError(f"{parts[0]} needs one positive integer", line)
+    return int(parts[1])
+
+
 def format_rational(x: Fraction) -> str:
     x = frac(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -83,10 +90,7 @@ def parse_algebra_text(text: str) -> AlgebraFile:
     dim_line, line_no = next_content()
     if dim_line is None or not dim_line.startswith("DIM"):
         raise AlgebraFileError("missing DIM line", line_no)
-    try:
-        dim = int(dim_line.split()[1])
-    except (IndexError, ValueError):
-        raise AlgebraFileError("malformed DIM line", line_no) from None
+    dim = _positive_int(dim_line.split(), line_no)
 
     labels = None
     gamma: list[tuple[int, int, int, Fraction]] = []
@@ -243,7 +247,10 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def parse_permutation(token: str, degree: int, line: Optional[int] = None) -> Perm:
-    """Cycle notation like (1,2)(3,4), 1-based points; () is the identity."""
+    """Cycle notation like (1,2)(3,4), 1-based points; () is the identity.
+
+    The cycles must be disjoint.
+    """
     token = token.replace(" ", "")
     if token == "()":
         return tuple(range(degree))
@@ -251,6 +258,7 @@ def parse_permutation(token: str, degree: int, line: Optional[int] = None) -> Pe
     if not cycles or "(" + ")(".join(cycles) + ")" != token:
         raise AlgebraFileError(f"malformed permutation {token!r}", line)
     perm = list(range(degree))
+    seen: set[int] = set()
     for cycle in cycles:
         if not cycle:
             continue
@@ -260,6 +268,9 @@ def parse_permutation(token: str, degree: int, line: Optional[int] = None) -> Pe
             raise AlgebraFileError(f"malformed cycle ({cycle})", line) from None
         if any(not (0 <= p < degree) for p in points) or len(set(points)) != len(points):
             raise AlgebraFileError(f"bad cycle ({cycle}) for degree {degree}", line)
+        if seen.intersection(points):
+            raise AlgebraFileError(f"cycles of {token!r} are not disjoint", line)
+        seen.update(points)
         for a, b in zip(points, points[1:] + points[:1]):
             perm[a] = b
     return tuple(perm)
@@ -280,8 +291,10 @@ def parse_group(path) -> ThreeTranspositionData:
         key = parts[0]
         if key == "GROUP":
             continue
+        if key in ("GEN", "CLASS") and len(parts) == 1:
+            raise AlgebraFileError(f"{key} needs a permutation", line_no)
         if key == "DEGREE":
-            degree = int(parts[1])
+            degree = _positive_int(stripped.split(), line_no)
         elif key == "GEN":
             if degree is None:
                 raise AlgebraFileError("DEGREE must precede GEN", line_no)

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
 from axial._backend import kernels
-from axial.univariate import rational_roots
+from axial.univariate import primitive_part, rational_roots
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -64,6 +66,17 @@ def vdot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
+def combination(coeffs: Iterable, vectors: Iterable[Vec], n: int) -> Vec:
+    """The linear combination sum c_i v_i in Q^n, skipping zero coefficients and entries."""
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] += c * x
+    return tuple(out)
+
+
 def is_zero_vec(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
@@ -111,32 +124,21 @@ def rref(m: Mat) -> tuple[Mat, int, list[int]]:
     return mat(rows), len(pivots), pivots
 
 
-def rank(m: Mat) -> int:
-    return rref(m)[1]
+def _qq_matrix(m: Mat, what: str) -> DomainMatrix:
+    """The square Fraction matrix m as a sympy DomainMatrix over QQ."""
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError(f"{what} of a non-square matrix")
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m], (n, n), QQ)
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(int(x.numerator), int(x.denominator))
 
 
 def det(m: Mat) -> Fraction:
-    """Determinant via exact Gaussian elimination."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in m]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            factor = rows[i][c] * inv
-            if factor:
-                for j in range(c, n):
-                    rows[i][j] -= factor * rows[c][j]
-    return result
+    """Determinant, computed exactly by sympy's DomainMatrix over QQ; det(()) is 1."""
+    return _fraction(_qq_matrix(m, "determinant").det())
 
 
 def inverse(m: Mat) -> Optional[Mat]:
@@ -306,19 +308,16 @@ def _reduce_sparse(work: dict, pivots: dict, modulus: Optional[int] = None) -> O
 def _independent_rows_mod_p(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
     """The rows that raise the rank mod MODULUS, scanned in order.
 
-    Each row is scaled to integers first, so no denominator needs an inverse
-    mod p.  Rows independent mod p are independent over Q.  The scan stops
-    once the picked rows reach full column rank.
+    Each row is scaled to its `primitive_part` first, so no denominator
+    needs an inverse mod p.  Rows independent mod p are independent over Q.
+    The scan stops once the picked rows reach full column rank.
     """
     pivots: dict[int, dict[int, int]] = {}
     picked = []
     for row in rows:
-        denom = 1
-        for x in row.values():
-            denom = denom * x.denominator // gcd(denom, x.denominator)
         work = {}
-        for c, x in row.items():
-            v = x.numerator * (denom // x.denominator) % MODULUS
+        for c, v in zip(row, primitive_part(row.values())):
+            v %= MODULUS
             if v:
                 work[c] = v
         c = _reduce_sparse(work, pivots, MODULUS)
@@ -406,14 +405,9 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     stacked = mat_from_cols(tuple(s1.basis) + tuple(vscale(-1, v) for v in s2.basis))
     coeffs = kernel(stacked)
     d1 = s1.dim
-    vectors = []
-    for coeff in coeffs.basis:
-        x = zero_vec(s1.ambient)
-        for c, bvec in zip(coeff[:d1], s1.basis):
-            if c:
-                x = vadd(x, vscale(c, bvec))
-        vectors.append(x)
-    return Subspace(s1.ambient, vectors)
+    return Subspace(
+        s1.ambient, [combination(coeff[:d1], s1.basis, s1.ambient) for coeff in coeffs.basis]
+    )
 
 
 def subspace_sum(spaces: Sequence[Subspace], ambient: Optional[int] = None) -> Subspace:
@@ -444,24 +438,10 @@ def perp_space(s: Subspace, gram: Mat) -> Subspace:
 def char_poly(m: Mat) -> list[Fraction]:
     """Coefficients of det(t I - m), lowest degree first (monic, length n+1).
 
-    Computed by exact evaluation of det(t I - m) at n+1 integer points and
-    Lagrange-free interpolation through a Vandermonde solve.
+    Computed by sympy's DomainMatrix over QQ, whose `charpoly` runs
+    Berkowitz's division-free algorithm.
     """
-    n = len(m)
-    if n == 0:
-        return [Fraction(1)]
-    points = [Fraction(t) for t in range(n + 1)]
-    values = []
-    for t in points:
-        shifted = tuple(
-            tuple((t if i == j else Fraction(0)) - m[i][j] for j in range(n))
-            for i in range(n)
-        )
-        values.append(det(shifted))
-    vander = tuple(tuple(t**k for k in range(n + 1)) for t in points)
-    coeffs = solve(vander, tuple(values))
-    assert coeffs is not None and coeffs[n] == 1
-    return list(coeffs)
+    return [_fraction(c) for c in reversed(_qq_matrix(m, "characteristic polynomial").charpoly())]
 
 
 @dataclass

@@ -28,11 +28,11 @@ from axial.groebner import (
 from axial.linalg import (
     Subspace,
     Vec,
+    combination,
     eigenspace,
     frac,
     unit_vec,
     vadd,
-    vscale,
     zero_vec,
 )
 from axial.mpoly import MPoly
@@ -170,11 +170,8 @@ def _points_to_vectors(
 ) -> list[Vec]:
     out = []
     for point in points:
-        v = zero_vec(dim) if offset is None else offset
-        for c, b in zip(point, basis):
-            if c:
-                v = vadd(v, vscale(c, b))
-        out.append(v)
+        v = combination(point, basis, dim)
+        out.append(v if offset is None else vadd(offset, v))
     return sorted(set(out))
 
 

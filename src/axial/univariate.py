@@ -1,5 +1,8 @@
 """Univariate helpers over Z: primitive parts, rational roots, factor lists.
 
+`primitive_part` is the package's one rational-to-integer scaling: every
+site that clears denominators and common content calls it.
+
 Factorization of integer polynomials is delegated to sympy; everything built
 on top of it (root extraction, eliminant certificates) stays exact.
 """
@@ -7,28 +10,35 @@ on top of it (root extraction, eliminant certificates) stays exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 
 IntPoly = tuple[int, ...]  # coefficients, lowest degree first
 
 
+def primitive_part(values) -> list[int]:
+    """Coprime integers that are a positive rational multiple of `values`.
+
+    `values` is a collection of Fractions or ints (read twice).  Multiplies
+    by the lcm of the denominators, then divides by the gcd of the integers
+    when that is above 1; all zeros stay all zeros.
+    """
+    denom = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (denom // x.denominator) for x in values]
+    content = gcd(*ints)
+    if content > 1:
+        ints = [v // content for v in ints]
+    return ints
+
+
 def primitive_integer(coeffs) -> IntPoly:
     """Clear denominators and common content; normalize the leading sign."""
-    fracs = [Fraction(c) for c in coeffs]
-    while fracs and fracs[-1] == 0:
-        fracs.pop()
-    if not fracs:
+    ints = primitive_part(coeffs)
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints:
         return (0,)
-    denom = 1
-    for c in fracs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fracs]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    ints = [c // content for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return tuple(ints)

@@ -1,8 +1,9 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except nine former implementations kept to test the current ones
-against: `reference_buchberger` (the all-pairs loop), `reference_coordinates`
+package except ten former implementations kept to test the current ones
+against: `reference_buchberger` (the all-pairs loop), `reference_char_poly`
+(n+1 determinants and a Vandermonde solve), `reference_coordinates`
 (one linear solve per vector), `reference_graded_involution` (one solve per
 column), `reference_derivation_space` (one dense RREF),
 `reference_check_axis` (one membership test per eigenvector product),
@@ -492,6 +493,29 @@ def reference_buchberger(gens, caps=None):
         new = len(basis) - 1
         pairs.update((k, new) for k in range(new))
     return _autoreduce(basis, nvars)
+
+
+def reference_char_poly(m):
+    """Coefficients of det(t I - m), lowest degree first, by interpolation.
+
+    The package's `char_poly` as it was before it called sympy's Berkowitz
+    `charpoly`: det(t I - m) at the n+1 points t = 0..n (by `det_fraction`
+    here), then one Vandermonde solve for the coefficients.
+    """
+    from axial.linalg import solve
+
+    n = len(m)
+    if n == 0:
+        return [Fraction(1)]
+    points = [Fraction(t) for t in range(n + 1)]
+    values = []
+    for t in points:
+        shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+        values.append(det_fraction(shifted))
+    vander = tuple(tuple(t**k for k in range(n + 1)) for t in points)
+    coeffs = solve(vander, tuple(values))
+    assert coeffs is not None and coeffs[n] == 1
+    return list(coeffs)
 
 
 def reference_coordinates(basis, v):

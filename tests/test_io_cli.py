@@ -89,6 +89,62 @@ def test_parse_group_file():
     assert data.size == 6
 
 
+def _group_file(tmp_path, text):
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("GROUP 1\nDEGREE\nGEN (1,2)\nCLASS (1,2)\n", 2),
+        ("GROUP 1\nDEGREE 3\nGEN\nCLASS (1,2)\n", 3),
+        ("GROUP 1\nDEGREE 3\nGEN (1,2)\nCLASS\n", 4),
+    ],
+    ids=["DEGREE", "GEN", "CLASS"],
+)
+def test_parse_group_rejects_a_key_without_value(tmp_path, text, line):
+    with pytest.raises(AlgebraFileError) as err:
+        parse_group(_group_file(tmp_path, text))
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("value", ["x", "-2", "0"])
+def test_parse_group_degree_must_be_a_positive_integer(tmp_path, value):
+    text = f"GROUP 1\nDEGREE {value}\nGEN (1,2)\nCLASS (1,2)\n"
+    with pytest.raises(AlgebraFileError, match="DEGREE needs one positive integer") as err:
+        parse_group(_group_file(tmp_path, text))
+    assert err.value.line == 2
+
+
+def test_cli_matsuo_rejects_negative_degree(tmp_path, capsys):
+    path = _group_file(tmp_path, "GROUP 1\nDEGREE -2\nGEN (1,2)\nCLASS (1,2)\n")
+    out_path = tmp_path / "out.alg"
+    assert main(["matsuo", str(path), "--eta", "1/4", "--out-alg", str(out_path)]) == 4
+    assert "(line 2)" in capsys.readouterr().out
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("token", ["(1,2)(2,3)", "(1,2)(1,2)"])
+def test_parse_permutation_rejects_overlapping_cycles(token):
+    with pytest.raises(AlgebraFileError, match="not disjoint") as err:
+        parse_permutation(token, 3, line=5)
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_parse_algebra_dim_must_be_positive(tmp_path, capsys, value):
+    text = f"AXIAL 1\nDIM {value}\nGAMMA\nEND\n"
+    with pytest.raises(AlgebraFileError, match="DIM needs one positive integer") as err:
+        parse_algebra_text(text)
+    assert err.value.line == 2
+    path = tmp_path / "bad.alg"
+    path.write_text(text)
+    assert main(["info", str(path)]) == 4
+    assert "dimension:" not in capsys.readouterr().out
+
+
 def test_parse_reference(tmp_path):
     path = tmp_path / "ref.txt"
     path.write_text("REFERENCE 1\n2A 3 2 1/8 12/5\n2B 2 1 - 2\n")

@@ -1,8 +1,15 @@
-"""Properties of the hot kernels: RREF output is reduced, normal forms are irreducible."""
+"""Properties of the hot kernels: RREF output is reduced and equals sympy's,
+primitive parts are coprime multiples, normal forms are irreducible."""
+
+from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from axial import _kernels_py
+from axial.univariate import primitive_part
 
 fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=8
@@ -47,6 +54,35 @@ def test_rref_is_reduced(rows):
         for i in range(len(work)):
             if i != r:
                 assert work[i][c] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rref_matches_sympy(rows):
+    work = [list(r) for r in rows]
+    pivots = _kernels_py.rref(work)
+    shape = (len(rows), len(rows[0]))
+    qq = DomainMatrix([[QQ(x.numerator, x.denominator) for x in r] for r in rows], shape, QQ)
+    reduced, want_pivots = qq.rref()
+    assert pivots == list(want_pivots)
+    assert work == [
+        [Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in reduced.to_list()
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fractions, max_size=6))
+def test_primitive_part_is_a_coprime_positive_multiple(values):
+    ints = primitive_part(values)
+    assert len(ints) == len(values)
+    if not any(values):
+        assert ints == [0] * len(values)
+        return
+    assert gcd(*ints) == 1
+    x, v = next((x, v) for x, v in zip(values, ints) if x)
+    ratio = v / x
+    assert ratio > 0
+    assert all(v == ratio * x for x, v in zip(values, ints))
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,6 +7,7 @@ from axial.linalg import (
     MODULUS,
     Subspace,
     char_poly,
+    combination,
     det,
     eigenspace,
     full_space,
@@ -28,7 +29,8 @@ from axial.linalg import (
     vscale,
     zero_vec,
 )
-from oracles import reference_coordinates
+from axial.matsuo import matsuo_algebra, symmetric_transpositions
+from oracles import det_fraction, reference_char_poly, reference_coordinates
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -119,6 +121,52 @@ def test_char_poly_companion():
     # companion matrix of t^2 - t - 1
     m = mat([[0, 1], [1, 1]])
     assert char_poly(m) == [F(-1), F(-1), F(1)]
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    return mat([[draw(fractions) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+def test_det_and_char_poly_match_the_oracles(m):
+    assert det(m) == det_fraction(m)
+    assert char_poly(m) == reference_char_poly(m)
+
+
+@pytest.mark.parametrize("eta", ["1/2", "1/4", "1/3", "2/5", "3/8", "2"])
+@pytest.mark.parametrize("degree", [4, 5, 6])
+def test_det_and_char_poly_match_the_oracles_on_matsuo(degree, eta):
+    alg = matsuo_algebra(symmetric_transpositions(degree), F(eta))
+    u = vec(F(i % 5 - 2, i % 3 + 1) for i in range(alg.dim))
+    m = alg.ad_matrix(u)
+    assert det(m) == det_fraction(m)
+    assert char_poly(m) == reference_char_poly(m)
+
+
+def test_det_and_char_poly_edge_cases():
+    assert det(()) == 1
+    assert char_poly(()) == [1]
+    for f in (det, char_poly):
+        with pytest.raises(ValueError, match="non-square"):
+            f(mat([[1, 2]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(fractions, st.lists(fractions, min_size=3, max_size=3)), max_size=4
+    )
+)
+def test_combination_is_the_sum_of_scaled_vectors(terms):
+    want = zero_vec(3)
+    for c, v in terms:
+        want = vadd(want, vscale(c, vec(v)))
+    got = combination([c for c, _ in terms], [vec(v) for _, v in terms], 3)
+    assert got == want
+    assert all(isinstance(x, F) for x in got)
 
 
 def test_spectrum_diagonal():
@@ -266,10 +314,11 @@ def test_sparse_kernel_matches_dense_kernel(system):
 
 
 def test_sparse_kernel_certificate_directions():
-    # 2**31 - 1 vanishes mod the prime: the screen sees rank 1, the exact
-    # check rejects its 1-dimensional candidate, and the exact solve finds 0.
+    # the rows differ by (0, 2**31 - 1), which vanishes mod the prime: the
+    # screen sees rank 1, the exact check rejects its 1-dimensional
+    # candidate, and the exact solve finds 0.
     p = F(MODULUS)
-    assert sparse_kernel([{0: F(1), 1: F(1)}, {1: p}], 2).is_zero()
+    assert sparse_kernel([{0: F(1), 1: F(1)}, {0: F(1), 1: 1 + p}], 2).is_zero()
     # 1/(2**31 - 1) has no inverse mod p; the row is scaled to integers first.
     assert sparse_kernel([{0: 1 / p}, {0: F(1), 1: F(2)}], 2).is_zero()
     # a true deficit survives the check

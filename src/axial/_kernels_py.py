@@ -1,8 +1,11 @@
 """Hot kernels: exact row reduction and sparse polynomial reduction.
 
-Both work on plain Python data (lists of Fractions, dicts keyed by exponent
-tuples).  `axial.linalg` and `axial.groebner` reach them through
-`axial._backend`.
+Both take and return plain Python data (lists of Fractions, dicts keyed by
+exponent tuples) and both run fraction-free inside: each input is scaled
+once to coprime integers by `primitive_part`, eliminated by integer
+cross-multiplication with content reduction, and divided back out into
+exact Fractions only for the output.  `axial.linalg` and `axial.groebner`
+reach them through `axial._backend`.
 """
 
 from fractions import Fraction
@@ -91,30 +94,55 @@ def exp_div(e1, e2):
 def normal_form(terms, divisors):
     """Full normal form of a sparse polynomial modulo a divisor list.
 
-    `terms` maps exponent tuples to nonzero Fractions; the leading term is the
-    lex-largest key.  Each divisor is a triple (lead_exp, lead_coeff,
-    tail_items) with tail_items the remaining (exp, coeff) pairs.  Every term
-    of the result is reduced: no divisor leading monomial divides it.
+    `terms` is a nonempty map from exponent tuples to nonzero Fractions; the
+    leading term is the lex-largest key.  Each divisor is a primitive integer triple (lead_exp,
+    lead_coeff, tail_items): lead_coeff > 0, tail_items the remaining
+    (exp, coeff) pairs, and the gcd of all its coefficients 1.  Every term of
+    the result is reduced: no divisor leading monomial divides it.
+
+    The reduction is fraction-free.  The work dict holds integers, scaled
+    once from `terms` by `primitive_part`; num/den records the factor from
+    the true remainder to the work dict.  A step on the leading term c with
+    divisor lead L multiplies the work dict by L/gcd(c, L), subtracts
+    c/gcd(c, L) times the shifted tail and divides out the content of what
+    is left.  An irreducible term leaves as the Fraction coeff * den / num,
+    so the result is the same exact normal form as division over Q.
     """
-    work = dict(terms)
+    values = list(terms.values())
+    ints = primitive_part(values)
+    scale = ints[0] / values[0]
+    num, den = scale.numerator, scale.denominator
+    work = dict(zip(terms, ints))
     remainder = {}
     while work:
         exp = max(work)
         coeff = work.pop(exp)
-        reduced = False
         for lead_exp, lead_coeff, tail in divisors:
             if exp_divides(lead_exp, exp):
-                shift = exp_div(exp, lead_exp)
-                factor = coeff / lead_coeff
-                for texp, tcoeff in tail:
-                    nexp = exp_mul(texp, shift)
-                    c = work.get(nexp, _ZERO) - factor * tcoeff
-                    if c:
-                        work[nexp] = c
-                    elif nexp in work:
-                        del work[nexp]
-                reduced = True
                 break
-        if not reduced:
-            remainder[exp] = coeff
+        else:
+            remainder[exp] = Fraction(coeff * den, num)
+            continue
+        shift = exp_div(exp, lead_exp)
+        g = gcd(coeff, lead_coeff)
+        mult = lead_coeff // g
+        if mult > 1:
+            work = {e: v * mult for e, v in work.items()}
+            g_den = gcd(mult, den)
+            num *= mult // g_den
+            den //= g_den
+        factor = coeff // g
+        for texp, tcoeff in tail:
+            nexp = exp_mul(texp, shift)
+            c = work.get(nexp, 0) - factor * tcoeff
+            if c:
+                work[nexp] = c
+            else:
+                del work[nexp]
+        content = gcd(*work.values())
+        if content > 1:
+            work = {e: v // content for e, v in work.items()}
+            g_num = gcd(content, num)
+            num //= g_num
+            den *= content // g_num
     return remainder

@@ -69,11 +69,20 @@ class SolveResult:
         return self.status == FINITE and not self.eliminant_factors
 
 
-def _divisor(g: MPoly) -> tuple[Exponent, Fraction, list]:
-    """The (lead_exp, lead_coeff, tail) triple `kernels.normal_form` divides by."""
-    lead_exp, lead_coeff = g.lead()
-    tail = [(e, c) for e, c in g.terms.items() if e != lead_exp]
-    return lead_exp, lead_coeff, tail
+def _divisor(g: MPoly) -> tuple[Exponent, int, list]:
+    """The (lead_exp, lead_coeff, tail) triple `kernels.normal_form` divides by.
+
+    Scaling g by a nonzero rational leaves every normal form modulo it
+    unchanged, so the kernel gets g as the coprime integers of
+    `primitive_part`, negated when needed to make the lead coefficient
+    positive, and reduces fraction-free.
+    """
+    lead_exp = max(g.terms)
+    tail_exps = [e for e in g.terms if e != lead_exp]
+    ints = primitive_part([g.terms[lead_exp]] + [g.terms[e] for e in tail_exps])
+    if ints[0] < 0:
+        ints = [-v for v in ints]
+    return lead_exp, ints[0], list(zip(tail_exps, ints[1:]))
 
 
 def _reduce(p: MPoly, divisors: Sequence[tuple]) -> MPoly:
@@ -82,22 +91,34 @@ def _reduce(p: MPoly, divisors: Sequence[tuple]) -> MPoly:
     return MPoly(p.nvars, kernels.normal_form(p.terms, divisors), _clean=False)
 
 
-def _normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
-    return _reduce(p, [_divisor(g) for g in basis])
-
-
 def normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
     """Fully reduce p modulo the basis (every term of the result is reduced)."""
-    return _normal_form(p, [g for g in basis if g])
+    return _reduce(p, [_divisor(g) for g in basis if g])
 
 
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
+    """lcm/lt(f) * f - lcm/lt(g) * g, with lcm the LCM of the two leads.
+
+    Both shifted polynomials are accumulated in one dict.  Coefficients are
+    divided by their lead coefficient only when it is not 1, so the monic
+    elements `buchberger` keeps need no multiplication or division.
+    """
     ef, cf = f.lead()
     eg, cg = g.lead()
     lcm = _lcm_exp(ef, eg)
-    mf = MPoly(f.nvars, {tuple(l - a for l, a in zip(lcm, ef)): 1 / cf}, _clean=False)
-    mg = MPoly(g.nvars, {tuple(l - a for l, a in zip(lcm, eg)): 1 / cg}, _clean=False)
-    return mf * f - mg * g
+    shift_f = kernels.exp_div(lcm, ef)
+    shift_g = kernels.exp_div(lcm, eg)
+    out = {
+        kernels.exp_mul(e, shift_f): c if cf == 1 else c / cf for e, c in f.terms.items()
+    }
+    for e, c in g.terms.items():
+        key = kernels.exp_mul(e, shift_g)
+        s = out.get(key, 0) - (c if cg == 1 else c / cg)
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return MPoly(f.nvars, out, _clean=False)
 
 
 def _lcm_exp(e1: Exponent, e2: Exponent) -> Exponent:
@@ -124,7 +145,7 @@ def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[M
         raise ValueError("empty generator list")
     nvars = gens[0].nvars
     basis: list[MPoly] = []
-    divisors: list[tuple[Exponent, Fraction, list]] = []  # one per element, in basis order
+    divisors: list[tuple[Exponent, int, list]] = []  # one per element, in basis order
     leads: list[Exponent] = []
     queue: list[tuple[int, Exponent, int, int]] = []  # (degree of lcm, lcm, i, j)
 
@@ -184,14 +205,13 @@ def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[M
 def _autoreduce(basis: list[MPoly], nvars: int) -> list[MPoly]:
     # Minimal basis: drop generators whose lead is divisible by another lead.
     basis = sorted((g for g in basis if g), key=lambda g: g.lead()[0])
+    leads = [g.lead()[0] for g in basis]
     minimal = []
-    for idx, g in enumerate(basis):
-        eg = g.lead()[0]
+    for idx, (g, eg) in enumerate(zip(basis, leads)):
         divisible = False
-        for jdx, h in enumerate(basis):
+        for jdx, eh in enumerate(leads):
             if jdx == idx:
                 continue
-            eh = h.lead()[0]
             if eh == eg and jdx < idx:
                 divisible = True
                 break
@@ -201,10 +221,10 @@ def _autoreduce(basis: list[MPoly], nvars: int) -> list[MPoly]:
         if not divisible:
             minimal.append(g)
     # Reduced basis: each element fully reduced against the others, monic.
+    divisors = [_divisor(g) for g in minimal]
     reduced = []
     for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = _normal_form(g, others)
+        r = _reduce(g, divisors[:idx] + divisors[idx + 1 :])
         if r:
             reduced.append(r.monic())
     reduced.sort(key=lambda g: g.lead()[0], reverse=True)
@@ -216,8 +236,9 @@ def _autoreduce(basis: list[MPoly], nvars: int) -> list[MPoly]:
 def is_groebner_basis(basis: Sequence[MPoly]) -> bool:
     """Directly checkable certificate: every S-polynomial reduces to zero."""
     nonzero = [g for g in basis if g]
+    divisors = [_divisor(g) for g in nonzero]
     for f, g in itertools.combinations(nonzero, 2):
-        if _normal_form(s_polynomial(f, g), nonzero):
+        if _reduce(s_polynomial(f, g), divisors):
             return False
     return True
 

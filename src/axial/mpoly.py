@@ -27,10 +27,10 @@ class MPoly:
         elif _clean:
             self.terms = {}
             for exp, c in terms.items():
+                if len(exp) != nvars:
+                    raise ValueError("exponent length does not match nvars")
                 c = frac(c)
                 if c:
-                    if len(exp) != nvars:
-                        raise ValueError("exponent length does not match nvars")
                     self.terms[tuple(exp)] = c
         else:
             self.terms = dict(terms)
@@ -133,6 +133,8 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative exponent")
         result = MPoly.const(self.nvars, 1)
         for _ in range(k):
             result = result * self
@@ -180,6 +182,8 @@ class MPoly:
 
     def evaluate(self, point: Iterable) -> Fraction:
         vals = [frac(x) for x in point]
+        if len(vals) != self.nvars:
+            raise ValueError("point length does not match nvars")
         total = Fraction(0)
         for exp, c in self.terms.items():
             term = c

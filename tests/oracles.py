@@ -1,8 +1,10 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except ten former implementations kept to test the current ones
-against: `reference_buchberger` (the all-pairs loop), `reference_char_poly`
+package except twelve former implementations kept to test the current ones
+against: `reference_buchberger` (the all-pairs loop),
+`reference_normal_form` (division over Q in Fraction arithmetic),
+`reference_s_polynomial` (two polynomial products), `reference_char_poly`
 (n+1 determinants and a Vandermonde solve), `reference_coordinates`
 (one linear solve per vector), `reference_graded_involution` (one solve per
 column), `reference_derivation_space` (one dense RREF),
@@ -435,25 +437,95 @@ def oracle_idempotents(gamma_entries):
     return solve_three_vars(system)
 
 
+def reference_normal_form(p, basis):
+    """Full normal form of p modulo the basis by division over Q.
+
+    The package's reduction kernel as it was before it ran fraction-free:
+    the lex-largest remaining term is divided by the first basis element
+    whose lead divides it, and coefficient / lead times the shifted tail is
+    subtracted in `Fraction` arithmetic.  Terms no lead divides go to the
+    remainder.
+    """
+    from axial.mpoly import MPoly
+
+    divisors = []
+    for g in basis:
+        if g:
+            lead = max(g.terms)
+            tail = [(e, c) for e, c in g.terms.items() if e != lead]
+            divisors.append((lead, g.terms[lead], tail))
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        exp = max(work)
+        coeff = work.pop(exp)
+        for lead, lead_coeff, tail in divisors:
+            if all(a <= b for a, b in zip(lead, exp)):
+                shift = tuple(b - a for a, b in zip(lead, exp))
+                factor = coeff / lead_coeff
+                for texp, tcoeff in tail:
+                    nexp = tuple(a + b for a, b in zip(texp, shift))
+                    c = work.get(nexp, Fraction(0)) - factor * tcoeff
+                    if c:
+                        work[nexp] = c
+                    else:
+                        work.pop(nexp, None)
+                break
+        else:
+            remainder[exp] = coeff
+    return MPoly(p.nvars, remainder, _clean=False)
+
+
+def reference_s_polynomial(f, g):
+    """The S-polynomial as two monomial-times-polynomial products."""
+    from axial.mpoly import MPoly
+
+    ef, cf = f.lead()
+    eg, cg = g.lead()
+    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    mf = MPoly(f.nvars, {tuple(l - a for l, a in zip(lcm, ef)): 1 / cf})
+    mg = MPoly(g.nvars, {tuple(l - a for l, a in zip(lcm, eg)): 1 / cg})
+    return mf * f - mg * g
+
+
+def _reference_autoreduce(basis, nvars):
+    """Reduced basis: drop non-minimal leads, reduce each by the rest, monic."""
+    from axial.mpoly import MPoly
+
+    basis = sorted((g for g in basis if g), key=lambda g: g.lead()[0])
+    leads = [g.lead()[0] for g in basis]
+
+    def redundant(idx):
+        # another lead divides this one; of equal leads the first is kept
+        eg = leads[idx]
+        return any(
+            jdx < idx if eh == eg else all(a <= b for a, b in zip(eh, eg))
+            for jdx, eh in enumerate(leads)
+            if jdx != idx
+        )
+
+    minimal = [g for idx, g in enumerate(basis) if not redundant(idx)]
+    reduced = []
+    for idx, g in enumerate(minimal):
+        r = reference_normal_form(g, minimal[:idx] + minimal[idx + 1 :])
+        if r:
+            reduced.append(r.monic())
+    reduced.sort(key=lambda g: g.lead()[0], reverse=True)
+    return reduced or [MPoly.zero(nvars)]
+
+
 def reference_buchberger(gens, caps=None):
     """Reduced lex Groebner basis by the all-pairs loop, for differential tests.
 
     This is the package's engine as it was before the heap-ordered pair queue
     and the Gebauer-Moeller criteria: every pending pair is scanned for the
     least (degree, LCM) on each step, and only the product criterion prunes.
-    It is kept as an oracle for that rewrite.  Unlike the rest of this
-    module it reuses the package's polynomial type, normal form and final
-    autoreduction, so it checks the pair loop alone.
+    Reduction runs through `reference_normal_form` and
+    `reference_s_polynomial`, so the package's fraction-free kernel is
+    checked too; only the polynomial type, the caps and the LCM helpers are
+    the package's.
     """
-    from axial.groebner import (
-        DEFAULT_CAPS,
-        CapExceeded,
-        _autoreduce,
-        _is_product,
-        _lcm_exp,
-        _normal_form,
-        s_polynomial,
-    )
+    from axial.groebner import DEFAULT_CAPS, CapExceeded, _is_product, _lcm_exp
 
     caps = caps or DEFAULT_CAPS
     gens = [g for g in gens if g]
@@ -462,7 +534,7 @@ def reference_buchberger(gens, caps=None):
     nvars = gens[0].nvars
     basis = []
     for g in gens:
-        r = _normal_form(g, basis)
+        r = reference_normal_form(g, basis)
         if r:
             basis.append(r.monic())
 
@@ -482,7 +554,7 @@ def reference_buchberger(gens, caps=None):
             raise CapExceeded(f"pair limit {caps.max_pairs} exceeded")
         if _is_product(lead(i), lead(j)):
             continue
-        r = _normal_form(s_polynomial(basis[i], basis[j]), basis)
+        r = reference_normal_form(reference_s_polynomial(basis[i], basis[j]), basis)
         if not r:
             continue
         if r.total_degree() > caps.max_degree:
@@ -492,7 +564,7 @@ def reference_buchberger(gens, caps=None):
             raise CapExceeded(f"basis size limit {caps.max_basis} exceeded")
         new = len(basis) - 1
         pairs.update((k, new) for k in range(new))
-    return _autoreduce(basis, nvars)
+    return _reference_autoreduce(basis, nvars)
 
 
 def reference_char_poly(m):

@@ -1,5 +1,6 @@
 """Properties of the hot kernels: RREF output is reduced and equals sympy's,
-primitive parts are coprime multiples, normal forms are irreducible."""
+primitive parts are coprime multiples, normal forms are irreducible and equal
+the Fraction-arithmetic reference, as do S-polynomials."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from axial import _kernels_py
+from axial import _kernels_py, groebner
+from axial.mpoly import MPoly
 from axial.univariate import primitive_part
+from oracles import reference_normal_form, reference_s_polynomial
 
 fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=8
@@ -34,14 +37,11 @@ def reduction_instances(draw):
         )
         return terms
 
-    target = poly()
-    divisors = []
-    for _ in range(draw(st.integers(1, 3))):
-        terms = poly()
-        lead = max(terms)
-        tail = [(e, c) for e, c in terms.items() if e != lead]
-        divisors.append((lead, terms[lead], tail))
-    return target, divisors
+    target = MPoly(nvars, poly())
+    # leads are drawn from [-6, 6] with denominators up to 8, so negative and
+    # non-unit leads are common
+    basis = [MPoly(nvars, poly()) for _ in range(draw(st.integers(1, 3)))]
+    return target, basis
 
 
 @settings(max_examples=100, deadline=None)
@@ -87,13 +87,50 @@ def test_primitive_part_is_a_coprime_positive_multiple(values):
 
 @settings(max_examples=100, deadline=None)
 @given(reduction_instances())
+def test_divisor_is_primitive_with_positive_lead(instance):
+    _, basis = instance
+    for g in basis:
+        lead, lead_coeff, tail = groebner._divisor(g)
+        assert lead == g.lead()[0] and lead_coeff > 0
+        assert gcd(lead_coeff, *(c for _, c in tail)) == 1
+        ratio = Fraction(lead_coeff) / g.lead()[1]
+        assert dict(tail) == {e: c * ratio for e, c in g.terms.items() if e != lead}
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduction_instances())
 def test_normal_form_terms_are_irreducible(instance):
-    target, divisors = instance
-    result = _kernels_py.normal_form(dict(target), divisors)
+    target, basis = instance
+    divisors = [groebner._divisor(g) for g in basis]
+    result = _kernels_py.normal_form(dict(target.terms), divisors)
     for exp, coeff in result.items():
         assert coeff != 0
         for lead, _, _ in divisors:
             assert not _kernels_py.exp_divides(lead, exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_instances())
+def test_normal_form_matches_reference(instance):
+    target, basis = instance
+    want = reference_normal_form(target, basis)
+    divisors = [groebner._divisor(g) for g in basis]
+    result = _kernels_py.normal_form(dict(target.terms), divisors)
+    # same Fractions, emitted in the same order
+    assert list(result.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in result.values())
+    assert groebner.normal_form(target, basis) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_instances())
+def test_s_polynomial_matches_reference(instance):
+    target, basis = instance
+    for f in basis:
+        for g in (target, *basis):
+            assert groebner.s_polynomial(f, g) == reference_s_polynomial(f, g)
+            monic = (f.monic(), g.monic())
+            assert groebner.s_polynomial(*monic) == reference_s_polynomial(*monic)
 
 
 def test_backend_reports_something():

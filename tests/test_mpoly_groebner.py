@@ -38,6 +38,24 @@ def test_mpoly_arithmetic_roundtrip():
     assert p.substitute({1: F(2)}) == x * x - 4
 
 
+def test_mpoly_evaluate_rejects_a_point_of_the_wrong_length():
+    x, y = xvar(2, 0), xvar(2, 1)
+    with pytest.raises(ValueError):
+        (x + y).evaluate([1])
+    with pytest.raises(ValueError):
+        (x + y).evaluate([1, 2, 3])
+
+
+def test_mpoly_rejects_a_negative_power():
+    with pytest.raises(ValueError):
+        xvar(2, 0) ** -1
+
+
+def test_mpoly_checks_exponent_length_of_zero_terms():
+    with pytest.raises(ValueError):
+        MPoly(2, {(1, 0, 0): 0})
+
+
 def test_mpoly_lex_leading_term():
     x, y = xvar(2, 0), xvar(2, 1)
     p = y * y * y + x  # x is lex-larger than any power of y
@@ -261,20 +279,27 @@ def test_buchberger_matches_reference_on_triple_2b(triple_2b, dim):
 
 
 def test_buchberger_s_polynomial_count(triple_2b, monkeypatch):
-    # Work counter: the number of S-polynomials reduced for the idempotent
-    # system of triple2b on e1..e5 is deterministic, so it is pinned exactly.
-    # The all-pairs loop without the chain criterion reduced 37.
-    calls = []
-    original = groebner.s_polynomial
+    # Work counters: the numbers of S-polynomials and of normal forms for the
+    # idempotent system of triple2b on e1..e5 are deterministic, so they are
+    # pinned exactly.  The all-pairs loop without the chain criterion reduced
+    # 37 S-polynomials; 28 normal forms is the count of the Fraction-arithmetic
+    # kernel, so the fraction-free one made no other reduction decision.
+    calls = {"s_polynomial": 0, "normal_form": 0}
 
-    def counting(f, g):
-        calls.append(1)
-        return original(f, g)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(groebner, "s_polynomial", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(groebner, "s_polynomial")
+    counting(groebner.kernels, "normal_form")
     gens = idempotent_system(triple_2b, [unit_vec(7, i) for i in range(5)])
     buchberger(gens)
-    assert len(calls) == 16
+    assert calls == {"s_polynomial": 16, "normal_form": 28}
 
 
 def test_spoly_of_coprime_leads_reduces():

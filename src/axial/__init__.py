@@ -59,6 +59,7 @@ from axial.fusion import (
 from axial.groebner import (
     CapExceeded,
     ConstantCertificate,
+    NotZeroDimensional,
     SolveResult,
     SolverCaps,
     buchberger,

@@ -1,11 +1,29 @@
 """Hot kernels: exact row reduction and sparse polynomial reduction.
 
-Both take and return plain Python data (lists of Fractions, dicts keyed by
-exponent tuples) and both run fraction-free inside: each input is scaled
-once to coprime integers by `primitive_part`, eliminated by integer
-cross-multiplication with content reduction, and divided back out into
-exact Fractions only for the output.  `axial.linalg` and `axial.groebner`
-reach them through `axial._backend`.
+`rref` takes and returns lists of Fractions and runs fraction-free inside:
+each row is scaled once to coprime integers by `primitive_part`, eliminated
+by integer cross-multiplication with content reduction, and divided back
+out into exact Fractions only for the output.
+
+`normal_form` works on integer polynomials keyed by packed exponents.  A
+packed exponent is one int holding a field of FIELD_BITS bits per
+variable, the first variable in the most significant field; the top bit of
+each field is a guard bit and stays clear, so each exponent is at most
+2**(FIELD_BITS - 1) - 1.  With G the mask of all guard bits:
+
+- integer order is lex order, so the leading term is the largest key;
+- a monomial product is `a + b` and a quotient `a - b`;
+- a divides b exactly when `((b | G) - a) & G == G`: each field of b, with
+  its guard bit set, minus the same field of a keeps the guard bit exactly
+  when a's field is not the larger one, and no field borrows from the next;
+- the lcm takes each field from a or from b by a mask built from those
+  guard bits;
+- a and b are coprime exactly when `lcm(a, b) == a + b`.
+
+A sum that overflows a field sets its guard bit, and is reported as a
+`CapExceeded` naming the exponent limit, never wrapped into the next field.
+`axial.linalg` and `axial.groebner` reach these kernels through
+`axial._backend`.
 """
 
 from fractions import Fraction
@@ -73,76 +91,123 @@ def rref(rows):
     return pivots
 
 
-def exp_mul(e1, e2):
-    """Product of two monomials (exponent-wise sum)."""
-    return tuple(a + b for a, b in zip(e1, e2))
+FIELD_BITS = 32  # bits per variable in a packed exponent, the guard bit included
 
 
-def exp_divides(e1, e2):
-    """Whether monomial e1 divides e2."""
-    for a, b in zip(e1, e2):
-        if a > b:
-            return False
-    return True
+def exponent_limit():
+    """The largest exponent one field of a packed exponent holds."""
+    return (1 << (FIELD_BITS - 1)) - 1
 
 
-def exp_div(e1, e2):
-    """Quotient monomial e1 / e2 (caller guarantees divisibility)."""
-    return tuple(a - b for a, b in zip(e1, e2))
+def overflow():
+    """Raise CapExceeded naming the exponent limit."""
+    from axial.groebner import CapExceeded  # axial.groebner imports this module
+
+    raise CapExceeded(f"exponent limit {exponent_limit()} exceeded")
 
 
-def normal_form(terms, divisors):
-    """Full normal form of a sparse polynomial modulo a divisor list.
+def guard_mask(nvars):
+    """The guard bits (the top bit of every field) of a packed exponent."""
+    field = 1 << (FIELD_BITS - 1)
+    return sum(field << (FIELD_BITS * i) for i in range(nvars))
 
-    `terms` is a nonempty map from exponent tuples to nonzero Fractions; the
-    leading term is the lex-largest key.  Each divisor is a primitive integer triple (lead_exp,
-    lead_coeff, tail_items): lead_coeff > 0, tail_items the remaining
-    (exp, coeff) pairs, and the gcd of all its coefficients 1.  Every term of
-    the result is reduced: no divisor leading monomial divides it.
 
-    The reduction is fraction-free.  The work dict holds integers, scaled
-    once from `terms` by `primitive_part`; num/den records the factor from
-    the true remainder to the work dict.  A step on the leading term c with
-    divisor lead L multiplies the work dict by L/gcd(c, L), subtracts
-    c/gcd(c, L) times the shifted tail and divides out the content of what
-    is left.  An irreducible term leaves as the Fraction coeff * den / num,
-    so the result is the same exact normal form as division over Q.
+def pack(exp):
+    """The packed exponent of an exponent tuple."""
+    limit = exponent_limit()
+    packed = 0
+    for e in exp:
+        if e > limit:
+            overflow()
+        packed = (packed << FIELD_BITS) | e
+    return packed
+
+
+def unpack(packed, nvars):
+    """The exponent tuple of a packed exponent in `nvars` variables."""
+    mask = (1 << FIELD_BITS) - 1
+    return tuple((packed >> (FIELD_BITS * i)) & mask for i in range(nvars - 1, -1, -1))
+
+
+def degree(packed):
+    """Total degree of a packed exponent: the sum of its fields."""
+    mask = (1 << FIELD_BITS) - 1
+    total = 0
+    while packed:
+        total += packed & mask
+        packed >>= FIELD_BITS
+    return total
+
+
+def divides(a, b, guard):
+    """Whether packed monomial a divides packed monomial b."""
+    return ((b | guard) - a) & guard == guard
+
+
+def lcm(a, b, guard):
+    """The lcm of two packed monomials: each field from a where a >= b, else from b."""
+    ge = ((a | guard) - b) & guard  # guard bit kept where a's field >= b's
+    mask = ge - (ge >> (FIELD_BITS - 1))  # the low bits of those fields
+    return b ^ ((a ^ b) & mask)
+
+
+def normal_form(work, divisors, guard, scale=None):
+    """Full normal form of an integer polynomial modulo a divisor list.
+
+    `work` is a nonempty map from packed exponents to nonzero ints whose gcd
+    is 1; it is consumed.  `guard` is the guard mask of its exponents.  Each
+    divisor is a primitive integer triple (lead, lead_coeff, tail): lead
+    packed, lead_coeff > 0, tail the remaining (packed exponent, coeff)
+    pairs.  The first divisor whose lead divides the leading work term
+    reduces it: the work terms are multiplied by lead_coeff / gcd(c, lead_coeff)
+    and c / gcd(c, lead_coeff) times the shifted tail is subtracted.  Terms
+    no lead divides move to the remainder, which is scaled with the work
+    terms.  After each step the content of the work and remainder terms
+    together is divided out.
+
+    Returns the remainder, a primitive integer polynomial, in decreasing
+    term order: a positive multiple of the normal form over Q, every term
+    reduced.  When `scale` is a list [num, den], num is multiplied by every
+    factor the terms are multiplied by and den by every content divided out,
+    so on return the remainder is num / den times the normal form of the
+    input.  A shifted exponent that overflows a field raises CapExceeded.
     """
-    values = list(terms.values())
-    ints = primitive_part(values)
-    scale = ints[0] / values[0]
-    num, den = scale.numerator, scale.denominator
-    work = dict(zip(terms, ints))
     remainder = {}
     while work:
         exp = max(work)
         coeff = work.pop(exp)
-        for lead_exp, lead_coeff, tail in divisors:
-            if exp_divides(lead_exp, exp):
+        probe = exp | guard
+        for lead, lead_coeff, tail in divisors:
+            if (probe - lead) & guard == guard:
                 break
         else:
-            remainder[exp] = Fraction(coeff * den, num)
+            remainder[exp] = coeff
             continue
-        shift = exp_div(exp, lead_exp)
+        shift = exp - lead
         g = gcd(coeff, lead_coeff)
         mult = lead_coeff // g
         if mult > 1:
             work = {e: v * mult for e, v in work.items()}
-            g_den = gcd(mult, den)
-            num *= mult // g_den
-            den //= g_den
+            if remainder:
+                remainder = {e: v * mult for e, v in remainder.items()}
+            if scale:
+                scale[0] *= mult
         factor = coeff // g
         for texp, tcoeff in tail:
-            nexp = exp_mul(texp, shift)
+            nexp = texp + shift
+            if nexp & guard:
+                overflow()
             c = work.get(nexp, 0) - factor * tcoeff
             if c:
                 work[nexp] = c
             else:
                 del work[nexp]
         content = gcd(*work.values())
+        if content != 1 and remainder:
+            content = gcd(content, *remainder.values())
         if content > 1:
             work = {e: v // content for e, v in work.items()}
-            g_num = gcd(content, num)
-            num //= g_num
-            den *= content // g_num
+            remainder = {e: v // content for e, v in remainder.items()}
+            if scale:
+                scale[1] *= content
     return remainder

@@ -23,7 +23,13 @@ from axial.axet import (
 )
 from axial.decomp import decompose_joint, extension_space, generate_probes, partial_decomposition, sign_kernel
 from axial.fusion import Axis, FusionLaw, check_axis_verbose, derivation_space
-from axial.groebner import DEFAULT_CAPS, CapExceeded, POSITIVE_DIMENSIONAL, SolverCaps
+from axial.groebner import (
+    DEFAULT_CAPS,
+    POSITIVE_DIMENSIONAL,
+    CapExceeded,
+    NotZeroDimensional,
+    SolverCaps,
+)
 from axial.io import (
     AlgebraFileError,
     emit_algebra,
@@ -38,7 +44,7 @@ from axial.linalg import det, identity
 from axial.matsuo import double_axes_and_flip, matsuo_algebra
 from axial.search import SearchConfig, axes_from_idempotents, naive_idempotents, nuanced_axes
 
-USAGE_ERROR, CAP_ERROR, VALIDATION_ERROR = 2, 3, 4
+USAGE_ERROR, CAP_ERROR, VALIDATION_ERROR, SOLVER_ERROR = 2, 3, 4, 5
 
 
 class Report:
@@ -518,6 +524,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         report.note(f"cap exceeded: {exc}")
         code = CAP_ERROR
+    except NotZeroDimensional as exc:
+        report.note(f"solver error: {exc}")
+        code = SOLVER_ERROR
     except (AlgebraFileError, AlgebraError, ValueError, OSError) as exc:
         report.note(f"error: {exc}")
         code = VALIDATION_ERROR

@@ -14,18 +14,28 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from sympy import factorint
 
 from axial._backend import kernels
 from axial.linalg import Vec, combination, kernel as matrix_kernel, mat
-from axial.mpoly import Exponent, MPoly
+from axial.mpoly import MPoly
 from axial.univariate import irreducible_factors, primitive_part
 
 
 class CapExceeded(Exception):
     """A configured resource cap was hit; the result would be incomplete."""
+
+
+class NotZeroDimensional(Exception):
+    """Point extraction met a branch whose ideal is not zero-dimensional.
+
+    `enumerate_points` trusts the leading-term test on the basis it is
+    given; when that basis is not a Groebner basis, a branch can pass the
+    test and still have no eliminant to factor.
+    """
 
 
 @dataclass(frozen=True)
@@ -69,145 +79,181 @@ class SolveResult:
         return self.status == FINITE and not self.eliminant_factors
 
 
-def _divisor(g: MPoly) -> tuple[Exponent, int, list]:
-    """The (lead_exp, lead_coeff, tail) triple `kernels.normal_form` divides by.
+def _pack(p: MPoly) -> dict[int, int]:
+    """The terms of p keyed by packed exponents, scaled by `primitive_part`."""
+    return dict(zip(map(kernels.pack, p.terms), primitive_part(list(p.terms.values()))))
 
-    Scaling g by a nonzero rational leaves every normal form modulo it
-    unchanged, so the kernel gets g as the coprime integers of
-    `primitive_part`, negated when needed to make the lead coefficient
-    positive, and reduces fraction-free.
+
+def _divisor(terms: dict[int, int]) -> tuple[int, int, list[tuple[int, int]]]:
+    """The (lead, lead_coeff, tail) triple of a primitive integer polynomial.
+
+    `terms` maps packed exponents to coprime ints; the triple holds the same
+    terms, negated when needed so that lead_coeff > 0.  `buchberger` keeps
+    each basis element as this triple, from its entry into the basis to the
+    final autoreduction, and `kernels.normal_form` divides by it.
     """
-    lead_exp = max(g.terms)
-    tail_exps = [e for e in g.terms if e != lead_exp]
-    ints = primitive_part([g.terms[lead_exp]] + [g.terms[e] for e in tail_exps])
-    if ints[0] < 0:
-        ints = [-v for v in ints]
-    return lead_exp, ints[0], list(zip(tail_exps, ints[1:]))
+    lead = max(terms)
+    sign = -1 if terms[lead] < 0 else 1
+    return lead, sign * terms[lead], [(e, sign * c) for e, c in terms.items() if e != lead]
 
 
-def _reduce(p: MPoly, divisors: Sequence[tuple]) -> MPoly:
-    if not p.terms or not divisors:
-        return p
-    return MPoly(p.nvars, kernels.normal_form(p.terms, divisors), _clean=False)
+def _reduce(work: dict[int, int], divisors: Sequence[tuple], guard: int) -> dict[int, int]:
+    if not work or not divisors:
+        return work
+    return kernels.normal_form(work, divisors, guard)
+
+
+def _s_pair(f: tuple, g: tuple, guard: int) -> tuple[dict[int, int], int]:
+    """The S-polynomial of two divisor triples as a primitive integer polynomial.
+
+    With L = lcm of the leads, h = gcd(cf, cg) and shift_f = L / lead_f,
+    the leading terms of (cg / h) shift_f f and (cf / h) shift_g g cancel, so
+    their difference is taken over the tails in one dict.  Returns it
+    divided by its content, and that content.
+    """
+    ef, cf, tail_f = f
+    eg, cg, tail_g = g
+    shift_f = kernels.lcm(ef, eg, guard) - ef
+    shift_g = shift_f + ef - eg
+    h = gcd(cf, cg)
+    mf, mg = cg // h, cf // h
+    out = {}
+    for e, c in tail_f:
+        out[e + shift_f] = mf * c
+    for e, c in tail_g:
+        key = e + shift_g
+        s = out.get(key, 0) - mg * c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    if any(e & guard for e in out):
+        kernels.overflow()
+    content = gcd(*out.values())
+    if content > 1:
+        out = {e: c // content for e, c in out.items()}
+    return out, content
 
 
 def normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
-    """Fully reduce p modulo the basis (every term of the result is reduced)."""
-    return _reduce(p, [_divisor(g) for g in basis if g])
+    """Fully reduce p modulo the basis (every term of the result is reduced).
+
+    Packs p and the basis, reduces with `kernels.normal_form` and carries
+    the kernel's scale back, so the result is the exact normal form over Q.
+    """
+    divisors = [_divisor(_pack(g)) for g in basis if g]
+    if not p or not divisors:
+        return p
+    work = _pack(p)
+    start = next(iter(work.values())) / next(iter(p.terms.values()))
+    scale = [start.numerator, start.denominator]
+    r = kernels.normal_form(work, divisors, kernels.guard_mask(p.nvars), scale)
+    num, den = scale
+    return MPoly(
+        p.nvars,
+        {kernels.unpack(e, p.nvars): Fraction(c * den, num) for e, c in r.items()},
+        _clean=False,
+    )
 
 
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     """lcm/lt(f) * f - lcm/lt(g) * g, with lcm the LCM of the two leads.
 
-    Both shifted polynomials are accumulated in one dict.  Coefficients are
-    divided by their lead coefficient only when it is not 1, so the monic
-    elements `buchberger` keeps need no multiplication or division.
+    Computed by the integer pair step `buchberger` uses on its basis
+    triples; the result is scaled back to the exact rational S-polynomial.
     """
-    ef, cf = f.lead()
-    eg, cg = g.lead()
-    lcm = _lcm_exp(ef, eg)
-    shift_f = kernels.exp_div(lcm, ef)
-    shift_g = kernels.exp_div(lcm, eg)
-    out = {
-        kernels.exp_mul(e, shift_f): c if cf == 1 else c / cf for e, c in f.terms.items()
-    }
-    for e, c in g.terms.items():
-        key = kernels.exp_mul(e, shift_g)
-        s = out.get(key, 0) - (c if cg == 1 else c / cg)
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return MPoly(f.nvars, out, _clean=False)
-
-
-def _lcm_exp(e1: Exponent, e2: Exponent) -> Exponent:
-    return tuple(max(a, b) for a, b in zip(e1, e2))
-
-
-def _is_product(e1: Exponent, e2: Exponent) -> bool:
-    return all(min(a, b) == 0 for a, b in zip(e1, e2))
+    df, dg = _divisor(_pack(f)), _divisor(_pack(g))
+    terms, content = _s_pair(df, dg, kernels.guard_mask(f.nvars))
+    scale = Fraction(content * gcd(df[1], dg[1]), df[1] * dg[1])  # content / lcm(cf, cg)
+    return MPoly(
+        f.nvars, {kernels.unpack(e, f.nvars): c * scale for e, c in terms.items()}, _clean=False
+    )
 
 
 def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[MPoly]:
     """Reduced lexicographic Groebner basis of the ideal the generators span.
 
-    Pending pairs wait in a heap ordered by the degree of their LCM, then the
-    LCM itself.  Each new basis element passes through the Gebauer-Moeller
+    The generators are packed once (see `axial._kernels_py`): every basis
+    element is a primitive integer `_divisor` triple keyed by packed
+    exponents, from the reduction of the generators to the autoreduction,
+    which divides each returned element by its lead coefficient.  Pending
+    pairs wait in a heap ordered by the degree of their LCM, then the LCM
+    itself.  Each new basis element passes through the Gebauer-Moeller
     update (Buchberger's product and chain criteria), so only pairs the
     criteria cannot discard are reduced.
 
     Raises CapExceeded instead of returning a silently truncated basis when a
-    resource limit is hit.
+    resource limit is hit, an exponent overflow included.
     """
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("empty generator list")
     nvars = gens[0].nvars
-    basis: list[MPoly] = []
-    divisors: list[tuple[Exponent, int, list]] = []  # one per element, in basis order
-    leads: list[Exponent] = []
-    queue: list[tuple[int, Exponent, int, int]] = []  # (degree of lcm, lcm, i, j)
+    guard = kernels.guard_mask(nvars)
+    lcm_of = kernels.lcm
+    divisors: list[tuple[int, int, list]] = []  # the basis, in order
+    leads: list[int] = []
+    queue: list[tuple[int, int, int, int]] = []  # (degree of lcm, lcm, i, j)
 
-    def add(g: MPoly) -> None:
-        new = len(basis)
-        divisor = _divisor(g)
+    def add(divisor: tuple) -> None:
+        new = len(divisors)
         eh = divisor[0]
-        basis.append(g)
         divisors.append(divisor)
         leads.append(eh)
         # Chain criterion among the new pairs (k, new): drop a pair when
-        # another pending or kept new pair's LCM divides its LCM.  Pairs with
-        # coprime leads stay as witnesses here and are dropped below.
-        candidates = [(_lcm_exp(leads[k], eh), k) for k in range(new)]
-        kept: list[tuple[Exponent, int]] = []
-        for idx, (lcm, k) in enumerate(candidates):
-            if _is_product(leads[k], eh) or not any(
-                kernels.exp_divides(other, lcm)
+        # another pending or kept new pair's LCM divides its LCM (the packed
+        # divisibility test, inline).  Pairs with coprime leads
+        # (lcm == product) stay as witnesses here and are dropped below.
+        candidates = [(lcm_of(leads[k], eh, guard), k) for k in range(new)]
+        kept: list[tuple[int, int]] = []
+        for idx, (pair_lcm, k) in enumerate(candidates):
+            probe = pair_lcm | guard
+            if pair_lcm == leads[k] + eh or not any(
+                (probe - other) & guard == guard
                 for other, _ in itertools.chain(candidates[idx + 1 :], kept)
             ):
-                kept.append((lcm, k))
+                kept.append((pair_lcm, k))
         # An old pair (i, j) is redundant when the new lead divides its LCM
         # and that LCM equals neither lcm(i, new) nor lcm(j, new).
         queue[:] = [
             entry
             for entry in queue
-            if not kernels.exp_divides(eh, entry[1])
-            or _lcm_exp(leads[entry[2]], eh) == entry[1]
-            or _lcm_exp(leads[entry[3]], eh) == entry[1]
+            if ((entry[1] | guard) - eh) & guard != guard
+            or lcm_of(leads[entry[2]], eh, guard) == entry[1]
+            or lcm_of(leads[entry[3]], eh, guard) == entry[1]
         ]
         heapq.heapify(queue)
-        for lcm, k in kept:
-            if not _is_product(leads[k], eh):  # product criterion
-                heapq.heappush(queue, (sum(lcm), lcm, k, new))
+        for pair_lcm, k in kept:
+            if pair_lcm != leads[k] + eh:  # product criterion
+                heapq.heappush(queue, (kernels.degree(pair_lcm), pair_lcm, k, new))
 
     for g in gens:
-        r = _reduce(g, divisors)
+        r = _reduce(_pack(g), divisors, guard)
         if r:
-            add(r.monic())
+            add(_divisor(r))
     reduced_pairs = 0
     while queue:
         _, _, i, j = heapq.heappop(queue)
         reduced_pairs += 1
         if reduced_pairs > caps.max_pairs:
             raise CapExceeded(f"pair limit {caps.max_pairs} exceeded")
-        r = _reduce(s_polynomial(basis[i], basis[j]), divisors)
+        r = _reduce(_s_pair(divisors[i], divisors[j], guard)[0], divisors, guard)
         if not r:
             continue
-        if r.total_degree() > caps.max_degree:
+        if max(map(kernels.degree, r)) > caps.max_degree:
             raise CapExceeded(f"degree limit {caps.max_degree} exceeded")
-        if len(basis) >= caps.max_basis:
+        if len(divisors) >= caps.max_basis:
             raise CapExceeded(f"basis size limit {caps.max_basis} exceeded")
-        add(r.monic())
-    return _autoreduce(basis, nvars)
+        add(_divisor(r))
+    return _autoreduce(divisors, nvars, guard)
 
 
-def _autoreduce(basis: list[MPoly], nvars: int) -> list[MPoly]:
-    # Minimal basis: drop generators whose lead is divisible by another lead.
-    basis = sorted((g for g in basis if g), key=lambda g: g.lead()[0])
-    leads = [g.lead()[0] for g in basis]
+def _autoreduce(basis: list[tuple], nvars: int, guard: int) -> list[MPoly]:
+    # Minimal basis: drop elements whose lead is divisible by another lead.
+    basis = sorted(basis, key=lambda d: d[0])
+    leads = [d[0] for d in basis]
     minimal = []
-    for idx, (g, eg) in enumerate(zip(basis, leads)):
+    for idx, (d, eg) in enumerate(zip(basis, leads)):
         divisible = False
         for jdx, eh in enumerate(leads):
             if jdx == idx:
@@ -215,18 +261,27 @@ def _autoreduce(basis: list[MPoly], nvars: int) -> list[MPoly]:
             if eh == eg and jdx < idx:
                 divisible = True
                 break
-            if eh != eg and kernels.exp_divides(eh, eg):
+            if eh != eg and kernels.divides(eh, eg, guard):
                 divisible = True
                 break
         if not divisible:
-            minimal.append(g)
-    # Reduced basis: each element fully reduced against the others, monic.
-    divisors = [_divisor(g) for g in minimal]
+            minimal.append(d)
+    # Reduced basis: each element fully reduced against the others, then
+    # divided by its lead coefficient, the basis's one division.
     reduced = []
-    for idx, g in enumerate(minimal):
-        r = _reduce(g, divisors[:idx] + divisors[idx + 1 :])
+    for idx, (lead, lead_coeff, tail) in enumerate(minimal):
+        work = {lead: lead_coeff}
+        work.update(tail)
+        r = _reduce(work, minimal[:idx] + minimal[idx + 1 :], guard)
         if r:
-            reduced.append(r.monic())
+            top = r[max(r)]
+            reduced.append(
+                MPoly(
+                    nvars,
+                    {kernels.unpack(e, nvars): Fraction(c, top) for e, c in r.items()},
+                    _clean=False,
+                )
+            )
     reduced.sort(key=lambda g: g.lead()[0], reverse=True)
     if not reduced:
         return [MPoly.zero(nvars)]
@@ -236,9 +291,12 @@ def _autoreduce(basis: list[MPoly], nvars: int) -> list[MPoly]:
 def is_groebner_basis(basis: Sequence[MPoly]) -> bool:
     """Directly checkable certificate: every S-polynomial reduces to zero."""
     nonzero = [g for g in basis if g]
-    divisors = [_divisor(g) for g in nonzero]
-    for f, g in itertools.combinations(nonzero, 2):
-        if _reduce(s_polynomial(f, g), divisors):
+    if not nonzero:
+        return True
+    guard = kernels.guard_mask(nonzero[0].nvars)
+    divisors = [_divisor(_pack(g)) for g in nonzero]
+    for f, g in itertools.combinations(divisors, 2):
+        if _reduce(_s_pair(f, g, guard)[0], divisors, guard):
             return False
     return True
 
@@ -308,11 +366,11 @@ def _extract(gens, active, fixed, points, factors, caps):
         return
     if not gb or all(not g for g in gb):
         # Zero ideal on the remaining variables: positive-dimensional section.
-        raise CapExceeded("unexpected positive-dimensional branch")
+        raise NotZeroDimensional("unexpected positive-dimensional branch")
     last = active[-1]
     univariate = [g for g in gb if g.variables_used() <= {last}]
     if not univariate:
-        raise CapExceeded("no eliminant found; branch not zero-dimensional")
+        raise NotZeroDimensional("no eliminant found; branch not zero-dimensional")
     elim = min(univariate, key=lambda g: g.lead()[0])
     coeffs = elim.univariate_coeffs(last)
     for factor, _mult in irreducible_factors(coeffs):
@@ -426,6 +484,7 @@ def content_primes(value: Fraction) -> list[int]:
 
 __all__ = [
     "CapExceeded",
+    "NotZeroDimensional",
     "SolverCaps",
     "DEFAULT_CAPS",
     "SolveResult",

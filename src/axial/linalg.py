@@ -214,6 +214,17 @@ class Subspace:
         self.ambient = ambient
         self._nonzero: Optional[tuple[tuple[tuple[int, Fraction], ...], ...]] = None
 
+    @classmethod
+    def _canonical(cls, ambient: int, basis: Sequence[Vec], pivots: Sequence[int]) -> "Subspace":
+        """The subspace of a basis already in canonical (RREF) form, with its
+        pivot columns; nothing is row-reduced again."""
+        space = cls.__new__(cls)
+        space.ambient = ambient
+        space.basis = tuple(basis)
+        space.pivots = tuple(pivots)
+        space._nonzero = None
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -266,12 +277,21 @@ def full_space(n: int) -> Subspace:
 
 
 def kernel(m: Mat) -> Subspace:
-    """Canonical basis of the right null space {v | m v = 0}."""
+    """Canonical basis of the right null space {v | m v = 0}, from one RREF.
+
+    m is row-reduced with its columns reversed, so its pivots are taken from
+    the last column backwards.  The null vector of each free column f is then
+    1 at f, 0 at every other free column and nonzero only at pivot columns
+    after f: read off in increasing f, these vectors are already the
+    canonical basis, with the free columns as its pivots.
+    """
     ncols = len(m[0]) if m else 0
     if not m:
         return full_space(ncols)
-    reduced, rk, pivots = rref(m)
-    return Subspace(ncols, _null_basis(reduced, pivots, ncols))
+    reduced, _, pivots = rref(tuple(row[::-1] for row in m))
+    basis = [v[::-1] for v in reversed(_null_basis(reduced, pivots, ncols))]
+    free = [f for f in range(ncols) if ncols - 1 - f not in pivots]
+    return Subspace._canonical(ncols, basis, free)
 
 
 SparseVec = dict[int, Fraction]

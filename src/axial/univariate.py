@@ -3,8 +3,9 @@
 `primitive_part` is the package's one rational-to-integer scaling: every
 site that clears denominators and common content calls it.
 
-Factorization of integer polynomials is delegated to sympy; everything built
-on top of it (root extraction, eliminant certificates) stays exact.
+Factorization of integer polynomials is delegated to sympy's dense
+univariate factoring over ZZ; everything built on top of it (root
+extraction, eliminant certificates) stays exact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 IntPoly = tuple[int, ...]  # coefficients, lowest degree first
 
@@ -44,11 +46,6 @@ def primitive_integer(coeffs) -> IntPoly:
     return tuple(ints)
 
 
-def _to_sympy(ints: IntPoly):
-    x = sympy.Symbol("x")
-    return sympy.Poly(list(reversed(ints)), x)
-
-
 def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
     """Irreducible factors over Z of the primitive part, with multiplicities.
 
@@ -58,10 +55,11 @@ def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
     ints = primitive_integer(coeffs)
     if len(ints) == 1:
         return []
-    _, factors = _to_sympy(ints).factor_list()
+    # dup_factor_list takes and returns coefficients highest degree first
+    _, factors = dup_factor_list([ZZ(c) for c in reversed(ints)], ZZ)
     out = []
-    for poly, mult in factors:
-        fc = tuple(int(c) for c in reversed(poly.all_coeffs()))
+    for factor, mult in factors:
+        fc = tuple(int(c) for c in reversed(factor))
         if len(fc) > 1:
             out.append((fc, int(mult)))
     out.sort(key=lambda item: (len(item[0]), item[0]))

@@ -522,10 +522,17 @@ def reference_buchberger(gens, caps=None):
     least (degree, LCM) on each step, and only the product criterion prunes.
     Reduction runs through `reference_normal_form` and
     `reference_s_polynomial`, so the package's fraction-free kernel is
-    checked too; only the polynomial type, the caps and the LCM helpers are
-    the package's.
+    checked too; only the polynomial type and the caps are the package's.
+    The monomial helpers are exponent tuples, independent of the package's
+    packed exponents.
     """
-    from axial.groebner import DEFAULT_CAPS, CapExceeded, _is_product, _lcm_exp
+    from axial.groebner import DEFAULT_CAPS, CapExceeded
+
+    def lcm_exp(e1, e2):
+        return tuple(max(a, b) for a, b in zip(e1, e2))
+
+    def is_product(e1, e2):
+        return all(min(a, b) == 0 for a, b in zip(e1, e2))
 
     caps = caps or DEFAULT_CAPS
     gens = [g for g in gens if g]
@@ -546,13 +553,13 @@ def reference_buchberger(gens, caps=None):
     while pairs:
         i, j = min(
             pairs,
-            key=lambda p: (sum(_lcm_exp(lead(p[0]), lead(p[1]))), _lcm_exp(lead(p[0]), lead(p[1]))),
+            key=lambda p: (sum(lcm_exp(lead(p[0]), lead(p[1]))), lcm_exp(lead(p[0]), lead(p[1]))),
         )
         pairs.discard((i, j))
         processed += 1
         if processed > caps.max_pairs:
             raise CapExceeded(f"pair limit {caps.max_pairs} exceeded")
-        if _is_product(lead(i), lead(j)):
+        if is_product(lead(i), lead(j)):
             continue
         r = reference_normal_form(reference_s_polynomial(basis[i], basis[j]), basis)
         if not r:

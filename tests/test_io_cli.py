@@ -327,6 +327,19 @@ def test_cli_closure_cap_exits_as_a_cap(tmp_path, monkeypatch, capsys):
     assert "cap exceeded: axis closure exceeded cap 2" in capsys.readouterr().out.splitlines()
 
 
+def test_cli_reports_a_branch_that_is_not_zero_dimensional(monkeypatch, capsys):
+    import axial.cli
+    from axial.groebner import NotZeroDimensional
+
+    def failing_search(*args, **kwargs):
+        raise NotZeroDimensional("no eliminant found; branch not zero-dimensional")
+
+    monkeypatch.setattr(axial.cli, "naive_idempotents", failing_search)
+    assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--length", "1"]) == 5
+    out = capsys.readouterr().out.splitlines()
+    assert "solver error: no eliminant found; branch not zero-dimensional" in out
+
+
 @pytest.mark.parametrize("spec", ["pair=1", "pairs", "pairs=x"])
 def test_cli_rejects_bad_caps_as_usage_error(spec, capsys):
     assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--caps", spec]) == 2

@@ -1,15 +1,18 @@
 """Properties of the hot kernels: RREF output is reduced and equals sympy's,
-primitive parts are coprime multiples, normal forms are irreducible and equal
-the Fraction-arithmetic reference, as do S-polynomials."""
+primitive parts are coprime multiples, packed exponents agree with exponent
+tuples, normal forms are irreducible and equal the Fraction-arithmetic
+reference, as do S-polynomials."""
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from axial import _kernels_py, groebner
+from axial.groebner import CapExceeded, buchberger
 from axial.mpoly import MPoly
 from axial.univariate import primitive_part
 from oracles import reference_normal_form, reference_s_polynomial
@@ -90,23 +93,32 @@ def test_primitive_part_is_a_coprime_positive_multiple(values):
 def test_divisor_is_primitive_with_positive_lead(instance):
     _, basis = instance
     for g in basis:
-        lead, lead_coeff, tail = groebner._divisor(g)
-        assert lead == g.lead()[0] and lead_coeff > 0
+        lead, lead_coeff, tail = groebner._divisor(groebner._pack(g))
+        assert lead == _kernels_py.pack(g.lead()[0]) and lead_coeff > 0
         assert gcd(lead_coeff, *(c for _, c in tail)) == 1
+        assert all(type(c) is int for _, c in tail)
         ratio = Fraction(lead_coeff) / g.lead()[1]
-        assert dict(tail) == {e: c * ratio for e, c in g.terms.items() if e != lead}
+        want = {_kernels_py.pack(e): c * ratio for e, c in g.terms.items() if e != g.lead()[0]}
+        assert dict(tail) == want
+
+
+def kernel_inputs(target, basis):
+    divisors = [groebner._divisor(groebner._pack(g)) for g in basis]
+    return groebner._pack(target), divisors, _kernels_py.guard_mask(target.nvars)
 
 
 @settings(max_examples=100, deadline=None)
 @given(reduction_instances())
 def test_normal_form_terms_are_irreducible(instance):
     target, basis = instance
-    divisors = [groebner._divisor(g) for g in basis]
-    result = _kernels_py.normal_form(dict(target.terms), divisors)
+    work, divisors, guard = kernel_inputs(target, basis)
+    result = _kernels_py.normal_form(work, divisors, guard)
+    assert list(result) == sorted(result, reverse=True)
+    assert not result or gcd(*result.values()) == 1
     for exp, coeff in result.items():
-        assert coeff != 0
+        assert type(coeff) is int and coeff != 0
         for lead, _, _ in divisors:
-            assert not _kernels_py.exp_divides(lead, exp)
+            assert not _kernels_py.divides(lead, exp, guard)
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,11 +126,15 @@ def test_normal_form_terms_are_irreducible(instance):
 def test_normal_form_matches_reference(instance):
     target, basis = instance
     want = reference_normal_form(target, basis)
-    divisors = [groebner._divisor(g) for g in basis]
-    result = _kernels_py.normal_form(dict(target.terms), divisors)
-    # same Fractions, emitted in the same order
-    assert list(result.items()) == list(want.terms.items())
-    assert all(type(c) is Fraction for c in result.values())
+    work, divisors, guard = kernel_inputs(target, basis)
+    start = next(iter(work.values())) / next(iter(target.terms.values()))
+    scale = [start.numerator, start.denominator]
+    result = _kernels_py.normal_form(work, divisors, guard, scale)
+    # the integer remainder is num / den times the normal form over Q, term
+    # by term and in the same order
+    num, den = scale
+    exact = [(_kernels_py.unpack(e, target.nvars), Fraction(c * den, num)) for e, c in result.items()]
+    assert exact == list(want.terms.items())
     assert groebner.normal_form(target, basis) == want
 
 
@@ -131,6 +147,67 @@ def test_s_polynomial_matches_reference(instance):
             assert groebner.s_polynomial(f, g) == reference_s_polynomial(f, g)
             monic = (f.monic(), g.monic())
             assert groebner.s_polynomial(*monic) == reference_s_polynomial(*monic)
+
+
+@st.composite
+def exponent_pairs(draw):
+    nvars = draw(st.integers(1, 4))
+    # small exponents make equal fields common; the limit is reachable
+    field = st.one_of(st.integers(0, 3), st.integers(0, _kernels_py.exponent_limit()))
+    exps = st.tuples(*[field for _ in range(nvars)])
+    return nvars, draw(exps), draw(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_pairs())
+def test_packed_exponents_agree_with_tuples(instance):
+    nvars, a, b = instance
+    pa, pb = _kernels_py.pack(a), _kernels_py.pack(b)
+    guard = _kernels_py.guard_mask(nvars)
+    assert _kernels_py.unpack(pa, nvars) == a and _kernels_py.unpack(pb, nvars) == b
+    assert (pa < pb) == (a < b) and (pa == pb) == (a == b)
+    assert not pa & guard
+    assert _kernels_py.degree(pa) == sum(a)
+    assert _kernels_py.divides(pa, pb, guard) == all(x <= y for x, y in zip(a, b))
+    lcm = _kernels_py.lcm(pa, pb, guard)
+    assert _kernels_py.unpack(lcm, nvars) == tuple(max(x, y) for x, y in zip(a, b))
+    coprime = all(min(x, y) == 0 for x, y in zip(a, b))
+    assert (lcm == pa + pb) == coprime
+    if _kernels_py.divides(pa, pb, guard):
+        assert _kernels_py.unpack(pb - pa, nvars) == tuple(y - x for x, y in zip(a, b))
+    product = pa + pb
+    if all(x + y <= _kernels_py.exponent_limit() for x, y in zip(a, b)):
+        assert _kernels_py.unpack(product, nvars) == tuple(x + y for x, y in zip(a, b))
+    else:
+        assert product & guard  # an overflowing field sets its guard bit
+
+
+def test_exponent_overflow_is_a_cap(monkeypatch):
+    # With 4-bit fields each exponent is at most 7.  x^7 = y, x^3 y = 1
+    # gives the reduced basis [x - y^3, y^10 - 1], whose y^10 outgrows a
+    # field: buchberger stops instead of wrapping into the next field.
+    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
+    gens = [x**7 - y, x**3 * y - 1]
+    assert buchberger(gens) == [x - y**3, y**10 - 1]
+    monkeypatch.setattr(_kernels_py, "FIELD_BITS", 4)
+    with pytest.raises(CapExceeded, match="exponent limit 7"):
+        buchberger(gens)
+    with pytest.raises(CapExceeded, match="exponent limit 7"):
+        buchberger([x**8 - y])
+
+
+def test_normal_form_and_s_polynomial_refuse_an_overflowing_shift():
+    # y^limit times y leaves its field: the reduction step shifting the tail
+    # of x - y^limit by y, and the S-pair of x - y^limit and y, both raise.
+    limit = _kernels_py.exponent_limit()
+    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
+    f = x - MPoly.var(2, 1, limit)
+    with pytest.raises(CapExceeded, match=f"exponent limit {limit}"):
+        groebner.normal_form(x * y, [f])
+    with pytest.raises(CapExceeded, match=f"exponent limit {limit}"):
+        groebner.s_polynomial(f, y)
+    with pytest.raises(CapExceeded, match=f"exponent limit {limit}"):
+        groebner.normal_form(MPoly.var(2, 1, limit + 1), [f])
 
 
 def test_backend_reports_something():

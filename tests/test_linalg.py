@@ -3,9 +3,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from axial._backend import kernels
 from axial.linalg import (
     MODULUS,
     Subspace,
+    _null_basis,
     char_poly,
     combination,
     det,
@@ -107,6 +109,42 @@ def test_rank_nullity(rows):
     m = mat(rows)
     _, rank, _ = rref(m)
     assert kernel(m).dim + rank == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.just(F(0)), fractions), min_size=n, max_size=n),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_kernel_is_the_canonical_null_basis(rows):
+    # kernel reads the canonical basis off one RREF of the column-reversed
+    # matrix; the second RREF it replaced gives the same basis and pivots.
+    m = mat(rows)
+    reduced, _, pivots = rref(m)
+    want = Subspace(len(m[0]), _null_basis(reduced, pivots, len(m[0])))
+    got = kernel(m)
+    assert got == want and got.pivots == want.pivots
+
+
+def test_eigenspace_runs_one_rref(monkeypatch):
+    alg = matsuo_algebra(symmetric_transpositions(4), F(1, 4))
+    m = alg.ad_matrix(unit_vec(alg.dim, 0))
+    calls = []
+    original = kernels.rref
+
+    def counting(rows):
+        calls.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(kernels, "rref", counting)
+    dims = [eigenspace(m, lam).dim for lam in (F(1), F(0), F(1, 4), F(1, 2))]
+    assert dims == [1, 3, 2, 0]
+    assert len(calls) == 4
 
 
 def test_solve_and_det():

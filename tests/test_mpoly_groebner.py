@@ -9,6 +9,7 @@ from axial.groebner import (
     CapExceeded,
     NEEDS_EXTENSION,
     POSITIVE_DIMENSIONAL,
+    NotZeroDimensional,
     SolverCaps,
     buchberger,
     certify_no_common_root,
@@ -279,12 +280,13 @@ def test_buchberger_matches_reference_on_triple_2b(triple_2b, dim):
 
 
 def test_buchberger_s_polynomial_count(triple_2b, monkeypatch):
-    # Work counters: the numbers of S-polynomials and of normal forms for the
+    # Work counters: the numbers of S-pairs and of normal forms for the
     # idempotent system of triple2b on e1..e5 are deterministic, so they are
     # pinned exactly.  The all-pairs loop without the chain criterion reduced
     # 37 S-polynomials; 28 normal forms is the count of the Fraction-arithmetic
-    # kernel, so the fraction-free one made no other reduction decision.
-    calls = {"s_polynomial": 0, "normal_form": 0}
+    # kernel, so the integer one on packed exponents made no other reduction
+    # decision.
+    calls = {"_s_pair": 0, "normal_form": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -295,11 +297,29 @@ def test_buchberger_s_polynomial_count(triple_2b, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(groebner, "s_polynomial")
+    counting(groebner, "_s_pair")
     counting(groebner.kernels, "normal_form")
     gens = idempotent_system(triple_2b, [unit_vec(7, i) for i in range(5)])
     buchberger(gens)
-    assert calls == {"s_polynomial": 16, "normal_form": 28}
+    assert calls == {"_s_pair": 16, "normal_form": 28}
+
+
+def test_buchberger_keeps_the_basis_integer(triple_2b, monkeypatch):
+    # Basis elements stay primitive integer polynomials on packed exponents;
+    # only the autoreduction divides by a lead, without MPoly arithmetic.
+    gens = idempotent_system(triple_2b, [unit_vec(7, i) for i in range(5)])
+    calls = []
+    for name in ("monic", "scale"):
+        original = getattr(MPoly, name)
+
+        def wrapper(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(MPoly, name, wrapper)
+    basis = buchberger(gens)
+    assert calls == []
+    assert all(g.lead()[1] == 1 for g in basis)
 
 
 def test_spoly_of_coprime_leads_reduces():
@@ -343,6 +363,16 @@ def test_enumerate_mixed_branches():
     assert res.status == NEEDS_EXTENSION
     assert res.points == [(F(3),)]
     assert res.eliminant_factors == [(-2, 0, 1)]
+
+
+def test_a_branch_without_an_eliminant_is_not_a_cap():
+    # enumerate_points hands the extraction only bases that pass the
+    # leading-term test, so the branch goes to it directly: x0 = x1 has no
+    # eliminant in x1.  That is a wrong assumption about the input, not a hit
+    # resource limit.
+    x0, x1 = xvar(2, 0), xvar(2, 1)
+    with pytest.raises(NotZeroDimensional, match="no eliminant found"):
+        groebner._extract([x0 - x1], [0, 1], {}, [], [], groebner.DEFAULT_CAPS)
 
 
 def test_points_satisfy_generators():

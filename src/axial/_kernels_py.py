@@ -151,7 +151,7 @@ def lcm(a, b, guard):
     return b ^ ((a ^ b) & mask)
 
 
-def normal_form(work, divisors, guard, scale=None):
+def normal_form(work, divisors, guard, scale=None, check=None):
     """Full normal form of an integer polynomial modulo a divisor list.
 
     `work` is a nonempty map from packed exponents to nonzero ints whose gcd
@@ -171,9 +171,13 @@ def normal_form(work, divisors, guard, scale=None):
     factor the terms are multiplied by and den by every content divided out,
     so on return the remainder is num / den times the normal form of the
     input.  A shifted exponent that overflows a field raises CapExceeded.
+    `check`, when given, is called before each step; `buchberger` passes one
+    that raises CapExceeded once its deadline has passed.
     """
     remainder = {}
     while work:
+        if check:
+            check()
         exp = max(work)
         coeff = work.pop(exp)
         probe = exp | guard

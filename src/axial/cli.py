@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -89,20 +90,33 @@ def _vector_str(v) -> str:
     return " ".join(format_rational(x) for x in v)
 
 
-_CAPS_FIELDS = {"basis": "max_basis", "degree": "max_degree", "pairs": "max_pairs"}
+_CAPS_FIELDS = {
+    "basis": ("max_basis", int),
+    "degree": ("max_degree", int),
+    "pairs": ("max_pairs", int),
+    "deadline": ("max_seconds", float),
+}
 
 
 def _parse_caps(spec: str) -> SolverCaps:
-    """The argparse type of `--caps`: comma-separated `key=int` entries."""
+    """The argparse type of `--caps`: comma-separated `key=value` entries.
+
+    `deadline` takes positive seconds, the others ints.
+    """
     values = {}
     for part in spec.split(","):
         key, _, raw = part.partition("=")
         try:
-            values[_CAPS_FIELDS[key.strip()]] = int(raw)
+            name, kind = _CAPS_FIELDS[key.strip()]
+            value = kind(raw)
+            if kind is float and not 0 < value < math.inf:
+                raise ValueError(raw)
         except (KeyError, ValueError):
             raise argparse.ArgumentTypeError(
-                f"bad caps entry {part!r}; expected basis=N, degree=N or pairs=N"
+                f"bad caps entry {part!r}; expected basis=N, degree=N, pairs=N "
+                "or deadline=SECONDS (positive)"
             ) from None
+        values[name] = value
     return SolverCaps(**values)
 
 
@@ -435,7 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_caps(p):
         p.add_argument(
-            "--caps", type=_parse_caps, default=DEFAULT_CAPS, help="solver caps, e.g. basis=512,pairs=1000"
+            "--caps",
+            type=_parse_caps,
+            default=DEFAULT_CAPS,
+            help="solver caps, e.g. basis=512,pairs=1000,deadline=30 "
+            "(deadline: seconds per Groebner basis computation)",
         )
 
     for name, handler, help_text in [

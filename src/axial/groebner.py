@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from time import monotonic
+from typing import Callable, Optional, Sequence
 
 from sympy import factorint
 
@@ -46,11 +47,16 @@ class SolverCaps:
     pairs the product and chain criteria discard do not count.  `max_degree`
     bounds the total degree of each element the pair loop adds, and
     `max_basis` the number of basis elements before autoreduction.
+    `max_seconds`, when set, bounds the wall time of each `buchberger` call:
+    the clock is read for each popped pair and before each reduction step
+    of the normal form, since one reduction can run for minutes.  Unset, no
+    clock is read.
     """
 
     max_basis: int = 512
     max_degree: int = 64
     max_pairs: int = 250_000
+    max_seconds: Optional[float] = None
 
 
 DEFAULT_CAPS = SolverCaps()
@@ -97,10 +103,25 @@ def _divisor(terms: dict[int, int]) -> tuple[int, int, list[tuple[int, int]]]:
     return lead, sign * terms[lead], [(e, sign * c) for e, c in terms.items() if e != lead]
 
 
-def _reduce(work: dict[int, int], divisors: Sequence[tuple], guard: int) -> dict[int, int]:
+def _reduce(
+    work: dict[int, int], divisors: Sequence[tuple], guard: int, check: Optional[Callable] = None
+) -> dict[int, int]:
     if not work or not divisors:
         return work
-    return kernels.normal_form(work, divisors, guard)
+    return kernels.normal_form(work, divisors, guard, None, check)
+
+
+def _deadline_check(caps: SolverCaps) -> Optional[Callable[[], None]]:
+    """A callable raising CapExceeded once caps.max_seconds have passed, or None."""
+    if caps.max_seconds is None:
+        return None
+    deadline = monotonic() + caps.max_seconds
+
+    def check() -> None:
+        if monotonic() > deadline:
+            raise CapExceeded(f"deadline of {caps.max_seconds} s exceeded")
+
+    return check
 
 
 def _s_pair(f: tuple, g: tuple, guard: int) -> tuple[dict[int, int], int]:
@@ -183,11 +204,12 @@ def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[M
     criteria cannot discard are reduced.
 
     Raises CapExceeded instead of returning a silently truncated basis when a
-    resource limit is hit, an exponent overflow included.
+    resource limit is hit, an exponent overflow and the deadline included.
     """
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("empty generator list")
+    check = _deadline_check(caps)
     nvars = gens[0].nvars
     guard = kernels.guard_mask(nvars)
     lcm_of = kernels.lcm
@@ -228,16 +250,18 @@ def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[M
                 heapq.heappush(queue, (kernels.degree(pair_lcm), pair_lcm, k, new))
 
     for g in gens:
-        r = _reduce(_pack(g), divisors, guard)
+        r = _reduce(_pack(g), divisors, guard, check)
         if r:
             add(_divisor(r))
     reduced_pairs = 0
     while queue:
         _, _, i, j = heapq.heappop(queue)
+        if check:
+            check()
         reduced_pairs += 1
         if reduced_pairs > caps.max_pairs:
             raise CapExceeded(f"pair limit {caps.max_pairs} exceeded")
-        r = _reduce(_s_pair(divisors[i], divisors[j], guard)[0], divisors, guard)
+        r = _reduce(_s_pair(divisors[i], divisors[j], guard)[0], divisors, guard, check)
         if not r:
             continue
         if max(map(kernels.degree, r)) > caps.max_degree:
@@ -245,10 +269,10 @@ def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[M
         if len(divisors) >= caps.max_basis:
             raise CapExceeded(f"basis size limit {caps.max_basis} exceeded")
         add(_divisor(r))
-    return _autoreduce(divisors, nvars, guard)
+    return _autoreduce(divisors, nvars, guard, check)
 
 
-def _autoreduce(basis: list[tuple], nvars: int, guard: int) -> list[MPoly]:
+def _autoreduce(basis: list[tuple], nvars: int, guard: int, check=None) -> list[MPoly]:
     # Minimal basis: drop elements whose lead is divisible by another lead.
     basis = sorted(basis, key=lambda d: d[0])
     leads = [d[0] for d in basis]
@@ -272,7 +296,7 @@ def _autoreduce(basis: list[tuple], nvars: int, guard: int) -> list[MPoly]:
     for idx, (lead, lead_coeff, tail) in enumerate(minimal):
         work = {lead: lead_coeff}
         work.update(tail)
-        r = _reduce(work, minimal[:idx] + minimal[idx + 1 :], guard)
+        r = _reduce(work, minimal[:idx] + minimal[idx + 1 :], guard, check)
         if r:
             top = r[max(r)]
             reduced.append(

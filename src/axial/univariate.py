@@ -3,9 +3,25 @@
 `primitive_part` is the package's one rational-to-integer scaling: every
 site that clears denominators and common content calls it.
 
-Factorization of integer polynomials is delegated to sympy's dense
-univariate factoring over ZZ; everything built on top of it (root
-extraction, eliminant certificates) stays exact.
+`irreducible_factors` answers the common shape of a lex eliminant, x^k
+times a squarefree polynomial with few rational roots and at most one
+nonlinear factor, with two classical exact tools:
+
+- rational roots by p-adic lifting (Loos 1983): the roots of the
+  squarefree part modulo a prime are Newton-lifted until they determine a
+  rational candidate, and each candidate is kept only when exact integer
+  evaluation confirms it;
+- the modular degree-pattern irreducibility test (Musser 1978): the
+  degrees of the irreducible factors modulo a prime bound the degrees a
+  factor over Z can have, and an empty intersection of those bounds over
+  a few primes proves the cofactor irreducible.
+
+The certificate has one direction.  An empty intersection is a proof;
+a nonempty one proves nothing, since a polynomial such as x^4 - 10x^2 + 1
+is irreducible over Z and reducible modulo every prime.  Every
+inconclusive case, and every input with no squarefree image among the
+first primes tried, is factored by sympy's dense Zassenhaus factoring over
+ZZ instead, so the result is the same factor list either way.
 """
 
 from __future__ import annotations
@@ -17,6 +33,17 @@ from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
 IntPoly = tuple[int, ...]  # coefficients, lowest degree first
+
+# Primes of the modular steps, in the order they are tried.  Small primes
+# keep root finding by evaluation cheap; 2 is left out because x^2 - x
+# vanishes on all of F_2, so few polynomials are squarefree there.
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+# Primes not dividing the leading coefficient tried for a squarefree image
+# before the input goes to the fallback (a non-squarefree input has none).
+SQUAREFREE_TRIES = 4
+# Squarefree images whose degree patterns are intersected before the
+# certificate gives up.
+PATTERN_PRIMES = 6
 
 
 def primitive_part(values) -> list[int]:
@@ -50,18 +77,33 @@ def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
     """Irreducible factors over Z of the primitive part, with multiplicities.
 
     Each factor is returned as primitive integer coefficients, lowest degree
-    first; the rational content is dropped.
+    first, with a positive leading coefficient; the rational content is
+    dropped.  The list is sorted by degree, then by coefficients.
+
+    x^k is split off first.  When the rest, g, is squarefree modulo one of
+    the first SQUAREFREE_TRIES primes of PRIMES that do not divide its
+    leading coefficient (which proves g squarefree over Q), its rational
+    roots are found by p-adic lifting and divided out.  The cofactor is
+    irreducible when its degree is at most 3 (it has no rational root
+    left), or when the degree patterns of up to PATTERN_PRIMES primes
+    leave no possible degree for a proper factor.  Otherwise the whole
+    input is factored by sympy's `dup_factor_list`: an inconclusive
+    pattern proves nothing.
     """
     ints = primitive_integer(coeffs)
     if len(ints) == 1:
         return []
-    # dup_factor_list takes and returns coefficients highest degree first
-    _, factors = dup_factor_list([ZZ(c) for c in reversed(ints)], ZZ)
-    out = []
-    for factor, mult in factors:
-        fc = tuple(int(c) for c in reversed(factor))
-        if len(fc) > 1:
-            out.append((fc, int(mult)))
+    k = next(i for i, c in enumerate(ints) if c)
+    g = list(ints[k:])
+    out = [((0, 1), k)] if k else []
+    if len(g) > 2:
+        split = _split_squarefree(g)
+        if split is None:
+            return _zassenhaus(ints)
+        roots, g = split
+        out += roots
+    if len(g) > 1:
+        out.append((tuple(g), 1))
     out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
 
@@ -74,3 +116,216 @@ def rational_roots(coeffs) -> dict[Fraction, int]:
             b, a = factor
             roots[Fraction(-b, a)] = mult
     return roots
+
+
+def _zassenhaus(ints: IntPoly) -> list[tuple[IntPoly, int]]:
+    """The factor list of a primitive polynomial by sympy's factoring over ZZ."""
+    # dup_factor_list takes and returns coefficients highest degree first
+    _, factors = dup_factor_list([ZZ(c) for c in reversed(ints)], ZZ)
+    out = []
+    for factor, mult in factors:
+        fc = tuple(int(c) for c in reversed(factor))
+        if len(fc) > 1:
+            out.append((fc, int(mult)))
+    out.sort(key=lambda item: (len(item[0]), item[0]))
+    return out
+
+
+def _split_squarefree(g: list[int]):
+    """The linear factors and the irreducible cofactor of g, or None.
+
+    g is primitive, of degree at least 2, with a positive leading
+    coefficient and a nonzero constant term.  Returns (linear factors, h)
+    when g is squarefree modulo one of the first primes tried and h, the
+    cofactor of g's rational roots, is certified irreducible or constant;
+    returns None when no such prime is found or the certificate is
+    inconclusive.
+    """
+    tried = 0
+    for p in PRIMES:
+        if g[-1] % p == 0:
+            continue
+        if tried == SQUAREFREE_TRIES:
+            return None
+        tried += 1
+        image = [c % p for c in g]
+        if _is_squarefree(image, p):
+            break
+    else:
+        return None
+    roots = []
+    for r in _roots_mod(image, p):
+        root = _rational_root(g, r, p)
+        if root is not None:
+            b, a = root
+            g = _divide_linear(g, a, b)
+            roots.append(((-b, a), 1))
+    if len(g) > 4 and not _pattern_certifies(g):
+        return None
+    return roots, g
+
+
+def _rational_root(g: list[int], r: int, p: int):
+    """The rational root of g lying over the simple root r mod p, or None.
+
+    Lifts r by Newton's iteration to q = p^m > 2|lc const|.  A rational root
+    b/a of g has a | lc and b | const, so lc·b/a is an integer of size at
+    most |lc const|, and it is the symmetric residue of lc·r mod q; the
+    candidate is returned as (b, a), a > 0, only when g(b/a) is exactly 0.
+    """
+    lc = g[-1]
+    bound = 2 * abs(lc * g[0])
+    deriv = [i * c for i, c in enumerate(g)][1:]
+    q = p
+    while q <= bound:
+        q *= q
+        r = (r - _eval(g, r) * pow(_eval(deriv, r), -1, q)) % q
+    s = lc * r % q
+    if 2 * s > q:
+        s -= q
+    d = gcd(s, lc)
+    b, a = s // d, lc // d
+    acc, apow = g[-1], 1
+    for c in reversed(g[:-1]):  # sum of g_i b^i a^(n-i), by Horner
+        apow *= a
+        acc = acc * b + c * apow
+    return (b, a) if acc == 0 else None
+
+
+def _eval(f: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _divide_linear(g: list[int], a: int, b: int) -> list[int]:
+    """The exact quotient of g by a x - b over Z, for a root b/a of g."""
+    quotient = [0] * (len(g) - 1)
+    carry = 0
+    for i in range(len(g) - 1, 0, -1):
+        quotient[i - 1] = (g[i] + carry) // a
+        carry = b * quotient[i - 1]
+    return quotient
+
+
+def _pattern_certifies(h: list[int]) -> bool:
+    """Whether degree patterns modulo primes prove h irreducible over Z.
+
+    h has degree n >= 4 and no rational root, so a proper factor over Z
+    has a degree in 2..n-2.  Modulo a prime not dividing the leading
+    coefficient, where h is squarefree, such a degree is a sum of some
+    factor degrees of the image.  Each pattern keeps only those sums; when
+    none remains, h is irreducible.  True is a proof, False proves nothing.
+    """
+    n = len(h) - 1
+    possible = set(range(2, n - 1))
+    used = 0
+    for p in PRIMES:
+        if h[-1] % p == 0:
+            continue
+        image = [c % p for c in h]
+        if not _is_squarefree(image, p):
+            continue
+        sums = {0}
+        for d in _degree_pattern(image, p):
+            sums |= {s + d for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+        used += 1
+        if used == PATTERN_PRIMES:
+            break
+    return False
+
+
+# Polynomials over F_p: lists of residues, lowest degree first, with a
+# nonzero last entry (the zero polynomial is the empty list).
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _monic(f: list[int], p: int) -> list[int]:
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _divmod(f: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a monic m over F_p."""
+    f = list(f)
+    dm = len(m) - 1
+    quotient = [0] * max(len(f) - dm, 0)
+    for i in range(len(f) - 1, dm - 1, -1):
+        c = f[i] % p
+        if c:
+            quotient[i - dm] = c
+            base = i - dm
+            for j in range(dm):
+                f[base + j] -= c * m[j]
+    return quotient, _trim([c % p for c in f[:dm]])
+
+
+def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """The monic gcd over F_p of f and a nonzero g."""
+    while g:
+        g = _monic(g, p)
+        f, g = g, _divmod(f, g, p)[1]
+    return f
+
+
+def _is_squarefree(image: list[int], p: int) -> bool:
+    """Whether a polynomial over F_p of full degree has no repeated factor."""
+    deriv = _trim([i * c % p for i, c in enumerate(image)][1:])
+    return bool(deriv) and len(_gcd(image, deriv, p)) == 1
+
+
+def _roots_mod(image: list[int], p: int) -> list[int]:
+    """The roots in F_p of a polynomial over F_p, by evaluation."""
+    return [x for x in range(p) if _eval(image, x) % p == 0]
+
+
+def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+    return _divmod(product, m, p)[1]
+
+
+def _degree_pattern(image: list[int], p: int) -> list[int]:
+    """The degrees of the irreducible factors of a squarefree image over F_p.
+
+    Distinct-degree factorisation: gcd(f, x^(p^d) - x) is the product of
+    the factors of degree d of f once those of lower degree are divided
+    out.
+    """
+    f = _monic(image, p)
+    w = [0, 1]
+    degrees = []
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        power, base, e = [1], w, p  # w^p mod f, by squaring
+        while e:
+            if e & 1:
+                power = _mulmod(power, base, f, p)
+            e >>= 1
+            if e:
+                base = _mulmod(base, base, f, p)
+        w = power
+        shifted = list(w) + [0] * max(0, 2 - len(w))
+        shifted[1] = (shifted[1] - 1) % p
+        shifted = _trim(shifted)
+        factor = _gcd(f, shifted, p) if shifted else f
+        if len(factor) > 1:
+            degrees += [d] * ((len(factor) - 1) // d)
+            f = _divmod(f, factor, p)[0]
+            w = _divmod(w, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees

@@ -346,6 +346,17 @@ def test_cli_rejects_bad_caps_as_usage_error(spec, capsys):
     assert f"bad caps entry '{spec}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["deadline=0", "deadline=-1", "deadline=nan", "deadline=inf", "deadline=x"])
+def test_cli_rejects_a_deadline_that_is_not_positive_seconds(spec, capsys):
+    assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--caps", spec]) == 2
+    assert f"bad caps entry '{spec}'" in capsys.readouterr().err
+
+
+def test_cli_caps_deadline_key_is_applied(capsys):
+    assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--caps", "pairs=1000,deadline=1e-9"]) == 3
+    assert "cap exceeded: deadline of 1e-09 s exceeded" in capsys.readouterr().out.splitlines()
+
+
 def test_cli_caps_pairs_key_is_applied(capsys):
     assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--caps", "pairs=1"]) == 3
     assert "cap exceeded: pair limit 1 exceeded" in capsys.readouterr().out.splitlines()

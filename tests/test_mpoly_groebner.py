@@ -419,6 +419,56 @@ def test_degree_cap_is_loud():
         buchberger(gens, SolverCaps(max_degree=2))
 
 
+def test_deadline_is_checked_inside_one_normal_form(monkeypatch):
+    import traceback
+
+    x, y = xvar(2, 0), xvar(2, 1)
+    gens = [x * x * x - y, x * y * y - x - 1, y * y * y - x * x]
+    readings = iter([0.0])  # the start; every later reading is past the deadline
+    monkeypatch.setattr(groebner, "monotonic", lambda: next(readings, 100.0))
+    with pytest.raises(CapExceeded, match="deadline of 10.0 s exceeded") as info:
+        buchberger(gens, SolverCaps(max_seconds=10.0))
+    # raised while reducing the second generator, before any pair is popped
+    frames = traceback.extract_tb(info.tb)
+    assert frames[-2].name == "normal_form" and frames[-2].filename.endswith("_kernels_py.py")
+
+
+def test_deadline_is_checked_for_each_pair(monkeypatch):
+    x, y = xvar(2, 0), xvar(2, 1)
+    gens = [x * x * x - y, x * y * y - x - 1, y * y * y - x * x]
+    popped = []
+    original = groebner._s_pair
+
+    def counted(*args):
+        popped.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_s_pair", counted)
+    # a kernel that reads no clock and leaves its input alone
+    monkeypatch.setattr(groebner.kernels, "normal_form", lambda work, *a, **k: work)
+    readings = iter([0.0, 1.0])  # the start and the first pair, then past the deadline
+    monkeypatch.setattr(groebner, "monotonic", lambda: next(readings, 100.0))
+    with pytest.raises(CapExceeded, match="deadline of 10.0 s exceeded"):
+        buchberger(gens, SolverCaps(max_seconds=10.0))
+    assert len(popped) == 1
+
+
+def test_a_tiny_deadline_stops_buchberger():
+    x, y = xvar(2, 0), xvar(2, 1)
+    gens = [x * x * x - y, x * y * y - x - 1, y * y * y - x * x]
+    with pytest.raises(CapExceeded, match="deadline"):
+        buchberger(gens, SolverCaps(max_seconds=1e-9))
+
+
+def test_no_deadline_reads_no_clock(monkeypatch):
+    def clock():
+        raise AssertionError("clock read without a deadline")
+
+    monkeypatch.setattr(groebner, "monotonic", clock)
+    x, y = xvar(2, 0), xvar(2, 1)
+    assert buchberger([x * x - y, x * y - 1]) == [x - y * y, y * y * y - 1]
+
+
 def test_certificate_trivial_pair():
     x = xvar(1, 0)
     cert = certify_no_common_root([x, x - 1])

@@ -1,11 +1,16 @@
 """Factor lists over Z agree with sympy's Poly.factor_list."""
 
+import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from axial.univariate import irreducible_factors, primitive_integer, rational_roots
+from axial import groebner, univariate
+from axial.algebra import Algebra
+from axial.search import naive_idempotents
+from axial.univariate import PRIMES, irreducible_factors, primitive_integer, rational_roots
 
 
 def reference_factors(coeffs):
@@ -23,12 +28,19 @@ def reference_factors(coeffs):
     return out
 
 
-def times(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
+def times(*polys):
+    out = [1]
+    for q in polys:
+        product = [0] * (len(out) + len(q) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(q):
+                product[i + j] += a * b
+        out = product
     return out
+
+
+def x_power(k):
+    return [0] * k + [1]
 
 
 small = st.integers(-4, 4)
@@ -40,13 +52,38 @@ factors = st.one_of(
 
 
 @st.composite
+def eisenstein(draw):
+    """A polynomial of degree 3-8 that is irreducible by Eisenstein's criterion at 2."""
+    degree = draw(st.integers(3, 8))
+    middle = [2 * draw(st.integers(-3, 3)) for _ in range(degree - 1)]
+    return [2 * draw(st.sampled_from([-3, -1, 1, 3]))] + middle + [draw(st.sampled_from([1, 3, 5]))]
+
+
+# degree 3-8 with small coefficients: nearly always irreducible
+dense = st.integers(3, 8).flatmap(
+    lambda d: st.lists(st.integers(-5, 5), min_size=d, max_size=d).map(
+        lambda c: c + [1] if c[0] else [1] + c[1:] + [1]
+    )
+)
+
+
+@st.composite
 def factored_polynomials(draw):
-    coeffs = [1]
+    parts = []
     for factor in draw(st.lists(factors, max_size=4)):
-        for _ in range(draw(st.integers(1, 3))):  # repeated factors
-            coeffs = times(coeffs, list(factor))
+        parts += [list(factor)] * draw(st.integers(1, 3))  # repeated factors
     content = draw(st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool))
-    return [content * c for c in coeffs]
+    return [content * c for c in times(*parts)]
+
+
+@st.composite
+def eliminant_shaped(draw):
+    """x^k times rational roots and up to two nonlinear factors of degree 3-8."""
+    parts = [x_power(draw(st.integers(0, 4)))]
+    parts += [list(f) for f in draw(st.lists(factors, max_size=3))]
+    parts += draw(st.lists(st.one_of(eisenstein(), dense), max_size=2))
+    content = draw(st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool))
+    return [content * c for c in times(*parts)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -58,7 +95,103 @@ def test_irreducible_factors_match_sympy_poly(coeffs):
     assert irreducible_factors(coeffs) == reference_factors(coeffs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(eliminant_shaped())
+@example([1, 0, -10, 0, 1])  # irreducible, reducible mod every prime: only the fallback decides
+@example([1, 0, 0, 0, 1])  # x^4 + 1, the same
+@example(times(x_power(1), [-2, 0, 0, 1], [-3, 0, 0, 0, 1]))  # x (x^3 - 2)(x^4 - 3)
+@example(times([-1, 1], x_power(3), [-1, 4], [-1, 4]))  # Matsuo-shaped: (x - 1) x^3 (4x - 1)^2
+@example(times(x_power(2), [-2, 0, 1]))  # x^2 (x^2 - 2): roots mod p that are not rational
+@example(times([-1, PRIMES[0]], [1, 0, 1]))  # (3x - 1)(x^2 + 1): the first prime divides lc
+@example(times([-1, PRIMES[0] * PRIMES[1]], [-2, 0, 0, 0, 1]))  # lc divisible by two primes
+@example(times([-2, 4, 15], [-2, -3, 15]))  # two quadratics, both leads divisible by 3 and 5
+@example(times([-2, 0, 1], [-3, 0, 1], [-5, 0, 1]))  # degree 6, two quadratic factors mod p
+def test_eliminant_shaped_factors_match_sympy_poly(coeffs):
+    assert irreducible_factors(coeffs) == reference_factors(coeffs)
+
+
 def test_rational_roots_with_multiplicities():
     # (2x - 1)^2 (x + 3) (x^2 + 1) / 7
-    coeffs = times(times(times([-1, 2], [-1, 2]), [3, 1]), [1, 0, 1])
+    coeffs = times([-1, 2], [-1, 2], [3, 1], [1, 0, 1])
     assert rational_roots([Fraction(c, 7) for c in coeffs]) == {Fraction(1, 2): 2, Fraction(-3): 1}
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the calls of sympy's factoring, the fallback."""
+    calls = []
+    original = univariate.dup_factor_list
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(univariate, "dup_factor_list", counted)
+    return calls
+
+
+def test_the_certificate_proves_irreducible_without_the_fallback(fallbacks):
+    # x (x - 2)(3x + 1)(x^7 - 2 x + 2): roots lifted, the septic certified
+    septic = [2, -2, 0, 0, 0, 0, 0, 1]
+    coeffs = times(x_power(1), [-2, 1], [1, 3], septic)
+    assert irreducible_factors(coeffs) == reference_factors(coeffs)
+    assert ((0, 1), 1) in irreducible_factors(coeffs) and not fallbacks
+
+
+def test_an_inconclusive_pattern_reaches_the_fallback(fallbacks):
+    # x^4 - 10x^2 + 1 splits into factors of degree at most 2 modulo every
+    # prime, so every pattern allows a quadratic factor: no proof either way
+    h = [1, 0, -10, 0, 1]
+    assert not univariate._pattern_certifies(h)
+    assert irreducible_factors(h) == [((1, 0, -10, 0, 1), 1)]
+    assert len(fallbacks) == 1
+
+
+def test_a_non_squarefree_input_tries_a_bounded_number_of_primes(fallbacks, monkeypatch):
+    tested = []
+    original = univariate._is_squarefree
+
+    def counted(image, p):
+        tested.append(p)
+        return original(image, p)
+
+    monkeypatch.setattr(univariate, "_is_squarefree", counted)
+    coeffs = times([-1, 1], x_power(3), [-1, 4], [-1, 4])  # (x - 1) x^3 (4x - 1)^2
+    assert irreducible_factors(coeffs) == [((-1, 1), 1), ((-1, 4), 2), ((0, 1), 3)]
+    assert tested == [3, 5, 7, 11] and len(tested) == univariate.SQUAREFREE_TRIES
+    assert len(fallbacks) == 1
+
+
+def criterion_9_algebras(count):
+    """The seeded 3-dimensional algebras of acceptance criterion 9, in draw order."""
+    rng = random.Random(20240806)
+    for _ in range(count):
+        gamma = []
+        for i in range(3):
+            for j in range(i, 3):
+                for k in range(3):
+                    c = rng.randint(-2, 2)
+                    if c:
+                        gamma.append((i, j, k, c))
+        yield Algebra.from_gamma(3, gamma)
+
+
+def test_solver_eliminants_match_sympy_and_rarely_reach_the_fallback(fallbacks, monkeypatch):
+    eliminants = []
+    original = groebner.irreducible_factors
+
+    def recorded(coeffs):
+        eliminants.append(list(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(groebner, "irreducible_factors", recorded)
+    for alg in criterion_9_algebras(150):
+        naive_idempotents(alg)
+    assert len(fallbacks) == 7
+    for coeffs in eliminants:
+        assert irreducible_factors(coeffs) == reference_factors(coeffs)
+    # Sympy's factoring ran on every one of these 480 eliminants (none is
+    # constant); now 7 of them need it.
+    assert len(eliminants) == 480
+    assert all(len(primitive_integer(c)) > 1 for c in eliminants)
+    assert max(len(primitive_integer(c)) - 1 for c in eliminants) == 8

@@ -1,9 +1,9 @@
-"""Hot kernels: exact row reduction and sparse polynomial reduction.
+"""Hot kernels: exact sparse elimination and sparse polynomial reduction.
 
-`rref` takes and returns lists of Fractions and runs fraction-free inside:
-each row is scaled once to coprime integers by `primitive_part`, eliminated
-by integer cross-multiplication with content reduction, and divided back
-out into exact Fractions only for the output.
+Elimination works on sparse integer rows, maps from column to nonzero int,
+through one reduction step, `eliminate`.  `insert` and `echelon` are built
+on it; `rref` is `echelon` on dense Fraction rows, and the rank screen of
+`axial.linalg.sparse_kernel` inserts modulo a prime.
 
 `normal_form` works on integer polynomials keyed by packed exponents.  A
 packed exponent is one int holding a field of FIELD_BITS bits per
@@ -34,61 +34,96 @@ from axial.univariate import primitive_part
 _ZERO = Fraction(0)
 
 
-def _reduce_content(row):
-    content = gcd(*row)
-    if content > 1:
-        row[:] = [v // content for v in row]
+def primitive_row(entries):
+    """The nonzero values of (column, value) pairs scaled by one `primitive_part`."""
+    nonzero = [(c, v) for c, v in entries if v]
+    return dict(zip([c for c, _ in nonzero], primitive_part([v for _, v in nonzero])))
+
+
+def eliminate(work, prow, col, modulus=0):
+    """The work row with column `col` cleared by the pivot row `prow`.
+
+    Over Z it is (a work - b prow) / g for a = prow[col], b = work[col] and
+    g their gcd, divided by its content.  Modulo a prime `modulus` it is
+    a work - b prow reduced mod p; the pivot rows there are monic, so a = 1.
+    """
+    a = prow[col]
+    b = work[col]
+    if not modulus:
+        g = gcd(a, b)
+        a //= g
+        b //= g
+    if a != 1:
+        work = {j: v * a for j, v in work.items()}
+    for j, v in prow.items():
+        x = work.get(j, 0) - b * v
+        if modulus:
+            x %= modulus
+        if x:
+            work[j] = x
+        else:
+            del work[j]
+    if not modulus and work:
+        content = gcd(*work.values())
+        if content > 1:
+            work = {j: v // content for j, v in work.items()}
+    return work
+
+
+def insert(pivots, work, modulus=0):
+    """Reduce `work` by the pivot rows, each keyed by its least column, until
+    its least column is free; make it that column's pivot row (monic modulo
+    `modulus`) and return the column, or None when it reduces to zero."""
+    while work:
+        c = min(work)
+        prow = pivots.get(c)
+        if prow is None:
+            if modulus:
+                inv = pow(work[c], -1, modulus)
+                work = {j: v * inv % modulus for j, v in work.items()}
+            pivots[c] = work
+            return c
+        work = eliminate(work, prow, c, modulus)
+    return None
+
+
+def echelon(rows):
+    """Fraction-free reduced echelon form of sparse integer rows.
+
+    Returns a dict from each pivot column of the RREF to a primitive integer
+    row whose least column is that pivot and which is zero at every other
+    pivot column: divided by its pivot entry, it is the RREF row.
+    """
+    pivots = {}
+    for row in rows:
+        insert(pivots, row)
+    # Back-substitute, highest pivot first: the rows a pivot row is reduced
+    # by are already clear of every other pivot column.
+    for c in sorted(pivots, reverse=True):
+        prow = pivots[c]
+        for q in [q for q in prow if q != c and q in pivots]:
+            prow = eliminate(prow, pivots[q], q)
+        pivots[c] = prow
+    return pivots
 
 
 def rref(rows):
     """Reduce a list of Fraction rows to reduced row-echelon form, in place.
 
     Returns the list of pivot column indices.  Zero rows sink to the bottom.
-    Each row is first scaled to its `primitive_part` (row scaling leaves the
-    RREF alone).  Elimination then runs fraction-free on the integer rows
-    (cross-multiplication with content reduction); pivot rows are divided
-    back out at the end, so the result is the exact canonical RREF.
+    The rows are reduced by `echelon` as sparse `primitive_row`s (row
+    scaling leaves the RREF alone), and each pivot row is divided by its
+    pivot entry only for the output, so the result is the exact RREF.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    work = [primitive_part(row) for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = -1
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        row_r = work[r]
-        p = row_r[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row_i = work[i]
-            v = row_i[c]
-            if v:
-                # scale the whole row so earlier pivot entries stay consistent
-                for j in range(c):
-                    if row_i[j]:
-                        row_i[j] = row_i[j] * p
-                for j in range(c, ncols):
-                    row_i[j] = row_i[j] * p - v * row_r[j]
-                _reduce_content(row_i)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for idx, c in enumerate(pivots):
-        p = work[idx][c]
-        rows[idx][:] = [Fraction(v, p) for v in work[idx]]
-    for idx in range(len(pivots), nrows):
-        rows[idx][:] = [_ZERO] * ncols
-    return pivots
+    ncols = len(rows[0]) if rows else 0
+    pivots = echelon([primitive_row(enumerate(row)) for row in rows])
+    columns = sorted(pivots)
+    for out, c in zip(rows, columns):
+        prow = pivots[c]
+        out[:] = [Fraction(prow[j], prow[c]) if j in prow else _ZERO for j in range(ncols)]
+    for out in rows[len(columns):]:
+        out[:] = [_ZERO] * ncols
+    return columns
 
 
 FIELD_BITS = 32  # bits per variable in a packed exponent, the guard bit included

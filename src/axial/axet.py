@@ -32,7 +32,6 @@ from axial.linalg import (
     identity,
     inverse,
     kernel,
-    mat,
     mat_from_cols,
     mat_mul,
     mat_sub,
@@ -415,7 +414,10 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
     generator.  Candidate assignments are pruned by form values (an
     edge-colored graph isomorphism constraint) and zero products; each
     assignment determines a unique linear map, which is verified exactly:
-    multiplicative, bijective on the axet, form-preserving.
+    multiplicative and bijective on the axet.  It preserves the form too:
+    the colours compare the form value of every pair of base axes, each
+    with itself included, with that of their images, and a bilinear form
+    is fixed by its values on a basis.
     """
     n = alg.dim
     vectors = axet.vectors()
@@ -462,8 +464,6 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
             return None
         perm = [index.get(mat_vec(g, v)) for v in vectors]
         if None in perm or len(set(perm)) != m:
-            return None
-        if alg.gram is not None and mat_mul(mat(tuple(zip(*g))), mat_mul(alg.gram, g)) != alg.gram:
             return None
         return g, Permutation(perm)
 

@@ -20,6 +20,7 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
+    combination,
     eigenspace,
     frac,
     identity,
@@ -27,7 +28,6 @@ from axial.linalg import (
     is_zero_vec,
     mat_from_cols,
     mat_mul,
-    mat_vec,
     sparse_kernel,
     subspace_sum,
     transpose,
@@ -386,18 +386,11 @@ def is_automorphism(alg: Algebra, g: Mat) -> bool:
         return False
     for i in range(n):
         for j in range(i, n):
-            lhs = mat_vec(g, dict_to_vec(alg.basis_product(i, j), n))
-            rhs = alg.product(cols[i], cols[j])
-            if lhs != rhs:
+            product = alg.basis_product(i, j)
+            lhs = combination((c for _, c in product), (cols[k] for k, _ in product), n)
+            if lhs != alg.product(cols[i], cols[j]):
                 return False
     return True
-
-
-def dict_to_vec(sparse_row, n: int) -> Vec:
-    out = [Fraction(0)] * n
-    for k, c in sparse_row:
-        out[k] = c
-    return tuple(out)
 
 
 def derivation_space(alg: Algebra) -> Subspace:

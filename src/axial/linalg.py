@@ -2,7 +2,8 @@
 
 Vectors are tuples of Fractions and matrices are tuples of row tuples, so
 every value is immutable and hashable.  All arithmetic is exact; nothing here
-ever rounds.
+ever rounds.  Every row reduction, `rref` and both stages of `sparse_kernel`
+alike, is the one sparse integer elimination of `axial._kernels_py`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from axial._backend import kernels
-from axial.univariate import primitive_part, rational_roots
+from axial.univariate import rational_roots
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -82,7 +83,9 @@ def is_zero_vec(v: Vec) -> bool:
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(vdot(row, v) for row in m)
+    """Product m v, each row summed only over the nonzero entries of v."""
+    nonzero = [(k, x) for k, x in enumerate(v) if x]
+    return tuple(sum((row[k] * x for k, x in nonzero if row[k]), Fraction(0)) for row in m)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -301,83 +304,49 @@ SparseVec = dict[int, Fraction]
 MODULUS = 2**31 - 1
 
 
-def _reduce_sparse(work: dict, pivots: dict, modulus: Optional[int] = None) -> Optional[int]:
-    """Reduce `work` in place by the pivot rows until its least column is free.
-
-    Each pivot row is 1 at its pivot column, its least column.  Returns that
-    free column, or None when the row reduces to zero.  Arithmetic is over Q,
-    or modulo `modulus` on integer entries.
-    """
-    while work:
-        c = min(work)
-        prow = pivots.get(c)
-        if prow is None:
-            return c
-        f = work[c]
-        for j, v in prow.items():
-            x = work.get(j, 0) - f * v
-            if modulus is not None:
-                x %= modulus
-            if x:
-                work[j] = x
-            else:
-                del work[j]
-    return None
-
-
 def _independent_rows_mod_p(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
     """The rows that raise the rank mod MODULUS, scanned in order.
 
-    Each row is scaled to its `primitive_part` first, so no denominator
-    needs an inverse mod p.  Rows independent mod p are independent over Q.
-    The scan stops once the picked rows reach full column rank.
+    Each row is scaled to its `primitive_row` first, so no denominator
+    needs an inverse mod p, and inserted into one pivot dict modulo p.  Rows
+    independent mod p are independent over Q.  The scan stops once the
+    picked rows reach full column rank.
     """
     pivots: dict[int, dict[int, int]] = {}
     picked = []
     for row in rows:
         work = {}
-        for c, v in zip(row, primitive_part(row.values())):
+        for c, v in kernels.primitive_row(row.items()).items():
             v %= MODULUS
             if v:
                 work[c] = v
-        c = _reduce_sparse(work, pivots, MODULUS)
-        if c is not None:
-            inv = pow(work[c], -1, MODULUS)
-            pivots[c] = {j: v * inv % MODULUS for j, v in work.items()}
+        if kernels.insert(pivots, work, MODULUS) is not None:
             picked.append(row)
             if len(picked) == ncols:
                 break
     return picked
 
 
-def _sparse_null_basis(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
-    """Exact null-space basis over Q of sparse rows: one vector per free column."""
-    pivots: dict[int, SparseVec] = {}
-    for row in rows:
-        work = {c: x for c, x in row.items() if x}
-        c = _reduce_sparse(work, pivots)
-        if c is not None:
-            inv = 1 / work[c]
-            pivots[c] = {j: v * inv for j, v in work.items()}
-    # Back-substitute, highest pivot first: a pivot row holds no column left
-    # of its pivot, and the rows it subtracts are already clear of pivots.
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        for q in [q for q in prow if q != c and q in pivots]:
-            f = prow.pop(q)
-            for j, v in pivots[q].items():
-                if j != q:
-                    x = prow.get(j, 0) - f * v
-                    if x:
-                        prow[j] = x
-                    else:
-                        del prow[j]
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+def _sparse_null_basis(rows: Iterable[SparseVec], ncols: int) -> dict[int, SparseVec]:
+    """Canonical null basis over Q of sparse rows, read off one echelon,
+    keyed by free column.
+
+    The rows are reduced with their columns reversed, as in `kernel`, so
+    the null vector of each free column f is 1 at f and nonzero elsewhere
+    only at pivot columns after f; in increasing f these vectors are the
+    canonical (RREF) basis of the null space.
+    """
+    last = ncols - 1
+    pivots = kernels.echelon(
+        [kernels.primitive_row((last - c, x) for c, x in row.items()) for row in rows]
+    )
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if last - f not in pivots}
     for c, prow in pivots.items():
-        for f, x in prow.items():
-            if f != c:
-                basis[f][c] = -x
-    return list(basis.values())
+        p = prow[c]
+        for j, v in prow.items():
+            if j != c:
+                basis[last - j][last - c] = Fraction(-v, p)
+    return basis
 
 
 def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
@@ -396,14 +365,14 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
         return Subspace(ncols)
     basis = _sparse_null_basis(picked, ncols)
     if not all(
-        sum(x * v[c] for c, x in row.items() if c in v) == 0 for v in basis for row in rows
+        sum(x * v[c] for c, x in row.items() if c in v) == 0
+        for v in basis.values()
+        for row in rows
     ):
         basis = _sparse_null_basis(rows, ncols)
-    dense = [[Fraction(0)] * ncols for _ in basis]
-    for out, v in zip(dense, basis):
-        for c, x in v.items():
-            out[c] = x
-    return Subspace(ncols, dense)
+    zero = Fraction(0)
+    dense = [tuple(v.get(c, zero) for c in range(ncols)) for v in basis.values()]
+    return Subspace._canonical(ncols, dense, list(basis))
 
 
 def eigenspace(m: Mat, lam) -> Subspace:

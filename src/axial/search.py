@@ -230,13 +230,13 @@ def determinant_relation(
     z_symbolic: Sequence[MPoly],
     w_basis: Subspace,
     lam,
-    dim_cap: int = DETERMINANT_DIM_CAP,
 ) -> MPoly:
     """det(ad_z|_W - (1 - lambda) Id) as a polynomial in the unknowns of z.
 
     Requires W invariant under multiplication by the space z ranges over
     (guaranteed for eigenspaces of a Seress axis).  Rejects lambda = 1, where
-    the relation is trivially zero.
+    the relation is trivially zero, and a W of more than DETERMINANT_DIM_CAP
+    dimensions.
     """
     lam = frac(lam)
     if lam == 1:
@@ -244,8 +244,8 @@ def determinant_relation(
     m = w_basis.dim
     if m == 0:
         raise ValueError("empty eigenspace")
-    if m > dim_cap:
-        raise ValueError(f"eigenspace dimension {m} exceeds the symbolic cap {dim_cap}")
+    if m > DETERMINANT_DIM_CAP:
+        raise ValueError(f"eigenspace dimension {m} exceeds the symbolic cap {DETERMINANT_DIM_CAP}")
     nvars = z_symbolic[0].nvars
     entries = [[MPoly.zero(nvars) for _ in range(m)] for _ in range(m)]
     for emi in range(alg.dim):

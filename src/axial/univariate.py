@@ -18,10 +18,11 @@ nonlinear factor, with two classical exact tools:
 
 The certificate has one direction.  An empty intersection is a proof;
 a nonempty one proves nothing, since a polynomial such as x^4 - 10x^2 + 1
-is irreducible over Z and reducible modulo every prime.  Every
-inconclusive case, and every input with no squarefree image among the
-first primes tried, is factored by sympy's dense Zassenhaus factoring over
-ZZ instead, so the result is the same factor list either way.
+is irreducible over Z and reducible modulo every prime.  In every
+inconclusive case the cofactor left after x^k and the rational roots, and
+every input with no squarefree image among the first primes tried, is
+factored by sympy's dense Zassenhaus factoring over ZZ instead, so the
+result is the same factor list either way.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
     roots are found by p-adic lifting and divided out.  The cofactor is
     irreducible when its degree is at most 3 (it has no rational root
     left), or when the degree patterns of up to PATTERN_PRIMES primes
-    leave no possible degree for a proper factor.  Otherwise the whole
-    input is factored by sympy's `dup_factor_list`: an inconclusive
-    pattern proves nothing.
+    leave no possible degree for a proper factor.  Otherwise only the
+    cofactor is factored by sympy's `dup_factor_list`: an inconclusive
+    pattern proves nothing.  The whole input goes there only when no
+    squarefree image is found.
     """
     ints = primitive_integer(coeffs)
     if len(ints) == 1:
@@ -102,7 +104,9 @@ def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
             return _zassenhaus(ints)
         roots, g = split
         out += roots
-    if len(g) > 1:
+    if len(g) > 4 and not _pattern_certifies(g):
+        out += _zassenhaus(tuple(g))
+    elif len(g) > 1:
         out.append((tuple(g), 1))
     out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
@@ -132,14 +136,14 @@ def _zassenhaus(ints: IntPoly) -> list[tuple[IntPoly, int]]:
 
 
 def _split_squarefree(g: list[int]):
-    """The linear factors and the irreducible cofactor of g, or None.
+    """The linear factors of g and their cofactor, or None.
 
     g is primitive, of degree at least 2, with a positive leading
     coefficient and a nonzero constant term.  Returns (linear factors, h)
-    when g is squarefree modulo one of the first primes tried and h, the
-    cofactor of g's rational roots, is certified irreducible or constant;
-    returns None when no such prime is found or the certificate is
-    inconclusive.
+    when g is squarefree modulo one of the first primes tried, h being the
+    cofactor of g's rational roots: primitive, squarefree, with a positive
+    leading coefficient and no rational root.  Returns None when no such
+    prime is found.
     """
     tried = 0
     for p in PRIMES:
@@ -160,8 +164,6 @@ def _split_squarefree(g: list[int]):
             b, a = root
             g = _divide_linear(g, a, b)
             roots.append(((-b, a), 1))
-    if len(g) > 4 and not _pattern_certifies(g):
-        return None
     return roots, g
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except twelve former implementations kept to test the current ones
-against: `reference_buchberger` (the all-pairs loop),
+package except thirteen former implementations kept to test the current
+ones against: `reference_rref` (the dense fraction-free loop),
+`reference_buchberger` (the all-pairs loop),
 `reference_normal_form` (division over Q in Fraction arithmetic),
 `reference_s_polynomial` (two polynomial products), `reference_char_poly`
 (n+1 determinants and a Vandermonde solve), `reference_coordinates`
@@ -595,6 +596,53 @@ def reference_char_poly(m):
     coeffs = solve(vander, tuple(values))
     assert coeffs is not None and coeffs[n] == 1
     return list(coeffs)
+
+
+def reference_rref(rows):
+    """Reduce a list of Fraction rows to reduced row-echelon form, in place.
+
+    The package's `rref` as it was before it ran on sparse integer rows:
+    each row scaled to its primitive part, then a dense column-by-column
+    loop eliminating every other row by integer cross-multiplication and
+    content reduction, and the pivot rows divided back out at the end.
+    Returns the list of pivot column indices.
+    """
+    from math import gcd
+
+    from axial.univariate import primitive_part
+
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    work = [primitive_part(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), -1)
+        if pivot_row < 0:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        row_r = work[r]
+        p = row_r[c]
+        for i in range(nrows):
+            row_i = work[i]
+            v = row_i[c]
+            if i != r and v:
+                # scale the whole row so earlier pivot entries stay consistent
+                row_i[:c] = [x * p for x in row_i[:c]]
+                row_i[c:] = [x * p - v * y for x, y in zip(row_i[c:], row_r[c:])]
+                content = gcd(*row_i)
+                if content > 1:
+                    row_i[:] = [x // content for x in row_i]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for idx, c in enumerate(pivots):
+        p = work[idx][c]
+        rows[idx][:] = [Fraction(v, p) for v in work[idx]]
+    for idx in range(len(pivots), nrows):
+        rows[idx][:] = [Fraction(0)] * ncols
+    return pivots
 
 
 def reference_coordinates(basis, v):

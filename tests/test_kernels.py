@@ -1,5 +1,5 @@
-"""Properties of the hot kernels: RREF output is reduced and equals sympy's,
-primitive parts are coprime multiples, packed exponents agree with exponent
+"""Properties of the hot kernels: RREF output is reduced and equals sympy's
+and the dense reference loop's, primitive parts are coprime multiples, packed exponents agree with exponent
 tuples, normal forms are irreducible and equal the Fraction-arithmetic
 reference, as do S-polynomials."""
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
@@ -15,7 +15,7 @@ from axial import _kernels_py, groebner
 from axial.groebner import CapExceeded, buchberger
 from axial.mpoly import MPoly
 from axial.univariate import primitive_part
-from oracles import reference_normal_form, reference_s_polynomial
+from oracles import reference_normal_form, reference_rref, reference_s_polynomial
 
 fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=8
@@ -71,6 +71,28 @@ def test_rref_matches_sympy(rows):
     assert work == [
         [Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in reduced.to_list()
     ]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense or mostly-zero rational matrices, with zero rows and 0 x k shapes."""
+    ncols = draw(st.integers(1, 7))
+    zero = st.just(Fraction(0))
+    entry = draw(st.sampled_from([fractions, st.one_of(zero, zero, zero, fractions)]))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return draw(st.lists(st.one_of(row, st.just([Fraction(0)] * ncols)), max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+@example([])
+@example([[Fraction(0)] * 3, [Fraction(0)] * 3])
+def test_rref_matches_the_dense_reference(rows):
+    got = [list(r) for r in rows]
+    want = [list(r) for r in rows]
+    assert _kernels_py.rref(got) == reference_rref(want)
+    assert got == want
+    assert all(type(x) is Fraction for r in got for x in r)
 
 
 @settings(max_examples=200, deadline=None)

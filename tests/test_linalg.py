@@ -31,6 +31,7 @@ from axial.linalg import (
     vscale,
     zero_vec,
 )
+from axial.fusion import derivation_space
 from axial.matsuo import matsuo_algebra, symmetric_transpositions
 from oracles import det_fraction, reference_char_poly, reference_coordinates
 
@@ -145,6 +146,29 @@ def test_eigenspace_runs_one_rref(monkeypatch):
     dims = [eigenspace(m, lam).dim for lam in (F(1), F(0), F(1, 4), F(1, 2))]
     assert dims == [1, 3, 2, 0]
     assert len(calls) == 4
+
+
+def test_every_elimination_runs_the_one_reduction_step(monkeypatch):
+    # rref, the exact stage of sparse_kernel and its mod-p screen all reduce
+    # rows through kernels.eliminate, over Z or modulo MODULUS.
+    calls = []
+    original = kernels.eliminate
+
+    def counting(work, prow, col, modulus=0):
+        calls.append(modulus)
+        return original(work, prow, col, modulus)
+
+    monkeypatch.setattr(kernels, "eliminate", counting)
+    assert rref(mat([[1, 2], [3, 4]]))[2] == [0, 1]
+    assert calls == [0, 0]
+    calls.clear()
+    # at 1/2 the Leibniz system of Matsuo S5 is rank deficient mod p, so its
+    # kernel is solved exactly; no dense rref runs
+    monkeypatch.setattr(kernels, "rref", None)
+    alg = matsuo_algebra(symmetric_transpositions(5), F(1, 2))
+    assert derivation_space(alg).dim == 6
+    assert calls.count(MODULUS) > 0 and calls.count(0) > 0
+    assert set(calls) == {0, MODULUS}
 
 
 def test_solve_and_det():

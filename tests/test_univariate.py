@@ -147,6 +147,14 @@ def test_an_inconclusive_pattern_reaches_the_fallback(fallbacks):
     assert len(fallbacks) == 1
 
 
+def test_the_fallback_factors_only_the_uncertified_cofactor(fallbacks):
+    # x (x - 1)(x^4 - 10x^2 + 1): x and the root 1 are split off first, and
+    # only the quartic, which no degree pattern certifies, reaches sympy
+    coeffs = times(x_power(1), [-1, 1], [1, 0, -10, 0, 1])
+    assert irreducible_factors(coeffs) == reference_factors(coeffs)
+    assert [len(args[0]) - 1 for args in fallbacks] == [4]
+
+
 def test_a_non_squarefree_input_tries_a_bounded_number_of_primes(fallbacks, monkeypatch):
     tested = []
     original = univariate._is_squarefree

@@ -18,6 +18,7 @@ from axial.linalg import (
     Vec,
     combination,
     frac,
+    identity,
     inverse,
     kernel,
     mat,
@@ -381,11 +382,7 @@ class Algebra:
 def diagonal_algebra(n: int) -> Algebra:
     """Direct sum of n copies of the field: e_i * e_i = e_i, e_i * e_j = 0."""
     gamma = [(i, i, i, 1) for i in range(n)]
-    from axial.linalg import identity
-
-    return Algebra.from_gamma(
-        n, gamma, gram=identity(n), unit=[1] * n
-    )
+    return Algebra.from_gamma(n, gamma, gram=identity(n), unit=[1] * n)
 
 
 def direct_sum(left: Algebra, right: Algebra) -> Algebra:

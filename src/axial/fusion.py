@@ -2,7 +2,8 @@
 
 An axis is certified here by explicit exact checks: idempotency, a semisimple
 adjoint with spectrum inside the law, eigenspace products landing where the
-star table says, and a 1-dimensional principal eigenspace.  The certificate
+star table says, and a 1-dimensional principal eigenspace.  Past the
+spectrum every check is a polynomial in the adjoint.  The certificate
 carries the eigenspace decomposition together with the graded involution
 matrices it entitles.
 """
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from axial.algebra import Algebra
 from axial.linalg import (
@@ -23,11 +24,8 @@ from axial.linalg import (
     combination,
     eigenspace,
     frac,
-    identity,
-    inverse,
     is_zero_vec,
-    mat_from_cols,
-    mat_mul,
+    semisimple_spectrum,
     sparse_kernel,
     subspace_sum,
     transpose,
@@ -204,31 +202,73 @@ class Axis:
         return hash(self.vector)
 
 
-def _eigenbasis_inverse(eigendata: Sequence[tuple[Fraction, Subspace]]) -> Mat:
-    """Inverse of the matrix whose columns are the eigenbasis vectors in order.
+class _IntegerAdjoint:
+    """D ad(a) on sparse integer vectors {index: int} with no zero entries.
 
-    Row r of the inverse reads off the coordinate of a vector on eigenbasis
-    vector r.  Eigenspaces of distinct eigenvalues spanning the whole space
-    form a basis, so the inverse exists.
+    D clears the denominators of ad(a) and of the eigenvalues given, so each
+    shift D ad - D nu is an integer matrix, kept as the nonzero (row, entry)
+    pairs of its columns.  Scaling by D never changes whether a vector is
+    zero, so every zero test is exact.
     """
-    inv = inverse(mat_from_cols([b for _, space in eigendata for b in space.basis]))
-    assert inv is not None
-    return inv
 
+    __slots__ = ("scale", "cols")
 
-def _graded_involution(
-    eigendata: Sequence[tuple[Fraction, Subspace]], negated: frozenset, to_eigen: Mat
-) -> Mat:
-    """The linear map acting as +1 / -1 on the graded eigenspace split.
+    def __init__(self, ad: Mat, values: Iterable[Fraction]):
+        self.scale = lcm(*(x.denominator for x in itertools.chain(*ad, values)))
+        self.cols = [
+            [(i, x.numerator * (self.scale // x.denominator)) for i, x in enumerate(col) if x]
+            for col in transpose(ad)
+        ]
 
-    `to_eigen` is the inverse of the eigenbasis matrix (`_eigenbasis_inverse`).
-    """
-    cols = [
-        tuple(-x for x in b) if lam in negated else b
-        for lam, space in eigendata
-        for b in space.basis
-    ]
-    return mat_mul(mat_from_cols(cols), to_eigen)
+    def shift(self, nu: Fraction, x: dict[int, int]) -> dict[int, int]:
+        """(D ad - D nu) x."""
+        s = nu.numerator * (self.scale // nu.denominator)
+        out: dict[int, int] = {}
+        for j, xj in x.items():
+            out[j] = out.get(j, 0) - s * xj
+            for i, c in self.cols[j]:
+                out[i] = out.get(i, 0) + c * xj
+        return {i: v for i, v in out.items() if v}
+
+    def in_sum(self, values: Iterable[Fraction], x: dict[int, int]) -> bool:
+        """Whether x lies in the sum of the eigenspaces of `values` (0 for none).
+
+        ad(a) is semisimple here, so the product of (ad - nu) over `values`
+        kills that sum and scales each other eigenspace by a nonzero number.
+        """
+        for nu in values:
+            x = self.shift(nu, x)
+        return not x
+
+    def sign_map(self, present: Sequence[Fraction], negated: frozenset) -> Mat:
+        """f(ad) for the polynomial f that is -1 on the `negated` eigenvalues
+        in `present` and +1 on the others: on a semisimple adjoint with that
+        spectrum, the map acting as -1 on the negated eigenspaces (the
+        identity when none is present).
+
+        f is held in Newton form, sum_i c_i prod_{l<i} (t - present[l]), up
+        to its last nonzero c_i, and column j is sum_i c_i / D^i w_i for
+        w_0 = e_j and w_{i+1} = (D ad - D present[i]) w_i, summed over the
+        integers with the c_i / D^i brought to one denominator.
+        """
+        k, n = len(present), len(self.cols)
+        coeffs = [Fraction(-1 if nu in negated else 1) for nu in present]
+        for level in range(1, k):
+            for i in range(k - 1, level - 1, -1):
+                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (present[i] - present[i - level])
+        scaled = [c / self.scale**i for i, c in enumerate(coeffs)]
+        scaled = scaled[: max(i for i, c in enumerate(scaled) if c) + 1]
+        denom = lcm(*(c.denominator for c in scaled))
+        nums = [c.numerator * (denom // c.denominator) for c in scaled]
+        cols = []
+        for j in range(n):
+            w, col = {j: 1}, {}
+            for i, num in enumerate(nums):
+                w = self.shift(present[i - 1], w) if i else w
+                for r, x in w.items():
+                    col[r] = col.get(r, 0) + num * x
+            cols.append(tuple(Fraction(col[r], denom) if col.get(r) else ZERO for r in range(n)))
+        return transpose(tuple(cols))
 
 
 def _integer_entries(v: Vec) -> list[tuple[int, int]]:
@@ -237,67 +277,41 @@ def _integer_entries(v: Vec) -> list[tuple[int, int]]:
 
 
 def _integer_product(table: dict, x: list[tuple[int, int]], y: list[tuple[int, int]]) -> dict:
-    """The product of two sparse integer vectors over an integer table, as {index: value}."""
+    """The product of two sparse integer vectors over an integer table, as
+    {index: value} without zero values."""
     out: dict[int, int] = {}
     for i, p in x:
         for j, q in y:
             for k, c in table.get((i, j) if i <= j else (j, i), ()):
                 out[k] = out.get(k, 0) + p * q * c
-    return out
+    return {k: v for k, v in out.items() if v}
 
 
-def _block_supports(
-    alg: Algebra,
-    eigendata: Sequence[tuple[Fraction, Subspace]],
-    to_eigen: Mat,
-    watched: Callable[[Fraction, Fraction], Iterable[Fraction]],
-) -> Iterator[tuple[Fraction, Fraction, frozenset]]:
-    """Project the products of eigenbasis vectors onto the eigenbasis.
+def _block_products(
+    alg: Algebra, eigendata: Sequence[tuple[Fraction, Subspace]]
+) -> Iterator[tuple[Fraction, Fraction, Iterator[dict]]]:
+    """The products of eigenbasis vectors, one lazy iterator per block.
 
     For each pair of eigenspaces (lam, mu), in `combinations_with_replacement`
-    order, yields (lam, mu, hit): the eigenvalues nu among `watched(lam, mu)`
-    such that some product x y, x in the basis of A_lam and y in that of
-    A_mu, has a nonzero coordinate on a basis vector of A_nu.  By bilinearity
-    these products span A_lam A_mu, so A_lam A_mu lies in the sum of the
-    unwatched eigenspaces exactly when `hit` is empty.  Within one eigenspace
-    each unordered pair is formed once, as the product is commutative.
-
-    The coordinates are rows of `to_eigen` dotted with the product.  The
-    work runs on integer copies: each basis vector and each row of
-    `to_eigen` replaced by its `primitive_part`, and the structure constants
-    scaled by one common denominator, the lcm over the whole table.  Each
-    coordinate so computed is the true one times a nonzero integer, so every
-    zero test is exact and every pair is still tested against every watched
-    row.
+    order, yields (lam, mu, products): the products x y of basis vectors of
+    A_lam and A_mu, which span A_lam A_mu (each unordered pair once when
+    lam = mu, as the product is commutative).  They are computed on the
+    `primitive_part`s of the basis vectors and on the structure constants
+    scaled by one common denominator, so each is the true product times a
+    nonzero integer.
     """
     denom = lcm(*(c.denominator for row in alg.table.values() for _, c in row))
     table = {
         key: [(k, c.numerator * (denom // c.denominator)) for k, c in row]
         for key, row in alg.table.items()
     }
-    rows = [dict(_integer_entries(r)) for r in to_eigen]
-    rows_of: dict[Fraction, list[dict[int, int]]] = {}
-    blocks = []
-    for lam, space in eigendata:
-        rows_of[lam] = rows[: space.dim]
-        rows = rows[space.dim :]
-        blocks.append((lam, [_integer_entries(b) for b in space.basis]))
+    blocks = [(lam, [_integer_entries(b) for b in space.basis]) for lam, space in eigendata]
     for (lam, xs), (mu, ys) in itertools.combinations_with_replacement(blocks, 2):
-        pending = {nu: rows_of[nu] for nu in watched(lam, mu)}
-        hit = set()
         if lam == mu:
             pairs = itertools.combinations_with_replacement(xs, 2)
         else:
             pairs = itertools.product(xs, ys)
-        for x, y in pairs:
-            if not pending:
-                break
-            product = _integer_product(table, x, y)
-            for nu, nu_rows in list(pending.items()):
-                if any(sum(r[k] * z for k, z in product.items() if k in r) for r in nu_rows):
-                    hit.add(nu)
-                    del pending[nu]
-        yield lam, mu, frozenset(hit)
+        yield lam, mu, (_integer_product(table, x, y) for x, y in pairs)
 
 
 def check_axis_verbose(
@@ -305,10 +319,11 @@ def check_axis_verbose(
 ) -> tuple[Optional[Axis], Optional[str]]:
     """Verify the axis conditions, returning (axis, None) or (None, reason).
 
-    The fusion law is checked by projecting every product of eigenbasis
-    vectors onto the eigenbasis (`_block_supports`): the product lies in the
-    allowed sum exactly when its coordinates on the disallowed eigenspaces
-    vanish.  The one inverse this needs also gives tau and sigma.
+    Once the law's eigenspaces span A, ad(a) is semisimple with the spectrum
+    found, and the rest of the certificate is read off polynomials in ad(a)
+    (`_IntegerAdjoint`): a product of eigenbasis vectors lies in the allowed
+    sum exactly when the product of (ad - nu) over the allowed eigenvalues
+    kills it, and tau and sigma are the sign polynomials of ad(a).
     """
     v = vec(v)
     n = alg.dim
@@ -326,34 +341,24 @@ def check_axis_verbose(
             total += space.dim
     if total != n:
         return None, f"bad_spectrum: eigenspaces for the law span {total} of {n}"
-    to_eigen = _eigenbasis_inverse(eigendata)
     present = [lam for lam, _ in eigendata]
-
-    def disallowed(lam, mu):
-        allowed = law.star(lam, mu)
-        return [nu for nu in present if nu not in allowed]
-
-    for lam, mu, hit in _block_supports(alg, eigendata, to_eigen, disallowed):
-        if hit:
+    adjoint = _IntegerAdjoint(ad, present)
+    for lam, mu, products in _block_products(alg, eigendata):
+        allowed = [nu for nu in present if nu in law.star(lam, mu)]
+        if len(allowed) < len(present) and not all(adjoint.in_sum(allowed, p) for p in products):
             return None, f"fusion_violation: {lam} * {mu}"
     one_space = next((s for lam, s in eigendata if lam == ONE), None)
     if one_space is None or one_space.dim != 1:
         return None, "not_primitive"
-    plus, minus = law.c2_grading()
-    miyamoto = None
-    if minus:
-        present_minus = frozenset(present) & minus
-        if present_minus:
-            miyamoto = _graded_involution(eigendata, minus, to_eigen)
-        else:
-            miyamoto = identity(n)
+    _, minus = law.c2_grading()
+    miyamoto = adjoint.sign_map(present, minus) if minus else None
     sigma = None
     if minus and all(lam not in minus for lam in present):
         # Jordan-type axis inside a larger graded law: negate the middle
         # eigenvalue part (the alpha eigenspace for Monster-type laws).
         inner = [lam for lam in present if lam not in (ONE, ZERO)]
         if inner:
-            sigma = _graded_involution(eigendata, frozenset(inner), to_eigen)
+            sigma = adjoint.sign_map(present, frozenset(inner))
     axis = Axis(
         vector=v,
         law=law,
@@ -399,10 +404,10 @@ def derivation_space(alg: Algebra) -> Subspace:
     The unknown d[r][c] (the e_r part of d(e_c)) is entry r*n + c.  Each
     equation d(e_i e_j) = d(e_i) e_j + e_i d(e_j), read at one output e_k, is
     built straight from the nonzero structure constants and solved by
-    `sparse_kernel`.  Full rank mod p there proves the space zero; a rank
-    deficit mod p proves nothing until its kernel passes the exact check
-    against every equation.  A zero space certifies that the automorphism
-    group (an algebraic group in characteristic zero) is finite.
+    `sparse_kernel`.  Full rank mod p there proves the space zero; on a
+    rank deficit mod p, which proves nothing, the whole system is solved
+    exactly.  A zero space certifies that the automorphism group (an
+    algebraic group in characteristic zero) is finite.
     """
     n = alg.dim
     partners: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
@@ -432,25 +437,31 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     """Read the star table of an idempotent off its eigenbasis products.
 
     Returns None when the adjoint is not semisimple with rational spectrum.
-    Used to discover laws empirically (for example the nearly-Monster laws
-    that show up inside joint-zero subalgebras).
+    A product has a nonzero nu-part exactly when the product of (ad - kappa)
+    over the other eigenvalues kappa does not kill it.  Used to discover
+    laws empirically (for example the nearly-Monster laws that show up
+    inside joint-zero subalgebras).
     """
-    from axial.linalg import semisimple_spectrum
-
     v = vec(v)
     if is_zero_vec(v) or alg.product(v, v) != v:
         return None
-    spectrum = semisimple_spectrum(alg.ad_matrix(v))
+    ad = alg.ad_matrix(v)
+    spectrum = semisimple_spectrum(ad)
     if not spectrum.ok:
         return None
     eigendata = spectrum.eigenpairs
     assert eigendata is not None
     values = [lam for lam, _ in eigendata]
-    to_eigen = _eigenbasis_inverse(eigendata)
-    star = {
-        (lam, mu): hit
-        for lam, mu, hit in _block_supports(alg, eigendata, to_eigen, lambda lam, mu: values)
-    }
+    adjoint = _IntegerAdjoint(ad, values)
+    others = {nu: [k for k in values if k != nu] for nu in values}
+    star = {}
+    for lam, mu, products in _block_products(alg, eigendata):
+        hit: set[Fraction] = set()
+        for p in products:
+            hit.update([nu for nu in values if nu not in hit and not adjoint.in_sum(others[nu], p)])
+            if len(hit) == len(values):
+                break
+        star[(lam, mu)] = frozenset(hit)
     try:
         return FusionLaw(values, star)
     except ValueError:

@@ -304,27 +304,24 @@ SparseVec = dict[int, Fraction]
 MODULUS = 2**31 - 1
 
 
-def _independent_rows_mod_p(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
-    """The rows that raise the rank mod MODULUS, scanned in order.
+def _rank_mod_p(rows: Iterable[SparseVec], ncols: int) -> int:
+    """The rank mod MODULUS of the rows, scanned in order.
 
     Each row is scaled to its `primitive_row` first, so no denominator
-    needs an inverse mod p, and inserted into one pivot dict modulo p.  Rows
-    independent mod p are independent over Q.  The scan stops once the
-    picked rows reach full column rank.
+    needs an inverse mod p, and inserted into one pivot dict modulo p.  The
+    rank mod p is at most the rank over Q.  The scan stops once the rank
+    reaches ncols.
     """
     pivots: dict[int, dict[int, int]] = {}
-    picked = []
     for row in rows:
         work = {}
         for c, v in kernels.primitive_row(row.items()).items():
             v %= MODULUS
             if v:
                 work[c] = v
-        if kernels.insert(pivots, work, MODULUS) is not None:
-            picked.append(row)
-            if len(picked) == ncols:
-                break
-    return picked
+        if kernels.insert(pivots, work, MODULUS) is not None and len(pivots) == ncols:
+            break
+    return len(pivots)
 
 
 def _sparse_null_basis(rows: Iterable[SparseVec], ncols: int) -> dict[int, SparseVec]:
@@ -354,22 +351,12 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
 
     The rank is screened modulo the prime MODULUS first.  Full column rank
     mod p proves the kernel over Q is zero.  A rank deficit mod p proves
-    nothing: the kernel of the rows picked mod p is solved exactly, and is
-    accepted only when every basis vector satisfies every row of the whole
-    system (it can be too big, never too small).  Should that check fail,
-    the whole system is solved exactly.
+    nothing, so the whole system is then solved exactly.
     """
     rows = sorted(rows, key=len)  # sparsest first keeps the fill-in low
-    picked = _independent_rows_mod_p(rows, ncols)
-    if len(picked) == ncols:
+    if _rank_mod_p(rows, ncols) == ncols:
         return Subspace(ncols)
-    basis = _sparse_null_basis(picked, ncols)
-    if not all(
-        sum(x * v[c] for c, x in row.items() if c in v) == 0
-        for v in basis.values()
-        for row in rows
-    ):
-        basis = _sparse_null_basis(rows, ncols)
+    basis = _sparse_null_basis(rows, ncols)
     zero = Fraction(0)
     dense = [tuple(v.get(c, zero) for c in range(ncols)) for v in basis.values()]
     return Subspace._canonical(ncols, dense, list(basis))

@@ -1,7 +1,7 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except thirteen former implementations kept to test the current
+package except fourteen former implementations kept to test the current
 ones against: `reference_rref` (the dense fraction-free loop),
 `reference_buchberger` (the all-pairs loop),
 `reference_normal_form` (division over Q in Fraction arithmetic),
@@ -10,6 +10,7 @@ ones against: `reference_rref` (the dense fraction-free loop),
 (one linear solve per vector), `reference_graded_involution` (one solve per
 column), `reference_derivation_space` (one dense RREF),
 `reference_check_axis` (one membership test per eigenvector product),
+`reference_infer_fusion_law` (eigenbasis coordinates of every product),
 `reference_frobenius_violation` (the n^3 triple loop),
 `reference_miyamoto_group` (every element, one matrix each),
 `reference_aut_from_axis_permutations` (every candidate map verified) and
@@ -776,6 +777,44 @@ def reference_check_axis(alg, v, law):
         if inner:
             sigma = reference_graded_involution(eigendata, inner, n)
     return tuple(eigendata), tau, sigma
+
+
+def reference_infer_fusion_law(alg, v):
+    """The star table of an idempotent read off eigenbasis coordinates, or None.
+
+    The package's `infer_fusion_law` as it was before it read the table off
+    polynomials in the adjoint: every product of eigenbasis vectors is
+    written in the concatenated eigenbasis by `reference_coordinates`, and
+    its nu-part is nonzero when a coordinate on a basis vector of A_nu is.
+    Kept as an oracle for that rewrite.
+    """
+    import itertools
+
+    from axial.fusion import FusionLaw
+    from axial.linalg import is_zero_vec, semisimple_spectrum, vec
+
+    v = vec(v)
+    if is_zero_vec(v) or alg.product(v, v) != v:
+        return None
+    spectrum = semisimple_spectrum(alg.ad_matrix(v))
+    if not spectrum.ok:
+        return None
+    basis, owners = [], []
+    for lam, space in spectrum.eigenpairs:
+        basis.extend(space.basis)
+        owners.extend([lam] * space.dim)
+    star = {}
+    for (lam, sl), (mu, sm) in itertools.combinations_with_replacement(spectrum.eigenpairs, 2):
+        hit = set()
+        for x in sl.basis:
+            for y in sm.basis:
+                coords = reference_coordinates(basis, alg.product(x, y))
+                hit.update(nu for nu, c in zip(owners, coords) if c)
+        star[(lam, mu)] = frozenset(hit)
+    try:
+        return FusionLaw([lam for lam, _ in spectrum.eigenpairs], star)
+    except ValueError:
+        return None
 
 
 def reference_frobenius_violation(alg):

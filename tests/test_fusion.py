@@ -36,7 +36,12 @@ from axial.linalg import (
     zero_vec,
 )
 from axial.matsuo import matsuo_algebra, symmetric_transpositions, transposition_perm
-from oracles import reference_check_axis, reference_derivation_space, reference_graded_involution
+from oracles import (
+    reference_check_axis,
+    reference_derivation_space,
+    reference_graded_involution,
+    reference_infer_fusion_law,
+)
 
 
 def test_law_construction_rejects_bad_unit_row():
@@ -232,8 +237,9 @@ def test_derivation_space_matches_reference_on_random_algebras(alg):
 @pytest.mark.parametrize("value", [F(MODULUS), 1 / F(MODULUS)], ids=["p", "1/p"])
 def test_derivation_space_with_the_screening_prime_as_a_constant(value):
     # e0 e0 = e0 and e1 e1 = value e1.  With value = p the rows that fix the
-    # e1 part of d(e1) vanish mod p, so the candidate kernel is too big and
-    # must fail the exact check; 1/p has no inverse mod p.
+    # e1 part of d(e1) vanish mod p, so the screen sees a deficit that is not
+    # there and the exact solve of the whole system must find 0; 1/p has no
+    # inverse mod p.
     alg = Algebra.from_gamma(2, [(0, 0, 0, 1), (1, 1, 1, value)])
     space = derivation_space(alg)
     assert space == reference_derivation_space(alg)
@@ -422,9 +428,9 @@ def test_check_axis_matches_reference_on_random_algebras():
     }
 
 
-def test_check_axis_inverts_once_and_tests_no_membership(monkeypatch):
-    # Work counter: the fusion check projects onto one eigenbasis inverse,
-    # which tau and sigma reuse; it never asks Subspace.contains.
+def test_check_axis_inverts_nothing_and_tests_no_membership(monkeypatch):
+    # Work counter: the fusion check, tau and sigma are polynomials in the
+    # adjoint, so no matrix is inverted and Subspace.contains is never asked.
     data = symmetric_transpositions(5)
     alg = matsuo_algebra(data, F(1, 4))
     counts = {"inverse": 0, "contains": 0}
@@ -436,14 +442,15 @@ def test_check_axis_inverts_once_and_tests_no_membership(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(fusion, "inverse", counting("inverse", fusion.inverse))
-    monkeypatch.setattr(linalg, "inverse", counting("inverse", linalg.inverse))
+    for module in (fusion, linalg):
+        if hasattr(module, "inverse"):
+            monkeypatch.setattr(module, "inverse", counting("inverse", module.inverse))
     monkeypatch.setattr(Subspace, "contains", counting("contains", Subspace.contains))
     for law, graded in ((jordan_law(F(1, 4)), "miyamoto"), (MONSTER_QUARTER, "sigma")):
         counts.update(inverse=0, contains=0)
         axis = check_axis(alg, unit_vec(data.size, 0), law)
         assert getattr(axis, graded) != identity(data.size)
-        assert counts == {"inverse": 1, "contains": 0}, law
+        assert counts == {"inverse": 0, "contains": 0}, law
 
 
 @pytest.mark.parametrize("eta", ["1/4", "1/3", "2"])
@@ -452,3 +459,47 @@ def test_infer_fusion_law_on_matsuo_s5_axes(eta):
     alg = matsuo_algebra(data, F(eta))
     for i in (0, data.size - 1):
         assert infer_fusion_law(alg, unit_vec(data.size, i)) == jordan_law(F(eta))
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+@pytest.mark.parametrize("eta", ["1/4", "2"])
+def test_infer_fusion_law_matches_reference_on_matsuo(m, eta):
+    data = symmetric_transpositions(m)
+    alg = matsuo_algebra(data, F(eta))
+    n = data.size
+    # every axis, and the sum of two orthogonal axes: an idempotent that is
+    # not primitive, with a larger table
+    orthogonal = vadd(
+        unit_vec(n, data.index_of(transposition_perm(m, 1, 2))),
+        unit_vec(n, data.index_of(transposition_perm(m, 3, 4))),
+    )
+    for v in [unit_vec(n, i) for i in range(n)] + [orthogonal]:
+        law = infer_fusion_law(alg, v)
+        assert law is not None
+        assert law == reference_infer_fusion_law(alg, v), v
+
+
+def test_infer_fusion_law_matches_reference_on_fixture_axes():
+    for name in ("q2.alg", "triple2b.alg"):
+        parsed = parse_algebra(FIXTURES / name)
+        for tag, v in parsed.axes:
+            law = infer_fusion_law(parsed.algebra, v)
+            assert law is not None, (name, tag)
+            assert law == reference_infer_fusion_law(parsed.algebra, v), (name, tag)
+
+
+def test_infer_fusion_law_matches_reference_on_random_algebras():
+    inferred = []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(axis_cases())
+    def compare(case):
+        alg, v, _ = case
+        law = infer_fusion_law(alg, v)
+        assert law == reference_infer_fusion_law(alg, v)
+        inferred.append(law is not None)
+
+    compare()
+    # draws that fail idempotency give None on both sides; the rest must
+    # reach the comparison of two tables
+    assert any(inferred) and not all(inferred)

@@ -377,13 +377,12 @@ def test_sparse_kernel_matches_dense_kernel(system):
 
 def test_sparse_kernel_certificate_directions():
     # the rows differ by (0, 2**31 - 1), which vanishes mod the prime: the
-    # screen sees rank 1, the exact check rejects its 1-dimensional
-    # candidate, and the exact solve finds 0.
+    # screen sees rank 1, which proves nothing, and the exact solve finds 0.
     p = F(MODULUS)
     assert sparse_kernel([{0: F(1), 1: F(1)}, {0: F(1), 1: 1 + p}], 2).is_zero()
     # 1/(2**31 - 1) has no inverse mod p; the row is scaled to integers first.
     assert sparse_kernel([{0: 1 / p}, {0: F(1), 1: F(2)}], 2).is_zero()
-    # a true deficit survives the check
+    # a true deficit is solved exactly
     assert sparse_kernel([{0: F(1), 1: p}], 2) == Subspace(2, [vec([-p, 1])])
     assert sparse_kernel([], 3) == full_space(3)
     assert sparse_kernel([], 0) == Subspace(0)

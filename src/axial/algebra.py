@@ -25,7 +25,6 @@ from axial.linalg import (
     mat_from_cols,
     mat_vec,
     solve,
-    solve_affine,
     unit_vec,
     vdot,
     vec,
@@ -196,15 +195,13 @@ class Algebra:
     def ad_matrix(self, u: Vec) -> Mat:
         """Matrix of left multiplication by u; column j is u * e_j."""
         n = self.dim
-        cols = []
-        for j in range(n):
-            col = [Fraction(0)] * n
-            for i, a in enumerate(u):
-                if a:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i, a in enumerate(u):
+            if a:
+                for j in range(n):
                     for k, c in self.basis_product(i, j):
-                        col[k] += a * c
-            cols.append(tuple(col))
-        return mat_from_cols(cols)
+                        rows[k][j] += a * c
+        return tuple(tuple(row) for row in rows)
 
     def form_value(self, u: Vec, v: Vec) -> Fraction:
         """Frobenius form value (u, v)."""
@@ -218,9 +215,9 @@ class Algebra:
     def find_unit(self) -> Optional[Vec]:
         """The multiplicative identity, or None when there is none.
 
-        Solves the linear system unit * e_j = e_j over the coordinates; a
-        commutative algebra has at most one unit, so the system is either
-        inconsistent or pins the answer.
+        Solves the linear system unit * e_j = e_j over the coordinates.  A
+        consistent system has one solution: if u is a unit and z e_j = 0 for
+        every j, then z = z u = 0.
         """
         if self._unit_known:
             return self.unit
@@ -231,10 +228,9 @@ class Algebra:
             for k in range(n):
                 rows.append(tuple(self._gamma(i, j, k) for i in range(n)))
                 rhs.append(Fraction(1 if k == j else 0))
-        sol = solve_affine(mat(rows), tuple(rhs))
-        if sol is None:
+        candidate = solve(mat(rows), tuple(rhs))
+        if candidate is None:
             return None
-        candidate = sol[0]
         for j in range(n):
             if self.product(candidate, unit_vec(n, j)) != unit_vec(n, j):
                 return None
@@ -280,13 +276,10 @@ class Algebra:
         if w.is_zero():
             return Subspace(self.dim, tuple(unit_vec(self.dim, i) for i in range(self.dim)))
         rows = []
-        n = self.dim
         for x in w.basis:
-            # row block: coordinates of e_i * x as columns of a linear map in u
-            cols = [self.product(unit_vec(n, i), x) for i in range(n)]
-            block = mat_from_cols(cols)
-            rows.extend(block)
-        return kernel(mat(rows))
+            # u x = ad(x) u, as the product is commutative
+            rows.extend(self.ad_matrix(x))
+        return kernel(tuple(rows))
 
     def radical(self) -> Subspace:
         """Kernel of the Frobenius form (equals the algebra radical when the

@@ -22,9 +22,9 @@ from axial.linalg import (
     Subspace,
     Vec,
     combination,
-    eigenspace,
     frac,
     is_zero_vec,
+    null_space,
     semisimple_spectrum,
     sparse_kernel,
     subspace_sum,
@@ -206,19 +206,32 @@ class _IntegerAdjoint:
     """D ad(a) on sparse integer vectors {index: int} with no zero entries.
 
     D clears the denominators of ad(a) and of the eigenvalues given, so each
-    shift D ad - D nu is an integer matrix, kept as the nonzero (row, entry)
-    pairs of its columns.  Scaling by D never changes whether a vector is
-    zero, so every zero test is exact.
+    shift D ad - D nu is an integer matrix.  D ad is kept as its nonzero
+    entries, by row and, transposed sparsely, by column.  Scaling by D never
+    changes a null space or whether a vector is zero, so every eigenspace and
+    every zero test is exact.
     """
 
-    __slots__ = ("scale", "cols")
+    __slots__ = ("scale", "rows", "cols")
 
     def __init__(self, ad: Mat, values: Iterable[Fraction]):
         self.scale = lcm(*(x.denominator for x in itertools.chain(*ad, values)))
-        self.cols = [
-            [(i, x.numerator * (self.scale // x.denominator)) for i, x in enumerate(col) if x]
-            for col in transpose(ad)
+        self.rows = [
+            {j: x.numerator * (self.scale // x.denominator) for j, x in enumerate(row) if x}
+            for row in ad
         ]
+        self.cols: list[list[tuple[int, int]]] = [[] for _ in ad]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                self.cols[j].append((i, x))
+
+    def eigenspace(self, nu: Fraction) -> Subspace:
+        """The nu-eigenspace of ad(a): the null space of D ad - D nu."""
+        s = nu.numerator * (self.scale // nu.denominator)
+        return null_space(
+            ({**row, i: row.get(i, 0) - s}.items() for i, row in enumerate(self.rows)),
+            len(self.rows),
+        )
 
     def shift(self, nu: Fraction, x: dict[int, int]) -> dict[int, int]:
         """(D ad - D nu) x."""
@@ -319,11 +332,13 @@ def check_axis_verbose(
 ) -> tuple[Optional[Axis], Optional[str]]:
     """Verify the axis conditions, returning (axis, None) or (None, reason).
 
-    Once the law's eigenspaces span A, ad(a) is semisimple with the spectrum
-    found, and the rest of the certificate is read off polynomials in ad(a)
-    (`_IntegerAdjoint`): a product of eigenbasis vectors lies in the allowed
-    sum exactly when the product of (ad - nu) over the allowed eigenvalues
-    kills it, and tau and sigma are the sign polynomials of ad(a).
+    The eigenspaces of the law's values are the null spaces of the integer
+    shifts D ad(a) - D lam (`_IntegerAdjoint`).  Once they span A, ad(a) is
+    semisimple with the spectrum found, and the rest of the certificate is
+    read off polynomials in the same integer adjoint: a product of
+    eigenbasis vectors lies in the allowed sum exactly when the product of
+    (ad - nu) over the allowed eigenvalues kills it, and tau and sigma are
+    the sign polynomials of ad(a).
     """
     v = vec(v)
     n = alg.dim
@@ -331,18 +346,17 @@ def check_axis_verbose(
         return None, "not_idempotent: zero vector"
     if alg.product(v, v) != v:
         return None, "not_idempotent"
-    ad = alg.ad_matrix(v)
+    adjoint = _IntegerAdjoint(alg.ad_matrix(v), law.values)
     eigendata = []
     total = 0
     for lam in law.values:
-        space = eigenspace(ad, lam)
+        space = adjoint.eigenspace(lam)
         if not space.is_zero():
             eigendata.append((lam, space))
             total += space.dim
     if total != n:
         return None, f"bad_spectrum: eigenspaces for the law span {total} of {n}"
     present = [lam for lam, _ in eigendata]
-    adjoint = _IntegerAdjoint(ad, present)
     for lam, mu, products in _block_products(alg, eigendata):
         allowed = [nu for nu in present if nu in law.star(lam, mu)]
         if len(allowed) < len(present) and not all(adjoint.in_sum(allowed, p) for p in products):

@@ -3,7 +3,10 @@
 Vectors are tuples of Fractions and matrices are tuples of row tuples, so
 every value is immutable and hashable.  All arithmetic is exact; nothing here
 ever rounds.  Every row reduction, `rref` and both stages of `sparse_kernel`
-alike, is the one sparse integer elimination of `axial._kernels_py`.
+alike, is the one sparse integer elimination of `axial._kernels_py`, and
+every null space (`kernel`, `sparse_kernel`, `eigenspace`, and the axis
+eigenspaces of `axial.fusion`) is read off it by `null_space`.  `solve` and
+`inverse` read their answers off one RREF of an augmented matrix.
 """
 
 from __future__ import annotations
@@ -156,42 +159,16 @@ def inverse(m: Mat) -> Optional[Mat]:
 
 
 def solve(a: Mat, b: Vec) -> Optional[Vec]:
-    """Unique solution of a x = b, or None when inconsistent or underdetermined."""
-    sol = solve_affine(a, b)
-    if sol is None:
-        return None
-    particular, homogeneous = sol
-    if homogeneous:
-        return None
-    return particular
+    """Unique solution of a x = b, or None when inconsistent or underdetermined.
 
-
-def _null_basis(reduced: Mat, pivots: list[int], ncols: int) -> list[Vec]:
-    """Null-space basis read off an RREF: one vector per free column."""
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve_affine(a: Mat, b: Vec) -> Optional[tuple[Vec, list[Vec]]]:
-    """General solution of a x = b as (particular, kernel basis); None if inconsistent."""
-    nrows = len(a)
+    One RREF of [a | b]: the solution is unique exactly when its pivots are
+    the columns of a, and it is then the last column.
+    """
     ncols = len(a[0]) if a else 0
-    aug = mat(tuple(tuple(a[i]) + (b[i],) for i in range(nrows)))
-    reduced, rk, pivots = rref(aug)
-    if ncols in pivots:
+    reduced, _, pivots = rref(mat(tuple(row) + (x,) for row, x in zip(a, b)))
+    if pivots != list(range(ncols)):
         return None
-    particular = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        particular[c] = reduced[r][ncols]
-    return tuple(particular), _null_basis(reduced, pivots, ncols)
+    return tuple(row[ncols] for row in reduced[:ncols])
 
 
 class Subspace:
@@ -279,24 +256,6 @@ def full_space(n: int) -> Subspace:
     return Subspace(n, identity(n))
 
 
-def kernel(m: Mat) -> Subspace:
-    """Canonical basis of the right null space {v | m v = 0}, from one RREF.
-
-    m is row-reduced with its columns reversed, so its pivots are taken from
-    the last column backwards.  The null vector of each free column f is then
-    1 at f, 0 at every other free column and nonzero only at pivot columns
-    after f: read off in increasing f, these vectors are already the
-    canonical basis, with the free columns as its pivots.
-    """
-    ncols = len(m[0]) if m else 0
-    if not m:
-        return full_space(ncols)
-    reduced, _, pivots = rref(tuple(row[::-1] for row in m))
-    basis = [v[::-1] for v in reversed(_null_basis(reduced, pivots, ncols))]
-    free = [f for f in range(ncols) if ncols - 1 - f not in pivots]
-    return Subspace._canonical(ncols, basis, free)
-
-
 SparseVec = dict[int, Fraction]
 
 # A fixed prime for the rank screen of `sparse_kernel`; any prime gives exact
@@ -324,26 +283,35 @@ def _rank_mod_p(rows: Iterable[SparseVec], ncols: int) -> int:
     return len(pivots)
 
 
-def _sparse_null_basis(rows: Iterable[SparseVec], ncols: int) -> dict[int, SparseVec]:
-    """Canonical null basis over Q of sparse rows, read off one echelon,
-    keyed by free column.
+def null_space(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> Subspace:
+    """Canonical basis of the null space over Q of rows given as (column,
+    value) pairs, the values Fractions or ints, read off one echelon.
 
-    The rows are reduced with their columns reversed, as in `kernel`, so
-    the null vector of each free column f is 1 at f and nonzero elsewhere
-    only at pivot columns after f; in increasing f these vectors are the
-    canonical (RREF) basis of the null space.
+    The rows are reduced with their columns reversed, so their pivots are
+    taken from the last column backwards.  The null vector of each free
+    column f is then 1 at f, 0 at every other free column and nonzero only
+    at pivot columns after f: in increasing f these vectors are already the
+    canonical (RREF) basis of the null space, with the free columns as its
+    pivots.
     """
     last = ncols - 1
     pivots = kernels.echelon(
-        [kernels.primitive_row((last - c, x) for c, x in row.items()) for row in rows]
+        [kernels.primitive_row((last - c, x) for c, x in row) for row in rows]
     )
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if last - f not in pivots}
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if last - f not in pivots}
+    for f, v in basis.items():
+        v[f] = Fraction(1)
     for c, prow in pivots.items():
         p = prow[c]
         for j, v in prow.items():
             if j != c:
                 basis[last - j][last - c] = Fraction(-v, p)
-    return basis
+    return Subspace._canonical(ncols, [tuple(v) for v in basis.values()], list(basis))
+
+
+def kernel(m: Mat) -> Subspace:
+    """Canonical basis of the right null space {v | m v = 0}, by `null_space`."""
+    return null_space((enumerate(row) for row in m), len(m[0]) if m else 0)
 
 
 def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
@@ -351,15 +319,12 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
 
     The rank is screened modulo the prime MODULUS first.  Full column rank
     mod p proves the kernel over Q is zero.  A rank deficit mod p proves
-    nothing, so the whole system is then solved exactly.
+    nothing, so the whole system is then solved exactly by `null_space`.
     """
     rows = sorted(rows, key=len)  # sparsest first keeps the fill-in low
     if _rank_mod_p(rows, ncols) == ncols:
         return Subspace(ncols)
-    basis = _sparse_null_basis(rows, ncols)
-    zero = Fraction(0)
-    dense = [tuple(v.get(c, zero) for c in range(ncols)) for v in basis.values()]
-    return Subspace._canonical(ncols, dense, list(basis))
+    return null_space((row.items() for row in rows), ncols)
 
 
 def eigenspace(m: Mat, lam) -> Subspace:

@@ -646,6 +646,31 @@ def reference_rref(rows):
     return pivots
 
 
+def reference_kernel(rows, ncols):
+    """Canonical basis of the null space of dense Fraction rows with `ncols`
+    columns, as (basis, pivots) tuples.
+
+    One `reference_rref` of the rows, one null vector per free column read
+    forward (1 at the free column, minus that column of the RREF at each
+    pivot), and a second `reference_rref` that brings those vectors to the
+    canonical basis.  The package's `kernel` read its basis this way before
+    it read it off the column-reversed echelon; kept as an oracle for that
+    rewrite.
+    """
+    reduced = [list(row) for row in rows]
+    pivots = reference_rref(reduced)
+    vectors = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -reduced[r][f]
+            vectors.append(v)
+    basis_pivots = reference_rref(vectors)
+    return tuple(tuple(v) for v in vectors[: len(basis_pivots)]), tuple(basis_pivots)
+
+
 def reference_coordinates(basis, v):
     """Coordinates of v in the given basis by one linear solve, or None.
 

@@ -453,6 +453,28 @@ def test_check_axis_inverts_nothing_and_tests_no_membership(monkeypatch):
         assert counts == {"inverse": 0, "contains": 0}, law
 
 
+def test_check_axis_reads_each_eigenspace_off_one_echelon(monkeypatch):
+    # Work counter: each eigenspace of the certificate is the null space of
+    # one integer shift of the adjoint, read off one echelon with no RREF.
+    data = symmetric_transpositions(5)
+    alg = matsuo_algebra(data, F(1, 4))
+    counts = {"rref": 0, "echelon": 0}
+
+    def counting(name, original):
+        def wrapped(rows):
+            counts[name] += 1
+            return original(rows)
+
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+    for law in (jordan_law(F(1, 4)), MONSTER_QUARTER):
+        counts.update(rref=0, echelon=0)
+        assert check_axis(alg, unit_vec(data.size, 0), law) is not None
+        assert counts == {"rref": 0, "echelon": len(law.values)}, law
+
+
 @pytest.mark.parametrize("eta", ["1/4", "1/3", "2"])
 def test_infer_fusion_law_on_matsuo_s5_axes(eta):
     data = symmetric_transpositions(5)

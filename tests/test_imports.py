@@ -49,3 +49,29 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert _unused_imports(SRC / module) == []
+
+
+def test_every_private_module_name_is_used():
+    # A module-level `_` name is internal to the package, so a definition
+    # that nothing under src/axial reads is dead code.
+    defined = {}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []

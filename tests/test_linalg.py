@@ -7,7 +7,6 @@ from axial._backend import kernels
 from axial.linalg import (
     MODULUS,
     Subspace,
-    _null_basis,
     char_poly,
     combination,
     det,
@@ -33,7 +32,7 @@ from axial.linalg import (
 )
 from axial.fusion import derivation_space
 from axial.matsuo import matsuo_algebra, symmetric_transpositions
-from oracles import det_fraction, reference_char_poly, reference_coordinates
+from oracles import det_fraction, reference_char_poly, reference_coordinates, reference_kernel
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -123,26 +122,25 @@ def test_rank_nullity(rows):
     )
 )
 def test_kernel_is_the_canonical_null_basis(rows):
-    # kernel reads the canonical basis off one RREF of the column-reversed
-    # matrix; the second RREF it replaced gives the same basis and pivots.
+    # kernel reads the canonical basis off one echelon of the column-reversed
+    # matrix; the forward read and second RREF it replaced give the same
+    # basis and pivots.
     m = mat(rows)
-    reduced, _, pivots = rref(m)
-    want = Subspace(len(m[0]), _null_basis(reduced, pivots, len(m[0])))
     got = kernel(m)
-    assert got == want and got.pivots == want.pivots
+    assert (got.basis, got.pivots) == reference_kernel(m, len(m[0]))
 
 
-def test_eigenspace_runs_one_rref(monkeypatch):
+def test_eigenspace_runs_one_echelon(monkeypatch):
     alg = matsuo_algebra(symmetric_transpositions(4), F(1, 4))
     m = alg.ad_matrix(unit_vec(alg.dim, 0))
     calls = []
-    original = kernels.rref
+    original = kernels.echelon
 
     def counting(rows):
         calls.append(1)
         return original(rows)
 
-    monkeypatch.setattr(kernels, "rref", counting)
+    monkeypatch.setattr(kernels, "echelon", counting)
     dims = [eigenspace(m, lam).dim for lam in (F(1), F(0), F(1, 4), F(1, 2))]
     assert dims == [1, 3, 2, 0]
     assert len(calls) == 4
@@ -177,6 +175,10 @@ def test_solve_and_det():
     x = solve(a, vec([3, 4]))
     assert mat_vec(a, x) == vec([3, 4])
     assert solve(mat([[1, 1], [1, 1]]), vec([0, 1])) is None
+    # consistent but underdetermined
+    assert solve(mat([[1, 1], [2, 2]]), vec([1, 2])) is None
+    assert solve(mat([[1, 2, 3]]), vec([0])) is None
+    assert solve((), ()) == ()
 
 
 def test_char_poly_companion():
@@ -371,8 +373,8 @@ def _dense(rows, ncols):
 )
 def test_sparse_kernel_matches_dense_kernel(system):
     ncols, rows = system
-    want = kernel(_dense(rows, ncols)) if rows else full_space(ncols)
-    assert sparse_kernel(rows, ncols) == want
+    got = sparse_kernel(rows, ncols)
+    assert (got.basis, got.pivots) == reference_kernel(_dense(rows, ncols), ncols)
 
 
 def test_sparse_kernel_certificate_directions():

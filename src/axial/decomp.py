@@ -10,11 +10,13 @@ automorphisms of the small subalgebra extend to the whole algebra.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+from axial._backend import kernels
 from axial.algebra import Algebra, AlgebraError, DegenerateFormError, MissingFormError
 from axial.fusion import Axis, FusionLaw
 from axial.linalg import (
@@ -22,11 +24,10 @@ from axial.linalg import (
     Subspace,
     Vec,
     combination,
-    identity,
+    full_space,
     intersect,
-    kernel,
-    mat,
     mat_vec,
+    null_space,
     perp_space,
     subspace_sum,
     zero_vec,
@@ -80,19 +81,19 @@ def decompose_joint(
                 raise AlgebraError(
                     f"involution of axis {i} does not fix axis {j}"
                 )
-    components: dict[tuple[Fraction, ...], Subspace] = {}
-    total = 0
-    for combo in itertools.product(law.values, repeat=len(axes)):
-        space = axes[0].eigenspace(combo[0])
-        for a, lam in zip(axes[1:], combo[1:]):
-            if space.is_zero():
-                break
-            space = intersect(space, a.eigenspace(lam))
-        if not space.is_zero():
-            components[combo] = space
-            total += space.dim
+    # Refine axis by axis: the parts for axes[:i+1] are the nonzero meets of
+    # each part for axes[:i] with each eigenspace of axis i, in law.values
+    # order, so the keys come out in itertools.product order.
+    components = {(): full_space(n)}
+    for a in axes:
+        meets = (
+            (key + (lam,), intersect(space, a.eigenspace(lam)))
+            for key, space in components.items()
+            for lam in law.values
+        )
+        components = {key: space for key, space in meets if not space.is_zero()}
     a_circ = subspace_sum(list(components.values()), ambient=n)
-    complete = total == n
+    complete = sum(space.dim for space in components.values()) == n
     decomposition = JointDecomposition(tuple(axes), law, components, complete, a_circ)
     if law.is_seress():
         u = decomposition.zero_component
@@ -180,66 +181,51 @@ def extension_space(alg: Algebra, u: Subspace, w: Subspace, phi: Mat) -> Extensi
 
     `phi` is given in coordinates of the basis of u and must be multiplicative
     on it; `w` must satisfy u w inside w.  Unknowns are the entries of psi in
-    the basis of w.
+    the basis of w.  Each product is taken once: the u-coordinates of
+    u_r u_s are the subalgebra check and the product table of the phi check,
+    and the w-coordinates of u_r w_j the module check and the system's
+    right-hand sides.
     """
     l, m = u.dim, w.dim
     if len(phi) != l or any(len(r) != l for r in phi):
         raise ValueError("phi size does not match the subalgebra dimension")
-    if not alg.is_product_closed(u):
-        raise AlgebraError("first subspace is not a subalgebra")
-    if not _is_module(alg, u, w):
-        raise AlgebraError("second subspace is not a module over the first")
-    phi_vectors = [combination(column, u.basis, alg.dim) for column in zip(*phi)]
+    table = {}
     for r in range(l):
         for s in range(r, l):
-            lhs = alg.product(phi_vectors[r], phi_vectors[s])
-            product_coords = _coords_in(u, alg.product(u.basis[r], u.basis[s]))
-            if lhs != combination(product_coords, phi_vectors, alg.dim):
+            table[r, s] = table[s, r] = u.coordinates(alg.product(u.basis[r], u.basis[s]))
+    if None in table.values():
+        raise AlgebraError("first subspace is not a subalgebra")
+    module = [[w.coordinates(alg.product(x, y)) for y in w.basis] for x in u.basis]
+    if any(None in row for row in module):
+        raise AlgebraError("second subspace is not a module over the first")
+    phi_cols = list(zip(*phi))
+    for r in range(l):
+        for s in range(r, l):
+            # u-coordinates of phi(u_r) phi(u_s) against those of phi(u_r u_s)
+            terms = [
+                (x * y, table[i, j])
+                for i, x in enumerate(phi_cols[r])
+                if x
+                for j, y in enumerate(phi_cols[s])
+                if y
+            ]
+            lhs = combination([c for c, _ in terms], [v for _, v in terms], l)
+            if lhs != mat_vec(phi, table[r, s]):
                 raise AlgebraError("phi is not an automorphism of the subalgebra")
 
     rows = []
-    if m == 0:
-        return ExtensionSpace(phi, Subspace(0), 0)
     for r in range(l):
-        # W-coordinates of phi(u_r) * w_c for each c
-        action = []
-        for c in range(m):
-            p = alg.product(phi_vectors[r], w.basis[c])
-            coords = w.coordinates(p)
-            if coords is None:
-                raise AlgebraError("module violation under phi")
-            action.append(coords)
-        module_coords = []
-        for j in range(m):
-            q = w.coordinates(alg.product(u.basis[r], w.basis[j]))
-            assert q is not None
-            module_coords.append(q)
+        # W-coordinates of phi(u_r) w_c for each c
+        action = [combination(phi_cols[r], [row[c] for row in module], m) for c in range(m)]
         for j in range(m):
             for out_row in range(m):
-                row = [Fraction(0)] * (m * m)
                 # LHS: sum_c psi[c][j] (phi(u_r) w_c)_outrow
-                for c in range(m):
-                    coeff = action[c][out_row]
-                    if coeff:
-                        row[c * m + j] += coeff
-                # RHS: sum_c q_c psi[out_row][c]
-                for c in range(m):
-                    coeff = module_coords[j][c]
-                    if coeff:
-                        row[out_row * m + c] -= coeff
-                rows.append(tuple(row))
-    if not rows:
-        space = Subspace(m * m, identity(m * m))
-    else:
-        space = kernel(mat(rows))
-    return ExtensionSpace(phi, space, m)
-
-
-def _coords_in(space: Subspace, v: Vec) -> Vec:
-    coords = space.coordinates(v)
-    if coords is None:
-        raise AlgebraError("vector left the subspace")
-    return coords
+                row = {c * m + j: action[c][out_row] for c in range(m)}
+                # RHS: sum_c q_c psi[out_row][c], q the coordinates of u_r w_j
+                for c, q in enumerate(module[r][j]):
+                    row[out_row * m + c] = row.get(out_row * m + c, 0) - q
+                rows.append(row.items())
+    return ExtensionSpace(phi, null_space(rows, m * m), m)
 
 
 @dataclass(frozen=True)
@@ -254,6 +240,9 @@ class SquareProbe:
     w: Vec
     u: Vec
 
+    def value(self, alg: Algebra) -> Fraction:
+        return alg.form_value(alg.product(self.w, self.w), self.u)
+
 
 @dataclass(frozen=True)
 class PairingProbe:
@@ -267,6 +256,12 @@ class PairingProbe:
     components: tuple[int, ...]
     vectors: tuple[Vec, ...]
     kind: str = "triple"
+
+    def value(self, alg: Algebra) -> Fraction:
+        wa, wb, wc = self.vectors
+        if self.kind == "triple":
+            return alg.form_value(alg.product(wa, wb), wc)
+        return alg.form_value(alg.product(alg.product(wa, wb), alg.product(wa, wc)), wa)
 
     def parity(self, count: int) -> tuple[int, ...]:
         exponents = [0] * count
@@ -319,40 +314,30 @@ def sign_kernel(
     records: list[ProbeRecord] = []
     certified: set[int] = set()
     for probe in probes:
-        if isinstance(probe, SquareProbe):
-            value = alg.form_value(alg.product(probe.w, probe.w), probe.u)
-            used = value != 0
-            if used:
-                certified.add(probe.component)
-            records.append(ProbeRecord(probe, value, used))
-        elif isinstance(probe, PairingProbe):
-            if probe.kind == "triple":
-                wa, wb, wc = probe.vectors
-                value = alg.form_value(alg.product(wa, wb), wc)
-            else:
-                wa, wb, wc = probe.vectors
-                value = alg.form_value(
-                    alg.product(alg.product(wa, wb), alg.product(wa, wc)), wa
-                )
-            used = value != 0
-            if used:
-                constraints.append(probe.parity(k))
-            records.append(ProbeRecord(probe, value, used))
-        else:
+        if not isinstance(probe, (SquareProbe, PairingProbe)):
             raise TypeError(f"unknown probe {probe!r}")
+        value = probe.value(alg)
+        used = value != 0
+        if used and isinstance(probe, SquareProbe):
+            certified.add(probe.component)
+        elif used:
+            constraints.append(probe.parity(k))
+        records.append(ProbeRecord(probe, value, used))
+    # The parities are solved over GF(2), a sign -1 read as 1, with the
+    # components reversed, so each pivot is the last component of its row and
+    # its sign is fixed by the signs before it.  Listing the free signs in
+    # product order so lists the solutions in product order.
+    pivots: dict[int, dict[int, int]] = {}
+    for parity in constraints:
+        kernels.insert(pivots, {k - 1 - i: 1 for i, e in enumerate(parity) if e}, 2)
+    rows = sorted((k - 1 - c, [k - 1 - j for j in row if j != c]) for c, row in pivots.items())
+    free = [i for i in range(k) if k - 1 - i not in pivots]
     admissible = []
-    for signs in itertools.product((1, -1), repeat=k):
-        ok = True
-        for parity in constraints:
-            prod = 1
-            for s, e in zip(signs, parity):
-                if e:
-                    prod *= s
-            if prod != 1:
-                ok = False
-                break
-        if ok:
-            admissible.append(signs)
+    for choice in itertools.product((1, -1), repeat=len(free)):
+        signs = dict(zip(free, choice))
+        for h, others in rows:
+            signs[h] = math.prod(signs[i] for i in others)
+        admissible.append(tuple(signs[i] for i in range(k)))
     return SignKernelResult(admissible, records, certified)
 
 
@@ -380,35 +365,37 @@ def generate_probes(
     kept out of the returned set; sign_kernel records whatever it is given.
     """
     rng = random.Random(seed)
-    probes: list[object] = []
-    for i, comp in enumerate(components):
-        for _ in range(PROBE_RETRIES):
-            w = random_component_element(comp, rng)
-            u = random_component_element(u_space, rng) if not u_space.is_zero() else zero_vec(alg.dim)
-            if alg.form_value(alg.product(w, w), u) != 0:
-                probes.append(SquareProbe(i, w, u))
-                break
+
+    def u_element() -> Vec:
+        if u_space.is_zero():
+            return zero_vec(alg.dim)
+        return random_component_element(u_space, rng)
+
     if triples is None:
         triples = list(itertools.combinations(range(len(components)), 3))
-    for combo in triples:
-        a, b, c = combo
-        for _ in range(PROBE_RETRIES):
-            wa = random_component_element(components[a], rng)
-            wb = random_component_element(components[b], rng)
-            wc = random_component_element(components[c], rng)
-            if alg.form_value(alg.product(wa, wb), wc) != 0:
-                probes.append(PairingProbe(combo, (wa, wb, wc), "triple"))
-                break
-    for combo in long_probes:
-        a, b, c = combo
-        for _ in range(PROBE_RETRIES):
-            wa = random_component_element(components[a], rng)
-            wb = random_component_element(components[b], rng)
-            wc = random_component_element(components[c], rng)
-            value = alg.form_value(
-                alg.product(alg.product(wa, wb), alg.product(wa, wc)), wa
-            )
-            if value != 0:
-                probes.append(PairingProbe(combo, (wa, wb, wc), "long"))
-                break
-    return probes
+    squares = [
+        _nonzero_probe(
+            alg, lambda: SquareProbe(i, random_component_element(comp, rng), u_element())
+        )
+        for i, comp in enumerate(components)
+    ]
+    pairings = [
+        _nonzero_probe(
+            alg,
+            lambda: PairingProbe(
+                combo, tuple(random_component_element(components[c], rng) for c in combo), kind
+            ),
+        )
+        for combos, kind in ((triples, "triple"), (long_probes, "long"))
+        for combo in combos
+    ]
+    return [probe for probe in squares + pairings if probe is not None]
+
+
+def _nonzero_probe(alg: Algebra, draw: Callable[[], object]) -> Optional[object]:
+    """The first of at most PROBE_RETRIES probes `draw()` whose value is nonzero."""
+    for _ in range(PROBE_RETRIES):
+        probe = draw()
+        if probe.value(alg) != 0:
+            return probe
+    return None

@@ -4,9 +4,10 @@ Vectors are tuples of Fractions and matrices are tuples of row tuples, so
 every value is immutable and hashable.  All arithmetic is exact; nothing here
 ever rounds.  Every row reduction, `rref` and both stages of `sparse_kernel`
 alike, is the one sparse integer elimination of `axial._kernels_py`, and
-every null space (`kernel`, `sparse_kernel`, `eigenspace`, and the axis
-eigenspaces of `axial.fusion`) is read off it by `null_space`.  `solve` and
-`inverse` read their answers off one RREF of an augmented matrix.
+every null space (`kernel`, `sparse_kernel`, `eigenspace`, `intersect` and
+the axis eigenspaces of `axial.fusion`) is read off it by `null_space`.
+`solve` and `inverse` read their answers off one RREF of an augmented
+matrix.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ class Subspace:
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(n, identity(n))
+    return Subspace._canonical(n, identity(n), range(n))
 
 
 SparseVec = dict[int, Fraction]
@@ -336,19 +337,26 @@ def eigenspace(m: Mat, lam) -> Subspace:
     return kernel(tuple(tuple(row) for row in shifted))
 
 
+def _equations(s: Subspace) -> list[list[tuple[int, Fraction]]]:
+    """Rows, as (column, value) pairs, whose null space is s.
+
+    Read off the canonical basis with no elimination: x in s has coordinate
+    x[p] on the basis row of pivot p, so each free column f gives the
+    equation x[f] = sum over the rows of (row at f) x[pivot].
+    """
+    free = sorted(set(range(s.ambient)) - set(s.pivots))
+    return [
+        [(f, Fraction(1))] + [(p, -row[f]) for p, row in zip(s.pivots, s.basis) if row[f]]
+        for f in free
+    ]
+
+
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
+    """Intersection of two subspaces of the same ambient space: the
+    `null_space` of both subspaces' equations."""
     if s1.ambient != s2.ambient:
         raise ValueError("ambient dimension mismatch")
-    if s1.is_zero() or s2.is_zero():
-        return Subspace(s1.ambient)
-    # x in both spans: x = B1^T a = B2^T b; solve for (a, b) then map a through B1.
-    stacked = mat_from_cols(tuple(s1.basis) + tuple(vscale(-1, v) for v in s2.basis))
-    coeffs = kernel(stacked)
-    d1 = s1.dim
-    return Subspace(
-        s1.ambient, [combination(coeff[:d1], s1.basis, s1.ambient) for coeff in coeffs.basis]
-    )
+    return null_space(_equations(s1) + _equations(s2), s1.ambient)
 
 
 def subspace_sum(spaces: Sequence[Subspace], ambient: Optional[int] = None) -> Subspace:

@@ -1,7 +1,7 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except fourteen former implementations kept to test the current
+package except eighteen former implementations kept to test the current
 ones against: `reference_rref` (the dense fraction-free loop),
 `reference_buchberger` (the all-pairs loop),
 `reference_normal_form` (division over Q in Fraction arithmetic),
@@ -13,9 +13,12 @@ column), `reference_derivation_space` (one dense RREF),
 `reference_infer_fusion_law` (eigenbasis coordinates of every product),
 `reference_frobenius_violation` (the n^3 triple loop),
 `reference_miyamoto_group` (every element, one matrix each),
-`reference_aut_from_axis_permutations` (every candidate map verified) and
+`reference_aut_from_axis_permutations` (every candidate map verified),
 `reference_close_axet` (rounds under every found involution to a
-fixpoint).  Elimination goes through Sylvester resultants whose
+fixpoint), `reference_intersect` (the kernel of stacked bases),
+`reference_decompose_joint` (every tuple of eigenvalues),
+`reference_extension_space` (dense rows) and `reference_sign_filter` (all
+2^k sign tuples).  Elimination goes through Sylvester resultants whose
 determinants are computed by evaluation at integer nodes plus Lagrange
 interpolation, rational roots come from the rational root theorem, and
 every candidate point is verified by substitution into the original
@@ -1016,3 +1019,134 @@ def reference_close_axet(alg, seed_axes, cap=512):
                 if len(axes) > cap:
                     raise CapExceeded(f"axis closure exceeded cap {cap}")
     return Axet(tuple(axes))
+
+
+def reference_intersect(s1, s2):
+    """Intersection of two subspaces through the kernel of [B1 | -B2].
+
+    The package's `intersect` as it was before it took the null space of
+    both subspaces' equations: the kernel's coefficients on B1 are mapped
+    back to vectors and row-reduced again.  Kept as an oracle for that
+    rewrite.
+    """
+    from axial.linalg import Subspace, combination, kernel, mat_from_cols, vscale
+
+    if s1.ambient != s2.ambient:
+        raise ValueError("ambient dimension mismatch")
+    if s1.is_zero() or s2.is_zero():
+        return Subspace(s1.ambient)
+    stacked = mat_from_cols(tuple(s1.basis) + tuple(vscale(-1, v) for v in s2.basis))
+    coeffs = kernel(stacked)
+    d1 = s1.dim
+    return Subspace(
+        s1.ambient, [combination(coeff[:d1], s1.basis, s1.ambient) for coeff in coeffs.basis]
+    )
+
+
+def _reference_is_module(alg, u, w):
+    return all(w.contains(alg.product(x, y)) for x in u.basis for y in w.basis)
+
+
+def reference_decompose_joint(alg, axes, law=None):
+    """Joint decomposition over every tuple of eigenvalues.
+
+    The package's `decompose_joint` as it was before it refined the parts
+    axis by axis: each of the |values|^k tuples intersects its eigenspaces
+    from the first axis on, by `reference_intersect`.  Kept as an oracle for
+    that rewrite.
+    """
+    import itertools
+
+    from axial.algebra import AlgebraError
+    from axial.decomp import JointDecomposition
+    from axial.linalg import mat_vec, subspace_sum
+
+    if not axes:
+        raise ValueError("need at least one axis")
+    law = law or axes[0].law
+    n = alg.dim
+    for i, a in enumerate(axes):
+        for j, b in enumerate(axes):
+            if i == j or a.miyamoto is None:
+                continue
+            if mat_vec(a.miyamoto, b.vector) != b.vector:
+                raise AlgebraError(f"involution of axis {i} does not fix axis {j}")
+    components = {}
+    total = 0
+    for combo in itertools.product(law.values, repeat=len(axes)):
+        space = axes[0].eigenspace(combo[0])
+        for a, lam in zip(axes[1:], combo[1:]):
+            if space.is_zero():
+                break
+            space = reference_intersect(space, a.eigenspace(lam))
+        if not space.is_zero():
+            components[combo] = space
+            total += space.dim
+    a_circ = subspace_sum(list(components.values()), ambient=n)
+    decomposition = JointDecomposition(tuple(axes), law, components, total == n, a_circ)
+    if law.is_seress():
+        u = decomposition.zero_component
+        if not alg.is_product_closed(u):
+            raise AlgebraError("joint zero component is not a subalgebra")
+        for key, space in components.items():
+            if not _reference_is_module(alg, u, space):
+                raise AlgebraError(f"component {key} is not a module over the zero part")
+    return decomposition
+
+
+def reference_extension_space(alg, u, w, phi):
+    """Extensions of phi to the module w, from dense m^2-wide rows.
+
+    The package's `extension_space` as it was before it took each product
+    once: phi is checked by products of ambient vectors, and each equation
+    is a dense row of the `kernel`.  Kept as an oracle for that rewrite.
+    """
+    from axial.algebra import AlgebraError
+    from axial.decomp import ExtensionSpace
+    from axial.linalg import Subspace, combination, identity, kernel, mat
+
+    l, m = u.dim, w.dim
+    if len(phi) != l or any(len(r) != l for r in phi):
+        raise ValueError("phi size does not match the subalgebra dimension")
+    if not alg.is_product_closed(u):
+        raise AlgebraError("first subspace is not a subalgebra")
+    if not _reference_is_module(alg, u, w):
+        raise AlgebraError("second subspace is not a module over the first")
+    phi_vectors = [combination(column, u.basis, alg.dim) for column in zip(*phi)]
+    for r in range(l):
+        for s in range(r, l):
+            lhs = alg.product(phi_vectors[r], phi_vectors[s])
+            product_coords = u.coordinates(alg.product(u.basis[r], u.basis[s]))
+            if lhs != combination(product_coords, phi_vectors, alg.dim):
+                raise AlgebraError("phi is not an automorphism of the subalgebra")
+    if m == 0:
+        return ExtensionSpace(phi, Subspace(0), 0)
+    rows = []
+    for r in range(l):
+        action = [w.coordinates(alg.product(phi_vectors[r], w.basis[c])) for c in range(m)]
+        module_coords = [w.coordinates(alg.product(u.basis[r], w.basis[j])) for j in range(m)]
+        for j in range(m):
+            for out_row in range(m):
+                row = [Fraction(0)] * (m * m)
+                for c in range(m):
+                    row[c * m + j] += action[c][out_row]
+                    row[out_row * m + c] -= module_coords[j][c]
+                rows.append(tuple(row))
+    space = kernel(mat(rows)) if rows else Subspace(m * m, identity(m * m))
+    return ExtensionSpace(phi, space, m)
+
+
+def reference_sign_filter(k, parities):
+    """Every sign tuple of length k, in `itertools.product((1, -1))` order,
+    whose product over each parity vector's support is 1: the brute-force
+    filter `sign_kernel` ran before it solved the parities over GF(2)."""
+    import itertools
+
+    return [
+        signs
+        for signs in itertools.product((1, -1), repeat=k)
+        if all(
+            sum(1 for s, e in zip(signs, parity) if e and s == -1) % 2 == 0
+            for parity in parities
+        )
+    ]

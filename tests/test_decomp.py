@@ -1,8 +1,11 @@
+import functools
 import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import axial.decomp
 from axial.algebra import AlgebraError, diagonal_algebra, direct_sum
 from axial.decomp import (
     PairingProbe,
@@ -15,8 +18,15 @@ from axial.decomp import (
     sign_kernel,
 )
 from axial.fusion import MONSTER_QUARTER, check_axis, jordan_law
-from axial.linalg import Subspace, identity, subspace_sum, unit_vec, vec
-from axial.matsuo import matsuo_algebra
+from axial.linalg import Subspace, identity, subspace_sum, transpose, unit_vec, vec
+from axial.matsuo import (
+    double_transposition_perm,
+    matsuo_algebra,
+    perm_conj,
+    symmetric_transpositions,
+    transposition_perm,
+)
+from oracles import reference_decompose_joint, reference_extension_space, reference_sign_filter
 
 
 def test_single_axis_components_are_eigenspaces(q2, q2_axes):
@@ -200,3 +210,160 @@ def test_sign_kernel_skips_vanishing_probe(triple_2b):
     res = sign_kernel(triple_2b, comps, [vanishing])
     assert not res.records[0].used
     assert len(res.admissible) == 8
+
+
+@functools.lru_cache(maxsize=None)
+def commuting_axes(m, k, eta):
+    """The Matsuo algebra of S_m at eta with the Jordan axes of the commuting
+    transpositions (1,2), (3,4), ..., (2k-1,2k)."""
+    data = symmetric_transpositions(m)
+    alg = matsuo_algebra(data, eta)
+    law = jordan_law(eta)
+    indices = [data.index_of(transposition_perm(m, 2 * i + 1, 2 * i + 2)) for i in range(k)]
+    return alg, [check_axis(alg, unit_vec(alg.dim, i), law) for i in indices]
+
+
+JOINT_CASES = ["q2 s1,s2", "q2 d1,d2", "triple2b"] + [
+    f"S{m} {k} axes eta={eta}" for m, k in ((6, 3), (8, 3), (8, 4)) for eta in ("1/4", "1/2")
+]
+
+
+@pytest.fixture(scope="module", params=JOINT_CASES)
+def joint_case(request):
+    name = request.param
+    if name.startswith("q2"):
+        axes = request.getfixturevalue("q2_axes")
+        return request.getfixturevalue("q2"), axes[:2] if "s1" in name else axes[2:]
+    if name == "triple2b":
+        alg = request.getfixturevalue("triple_2b")
+        return alg, [check_axis(alg, unit_vec(7, i), MONSTER_QUARTER) for i in range(3)]
+    group, k, _, eta = name.split()
+    return commuting_axes(int(group[1:]), int(k), F(eta.split("=")[1]))
+
+
+def canonical(space):
+    return space.basis, space.pivots
+
+
+def test_decompose_joint_matches_reference(joint_case):
+    alg, axes = joint_case
+    dec = decompose_joint(alg, axes)
+    expected = reference_decompose_joint(alg, axes)
+    assert [(key, canonical(space)) for key, space in dec.components.items()] == [
+        (key, canonical(space)) for key, space in expected.components.items()
+    ]
+    assert dec.complete == expected.complete
+    assert canonical(dec.a_circ) == canonical(expected.a_circ)
+
+
+def outcome(function, *args):
+    """The canonical extension space a call returns, or the error it raises."""
+    try:
+        ext = function(*args)
+    except (AlgebraError, ValueError) as error:
+        return type(error), str(error)
+    return ext.w_dim, canonical(ext.space)
+
+
+def test_extension_space_matches_reference(joint_case):
+    alg, axes = joint_case
+    dec = decompose_joint(alg, axes)
+    u = dec.zero_component
+    n = alg.dim
+    cases = [(u, w, identity(u.dim)) for w in dec.components.values()]
+    w = next(iter(dec.components.values()))
+    cases += [
+        (u, w, tuple(tuple(2 * x for x in row) for row in identity(u.dim))),  # phi = 2I
+        (u, w, identity(u.dim + 1)),  # wrong size
+        (u, Subspace(n, [vec(range(1, n + 1))]), identity(u.dim)),  # rarely a module
+        (Subspace(n, [unit_vec(n, 0), unit_vec(n, 1)]), w, identity(2)),  # rarely a subalgebra
+        (u, Subspace(n), identity(u.dim)),  # zero module
+    ]
+    for args in cases:
+        expected = outcome(reference_extension_space, alg, *args)
+        assert outcome(extension_space, alg, *args) == expected
+
+
+@pytest.mark.parametrize("m, k, eta", [(6, 3, F(1, 4)), (8, 4, F(1, 2))])
+def test_extension_space_under_an_axis_swap_matches_reference(m, k, eta):
+    """phi is the automorphism of conjugation by (1,3)(2,4) restricted to the
+    joint zero component, which it maps to itself by swapping two axes."""
+    alg, axes = commuting_axes(m, k, eta)
+    data = symmetric_transpositions(m)
+    g = double_transposition_perm(m, 1, 3, 2, 4)
+    image = [data.index_of(perm_conj(c, g)) for c in data.transpositions]
+
+    def move(v):
+        out = [F(0)] * alg.dim
+        for i, x in enumerate(v):
+            out[image[i]] = x
+        return tuple(out)
+
+    dec = decompose_joint(alg, axes)
+    u = dec.zero_component
+    phi = transpose(tuple(u.coordinates(move(b)) for b in u.basis))
+    assert phi != identity(u.dim)
+    dims = []
+    for w in dec.components.values():
+        got = outcome(extension_space, alg, u, w, phi)
+        assert got == outcome(reference_extension_space, alg, u, w, phi)
+        dims.append(len(got[1][0]))
+    assert any(dims)
+
+
+def test_decompose_joint_refines_with_few_intersections(monkeypatch):
+    """S8 with four commuting axes needs 60 meets when the parts are refined
+    axis by axis; intersecting every tuple of eigenvalues took 165."""
+    alg, axes = commuting_axes(8, 4, F(1, 4))
+    calls = []
+    meet = axial.decomp.intersect
+    monkeypatch.setattr(axial.decomp, "intersect", lambda s1, s2: calls.append(1) or meet(s1, s2))
+    decompose_joint(alg, axes)
+    assert len(calls) <= 60
+
+
+def test_decompose_joint_at_paper_scale():
+    """The 66-dimensional Matsuo algebra of S12 splits under the six
+    commuting transposition axes into 28 joint eigenspaces."""
+    alg, axes = commuting_axes(12, 6, F(1, 4))
+    dec = decompose_joint(alg, axes)
+    assert len(dec.components) == 28
+    assert dec.complete
+
+
+class _UnitPairing:
+    """Stands in for an algebra in which every probe pairing is 1."""
+
+    def product(self, x, y):
+        return x
+
+    def form_value(self, x, y):
+        return F(1)
+
+
+probe_kinds = st.sampled_from(["triple", "long"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sign_kernel_matches_brute_force_filter(data):
+    k = data.draw(st.integers(0, 8))
+    component = st.integers(0, max(k - 1, 0))
+    combos = st.tuples(st.tuples(component, component, component), probe_kinds)
+    probes = [
+        PairingProbe(combo, ((F(1),),) * 3, kind)
+        for combo, kind in data.draw(st.lists(combos, max_size=10 if k else 0))
+    ]
+    result = sign_kernel(_UnitPairing(), [None] * k, probes)
+    assert result.admissible == reference_sign_filter(k, [p.parity(k) for p in probes])
+
+
+def test_sign_kernel_lists_only_the_answer():
+    """Forty components tied by 38 independent triples leave four sign
+    tuples; listing them must not walk all 2^40 candidates."""
+    k = 40
+    probes = [PairingProbe((i, i + 1, i + 2), ((F(1),),) * 3) for i in range(k - 2)]
+    result = sign_kernel(_UnitPairing(), [None] * k, probes)
+    assert result.order == 4
+    for signs in result.admissible:
+        assert all(signs[i] * signs[i + 1] * signs[i + 2] == 1 for i in range(k - 2))

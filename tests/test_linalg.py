@@ -32,7 +32,13 @@ from axial.linalg import (
 )
 from axial.fusion import derivation_space
 from axial.matsuo import matsuo_algebra, symmetric_transpositions
-from oracles import det_fraction, reference_char_poly, reference_coordinates, reference_kernel
+from oracles import (
+    det_fraction,
+    reference_char_poly,
+    reference_coordinates,
+    reference_intersect,
+    reference_kernel,
+)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -79,6 +85,31 @@ def test_intersect_basics():
     assert intersect(s, s) == s
     assert intersect(s, Subspace(3)).is_zero()
     assert intersect(s, t).basis == (unit_vec(3, 1),)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces of Q^n, n <= 6, each spanned by up to n + 1 vectors with
+    mostly zero entries, so dimensions from 0 to n all occur."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(F(0)), fractions)
+
+    def space():
+        count = draw(st.integers(0, n + 1))
+        return Subspace(n, [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(count)])
+
+    return space(), space()
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs())
+def test_intersect_matches_reference(pair):
+    s1, s2 = pair
+    meet = intersect(s1, s2)
+    expected = reference_intersect(s1, s2)
+    assert (meet.basis, meet.pivots) == (expected.basis, expected.pivots)
+    assert s1.contains_subspace(meet) and s2.contains_subspace(meet)
+    assert intersect(s2, s1) == meet
 
 
 def test_intersect_dimension_mismatch():

@@ -10,7 +10,8 @@ an absent ingredient fail loudly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from axial.linalg import (
     Mat,
@@ -29,6 +30,7 @@ from axial.linalg import (
     vdot,
     vec,
 )
+from axial.univariate import primitive_part
 
 
 class AlgebraError(Exception):
@@ -50,10 +52,25 @@ class DegenerateFormError(AlgebraError):
 SparseRow = tuple[tuple[int, Fraction], ...]
 
 
-class Algebra:
-    """Finite-dimensional commutative algebra over Q."""
+class IntegerTable(NamedTuple):
+    """The structure constants times their common denominator `denom`:
+    `table` holds the scaled rows under the same keys, and `partners[i]`
+    lists the (j, row) with e_i e_j != 0, row the scaled row of e_i e_j."""
 
-    __slots__ = ("dim", "table", "gram", "unit", "labels", "_unit_known")
+    denom: int
+    table: dict[tuple[int, int], tuple]
+    partners: list[list[tuple[int, tuple]]]
+
+
+class Algebra:
+    """Finite-dimensional commutative algebra over Q.
+
+    `table` must not be mutated after construction: its `integer_table` is
+    built once and kept.  Derived algebras (`restrict`, `from_gamma`,
+    `direct_sum`) are new objects, each with its own.
+    """
+
+    __slots__ = ("dim", "table", "gram", "unit", "labels", "_unit_known", "_ints")
 
     def __init__(
         self,
@@ -70,6 +87,7 @@ class Algebra:
         self.unit = unit
         self.labels = labels
         self._unit_known = unit is not None
+        self._ints: Optional[IntegerTable] = None
         if check:
             self._validate()
 
@@ -145,13 +163,15 @@ class Algebra:
         Gram matrix symmetric (checked first) the right side is F(j, k, i).
         A triple can fail only where one side is nonzero, so only the
         triples that put a nonzero value of F on one side are tested; those
-        values come from the table and the nonzero Gram entries.
+        values come from the `integer_table` and the Gram matrix, both scaled
+        to integers by a positive factor, which changes no comparison.
         """
-        gram = self.gram
+        gram, n = self.gram, self.dim
         assert gram is not None
-        gram_rows = [[(k, g) for k, g in enumerate(row) if g] for row in gram]
-        values: dict[tuple[int, int, int], Fraction] = {}
-        for (a, b), row in self.table.items():
+        ints = primitive_part([g for row in gram for g in row])
+        gram_rows = [[(k, g) for k, g in enumerate(ints[r * n : r * n + n]) if g] for r in range(n)]
+        values: dict[tuple[int, int, int], int] = {}
+        for (a, b), row in self.integer_table().table.items():
             for m, c in row:
                 for k, g in gram_rows[m]:
                     values[(a, b, k)] = values.get((a, b, k), 0) + c * g
@@ -169,6 +189,22 @@ class Algebra:
             ),
             default=None,
         )
+
+    def integer_table(self) -> IntegerTable:
+        """The `IntegerTable` of the structure constants, built on first use."""
+        if self._ints is None:
+            denom = lcm(*(c.denominator for row in self.table.values() for _, c in row))
+            table = {
+                key: tuple((k, c.numerator * (denom // c.denominator)) for k, c in row)
+                for key, row in self.table.items()
+            }
+            partners: list[list[tuple[int, tuple]]] = [[] for _ in range(self.dim)]
+            for (a, b), row in table.items():
+                partners[a].append((b, row))
+                if a != b:
+                    partners[b].append((a, row))
+            self._ints = IntegerTable(denom, table, partners)
+        return self._ints
 
     def basis_product(self, i: int, j: int) -> SparseRow:
         """Sparse product of basis vectors i and j."""
@@ -222,13 +258,12 @@ class Algebra:
         if self._unit_known:
             return self.unit
         n = self.dim
-        rows = []
-        rhs = []
-        for j in range(n):
-            for k in range(n):
-                rows.append(tuple(self._gamma(i, j, k) for i in range(n)))
-                rhs.append(Fraction(1 if k == j else 0))
-        candidate = solve(mat(rows), tuple(rhs))
+        rows = [[Fraction(0)] * n for _ in range(n * n)]  # row j n + k: (unit e_j)_k
+        for (i, j), row in self.table.items():
+            for k, c in row:
+                rows[j * n + k][i] = rows[i * n + k][j] = c
+        rhs = tuple(Fraction(1 if k == j else 0) for j in range(n) for k in range(n))
+        candidate = solve(mat(rows), rhs)
         if candidate is None:
             return None
         for j in range(n):
@@ -237,12 +272,6 @@ class Algebra:
         self.unit = candidate
         self._unit_known = True
         return candidate
-
-    def _gamma(self, i: int, j: int, k: int) -> Fraction:
-        for m, c in self.basis_product(i, j):
-            if m == k:
-                return c
-        return Fraction(0)
 
     def require_unit(self) -> Vec:
         u = self.find_unit()
@@ -381,22 +410,15 @@ def diagonal_algebra(n: int) -> Algebra:
 def direct_sum(left: Algebra, right: Algebra) -> Algebra:
     """Block direct sum; forms and units combine when both sides have them."""
     n, m = left.dim, right.dim
-    gamma = []
-    for (i, j), row in left.table.items():
-        for k, c in row:
-            gamma.append((i, j, k, c))
-    for (i, j), row in right.table.items():
-        for k, c in row:
-            gamma.append((i + n, j + n, k + n, c))
+    gamma = [
+        (i + s, j + s, k + s, c)
+        for s, alg in ((0, left), (n, right))
+        for (i, j), row in alg.table.items()
+        for k, c in row
+    ]
     gram = None
     if left.gram is not None and right.gram is not None:
-        gram = [[Fraction(0)] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                gram[i][j] = left.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                gram[n + i][n + j] = right.gram[i][j]
+        gram = [list(r) + [0] * m for r in left.gram] + [[0] * n + list(r) for r in right.gram]
     unit = None
     left_unit, right_unit = left.find_unit(), right.find_unit()
     if left_unit is not None and right_unit is not None:

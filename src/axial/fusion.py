@@ -6,6 +6,10 @@ star table says, and a 1-dimensional principal eigenspace.  Past the
 spectrum every check is a polynomial in the adjoint.  The certificate
 carries the eigenspace decomposition together with the graded involution
 matrices it entitles.
+
+The axis certificate, `infer_fusion_law` and `derivation_space` work over
+the integers on the algebra's cached `integer_table`; only the
+characteristic polynomial in `infer_fusion_law` forms a dense adjoint.
 """
 
 from __future__ import annotations
@@ -21,17 +25,17 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
+    char_poly,
     combination,
     frac,
     is_zero_vec,
     null_space,
-    semisimple_spectrum,
     sparse_kernel,
     subspace_sum,
     transpose,
     vec,
 )
-from axial.univariate import primitive_part
+from axial.univariate import primitive_part, rational_roots
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -203,24 +207,30 @@ class Axis:
 
 
 class _IntegerAdjoint:
-    """D ad(a) on sparse integer vectors {index: int} with no zero entries.
+    """D ad(v) on sparse integer vectors {index: int} with no zero entries.
 
-    D clears the denominators of ad(a) and of the eigenvalues given, so each
-    shift D ad - D nu is an integer matrix.  D ad is kept as its nonzero
-    entries, by row and, transposed sparsely, by column.  Scaling by D never
-    changes a null space or whether a vector is zero, so every eigenspace and
-    every zero test is exact.
+    D is the denominator of the `integer_table` times the common denominator
+    of v and the eigenvalues given, so each shift D ad - D nu is an integer
+    matrix.  D ad is summed from the table's partner lists at the nonzero v_i
+    and kept by row and, transposed sparsely, by column.  Scaling by D changes
+    no null space or zero test, and `sign_map` divides by powers of D exactly.
     """
 
     __slots__ = ("scale", "rows", "cols")
 
-    def __init__(self, ad: Mat, values: Iterable[Fraction]):
-        self.scale = lcm(*(x.denominator for x in itertools.chain(*ad, values)))
-        self.rows = [
-            {j: x.numerator * (self.scale // x.denominator) for j, x in enumerate(row) if x}
-            for row in ad
-        ]
-        self.cols: list[list[tuple[int, int]]] = [[] for _ in ad]
+    def __init__(self, alg: Algebra, v: Vec, values: Iterable[Fraction]):
+        ints = alg.integer_table()
+        mult = lcm(*(x.denominator for x in (*v, *values)))
+        self.scale = ints.denom * mult
+        rows: list[dict[int, int]] = [{} for _ in v]
+        for i, x in enumerate(v):
+            if x:
+                w = x.numerator * (mult // x.denominator)
+                for j, product in ints.partners[i]:
+                    for k, c in product:
+                        rows[k][j] = rows[k].get(j, 0) + w * c
+        self.rows = [{j: x for j, x in row.items() if x} for row in rows]
+        self.cols: list[list[tuple[int, int]]] = [[] for _ in v]
         for i, row in enumerate(self.rows):
             for j, x in row.items():
                 self.cols[j].append((i, x))
@@ -284,6 +294,11 @@ class _IntegerAdjoint:
         return transpose(tuple(cols))
 
 
+def adjoint_eigenspace(alg: Algebra, v: Vec, lam) -> Subspace:
+    """The canonical lam-eigenspace of ad(v), read off the integer adjoint."""
+    return _IntegerAdjoint(alg, vec(v), (frac(lam),)).eigenspace(frac(lam))
+
+
 def _integer_entries(v: Vec) -> list[tuple[int, int]]:
     """The nonzero entries of the `primitive_part` of v, as (index, integer)."""
     return [(i, x) for i, x in enumerate(primitive_part(v)) if x]
@@ -310,14 +325,10 @@ def _block_products(
     A_lam and A_mu, which span A_lam A_mu (each unordered pair once when
     lam = mu, as the product is commutative).  They are computed on the
     `primitive_part`s of the basis vectors and on the structure constants
-    scaled by one common denominator, so each is the true product times a
-    nonzero integer.
+    times their common denominator (the algebra's `integer_table`), so each
+    is the true product times a nonzero integer.
     """
-    denom = lcm(*(c.denominator for row in alg.table.values() for _, c in row))
-    table = {
-        key: [(k, c.numerator * (denom // c.denominator)) for k, c in row]
-        for key, row in alg.table.items()
-    }
+    table = alg.integer_table().table
     blocks = [(lam, [_integer_entries(b) for b in space.basis]) for lam, space in eigendata]
     for (lam, xs), (mu, ys) in itertools.combinations_with_replacement(blocks, 2):
         if lam == mu:
@@ -346,7 +357,7 @@ def check_axis_verbose(
         return None, "not_idempotent: zero vector"
     if alg.product(v, v) != v:
         return None, "not_idempotent"
-    adjoint = _IntegerAdjoint(alg.ad_matrix(v), law.values)
+    adjoint = _IntegerAdjoint(alg, v, law.values)
     eigendata = []
     total = 0
     for lam in law.values:
@@ -417,40 +428,38 @@ def derivation_space(alg: Algebra) -> Subspace:
 
     The unknown d[r][c] (the e_r part of d(e_c)) is entry r*n + c.  Each
     equation d(e_i e_j) = d(e_i) e_j + e_i d(e_j), read at one output e_k, is
-    built straight from the nonzero structure constants and solved by
-    `sparse_kernel`.  Full rank mod p there proves the space zero; on a
-    rank deficit mod p, which proves nothing, the whole system is solved
-    exactly.  A zero space certifies that the automorphism group (an
+    built from the scaled constants of the `integer_table`, without zero
+    entries, and solved by `sparse_kernel`.  Full rank mod p there proves
+    the space zero; on a rank deficit mod p, which proves nothing, the whole
+    system is solved exactly.  A zero space certifies that the automorphism group (an
     algebraic group in characteristic zero) is finite.
     """
     n = alg.dim
-    partners: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
-    for (a, b), product in alg.table.items():
-        partners[a].append((b, product))
-        if a != b:
-            partners[b].append((a, product))
+    ints = alg.integer_table()
     rows = []
     for i in range(n):
         for j in range(i, n):
-            eqs: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            eqs: list[dict[int, int]] = [{} for _ in range(n)]
             # d(e_i e_j) = sum_m gamma_ij^m d(e_m), whose e_k part is d[k][m]
-            for m, c in alg.basis_product(i, j):
+            for m, c in ints.table.get((i, j), ()):
                 for k in range(n):
                     eqs[k][k * n + m] = c
             # minus d(e_i) e_j = sum_r d[r][i] e_r e_j, and e_i d(e_j) likewise
-            for col, others in ((i, partners[j]), (j, partners[i])):
+            for col, others in ((i, ints.partners[j]), (j, ints.partners[i])):
                 for r, product in others:
                     key = r * n + col
                     for k, c in product:
-                        eqs[k][key] = eqs[k].get(key, ZERO) - c
-            rows.extend(eq for eq in eqs if eq)
+                        eqs[k][key] = eqs[k].get(key, 0) - c
+            rows.extend(row for eq in eqs if (row := {key: c for key, c in eq.items() if c}))
     return sparse_kernel(rows, n * n)
 
 
 def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     """Read the star table of an idempotent off its eigenbasis products.
 
-    Returns None when the adjoint is not semisimple with rational spectrum.
+    Returns None when the adjoint is not semisimple with rational spectrum:
+    the eigenspaces of the rational roots of its characteristic polynomial,
+    read off the integer adjoint, must span A.
     A product has a nonzero nu-part exactly when the product of (ad - kappa)
     over the other eigenvalues kappa does not kill it.  Used to discover
     laws empirically (for example the nearly-Monster laws that show up
@@ -459,14 +468,11 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     v = vec(v)
     if is_zero_vec(v) or alg.product(v, v) != v:
         return None
-    ad = alg.ad_matrix(v)
-    spectrum = semisimple_spectrum(ad)
-    if not spectrum.ok:
+    values = sorted(rational_roots(char_poly(alg.ad_matrix(v))), reverse=True)
+    adjoint = _IntegerAdjoint(alg, v, values)
+    eigendata = [(lam, adjoint.eigenspace(lam)) for lam in values]
+    if sum(space.dim for _, space in eigendata) != alg.dim:
         return None
-    eigendata = spectrum.eigenpairs
-    assert eigendata is not None
-    values = [lam for lam, _ in eigendata]
-    adjoint = _IntegerAdjoint(ad, values)
     others = {nu: [k for k in values if k != nu] for nu in values}
     star = {}
     for lam, mu, products in _block_products(alg, eigendata):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from axial.algebra import Algebra, MissingFormError
-from axial.fusion import Axis, FusionLaw, MONSTER_QUARTER, check_axis
+from axial.fusion import Axis, FusionLaw, MONSTER_QUARTER, adjoint_eigenspace, check_axis
 from axial.groebner import (
     DEFAULT_CAPS,
     POSITIVE_DIMENSIONAL,
@@ -29,7 +29,6 @@ from axial.linalg import (
     Subspace,
     Vec,
     combination,
-    eigenspace,
     frac,
     unit_vec,
     vadd,
@@ -330,7 +329,7 @@ def nuanced_axes(alg: Algebra, a: Axis, cfg: SearchConfig = SearchConfig()) -> N
         if z in seen_z:
             continue
         seen_z.add(z)
-        b_space = eigenspace(alg.ad_matrix(vadd(a.vector, z)), Fraction(1))
+        b_space = adjoint_eigenspace(alg, vadd(a.vector, z), 1)
         if b_space.is_zero():
             continue
         result = naive_idempotents(alg, subspace=b_space, length=cfg.length, caps=cfg.caps)

@@ -1,7 +1,7 @@
 """Command-line interface: inspect algebra files, search axes, decompose.
 
 Exit codes: 0 success, 2 usage, 3 cap exceeded, 4 validation failure, 5 solver
-error (point extraction met a branch that is not zero-dimensional).
+error (point extraction found a level with no eliminant).
 Reports go to stdout as text; --out writes the same data as JSON.  Runs are
 deterministic for a fixed --seed.
 """

@@ -3,7 +3,10 @@
 All searches in the library bottom out here: idempotent systems are handed in
 as generators, a reduced lexicographic Groebner basis is computed, and for
 zero-dimensional ideals every rational point is extracted by eliminant
-factoring and back substitution.  Solutions that would live in a proper
+factoring and back substitution, off that one basis: substituting a partial
+root into a lex Groebner basis leaves a Groebner basis of the branch in the
+elements whose leading coefficient survives (Gianni 1989, Kalkbrener 1989,
+both EUROCAL '87, LNCS 378).  Solutions that would live in a proper
 extension of Q are never approximated; the irreducible eliminant factors are
 returned as witnesses instead.
 """
@@ -31,11 +34,11 @@ class CapExceeded(Exception):
 
 
 class NotZeroDimensional(Exception):
-    """Point extraction met a branch whose ideal is not zero-dimensional.
+    """Point extraction met a level with no eliminant at a partial point.
 
     `enumerate_points` trusts the leading-term test on the basis it is
-    given; when that basis is not a Groebner basis, a branch can pass the
-    test and still have no eliminant to factor.
+    given and reads every branch off it; when that basis is not a Groebner
+    basis, a level can specialise to zero and leave no eliminant to factor.
     """
 
 
@@ -349,66 +352,52 @@ def ideal_dimension_zero(gb: Sequence[MPoly]) -> bool:
     return len(covered) == nvars
 
 
-def _contains_nonzero_constant(polys: Sequence[MPoly]) -> bool:
-    return any(p and p.is_constant() for p in polys)
-
-
-def enumerate_points(gb: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> SolveResult:
+def enumerate_points(gb: Sequence[MPoly]) -> SolveResult:
     """All rational points of a zero-dimensional ideal, by lex elimination.
 
-    `gb` must be a lex Groebner basis: the zero-dimensionality test is only
-    valid on one, and it is used as given.  The least variable's eliminant is
-    factored over Z; rational roots are substituted back breadth-first,
-    recomputing a basis for each branch.
-    Irreducible factors of degree >= 2 found along consistent branches are
-    collected as extension witnesses and flagged via the status.
+    `gb` must be a lex Groebner basis, reduced or not: the zero-dimensionality
+    test and every branch are read off it.  An element has level k when x_k
+    is its greatest variable.  From the least variable on, the partial point
+    (a_{k+1}, ...) is substituted into the level-k elements, and the nonzero
+    result of least degree in x_k is factored over Z: by Gianni-Kalkbrener
+    it is a scalar multiple of the branch's eliminant, as an element whose
+    leading coefficient vanishes specialises to 0 or to a multiple of it.
+    Irreducible factors of degree >= 2 are collected as extension witnesses
+    and flagged via the status.
     """
     gb = [g for g in gb if g]
     if not gb:
         raise ValueError("empty basis")
-    basis = list(gb)
-    if not _contains_nonzero_constant(basis) and not ideal_dimension_zero(basis):
-        return SolveResult(POSITIVE_DIMENSIONAL, basis=basis)
-    nvars = basis[0].nvars
+    if not ideal_dimension_zero(gb):
+        return SolveResult(POSITIVE_DIMENSIONAL, basis=gb)
     points: list[Vec] = []
     factors: list[tuple[int, ...]] = []
-    _extract(basis, list(range(nvars)), {}, points, factors, caps)
+    if not any(g.is_constant() for g in gb):
+        levels: list[list[MPoly]] = [[] for _ in range(gb[0].nvars)]
+        for g in gb:
+            levels[min(g.variables_used())].append(g)
+        _extract(levels, (), points, factors)
     points.sort()
     status = NEEDS_EXTENSION if factors else FINITE
-    return SolveResult(status, points, factors, list(gb))
+    return SolveResult(status, points, factors, gb)
 
 
-def _extract(gens, active, fixed, points, factors, caps):
-    if _contains_nonzero_constant(gens):
+def _extract(levels: list[list[MPoly]], point: tuple, points: list, factors: list) -> None:
+    k = len(levels) - len(point) - 1
+    if k < 0:
+        points.append(point)
         return
-    if not active:
-        nvars = gens[0].nvars if gens else len(fixed)
-        points.append(tuple(fixed[i] for i in range(nvars)))
-        return
-    gb = buchberger(gens, caps) if fixed and gens else gens
-    if _contains_nonzero_constant(gb):
-        return
-    if not gb or all(not g for g in gb):
-        # Zero ideal on the remaining variables: positive-dimensional section.
-        raise NotZeroDimensional("unexpected positive-dimensional branch")
-    last = active[-1]
-    univariate = [g for g in gb if g.variables_used() <= {last}]
-    if not univariate:
-        raise NotZeroDimensional("no eliminant found; branch not zero-dimensional")
-    elim = min(univariate, key=lambda g: g.lead()[0])
-    coeffs = elim.univariate_coeffs(last)
-    for factor, _mult in irreducible_factors(coeffs):
+    fixed = dict(enumerate(point, k + 1))
+    specialised = [s for s in (g.substitute(fixed) for g in levels[k]) if s]
+    if not specialised:
+        raise NotZeroDimensional("no eliminant found; the basis is not a Groebner basis")
+    elim = min(specialised, key=lambda s: s.lead()[0])
+    for factor, _mult in irreducible_factors(elim.univariate_coeffs(k)):
         if len(factor) == 2:
             b, a = factor
-            root = Fraction(-b, a)
-            substituted = [g.substitute({last: root}) for g in gb]
-            substituted = [g for g in substituted if g]
-            new_fixed = dict(fixed)
-            new_fixed[last] = root
-            _extract(substituted, active[:-1], new_fixed, points, factors, caps)
-        else:
-            if factor not in factors:
-                factors.append(factor)
+            _extract(levels, (Fraction(-b, a),) + point, points, factors)
+        elif factor not in factors:
+            factors.append(factor)
 
 
 @dataclass(frozen=True)

@@ -267,15 +267,19 @@ MODULUS = 2**31 - 1
 def _rank_mod_p(rows: Iterable[SparseVec], ncols: int) -> int:
     """The rank mod MODULUS of the rows, scanned in order.
 
-    Each row is scaled to its `primitive_row` first, so no denominator
-    needs an inverse mod p, and inserted into one pivot dict modulo p.  The
-    rank mod p is at most the rank over Q.  The scan stops once the rank
-    reaches ncols.
+    A row holding a `Fraction` is scaled to its `primitive_row` first, so no
+    denominator needs an inverse mod p; an integer row is reduced as it is
+    (a content p divides only zeroes it).  Each row is inserted into one
+    pivot dict modulo p.  The rank mod p is at most the rank over Q.  The
+    scan stops once the rank reaches ncols.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
+        items = row.items()
+        if not all(type(v) is int for v in row.values()):
+            items = kernels.primitive_row(items).items()
         work = {}
-        for c, v in kernels.primitive_row(row.items()).items():
+        for c, v in items:
             v %= MODULUS
             if v:
                 work[c] = v

@@ -167,11 +167,12 @@ def length_equation(
 def _points_to_vectors(
     points: Sequence, basis: Sequence[Vec], dim: int, offset: Optional[Vec] = None
 ) -> list[Vec]:
+    # Distinct points on an independent basis give distinct vectors.
     out = []
     for point in points:
         v = combination(point, basis, dim)
         out.append(v if offset is None else vadd(offset, v))
-    return sorted(set(out))
+    return sorted(out)
 
 
 def naive_idempotents(
@@ -208,9 +209,9 @@ def naive_idempotents(
     if not gens:
         # every vector of the coset is idempotent: positive-dimensional
         return SolveResult(POSITIVE_DIMENSIONAL)
-    gb = buchberger(gens, caps)
-    result = enumerate_points(gb, caps)
-    result.points = _points_to_vectors(result.points, basis, alg.dim, offset)
+    result = enumerate_points(buchberger(gens, caps))
+    if subspace is not None or offset is not None:  # else they are the vectors
+        result.points = _points_to_vectors(result.points, basis, alg.dim, offset)
     return result
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except eighteen former implementations kept to test the current
+package except nineteen former implementations kept to test the current
 ones against: `reference_rref` (the dense fraction-free loop),
 `reference_buchberger` (the all-pairs loop),
+`reference_enumerate_points` (one new basis per branch),
 `reference_normal_form` (division over Q in Fraction arithmetic),
 `reference_s_polynomial` (two polynomial products), `reference_char_poly`
 (n+1 determinants and a Vandermonde solve), `reference_coordinates`
@@ -577,6 +578,76 @@ def reference_buchberger(gens, caps=None):
         new = len(basis) - 1
         pairs.update((k, new) for k in range(new))
     return _reference_autoreduce(basis, nvars)
+
+
+def reference_enumerate_points(gb, caps=None):
+    """Rational points of a zero-dimensional lex basis, one basis per branch.
+
+    The package's point extraction as it was before it read every branch
+    off the given basis: each rational root of the least variable's
+    eliminant is substituted into the whole basis, a new reduced basis of
+    the branch is computed by `buchberger`, and its univariate element of
+    least lead in the next variable is factored.  A branch whose basis
+    holds a nonzero constant has no points.  Returns a `SolveResult`.
+    """
+    from axial.groebner import (
+        DEFAULT_CAPS,
+        FINITE,
+        NEEDS_EXTENSION,
+        POSITIVE_DIMENSIONAL,
+        NotZeroDimensional,
+        SolveResult,
+        buchberger,
+        ideal_dimension_zero,
+    )
+    from axial.univariate import irreducible_factors
+
+    caps = caps or DEFAULT_CAPS
+
+    def has_constant(polys):
+        return any(p and p.is_constant() for p in polys)
+
+    def extract(gens, active, fixed, points, factors):
+        if has_constant(gens):
+            return
+        if not active:
+            nvars = gens[0].nvars if gens else len(fixed)
+            points.append(tuple(fixed[i] for i in range(nvars)))
+            return
+        gb = buchberger(gens, caps) if fixed and gens else gens
+        if has_constant(gb):
+            return
+        if not gb or all(not g for g in gb):
+            raise NotZeroDimensional("unexpected positive-dimensional branch")
+        last = active[-1]
+        univariate = [g for g in gb if g.variables_used() <= {last}]
+        if not univariate:
+            raise NotZeroDimensional("no eliminant found; branch not zero-dimensional")
+        elim = min(univariate, key=lambda g: g.lead()[0])
+        for factor, _mult in irreducible_factors(elim.univariate_coeffs(last)):
+            if len(factor) == 2:
+                b, a = factor
+                root = Fraction(-b, a)
+                substituted = [g.substitute({last: root}) for g in gb]
+                extract(
+                    [g for g in substituted if g],
+                    active[:-1],
+                    {**fixed, last: root},
+                    points,
+                    factors,
+                )
+            elif factor not in factors:
+                factors.append(factor)
+
+    basis = [g for g in gb if g]
+    if not basis:
+        raise ValueError("empty basis")
+    if not has_constant(basis) and not ideal_dimension_zero(basis):
+        return SolveResult(POSITIVE_DIMENSIONAL, basis=basis)
+    points, factors = [], []
+    extract(basis, list(range(basis[0].nvars)), {}, points, factors)
+    points.sort()
+    return SolveResult(NEEDS_EXTENSION if factors else FINITE, points, factors, basis)
 
 
 def reference_char_poly(m):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from axial import groebner
+from axial import groebner, search
 from axial.algebra import diagonal_algebra
 from axial.groebner import (
     CapExceeded,
@@ -23,7 +23,7 @@ from axial.groebner import (
 from axial.linalg import unit_vec
 from axial.mpoly import MPoly
 from axial.search import idempotent_system
-from oracles import reference_buchberger
+from oracles import reference_buchberger, reference_enumerate_points
 
 
 def xvar(n, i):
@@ -372,7 +372,7 @@ def test_a_branch_without_an_eliminant_is_not_a_cap():
     # resource limit.
     x0, x1 = xvar(2, 0), xvar(2, 1)
     with pytest.raises(NotZeroDimensional, match="no eliminant found"):
-        groebner._extract([x0 - x1], [0, 1], {}, [], [], groebner.DEFAULT_CAPS)
+        groebner._extract([[x0 - x1], []], (), [], [])
 
 
 def test_points_satisfy_generators():
@@ -509,8 +509,8 @@ def test_content_primes_of_large_primes_and_trivial_values():
 
 
 def test_enumerate_points_reuses_the_given_basis(monkeypatch):
-    # x0 = x1, x1^2 = 1: two branches; only their substituted systems need
-    # a new basis, not the reduced basis the caller passes in
+    # x0 = x1, x1^2 = 1: two branches, both read off the basis the caller
+    # passes in; no branch needs a basis of its own
     x, y = xvar(2, 0), xvar(2, 1)
     gb = buchberger([x - y, y * y - 1])
     calls = []
@@ -522,4 +522,99 @@ def test_enumerate_points_reuses_the_given_basis(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", counting)
     res = enumerate_points(gb)
     assert res.points == [(F(-1), F(-1)), (F(1), F(1))]
-    assert len(calls) == 2
+    assert calls == []
+
+
+def test_naive_idempotents_computes_one_basis(monkeypatch):
+    calls = []
+
+    def counting(gens, caps=groebner.DEFAULT_CAPS):
+        calls.append(gens)
+        return buchberger(gens, caps)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(search, "buchberger", counting)
+    res = search.naive_idempotents(diagonal_algebra(8))
+    assert len(calls) == 1
+    assert len(res.points) == 256
+    assert res.points == sorted(set(res.points))
+
+
+def test_a_vanishing_leading_coefficient_is_skipped():
+    # V = {(1, 0), (2, 0), (3, 1)} with x0 > x1: at x1 = 0 the element
+    # x0 x1 - 3 x1 specialises to 0 and x0^2 - 3 x0 + 2 - 2 x1 gives the
+    # eliminant; at x1 = 1 the least degree picks x0 - 3, not x0^2 - 3 x0.
+    x0, x1 = xvar(2, 0), xvar(2, 1)
+    gb = buchberger([x1 * (x1 - 1), x1 * (x0 - 3), (x0 - 1) * (x0 - 2) * (1 - x1)])
+    assert x0 * x1 - 3 * x1 in gb
+    res = enumerate_points(gb)
+    assert res.points == [(F(1), F(0)), (F(2), F(0)), (F(3), F(1))]
+    assert res.complete_over_closure
+    assert res == reference_enumerate_points(gb)
+
+
+@st.composite
+def zero_dimensional_systems(draw):
+    """A univariate polynomial in each of 2 or 3 variables, with small integer
+    roots and sometimes an irreducible quadratic factor, plus up to two
+    random polynomials that cut the variety down, often to nothing."""
+    nvars = draw(st.integers(2, 3))
+    gens = []
+    for i in range(nvars):
+        x = xvar(nvars, i)
+        poly = MPoly.const(nvars, 1)
+        for r in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3)):
+            poly = poly * (x - r)
+        if draw(st.booleans()):
+            poly = poly * (x * x - draw(st.sampled_from([2, 3, -1])))
+        gens.append(poly)
+    for _ in range(draw(st.integers(0, 2))):
+        terms = draw(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 1)] * nvars),
+                st.integers(-2, 2).filter(bool),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        gens.append(MPoly(nvars, terms))
+    return gens
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(zero_dimensional_systems())
+def test_enumerate_points_matches_the_branch_recomputing_reference(gens):
+    gb = buchberger(gens)
+    res = enumerate_points(gb)
+    ref = reference_enumerate_points(gb)
+    assert (res.status, res.points, res.eliminant_factors) == (
+        ref.status,
+        ref.points,
+        ref.eliminant_factors,
+    )
+    assert res.basis == ref.basis
+    for p in res.points:
+        assert all(g.evaluate(p) == 0 for g in gens)
+
+
+@pytest.mark.parametrize(
+    "build, status, npoints",
+    [
+        # empty variety: the basis is [1]
+        (lambda x, y: [x * x - 1, y - 1, x * y - 2], "finite", 0),
+        # y^2 = 2 at the root, so no branch reaches x
+        (lambda x, y: [(y * y - 2) * (y - 1), x - y], NEEDS_EXTENSION, 1),
+        # x^2 = 3 over each rational y
+        (lambda x, y: [x * x - 3, y * (y - 1)], NEEDS_EXTENSION, 0),
+    ],
+)
+def test_enumerate_points_matches_the_reference_on_edge_cases(build, status, npoints):
+    gb = buchberger(build(xvar(2, 0), xvar(2, 1)))
+    res = enumerate_points(gb)
+    assert res.status == status and len(res.points) == npoints
+    ref = reference_enumerate_points(gb)
+    assert (res.status, res.points, res.eliminant_factors) == (
+        ref.status,
+        ref.points,
+        ref.eliminant_factors,
+    )

@@ -3,16 +3,15 @@
 The Miyamoto group and the automorphisms permuting an axet are held as
 sympy permutation groups on spanning sets of vectors, with one matrix per
 generator; their orders and orbits come from deterministic Schreier-Sims,
-and no element is listed or stored as a matrix.
+and no element is listed or stored as a matrix.  sympy is imported by the
+two functions that build these groups, on their first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-from sympy.combinatorics import Permutation, PermutationGroup
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from axial.algebra import Algebra, AlgebraError
 from axial.fusion import (
@@ -44,6 +43,9 @@ from axial.linalg import (
     zero_vec,
 )
 from axial.search import axes_from_idempotents, naive_idempotents
+
+if TYPE_CHECKING:
+    from sympy.combinatorics import Permutation, PermutationGroup
 
 # Identity lengths of the two-generated algebras of Monster type (1/4, 1/32),
 # the only classification data this library builds in.
@@ -169,6 +171,8 @@ def miyamoto_group(alg: Algebra, axet: Axet, cap: int = 200_000) -> MiyGroup:
     `cap` bounds the number of points; an infinite group has an infinite
     orbit, so the cap is what makes the call return.
     """
+    from sympy.combinatorics import Permutation, PermutationGroup
+
     n = alg.dim
     taus = list(dict.fromkeys(axet.taus()))
     points = axet.vectors()
@@ -419,6 +423,8 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
     with itself included, with that of their images, and a bilinear form
     is fixed by its values on a basis.
     """
+    from sympy.combinatorics import Permutation, PermutationGroup
+
     n = alg.dim
     vectors = axet.vectors()
     m = len(vectors)

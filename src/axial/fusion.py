@@ -49,7 +49,7 @@ class FusionLaw:
     rejected rather than reinterpreted.
     """
 
-    __slots__ = ("values", "_star")
+    __slots__ = ("values", "_star", "_grading")
 
     def __init__(self, values, star: Mapping):
         vals = tuple(sorted({frac(v) for v in values}, reverse=True))
@@ -74,6 +74,7 @@ class FusionLaw:
                 raise ValueError("law violates 1*l = {l} (l != 0), 1*0 = empty")
         self.values = vals
         self._star = table
+        self._grading: Optional[tuple[frozenset, frozenset]] = None
 
     def star(self, lam, mu) -> frozenset:
         lam, mu = frac(lam), frac(mu)
@@ -90,7 +91,13 @@ class FusionLaw:
         """The sign grading with maximal negative part.
 
         Returns (plus, minus); minus is empty for trivially graded laws.
+        Found on the first call and kept: a law is never changed.
         """
+        if self._grading is None:
+            self._grading = self._find_grading()
+        return self._grading
+
+    def _find_grading(self) -> tuple[frozenset, frozenset]:
         candidates = [v for v in self.values if v != ONE]
         best_minus: frozenset = frozenset()
         for size in range(len(candidates), 0, -1):

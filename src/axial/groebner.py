@@ -21,8 +21,6 @@ from math import gcd
 from time import monotonic
 from typing import Callable, Optional, Sequence
 
-from sympy import factorint
-
 from axial._backend import kernels
 from axial.linalg import Vec, combination, kernel as matrix_kernel, mat
 from axial.mpoly import MPoly
@@ -377,9 +375,24 @@ def enumerate_points(gb: Sequence[MPoly]) -> SolveResult:
         for g in gb:
             levels[min(g.variables_used())].append(g)
         _extract(levels, (), points, factors)
-    points.sort()
+    _sort_points(points)
     status = NEEDS_EXTENSION if factors else FINITE
     return SolveResult(status, points, factors, gb)
+
+
+def _sort_points(points: list[Vec]) -> None:
+    """Sort the points as `list.sort` would, on integer rank tuples.
+
+    Each coordinate takes few distinct values.  They are ranked once, keyed
+    by (numerator, denominator), which names a Fraction uniquely; the points
+    are then sorted by comparing ints, not Fractions, and with no Fraction
+    hashed.
+    """
+    ranks = []
+    for column in zip(*points):
+        values = {(x.numerator, x.denominator): x for x in column}
+        ranks.append({k: r for r, k in enumerate(sorted(values, key=values.__getitem__))})
+    points.sort(key=lambda p: tuple(rank[x.numerator, x.denominator] for rank, x in zip(ranks, p)))
 
 
 def _extract(levels: list[list[MPoly]], point: tuple, points: list, factors: list) -> None:
@@ -489,6 +502,8 @@ def content_primes(value: Fraction) -> list[int]:
     These are the positive characteristics in which the certificate fails,
     i.e. where the certified system could acquire common roots.
     """
+    from sympy import factorint
+
     n = abs(value.numerator)
     if n in (0, 1):
         return []

@@ -7,17 +7,16 @@ alike, is the one sparse integer elimination of `axial._kernels_py`, and
 every null space (`kernel`, `sparse_kernel`, `eigenspace`, `intersect` and
 the axis eigenspaces of `axial.fusion`) is read off it by `null_space`.
 `solve` and `inverse` read their answers off one RREF of an augmented
-matrix.
+matrix, and `det` is Bareiss's fraction-free elimination.  Only
+`char_poly` uses sympy, imported on its first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
-
-from sympy import QQ
-from sympy.polys.matrices import DomainMatrix
 
 from axial._backend import kernels
 from axial.univariate import rational_roots
@@ -131,21 +130,40 @@ def rref(m: Mat) -> tuple[Mat, int, list[int]]:
     return mat(rows), len(pivots), pivots
 
 
-def _qq_matrix(m: Mat, what: str) -> DomainMatrix:
-    """The square Fraction matrix m as a sympy DomainMatrix over QQ."""
+def det(m: Mat) -> Fraction:
+    """Determinant by fraction-free elimination (Bareiss 1968); det(()) is 1.
+
+    Each row is scaled to integers by the lcm of its denominators.  Step k
+    replaces every entry below and right of the pivot by a 2 x 2 minor
+    divided exactly by the previous pivot, so the entries stay minors of
+    the integer matrix, and the last pivot is its determinant (up to the
+    sign of the row swaps).  That is divided by the product of the scales.
+    """
     n = len(m)
     if any(len(r) != n for r in m):
-        raise ValueError(f"{what} of a non-square matrix")
-    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m], (n, n), QQ)
-
-
-def _fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
-def det(m: Mat) -> Fraction:
-    """Determinant, computed exactly by sympy's DomainMatrix over QQ; det(()) is 1."""
-    return _fraction(_qq_matrix(m, "determinant").det())
+        raise ValueError("determinant of a non-square matrix")
+    rows = []
+    scale = 1
+    for row in m:
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for row in rows[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - a * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * prev, scale)
 
 
 def inverse(m: Mat) -> Optional[Mat]:
@@ -391,10 +409,17 @@ def perp_space(s: Subspace, gram: Mat) -> Subspace:
 def char_poly(m: Mat) -> list[Fraction]:
     """Coefficients of det(t I - m), lowest degree first (monic, length n+1).
 
-    Computed by sympy's DomainMatrix over QQ, whose `charpoly` runs
-    Berkowitz's division-free algorithm.
+    Computed by sympy's DomainMatrix over QQ, imported on the first call,
+    whose `charpoly` runs Berkowitz's division-free algorithm.
     """
-    return [_fraction(c) for c in reversed(_qq_matrix(m, "characteristic polynomial").charpoly())]
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    qq = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m], (n, n), QQ)
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(qq.charpoly())]
 
 
 @dataclass

@@ -30,9 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dup_factor_list
-
 IntPoly = tuple[int, ...]  # coefficients, lowest degree first
 
 # Primes of the modular steps, in the order they are tried.  Small primes
@@ -124,6 +121,9 @@ def rational_roots(coeffs) -> dict[Fraction, int]:
 
 def _zassenhaus(ints: IntPoly) -> list[tuple[IntPoly, int]]:
     """The factor list of a primitive polynomial by sympy's factoring over ZZ."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
     # dup_factor_list takes and returns coefficients highest degree first
     _, factors = dup_factor_list([ZZ(c) for c in reversed(ints)], ZZ)
     out = []

@@ -20,7 +20,7 @@ from axial.fusion import (
     miyamoto_involution,
     monster_law,
 )
-from axial.io import parse_algebra, parse_law_spec
+from axial.io import parse_algebra, parse_algebra_text, parse_law_spec
 from axial.linalg import (
     MODULUS,
     Subspace,
@@ -72,6 +72,30 @@ def test_c2_grading():
     assert minus == frozenset({F(1, 4)})
     associative = FusionLaw([1, 0], {(0, 0): {0}})
     assert associative.c2_grading()[1] == frozenset()
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        MONSTER_QUARTER,
+        jordan_law(F(1, 4)),
+        parse_algebra_text(
+            "AXIAL 1\nDIM 1\nGAMMA\n1 1 1 1\nEND\n"
+            "LAW\nVALUES 1 0 1/3 -1/2\n0 0 : 0\n0 1/3 : 1/3\n1/3 1/3 : 1 0\n"
+            "0 -1/2 : -1/2\n1/3 -1/2 : -1/2\n-1/2 -1/2 : 1 0 1/3\nEND\n"
+        ).law,
+    ],
+    ids=["monster", "jordan", "io"],
+)
+def test_c2_grading_is_kept_and_equals_a_fresh_computation(law):
+    twin = FusionLaw(law.values, {pair: law.star(*pair) for pair in law._star})
+    assert twin == law and hash(twin) == hash(law)
+    kept = law.c2_grading()
+    assert law.c2_grading() is kept
+    assert kept == law._find_grading() == twin.c2_grading()
+    assert kept[1]  # each law has a nontrivial grading
+    # keeping the grading leaves equality and hashing unchanged
+    assert twin == law and hash(twin) == hash(law)
 
 
 def test_check_axis_q2_cases(q2, q2_law):

@@ -1,6 +1,10 @@
-"""Every name a module under src/axial imports is used in that module."""
+"""Every name a module under src/axial imports is used in that module, and
+sympy is imported only where it is used."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,103 @@ def test_every_private_module_name_is_used():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []
+
+
+def _is_type_checking_block(node) -> bool:
+    return isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+
+
+def _module_level_imports(nodes):
+    """The import statements a module runs on import: its top-level
+    statements, descending into every compound statement except function and
+    class bodies and `if TYPE_CHECKING:` blocks."""
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        elif not _is_type_checking_block(node):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level_imports(getattr(node, field, []))
+
+
+@pytest.mark.parametrize("module", ["__init__.py"] + MODULES)
+def test_sympy_is_imported_only_inside_functions(module):
+    # sympy takes most of a fresh process's start-up, and only group orders,
+    # the factoring fallback, `content_primes` and `char_poly` need it
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    found = []
+    for node in _module_level_imports(tree.body):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        found += [f"{module}:{node.lineno} {n}" for n in names if n.split(".")[0] == "sympy"]
+    assert found == []
+
+
+FIXTURES = SRC.parent.parent / "fixtures"
+FRESH = (
+    "import sys, contextlib, io\n"
+    "import axial.cli\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    code = axial.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print(code, 'sympy' in sys.modules)\n"
+    "print(out.getvalue())\n"
+)
+
+
+def _fresh_cli(*argv):
+    """Exit code, whether sympy was loaded, and the report of one command
+    run by `cli.main` in a new interpreter."""
+    args = [str(FIXTURES / a) if a.endswith((".alg", ".grp")) else a for a in argv]
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    status, report = done.stdout.split("\n", 1)
+    code, loaded = status.split()
+    return int(code), loaded == "True", report
+
+
+SIGN_COMPONENTS = "1/4,1/32,1/32;1/32,1/4,1/32;1/32,1/32,1/4"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("info", "q2.alg"),
+        ("unit", "q2.alg"),
+        ("radical", "triple2b.alg"),
+        ("derivations", "triple2b.alg"),
+        ("axes-naive", "q2.alg", "--length", "1", "--law", "m:1/2:1/4"),
+        ("axes-nuanced", "q2.alg", "--axis", "3", "--law", "m:1/2:1/4", "--z-lengths", ""),
+        ("twins", "q2.alg", "--axis", "3"),
+        ("classify-pairs", "q2.alg"),
+        ("decompose", "triple2b.alg", "--y", "1,2,3", "--partial"),
+        ("extend", "triple2b.alg", "--y", "1,2,3"),
+        ("sign-kernel", "triple2b.alg", "--y", "1,2,3", "--components", SIGN_COMPONENTS, "--seed", "7"),
+        ("matsuo", "s3.grp", "--eta", "1/4"),
+        ("flip", "s4.grp", "--eta", "1/4", "--sigma", "(1,2)(3,4)"),
+    ],
+    ids=lambda argv: argv[0] if argv else "import",
+)
+def test_commands_without_groups_start_without_sympy(argv):
+    code, loaded, _ = _fresh_cli(*argv)
+    assert code == 0 and not loaded
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("miy", "q2.alg"), "Miyamoto group order 4"),
+        (("aut-perm", "q2.alg"), "automorphism group order 4"),
+        (("jordan", "q2.alg", "--law", "m:1/2:1/4"), "jordan axis count: 1"),
+    ],
+    ids=["miy", "aut-perm", "jordan"],
+)
+def test_group_orders_load_sympy(argv, line):
+    code, loaded, report = _fresh_cli(*argv)
+    assert code == 0 and loaded
+    assert line in report

@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from axial._backend import kernels
 from axial.linalg import (
@@ -31,6 +34,7 @@ from axial.linalg import (
     zero_vec,
 )
 from axial.fusion import derivation_space
+from axial.io import parse_algebra
 from axial.matsuo import matsuo_algebra, symmetric_transpositions
 from oracles import (
     det_fraction,
@@ -41,6 +45,8 @@ from oracles import (
 )
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_rref_identity():
@@ -239,6 +245,44 @@ def test_det_and_char_poly_match_the_oracles_on_matsuo(degree, eta):
     m = alg.ad_matrix(u)
     assert det(m) == det_fraction(m)
     assert char_poly(m) == reference_char_poly(m)
+
+
+def sympy_det(m):
+    """The determinant by sympy's DomainMatrix over QQ."""
+    n = len(m)
+    d = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m], (n, n), QQ).det()
+    return F(int(d.numerator), int(d.denominator))
+
+
+@st.composite
+def sparse_or_singular_matrices(draw):
+    """Square matrices up to 7 x 7, mostly zeros or with a dependent row."""
+    n = draw(st.integers(1, 7))
+    entries = st.one_of(st.just(F(0)), fractions) if draw(st.booleans()) else fractions
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(fractions)
+        rows[j] = [c * x for x in rows[i]]
+    return mat(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sparse_or_singular_matrices())
+def test_det_matches_sympy(m):
+    assert det(m) == sympy_det(m)
+
+
+@pytest.mark.parametrize(
+    "source", ["S3", "S4", "S5", "S6", "S7", "q2.alg", "triple2b.alg"]
+)
+def test_det_matches_sympy_on_gram_matrices(source):
+    if source.startswith("S"):
+        alg = matsuo_algebra(symmetric_transpositions(int(source[1])), F(1, 4))
+    else:
+        alg = parse_algebra(FIXTURES / source).algebra
+    assert alg.gram is not None
+    assert det(alg.gram) == sympy_det(alg.gram)
 
 
 def test_det_and_char_poly_edge_cases():

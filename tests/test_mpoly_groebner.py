@@ -595,6 +595,26 @@ def test_enumerate_points_matches_the_branch_recomputing_reference(gens):
     assert res.basis == ref.basis
     for p in res.points:
         assert all(g.evaluate(p) == 0 for g in gens)
+    shuffled = res.points[::-1]
+    groebner._sort_points(shuffled)
+    assert shuffled == res.points == sorted(res.points)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_rank_sort_orders_points_as_sorted_does(n):
+    points = search.naive_idempotents(diagonal_algebra(n)).points
+    assert points == sorted(points) and len(points) == 2**n
+    for shuffled in (points[::-1], points[1::2] + points[::2]):
+        groebner._sort_points(shuffled)
+        assert shuffled == points
+
+
+def test_rank_sort_compares_values_not_numerators():
+    # (2, 3) > (1, 1) as pairs but 2/3 < 1 as values
+    points = [(F(1), F(-1, 2)), (F(2, 3), F(5)), (F(-7, 2), F(0)), (F(2, 3), F(-1, 3))]
+    want = sorted(points)
+    groebner._sort_points(points)
+    assert points == want
 
 
 @pytest.mark.parametrize(

@@ -118,15 +118,19 @@ def test_rational_roots_with_multiplicities():
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Counts the calls of sympy's factoring, the fallback."""
+    """Counts the calls of the fallback, sympy's factoring of one polynomial.
+
+    `_zassenhaus` is patched rather than sympy, whose own `factor_list` (the
+    reference of these tests) would be counted too.
+    """
     calls = []
-    original = univariate.dup_factor_list
+    original = univariate._zassenhaus
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(univariate, "dup_factor_list", counted)
+    monkeypatch.setattr(univariate, "_zassenhaus", counted)
     return calls
 
 

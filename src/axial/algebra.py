@@ -25,7 +25,9 @@ from axial.linalg import (
     mat,
     mat_from_cols,
     mat_vec,
+    null_space,
     solve,
+    transpose,
     unit_vec,
     vdot,
     vec,
@@ -50,6 +52,8 @@ class DegenerateFormError(AlgebraError):
 
 
 SparseRow = tuple[tuple[int, Fraction], ...]
+
+ZERO = Fraction(0)
 
 
 class IntegerTable(NamedTuple):
@@ -229,15 +233,43 @@ class Algebra:
         return self.product(u, u)
 
     def ad_matrix(self, u: Vec) -> Mat:
-        """Matrix of left multiplication by u; column j is u * e_j."""
+        """Matrix of left multiplication by u; column j is u * e_j.  The
+        rows of the `IntegerAdjoint`, made dense and divided by its scale."""
+        adjoint = IntegerAdjoint(self, u, ())
+        d, n = adjoint.scale, self.dim
+        return tuple(
+            tuple(Fraction(row[j], d) if j in row else ZERO for j in range(n))
+            for row in adjoint.rows
+        )
+
+    def products_in(
+        self, xs: Sequence[Vec], ys: Sequence[Vec], w: Subspace
+    ) -> Optional[list[list[Vec]]]:
+        """The w-coordinates of every product x y, one row per x and one entry
+        per y, or None when some product leaves w.
+
+        Each y is scaled to integers once, and x y is read off the
+        `IntegerAdjoint` of x, so only the entries of a product that are
+        nonzero are divided back into `Fraction`s.
+        """
         n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, a in enumerate(u):
-            if a:
-                for j in range(n):
-                    for k, c in self.basis_product(i, j):
-                        rows[k][j] += a * c
-        return tuple(tuple(row) for row in rows)
+        scaled = []
+        for y in ys:
+            d = lcm(*(c.denominator for c in y))
+            ints = {j: c.numerator * (d // c.denominator) for j, c in enumerate(y) if c}
+            scaled.append((d, ints))
+        table = []
+        for x in xs:
+            adjoint = IntegerAdjoint(self, x, ())
+            row = []
+            for d, y in scaled:
+                p, s = adjoint.shift(ZERO, y), adjoint.scale * d
+                coords = w.coordinates([Fraction(p[k], s) if k in p else ZERO for k in range(n)])
+                if coords is None:
+                    return None
+                row.append(coords)
+            table.append(row)
+        return table
 
     def form_value(self, u: Vec, v: Vec) -> Fraction:
         """Frobenius form value (u, v)."""
@@ -293,22 +325,13 @@ class Algebra:
                 return span
             span = bigger
 
-    def is_product_closed(self, s: Subspace) -> bool:
-        return all(
-            s.contains(self.product(s.basis[i], s.basis[j]))
-            for i in range(s.dim)
-            for j in range(i, s.dim)
-        )
-
     def annihilator(self, w: Subspace) -> Subspace:
-        """{u | u x = 0 for all x in the subspace}."""
-        if w.is_zero():
-            return Subspace(self.dim, tuple(unit_vec(self.dim, i) for i in range(self.dim)))
-        rows = []
-        for x in w.basis:
-            # u x = ad(x) u, as the product is commutative
-            rows.extend(self.ad_matrix(x))
-        return kernel(tuple(rows))
+        """{u | u x = 0 for all x in the subspace}: the null space of the
+        integer adjoints of w's basis, as u x = ad(x) u."""
+        return null_space(
+            (row.items() for x in w.basis for row in IntegerAdjoint(self, x, ()).rows),
+            self.dim,
+        )
 
     def radical(self) -> Subspace:
         """Kernel of the Frobenius form (equals the algebra radical when the
@@ -374,16 +397,16 @@ class Algebra:
             raise AlgebraError("restriction basis is linearly dependent")
         # canonical coordinates -> coordinates in the given basis
         to_basis = inverse(mat_from_cols([span.coordinates(b) for b in basis]))
-        gamma = []
-        for r in range(k):
-            for s in range(r, k):
-                canonical = span.coordinates(self.product(basis[r], basis[s]))
-                if canonical is None:
-                    raise AlgebraError("subspace is not closed under the product")
-                coords = mat_vec(to_basis, canonical)
-                for t, c in enumerate(coords):
-                    if c:
-                        gamma.append((r, s, t, c))
+        table = self.products_in(basis, basis, span)
+        if table is None:
+            raise AlgebraError("subspace is not closed under the product")
+        gamma = [
+            (r, s, t, c)
+            for r in range(k)
+            for s in range(r, k)
+            for t, c in enumerate(mat_vec(to_basis, table[r][s]))
+            if c
+        ]
         gram = None
         if self.gram is not None:
             gram = tuple(
@@ -399,6 +422,96 @@ class Algebra:
         if self.unit is not None:
             parts.append("unit")
         return f"Algebra({', '.join(parts)})"
+
+
+class IntegerAdjoint:
+    """D ad(v) on sparse integer vectors {index: int} with no zero entries.
+
+    The one adjoint of the package: `Algebra.ad_matrix`, `annihilator` and
+    `products_in` read it, and so do the axis certificates of `axial.fusion`.
+    D is the denominator of the `integer_table` times the common denominator
+    of v and the eigenvalues given, so each shift D ad - D nu is an integer
+    matrix.  D ad is summed from the table's partner lists at the nonzero v_i
+    and kept by row and, transposed sparsely, by column.  Scaling by D changes
+    no null space or zero test, and `sign_map` divides by powers of D exactly.
+    """
+
+    __slots__ = ("scale", "rows", "cols")
+
+    def __init__(self, alg: Algebra, v: Vec, values: Iterable[Fraction]):
+        ints = alg.integer_table()
+        mult = lcm(*(x.denominator for x in (*v, *values)))
+        self.scale = ints.denom * mult
+        rows: list[dict[int, int]] = [{} for _ in v]
+        for i, x in enumerate(v):
+            if x:
+                w = x.numerator * (mult // x.denominator)
+                for j, product in ints.partners[i]:
+                    for k, c in product:
+                        rows[k][j] = rows[k].get(j, 0) + w * c
+        self.rows = [{j: x for j, x in row.items() if x} for row in rows]
+        self.cols: list[list[tuple[int, int]]] = [[] for _ in v]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                self.cols[j].append((i, x))
+
+    def eigenspace(self, nu: Fraction) -> Subspace:
+        """The nu-eigenspace of ad(a): the null space of D ad - D nu."""
+        s = nu.numerator * (self.scale // nu.denominator)
+        return null_space(
+            ({**row, i: row.get(i, 0) - s}.items() for i, row in enumerate(self.rows)),
+            len(self.rows),
+        )
+
+    def shift(self, nu: Fraction, x: dict[int, int]) -> dict[int, int]:
+        """(D ad - D nu) x."""
+        s = nu.numerator * (self.scale // nu.denominator)
+        out: dict[int, int] = {}
+        for j, xj in x.items():
+            out[j] = out.get(j, 0) - s * xj
+            for i, c in self.cols[j]:
+                out[i] = out.get(i, 0) + c * xj
+        return {i: v for i, v in out.items() if v}
+
+    def in_sum(self, values: Iterable[Fraction], x: dict[int, int]) -> bool:
+        """Whether x lies in the sum of the eigenspaces of `values` (0 for none).
+
+        ad(a) is semisimple here, so the product of (ad - nu) over `values`
+        kills that sum and scales each other eigenspace by a nonzero number.
+        """
+        for nu in values:
+            x = self.shift(nu, x)
+        return not x
+
+    def sign_map(self, present: Sequence[Fraction], negated: frozenset) -> Mat:
+        """f(ad) for the polynomial f that is -1 on the `negated` eigenvalues
+        in `present` and +1 on the others: on a semisimple adjoint with that
+        spectrum, the map acting as -1 on the negated eigenspaces (the
+        identity when none is present).
+
+        f is held in Newton form, sum_i c_i prod_{l<i} (t - present[l]), up
+        to its last nonzero c_i, and column j is sum_i c_i / D^i w_i for
+        w_0 = e_j and w_{i+1} = (D ad - D present[i]) w_i, summed over the
+        integers with the c_i / D^i brought to one denominator.
+        """
+        k, n = len(present), len(self.cols)
+        coeffs = [Fraction(-1 if nu in negated else 1) for nu in present]
+        for level in range(1, k):
+            for i in range(k - 1, level - 1, -1):
+                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (present[i] - present[i - level])
+        scaled = [c / self.scale**i for i, c in enumerate(coeffs)]
+        scaled = scaled[: max(i for i, c in enumerate(scaled) if c) + 1]
+        denom = lcm(*(c.denominator for c in scaled))
+        nums = [c.numerator * (denom // c.denominator) for c in scaled]
+        cols = []
+        for j in range(n):
+            w, col = {j: 1}, {}
+            for i, num in enumerate(nums):
+                w = self.shift(present[i - 1], w) if i else w
+                for r, x in w.items():
+                    col[r] = col.get(r, 0) + num * x
+            cols.append(tuple(Fraction(col[r], denom) if col.get(r) else ZERO for r in range(n)))
+        return transpose(tuple(cols))
 
 
 def diagonal_algebra(n: int) -> Algebra:

@@ -147,10 +147,6 @@ def _pick_axes(axes, spec: str) -> list[Axis]:
     return chosen
 
 
-def _law_from_args(args, custom_law) -> FusionLaw:
-    return parse_law_spec(args.law, custom_law)
-
-
 def cmd_info(args, report):
     alg, tagged, law = _load(args)
     report.add("dimension", alg.dim)
@@ -208,7 +204,7 @@ def cmd_axes_naive(args, report):
     if result.status == POSITIVE_DIMENSIONAL:
         report.note("variety is positive-dimensional; add relations and retry")
         return
-    law = _law_from_args(args, custom)
+    law = parse_law_spec(args.law, custom)
     axes = axes_from_idempotents(alg, result, law)
     report.add("axes", [list(a.vector) for a in axes])
     report.note(f"axis count: {len(axes)}")
@@ -218,7 +214,7 @@ def cmd_axes_nuanced(args, report):
     alg, tagged, custom = _load(args)
     axes = _verified_axes(alg, tagged, custom)
     (seed_axis,) = _pick_axes(axes, args.axis)
-    law = _law_from_args(args, custom)
+    law = parse_law_spec(args.law, custom)
     if args.z_lengths == "auto":
         z_lengths = SearchConfig.z_lengths
     elif args.z_lengths == "":
@@ -254,7 +250,7 @@ def cmd_jordan(args, report):
     axes = _verified_axes(alg, tagged, custom)
     axet = close_axet(alg, axes)
     group = miyamoto_group(alg, axet)
-    law = _law_from_args(args, custom)
+    law = parse_law_spec(args.law, custom)
     found = jordan_axes(alg, group, law, caps=args.caps)
     report.add("jordan_axes", [list(a.vector) for a in found])
     report.note(f"jordan axis count: {len(found)}")
@@ -392,19 +388,23 @@ def cmd_sign_kernel(args, report):
     report.add("sign_kernel_order", result.order)
 
 
-def cmd_matsuo(args, report):
-    data = parse_group(args.group)
-    alg = matsuo_algebra(data, Fraction(args.eta))
-    report.add("class_size", data.size)
-    report.add("dimension", alg.dim)
-    axes = [(f"j:{args.eta}", tuple(row)) for row in identity(alg.dim)]
-    text = emit_algebra(alg, axes=axes)
+def _write_or_print(args, report, text: str):
+    """Write the algebra file to --out-alg, or print it when none is given."""
     if args.out_alg:
         with open(args.out_alg, "w", encoding="utf-8") as fh:
             fh.write(text)
         report.note(f"algebra file written to {args.out_alg}")
     else:
         report.note(text.rstrip("\n"))
+
+
+def cmd_matsuo(args, report):
+    data = parse_group(args.group)
+    alg = matsuo_algebra(data, Fraction(args.eta))
+    report.add("class_size", data.size)
+    report.add("dimension", alg.dim)
+    axes = [(f"j:{args.eta}", tuple(row)) for row in identity(alg.dim)]
+    _write_or_print(args, report, emit_algebra(alg, axes=axes))
 
 
 def cmd_flip(args, report):
@@ -426,13 +426,7 @@ def cmd_flip(args, report):
         (law_tag, tuple(identity(alg.dim)[i]))
         for i in flip.single_axes + flip.double_axes
     ]
-    text = emit_algebra(alg, axes=axes)
-    if args.out_alg:
-        with open(args.out_alg, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        report.note(f"algebra file written to {args.out_alg}")
-    else:
-        report.note(text.rstrip("\n"))
+    _write_or_print(args, report, emit_algebra(alg, axes=axes))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,18 +60,18 @@ class JointDecomposition:
         return {key: space.dim for key, space in self.components.items()}
 
 
-def decompose_joint(
-    alg: Algebra, axes: Sequence[Axis], law: Optional[FusionLaw] = None
-) -> JointDecomposition:
-    """Intersect the eigenspaces of the given axes over all value tuples.
+def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
+    """Intersect the eigenspaces of the given axes, under the law of the
+    first, over all value tuples.
 
     Preconditions are checked exactly: each axis involution must fix every
     other axis in the set.  The joint zero component is verified to be a
-    subalgebra and every component to be a module over it (Seress laws).
+    subalgebra and every other component to be a module over it (Seress
+    laws), each by one `Algebra.products_in`.
     """
     if not axes:
         raise ValueError("need at least one axis")
-    law = law or axes[0].law
+    law = axes[0].law
     n = alg.dim
     for i, a in enumerate(axes):
         for j, b in enumerate(axes):
@@ -97,23 +97,15 @@ def decompose_joint(
     decomposition = JointDecomposition(tuple(axes), law, components, complete, a_circ)
     if law.is_seress():
         u = decomposition.zero_component
-        if not alg.is_product_closed(u):
+        if alg.products_in(u.basis, u.basis, u) is None:
             raise AlgebraError("joint zero component is not a subalgebra")
         for key, space in components.items():
-            if not _is_module(alg, u, space):
+            if space is not u and alg.products_in(u.basis, space.basis, space) is None:
                 raise AlgebraError(f"component {key} is not a module over the zero part")
     return decomposition
 
 
-def _is_module(alg: Algebra, u: Subspace, w: Subspace) -> bool:
-    return all(
-        w.contains(alg.product(x, y)) for x in u.basis for y in w.basis
-    )
-
-
-def partial_decomposition(
-    alg: Algebra, axes: Sequence[Axis], law: Optional[FusionLaw] = None
-) -> JointDecomposition:
+def partial_decomposition(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
     """Joint decomposition completed by the orthogonal complement of its sum.
 
     Needs the form, nondegenerate on the span of the components; the
@@ -121,13 +113,13 @@ def partial_decomposition(
     """
     if alg.gram is None:
         raise MissingFormError("partial decomposition needs the Frobenius form")
-    decomposition = decompose_joint(alg, axes, law)
+    decomposition = decompose_joint(alg, axes)
     a_circ = decomposition.a_circ
     sharp = perp_space(a_circ, alg.gram)
     if a_circ.dim + sharp.dim != alg.dim or not intersect(a_circ, sharp).is_zero():
         raise DegenerateFormError("form is degenerate on the component sum")
     u = decomposition.zero_component
-    if not _is_module(alg, u, sharp):
+    if alg.products_in(u.basis, sharp.basis, sharp) is None:
         raise AlgebraError("orthogonal complement is not a module over the zero part")
     decomposition.a_sharp = sharp
     return decomposition
@@ -181,36 +173,33 @@ def extension_space(alg: Algebra, u: Subspace, w: Subspace, phi: Mat) -> Extensi
 
     `phi` is given in coordinates of the basis of u and must be multiplicative
     on it; `w` must satisfy u w inside w.  Unknowns are the entries of psi in
-    the basis of w.  Each product is taken once: the u-coordinates of
-    u_r u_s are the subalgebra check and the product table of the phi check,
-    and the w-coordinates of u_r w_j the module check and the system's
-    right-hand sides.
+    the basis of w.  The products are read by two `Algebra.products_in`:
+    the u-coordinates of u_r u_s are the subalgebra check and the product
+    table of the phi check, and the w-coordinates of u_r w_j the module
+    check and the system's right-hand sides.
     """
     l, m = u.dim, w.dim
     if len(phi) != l or any(len(r) != l for r in phi):
         raise ValueError("phi size does not match the subalgebra dimension")
-    table = {}
-    for r in range(l):
-        for s in range(r, l):
-            table[r, s] = table[s, r] = u.coordinates(alg.product(u.basis[r], u.basis[s]))
-    if None in table.values():
+    table = alg.products_in(u.basis, u.basis, u)
+    if table is None:
         raise AlgebraError("first subspace is not a subalgebra")
-    module = [[w.coordinates(alg.product(x, y)) for y in w.basis] for x in u.basis]
-    if any(None in row for row in module):
+    module = alg.products_in(u.basis, w.basis, w)
+    if module is None:
         raise AlgebraError("second subspace is not a module over the first")
     phi_cols = list(zip(*phi))
     for r in range(l):
         for s in range(r, l):
             # u-coordinates of phi(u_r) phi(u_s) against those of phi(u_r u_s)
             terms = [
-                (x * y, table[i, j])
+                (x * y, table[i][j])
                 for i, x in enumerate(phi_cols[r])
                 if x
                 for j, y in enumerate(phi_cols[s])
                 if y
             ]
             lhs = combination([c for c, _ in terms], [v for _, v in terms], l)
-            if lhs != mat_vec(phi, table[r, s]):
+            if lhs != mat_vec(phi, table[r][s]):
                 raise AlgebraError("phi is not an automorphism of the subalgebra")
 
     rows = []
@@ -355,14 +344,15 @@ def generate_probes(
     u_space: Subspace,
     components: Sequence[Subspace],
     seed: int = 0,
-    triples: Optional[Sequence[tuple[int, int, int]]] = None,
     long_probes: Sequence[tuple[int, int, int]] = (),
 ) -> list[object]:
     """Draw random probes with nonzero pairings, deterministically per seed.
 
     Each square probe is retried until (w^2, u) is nonzero (at most
-    PROBE_RETRIES draws); pairing probes likewise.  Vanishing probes are
-    kept out of the returned set; sign_kernel records whatever it is given.
+    PROBE_RETRIES draws); pairing probes likewise, a triple probe for every
+    three components and a long probe for each of `long_probes`.  Vanishing
+    probes are kept out of the returned set; sign_kernel records whatever it
+    is given.
     """
     rng = random.Random(seed)
 
@@ -371,8 +361,7 @@ def generate_probes(
             return zero_vec(alg.dim)
         return random_component_element(u_space, rng)
 
-    if triples is None:
-        triples = list(itertools.combinations(range(len(components)), 3))
+    triples = itertools.combinations(range(len(components)), 3)
     squares = [
         _nonzero_probe(
             alg, lambda: SquareProbe(i, random_component_element(comp, rng), u_element())

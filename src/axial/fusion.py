@@ -8,8 +8,9 @@ carries the eigenspace decomposition together with the graded involution
 matrices it entitles.
 
 The axis certificate, `infer_fusion_law` and `derivation_space` work over
-the integers on the algebra's cached `integer_table`; only the
-characteristic polynomial in `infer_fusion_law` forms a dense adjoint.
+the integers on the algebra's cached `integer_table`, the first two through
+its `IntegerAdjoint`; only the characteristic polynomial in
+`infer_fusion_law` forms a dense adjoint.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from axial.algebra import Algebra
+from axial.algebra import ZERO, Algebra, IntegerAdjoint
 from axial.linalg import (
     Mat,
     Subspace,
@@ -29,7 +29,6 @@ from axial.linalg import (
     combination,
     frac,
     is_zero_vec,
-    null_space,
     sparse_kernel,
     subspace_sum,
     transpose,
@@ -38,7 +37,6 @@ from axial.linalg import (
 from axial.univariate import primitive_part, rational_roots
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class FusionLaw:
@@ -213,97 +211,9 @@ class Axis:
         return hash(self.vector)
 
 
-class _IntegerAdjoint:
-    """D ad(v) on sparse integer vectors {index: int} with no zero entries.
-
-    D is the denominator of the `integer_table` times the common denominator
-    of v and the eigenvalues given, so each shift D ad - D nu is an integer
-    matrix.  D ad is summed from the table's partner lists at the nonzero v_i
-    and kept by row and, transposed sparsely, by column.  Scaling by D changes
-    no null space or zero test, and `sign_map` divides by powers of D exactly.
-    """
-
-    __slots__ = ("scale", "rows", "cols")
-
-    def __init__(self, alg: Algebra, v: Vec, values: Iterable[Fraction]):
-        ints = alg.integer_table()
-        mult = lcm(*(x.denominator for x in (*v, *values)))
-        self.scale = ints.denom * mult
-        rows: list[dict[int, int]] = [{} for _ in v]
-        for i, x in enumerate(v):
-            if x:
-                w = x.numerator * (mult // x.denominator)
-                for j, product in ints.partners[i]:
-                    for k, c in product:
-                        rows[k][j] = rows[k].get(j, 0) + w * c
-        self.rows = [{j: x for j, x in row.items() if x} for row in rows]
-        self.cols: list[list[tuple[int, int]]] = [[] for _ in v]
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                self.cols[j].append((i, x))
-
-    def eigenspace(self, nu: Fraction) -> Subspace:
-        """The nu-eigenspace of ad(a): the null space of D ad - D nu."""
-        s = nu.numerator * (self.scale // nu.denominator)
-        return null_space(
-            ({**row, i: row.get(i, 0) - s}.items() for i, row in enumerate(self.rows)),
-            len(self.rows),
-        )
-
-    def shift(self, nu: Fraction, x: dict[int, int]) -> dict[int, int]:
-        """(D ad - D nu) x."""
-        s = nu.numerator * (self.scale // nu.denominator)
-        out: dict[int, int] = {}
-        for j, xj in x.items():
-            out[j] = out.get(j, 0) - s * xj
-            for i, c in self.cols[j]:
-                out[i] = out.get(i, 0) + c * xj
-        return {i: v for i, v in out.items() if v}
-
-    def in_sum(self, values: Iterable[Fraction], x: dict[int, int]) -> bool:
-        """Whether x lies in the sum of the eigenspaces of `values` (0 for none).
-
-        ad(a) is semisimple here, so the product of (ad - nu) over `values`
-        kills that sum and scales each other eigenspace by a nonzero number.
-        """
-        for nu in values:
-            x = self.shift(nu, x)
-        return not x
-
-    def sign_map(self, present: Sequence[Fraction], negated: frozenset) -> Mat:
-        """f(ad) for the polynomial f that is -1 on the `negated` eigenvalues
-        in `present` and +1 on the others: on a semisimple adjoint with that
-        spectrum, the map acting as -1 on the negated eigenspaces (the
-        identity when none is present).
-
-        f is held in Newton form, sum_i c_i prod_{l<i} (t - present[l]), up
-        to its last nonzero c_i, and column j is sum_i c_i / D^i w_i for
-        w_0 = e_j and w_{i+1} = (D ad - D present[i]) w_i, summed over the
-        integers with the c_i / D^i brought to one denominator.
-        """
-        k, n = len(present), len(self.cols)
-        coeffs = [Fraction(-1 if nu in negated else 1) for nu in present]
-        for level in range(1, k):
-            for i in range(k - 1, level - 1, -1):
-                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (present[i] - present[i - level])
-        scaled = [c / self.scale**i for i, c in enumerate(coeffs)]
-        scaled = scaled[: max(i for i, c in enumerate(scaled) if c) + 1]
-        denom = lcm(*(c.denominator for c in scaled))
-        nums = [c.numerator * (denom // c.denominator) for c in scaled]
-        cols = []
-        for j in range(n):
-            w, col = {j: 1}, {}
-            for i, num in enumerate(nums):
-                w = self.shift(present[i - 1], w) if i else w
-                for r, x in w.items():
-                    col[r] = col.get(r, 0) + num * x
-            cols.append(tuple(Fraction(col[r], denom) if col.get(r) else ZERO for r in range(n)))
-        return transpose(tuple(cols))
-
-
 def adjoint_eigenspace(alg: Algebra, v: Vec, lam) -> Subspace:
     """The canonical lam-eigenspace of ad(v), read off the integer adjoint."""
-    return _IntegerAdjoint(alg, vec(v), (frac(lam),)).eigenspace(frac(lam))
+    return IntegerAdjoint(alg, vec(v), (frac(lam),)).eigenspace(frac(lam))
 
 
 def _integer_entries(v: Vec) -> list[tuple[int, int]]:
@@ -351,7 +261,7 @@ def check_axis_verbose(
     """Verify the axis conditions, returning (axis, None) or (None, reason).
 
     The eigenspaces of the law's values are the null spaces of the integer
-    shifts D ad(a) - D lam (`_IntegerAdjoint`).  Once they span A, ad(a) is
+    shifts D ad(a) - D lam (`IntegerAdjoint`).  Once they span A, ad(a) is
     semisimple with the spectrum found, and the rest of the certificate is
     read off polynomials in the same integer adjoint: a product of
     eigenbasis vectors lies in the allowed sum exactly when the product of
@@ -364,7 +274,7 @@ def check_axis_verbose(
         return None, "not_idempotent: zero vector"
     if alg.product(v, v) != v:
         return None, "not_idempotent"
-    adjoint = _IntegerAdjoint(alg, v, law.values)
+    adjoint = IntegerAdjoint(alg, v, law.values)
     eigendata = []
     total = 0
     for lam in law.values:
@@ -476,7 +386,7 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     if is_zero_vec(v) or alg.product(v, v) != v:
         return None
     values = sorted(rational_roots(char_poly(alg.ad_matrix(v))), reverse=True)
-    adjoint = _IntegerAdjoint(alg, v, values)
+    adjoint = IntegerAdjoint(alg, v, values)
     eigendata = [(lam, adjoint.eigenspace(lam)) for lam in values]
     if sum(space.dim for _, space in eigendata) != alg.dim:
         return None

@@ -84,6 +84,16 @@ def parse_algebra_text(text: str) -> AlgebraFile:
                 return stripped, idx
         return None, idx
 
+    def section_rows(name):
+        """The (row, line) pairs of a section up to its END line."""
+        while True:
+            row, row_line = next_content()
+            if row is None:
+                raise AlgebraFileError(f"{name} section not closed by END", row_line)
+            if row == "END":
+                return
+            yield row, row_line
+
     header, line_no = next_content()
     if header is None or not header.startswith("AXIAL"):
         raise AlgebraFileError("missing AXIAL header", line_no)
@@ -111,12 +121,7 @@ def parse_algebra_text(text: str) -> AlgebraFile:
             if len(labels) != dim:
                 raise AlgebraFileError("BASIS label count does not match DIM", line_no)
         elif key == "GAMMA":
-            while True:
-                row, row_line = next_content()
-                if row is None:
-                    raise AlgebraFileError("GAMMA section not closed by END", row_line)
-                if row == "END":
-                    break
+            for row, row_line in section_rows("GAMMA"):
                 parts = row.split()
                 if len(parts) != 4:
                     raise AlgebraFileError("expected 'i j k value'", row_line)
@@ -153,12 +158,7 @@ def parse_algebra_text(text: str) -> AlgebraFile:
                 raise AlgebraFileError("UNIT needs one entry per dimension", line_no)
             unit = [parse_rational(p, line_no) for p in parts]
         elif key == "AXES":
-            while True:
-                row, row_line = next_content()
-                if row is None:
-                    raise AlgebraFileError("AXES section not closed by END", row_line)
-                if row == "END":
-                    break
+            for row, row_line in section_rows("AXES"):
                 parts = row.split()
                 if len(parts) != dim + 1:
                     raise AlgebraFileError("axis line needs a law tag and coordinates", row_line)
@@ -171,12 +171,7 @@ def parse_algebra_text(text: str) -> AlgebraFile:
             if values_line is None or not values_line.startswith("VALUES"):
                 raise AlgebraFileError("LAW section must start with VALUES", vline)
             law_values = [parse_rational(p, vline) for p in values_line.split()[1:]]
-            while True:
-                row, row_line = next_content()
-                if row is None:
-                    raise AlgebraFileError("LAW section not closed by END", row_line)
-                if row == "END":
-                    break
+            for row, row_line in section_rows("LAW"):
                 if ":" not in row:
                     raise AlgebraFileError("law row needs 'lam mu : values'", row_line)
                 left, right = row.split(":", 1)

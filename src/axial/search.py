@@ -89,41 +89,38 @@ def symbolic_coordinates(
     return coords
 
 
-def symbolic_square(
-    alg: Algebra, basis: Sequence[Vec], offset: Optional[Vec] = None
-) -> list[MPoly]:
-    """Ambient coordinates of (offset + sum x_i b_i)^2."""
-    nvars = len(basis)
-    coords = [MPoly.zero(nvars) for _ in range(alg.dim)]
-    if offset is not None:
-        for k, c in enumerate(alg.product(offset, offset)):
-            if c:
-                coords[k] = coords[k] + MPoly.const(nvars, c)
-        for i in range(nvars):
-            cross = alg.product(offset, basis[i])
-            x = MPoly.var(nvars, i)
-            for k, c in enumerate(cross):
-                if c:
-                    coords[k] = coords[k] + x.scale(2 * c)
-    for i in range(nvars):
-        for j in range(i, nvars):
-            p = alg.product(basis[i], basis[j])
-            factor = MPoly.var(nvars, i) * MPoly.var(nvars, j)
-            if i != j:
-                factor = factor.scale(2)
-            for k, c in enumerate(p):
-                if c:
-                    coords[k] = coords[k] + factor.scale(c)
-    return coords
-
-
 def idempotent_system(
     alg: Algebra, basis: Sequence[Vec], offset: Optional[Vec] = None
 ) -> list[MPoly]:
-    """The coordinate equations of u^2 = u over basis coordinates (+ offset)."""
-    square = symbolic_square(alg, basis, offset)
-    linear = symbolic_coordinates(alg, basis, offset)
-    return [sq - lin for sq, lin in zip(square, linear)]
+    """The coordinate equations of u^2 = u over basis coordinates (+ offset).
+
+    For u = offset + sum x_i b_i, u^2 - u has constant part offset^2 - offset,
+    x_i part 2 offset b_i - b_i and x_i x_j part b_i b_j, doubled for i != j.
+    Each product is read once into one term dict per coordinate.
+    """
+    nvars = len(basis)
+    terms: list[dict] = [{} for _ in range(alg.dim)]
+
+    def add(exp, v, factor):
+        for k, c in enumerate(v):
+            if c:
+                terms[k][exp] = terms[k].get(exp, 0) + factor * c
+
+    const = (0,) * nvars
+    units = [tuple(int(j == i) for j in range(nvars)) for i in range(nvars)]
+    if offset is not None:
+        add(const, alg.product(offset, offset), 1)
+        for x, b in zip(units, basis):
+            add(x, alg.product(offset, b), 2)
+    for i in range(nvars):
+        for j in range(i, nvars):
+            exp = tuple(p + q for p, q in zip(units[i], units[j]))
+            add(exp, alg.product(basis[i], basis[j]), 1 if i == j else 2)
+    if offset is not None:
+        add(const, offset, -1)
+    for x, b in zip(units, basis):
+        add(x, b, -1)
+    return [MPoly(nvars, {e: c for e, c in t.items() if c}, _clean=False) for t in terms]
 
 
 def length_equation(
@@ -247,19 +244,16 @@ def determinant_relation(
     if m > DETERMINANT_DIM_CAP:
         raise ValueError(f"eigenspace dimension {m} exceeds the symbolic cap {DETERMINANT_DIM_CAP}")
     nvars = z_symbolic[0].nvars
+    used = [k for k, coeff in enumerate(z_symbolic) if not coeff.is_zero()]
+    table = alg.products_in([unit_vec(alg.dim, k) for k in used], w_basis.basis, w_basis)
+    if table is None:
+        raise ValueError("subspace is not invariant under the action")
     entries = [[MPoly.zero(nvars) for _ in range(m)] for _ in range(m)]
-    for emi in range(alg.dim):
-        coeff = z_symbolic[emi]
-        if coeff.is_zero():
-            continue
-        for j in range(m):
-            p = alg.product(unit_vec(alg.dim, emi), w_basis.basis[j])
-            coords = w_basis.coordinates(p)
-            if coords is None:
-                raise ValueError("subspace is not invariant under the action")
+    for k, row in zip(used, table):
+        for j, coords in enumerate(row):
             for t, c in enumerate(coords):
                 if c:
-                    entries[t][j] = entries[t][j] + coeff.scale(c)
+                    entries[t][j] = entries[t][j] + z_symbolic[k].scale(c)
     shift = 1 - lam
     for t in range(m):
         entries[t][t] = entries[t][t] - MPoly.const(nvars, shift)

@@ -1,8 +1,10 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except nineteen former implementations kept to test the current
+package except twenty-one former implementations kept to test the current
 ones against: `reference_rref` (the dense fraction-free loop),
+`reference_ad_matrix` (the dense adjoint loop), `reference_annihilator`
+(the kernel of stacked dense adjoints),
 `reference_buchberger` (the all-pairs loop),
 `reference_enumerate_points` (one new basis per branch),
 `reference_normal_form` (division over Q in Fraction arithmetic),
@@ -823,6 +825,37 @@ def reference_derivation_space(alg):
     return kernel(mat(rows))
 
 
+def reference_ad_matrix(alg, u):
+    """The matrix of multiplication by u, summed entry by entry from the
+    structure constants.
+
+    The package's `Algebra.ad_matrix` as it was before it densified the
+    integer adjoint; kept as an oracle for that rewrite.
+    """
+    n = alg.dim
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, a in enumerate(u):
+        if a:
+            for j in range(n):
+                for k, c in alg.basis_product(i, j):
+                    rows[k][j] += a * c
+    return tuple(tuple(row) for row in rows)
+
+
+def reference_annihilator(alg, w):
+    """{u | u x = 0 for all x in w}: the kernel of the stacked dense adjoints
+    of w's basis, the whole space when w is zero.
+
+    The package's `Algebra.annihilator` as it was before it read one null
+    space off the integer adjoints; kept as an oracle for that rewrite.
+    """
+    from axial.linalg import Subspace, kernel, unit_vec
+
+    if w.is_zero():
+        return Subspace(alg.dim, [unit_vec(alg.dim, i) for i in range(alg.dim)])
+    return kernel(tuple(row for x in w.basis for row in reference_ad_matrix(alg, x)))
+
+
 def reference_check_axis(alg, v, law):
     """The axis check as (eigendata, tau, sigma) or the reason it fails.
 
@@ -842,7 +875,7 @@ def reference_check_axis(alg, v, law):
         return "not_idempotent: zero vector"
     if alg.product(v, v) != v:
         return "not_idempotent"
-    ad = alg.ad_matrix(v)
+    ad = reference_ad_matrix(alg, v)
     eigendata = []
     total = 0
     for lam in law.values:
@@ -895,7 +928,7 @@ def reference_infer_fusion_law(alg, v):
     v = vec(v)
     if is_zero_vec(v) or alg.product(v, v) != v:
         return None
-    spectrum = semisimple_spectrum(alg.ad_matrix(v))
+    spectrum = semisimple_spectrum(reference_ad_matrix(alg, v))
     if not spectrum.ok:
         return None
     basis, owners = [], []
@@ -1114,6 +1147,14 @@ def reference_intersect(s1, s2):
     )
 
 
+def _reference_is_closed(alg, s):
+    return all(
+        s.contains(alg.product(s.basis[i], s.basis[j]))
+        for i in range(s.dim)
+        for j in range(i, s.dim)
+    )
+
+
 def _reference_is_module(alg, u, w):
     return all(w.contains(alg.product(x, y)) for x in u.basis for y in w.basis)
 
@@ -1157,7 +1198,7 @@ def reference_decompose_joint(alg, axes, law=None):
     decomposition = JointDecomposition(tuple(axes), law, components, total == n, a_circ)
     if law.is_seress():
         u = decomposition.zero_component
-        if not alg.is_product_closed(u):
+        if not _reference_is_closed(alg, u):
             raise AlgebraError("joint zero component is not a subalgebra")
         for key, space in components.items():
             if not _reference_is_module(alg, u, space):
@@ -1179,7 +1220,7 @@ def reference_extension_space(alg, u, w, phi):
     l, m = u.dim, w.dim
     if len(phi) != l or any(len(r) != l for r in phi):
         raise ValueError("phi size does not match the subalgebra dimension")
-    if not alg.is_product_closed(u):
+    if not _reference_is_closed(alg, u):
         raise AlgebraError("first subspace is not a subalgebra")
     if not _reference_is_module(alg, u, w):
         raise AlgebraError("second subspace is not a module over the first")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,22 @@ from axial.algebra import (
     diagonal_algebra,
     direct_sum,
 )
-from axial.linalg import Subspace, det, is_zero_vec, unit_vec, vadd, vec, vscale, zero_vec
-from oracles import reference_frobenius_violation
+from axial.io import parse_algebra
+from axial.linalg import (
+    Subspace,
+    det,
+    full_space,
+    is_zero_vec,
+    unit_vec,
+    vadd,
+    vec,
+    vscale,
+    zero_vec,
+)
+from axial.matsuo import matsuo_algebra, symmetric_transpositions
+from oracles import reference_ad_matrix, reference_annihilator, reference_frobenius_violation
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_q2_products_match_table(q2):
@@ -157,6 +172,53 @@ def test_sparse_frobenius_check_matches_triple_loop(case):
         with pytest.raises(ValueError) as err:
             Algebra.from_gamma(n, gamma, gram=gram)
         assert str(err.value) == message
+
+
+@st.composite
+def products_cases(draw):
+    """An algebra without form, two short lists of vectors and a subspace,
+    which holds every product of the two lists when `closed` is drawn."""
+    n = draw(st.integers(1, 4))
+    gamma = [
+        (i, j, k, draw(sparse_entries)) for i in range(n) for j in range(i, n) for k in range(n)
+    ]
+    alg = Algebra.from_gamma(n, gamma)
+    vectors = st.lists(st.tuples(*[sparse_entries] * n).map(vec), max_size=3)
+    xs, ys, gens = draw(vectors), draw(vectors), draw(vectors)
+    if draw(st.booleans()):
+        gens += [alg.product(x, y) for x in xs for y in ys]
+    return alg, xs, ys, Subspace(n, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(products_cases())
+def test_products_in_and_ad_matrix_match_their_references(case):
+    alg, xs, ys, w = case
+    expected = [[w.coordinates(alg.product(x, y)) for y in ys] for x in xs]
+    got = alg.products_in(xs, ys, w)
+    if any(None in row for row in expected):
+        assert got is None
+    else:
+        assert got == expected
+    for x in xs:
+        assert alg.ad_matrix(x) == reference_ad_matrix(alg, x)
+
+
+@pytest.mark.parametrize("name", ["q2.alg", "triple2b.alg", "matsuo-s4"])
+def test_annihilator_matches_reference_kernel(name):
+    if name == "matsuo-s4":
+        alg = matsuo_algebra(symmetric_transpositions(4), F(1, 4))
+    else:
+        alg = parse_algebra(FIXTURES / name).algebra
+    n = alg.dim
+    rng = random.Random(11)
+    spaces = [Subspace(n), full_space(n)]
+    spaces += [Subspace(n, [unit_vec(n, i)]) for i in range(n)]
+    entries = (0, 0, 1, -1, F(1, 2))
+    for size in (1, 2, 3):
+        spaces.append(Subspace(n, [vec(rng.choice(entries) for _ in range(n)) for _ in range(size)]))
+    for w in spaces:
+        assert alg.annihilator(w) == reference_annihilator(alg, w)
 
 
 def test_declared_unit_checked():

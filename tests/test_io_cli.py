@@ -50,6 +50,27 @@ def test_parse_errors_carry_line_numbers():
     assert "i <= j" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("GAMMA\n1 1 1 1\n", "GAMMA section not closed by END (line 4)"),
+        ("GAMMA\n1 1 1\nEND\n", "expected 'i j k value' (line 4)"),
+        ("GAMMA\n1 x 1 1\nEND\n", "malformed index (line 4)"),
+        ("GAMMA\n1 1 3 1\nEND\n", "index out of range (line 4)"),
+        ("AXES\nj:1/4 1 0\n", "AXES section not closed by END (line 4)"),
+        ("AXES\nj:1/4 1\nEND\n", "axis line needs a law tag and coordinates (line 4)"),
+        ("LAW\n0 0 : 0\nEND\n", "LAW section must start with VALUES (line 4)"),
+        ("LAW\nVALUES 1 0\n0 0 : 0\n", "LAW section not closed by END (line 5)"),
+        ("LAW\nVALUES 1 0\n0 0 0\nEND\n", "law row needs 'lam mu : values' (line 5)"),
+        ("LAW\nVALUES 1 0\n0 : 0\nEND\n", "law row needs two eigenvalues (line 5)"),
+    ],
+)
+def test_section_row_errors_name_the_line(body, message):
+    with pytest.raises(AlgebraFileError) as err:
+        parse_algebra_text("AXIAL 1\nDIM 2\n" + body)
+    assert str(err.value) == message
+
+
 def test_parse_rejects_frobenius_violation():
     text = "AXIAL 1\nDIM 2\nGAMMA\n1 1 2 1\nEND\nGRAM\n1\n0 1\nEND\n"
     with pytest.raises(AlgebraFileError, match="not Frobenius"):

@@ -72,7 +72,6 @@ from axial.groebner import (
 )
 from axial.linalg import (
     Mat,
-    SpectrumResult,
     Subspace,
     Vec,
     eigenspace,
@@ -82,7 +81,6 @@ from axial.linalg import (
     mat,
     perp_space,
     rref,
-    semisimple_spectrum,
     vec,
 )
 from axial.matsuo import (

@@ -9,10 +9,12 @@ an absent ingredient fail loudly.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from axial._backend import kernels
 from axial.linalg import (
     Mat,
     Subspace,
@@ -234,7 +236,10 @@ class Algebra:
 
     def ad_matrix(self, u: Vec) -> Mat:
         """Matrix of left multiplication by u; column j is u * e_j.  The
-        rows of the `IntegerAdjoint`, made dense and divided by its scale."""
+        rows of the `IntegerAdjoint`, made dense and divided by its scale.
+
+        No code in the package calls it; it is kept because the benchmark
+        (`perfbench/run.py`) traces it."""
         adjoint = IntegerAdjoint(self, u, ())
         d, n = adjoint.scale, self.dim
         return tuple(
@@ -285,7 +290,8 @@ class Algebra:
 
         Solves the linear system unit * e_j = e_j over the coordinates.  A
         consistent system has one solution: if u is a unit and z e_j = 0 for
-        every j, then z = z u = 0.
+        every j, then z = z u = 0.  The answer, None included, is kept, as
+        the table never changes.
         """
         if self._unit_known:
             return self.unit
@@ -296,11 +302,10 @@ class Algebra:
                 rows[j * n + k][i] = rows[i * n + k][j] = c
         rhs = tuple(Fraction(1 if k == j else 0) for j in range(n) for k in range(n))
         candidate = solve(mat(rows), rhs)
-        if candidate is None:
-            return None
-        for j in range(n):
-            if self.product(candidate, unit_vec(n, j)) != unit_vec(n, j):
-                return None
+        if candidate is not None and any(
+            self.product(candidate, unit_vec(n, j)) != unit_vec(n, j) for j in range(n)
+        ):
+            candidate = None
         self.unit = candidate
         self._unit_known = True
         return candidate
@@ -428,7 +433,8 @@ class IntegerAdjoint:
     """D ad(v) on sparse integer vectors {index: int} with no zero entries.
 
     The one adjoint of the package: `Algebra.ad_matrix`, `annihilator` and
-    `products_in` read it, and so do the axis certificates of `axial.fusion`.
+    `products_in` read it, and so do the axis certificates and
+    `infer_fusion_law` of `axial.fusion`.
     D is the denominator of the `integer_table` times the common denominator
     of v and the eigenvalues given, so each shift D ad - D nu is an integer
     matrix.  D ad is summed from the table's partner lists at the nonzero v_i
@@ -472,6 +478,29 @@ class IntegerAdjoint:
             for i, c in self.cols[j]:
                 out[i] = out.get(i, 0) + c * xj
         return {i: v for i, v in out.items() if v}
+
+    def minimal_polynomial(self) -> list[int]:
+        """The minimal polynomial of D ad(v): primitive integer coefficients,
+        lowest degree first, with a positive leading coefficient.
+
+        The powers I, D ad, (D ad)^2, ... are built column by column with
+        `shift` and flattened to rows over n^2 columns, power k with one
+        marker column n^2 + k of its own.  Each is inserted into one echelon
+        by `kernels.insert`; the first that reduces onto marker columns only
+        is the relation of least degree among the powers, read off them
+        (by Cayley-Hamilton, at power n at the latest).
+        """
+        n = len(self.cols)
+        pivots: dict[int, dict[int, int]] = {}
+        cols: list[dict[int, int]] = [{j: 1} for j in range(n)]
+        for k in itertools.count():
+            row = {j * n + i: x for j, col in enumerate(cols) for i, x in col.items()}
+            row[n * n + k] = 1
+            c = kernels.insert(pivots, row)
+            if c >= n * n:
+                coeffs = [pivots[c].get(n * n + i, 0) for i in range(k + 1)]
+                return coeffs if coeffs[-1] > 0 else [-x for x in coeffs]
+            cols = [self.shift(ZERO, col) for col in cols]
 
     def in_sum(self, values: Iterable[Fraction], x: dict[int, int]) -> bool:
         """Whether x lies in the sum of the eigenspaces of `values` (0 for none).

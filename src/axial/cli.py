@@ -147,6 +147,14 @@ def _pick_axes(axes, spec: str) -> list[Axis]:
     return chosen
 
 
+def _pick_axis(axes, spec: str) -> Axis:
+    """The one axis that `--axis` names."""
+    chosen = _pick_axes(axes, spec)
+    if len(chosen) != 1:
+        raise AlgebraError(f"--axis takes one axis index, got {spec!r}")
+    return chosen[0]
+
+
 def cmd_info(args, report):
     alg, tagged, law = _load(args)
     report.add("dimension", alg.dim)
@@ -213,7 +221,7 @@ def cmd_axes_naive(args, report):
 def cmd_axes_nuanced(args, report):
     alg, tagged, custom = _load(args)
     axes = _verified_axes(alg, tagged, custom)
-    (seed_axis,) = _pick_axes(axes, args.axis)
+    seed_axis = _pick_axis(axes, args.axis)
     law = parse_law_spec(args.law, custom)
     if args.z_lengths == "auto":
         z_lengths = SearchConfig.z_lengths
@@ -239,7 +247,7 @@ def cmd_axes_nuanced(args, report):
 def cmd_twins(args, report):
     alg, tagged, custom = _load(args)
     axes = _verified_axes(alg, tagged, custom)
-    (axis,) = _pick_axes(axes, args.axis)
+    axis = _pick_axis(axes, args.axis)
     twins = twins_of(alg, axis, caps=args.caps)
     report.add("twins", [list(t.vector) for t in twins])
     report.note(f"twin count: {len(twins)}")
@@ -508,7 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--components", required=True, help="semicolon list of eigenvalue tuples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--long-probes", help="semicolon list of component index triples")
+    p.add_argument(
+        "--long-probes",
+        help="semicolon list of triples of 0-based positions in --components, e.g. 0,1,2",
+    )
 
     p = add("matsuo", cmd_matsuo, help="Matsuo algebra of a 3-transposition class")
     p.add_argument("group")

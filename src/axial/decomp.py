@@ -350,10 +350,16 @@ def generate_probes(
 
     Each square probe is retried until (w^2, u) is nonzero (at most
     PROBE_RETRIES draws); pairing probes likewise, a triple probe for every
-    three components and a long probe for each of `long_probes`.  Vanishing
-    probes are kept out of the returned set; sign_kernel records whatever it
-    is given.
+    three components and a long probe for each of `long_probes`, triples
+    of distinct positions in `components`.  Vanishing probes are kept out of
+    the returned set; sign_kernel records whatever it is given.
     """
+    for combo in long_probes:
+        if len(combo) != 3 or len(set(combo) & set(range(len(components)))) != 3:
+            raise ValueError(
+                f"long probe {tuple(combo)} is not three distinct component "
+                f"positions in 0..{len(components) - 1}"
+            )
     rng = random.Random(seed)
 
     def u_element() -> Vec:

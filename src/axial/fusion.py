@@ -9,8 +9,8 @@ matrices it entitles.
 
 The axis certificate, `infer_fusion_law` and `derivation_space` work over
 the integers on the algebra's cached `integer_table`, the first two through
-its `IntegerAdjoint`; only the characteristic polynomial in
-`infer_fusion_law` forms a dense adjoint.
+its `IntegerAdjoint`; `infer_fusion_law` reads the spectrum off that
+adjoint's minimal polynomial, and no dense adjoint is formed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
-    char_poly,
     combination,
     frac,
     is_zero_vec,
@@ -34,7 +33,7 @@ from axial.linalg import (
     transpose,
     vec,
 )
-from axial.univariate import primitive_part, rational_roots
+from axial.univariate import irreducible_factors, primitive_part
 
 ONE = Fraction(1)
 
@@ -374,9 +373,12 @@ def derivation_space(alg: Algebra) -> Subspace:
 def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     """Read the star table of an idempotent off its eigenbasis products.
 
-    Returns None when the adjoint is not semisimple with rational spectrum:
-    the eigenspaces of the rational roots of its characteristic polynomial,
-    read off the integer adjoint, must span A.
+    Returns None unless ad(v) is semisimple over Q with rational spectrum,
+    that is, unless the minimal polynomial of the integer adjoint D ad(v)
+    splits into distinct linear factors over Q.  Substituting D t for its
+    variable gives the polynomial whose roots are the eigenvalues.  Each
+    D lam is a rational root of a monic integer polynomial, so an integer,
+    and the same adjoint reads every eigenspace; they span A.
     A product has a nonzero nu-part exactly when the product of (ad - kappa)
     over the other eigenvalues kappa does not kill it.  Used to discover
     laws empirically (for example the nearly-Monster laws that show up
@@ -385,11 +387,13 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     v = vec(v)
     if is_zero_vec(v) or alg.product(v, v) != v:
         return None
-    values = sorted(rational_roots(char_poly(alg.ad_matrix(v))), reverse=True)
-    adjoint = IntegerAdjoint(alg, v, values)
-    eigendata = [(lam, adjoint.eigenspace(lam)) for lam in values]
-    if sum(space.dim for _, space in eigendata) != alg.dim:
+    adjoint = IntegerAdjoint(alg, v, ())
+    d = adjoint.scale
+    factors = irreducible_factors([c * d**i for i, c in enumerate(adjoint.minimal_polynomial())])
+    if any(len(f) != 2 or mult != 1 for f, mult in factors):
         return None
+    values = sorted((Fraction(-b, a) for (b, a), _ in factors), reverse=True)
+    eigendata = [(lam, adjoint.eigenspace(lam)) for lam in values]
     others = {nu: [k for k in values if k != nu] for nu in values}
     star = {}
     for lam, mu, products in _block_products(alg, eigendata):

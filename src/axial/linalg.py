@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: vectors, matrices, subspaces, spectra.
+"""Exact rational linear algebra: vectors, matrices, subspaces, eigenspaces.
 
 Vectors are tuples of Fractions and matrices are tuples of row tuples, so
 every value is immutable and hashable.  All arithmetic is exact; nothing here
@@ -7,19 +7,16 @@ alike, is the one sparse integer elimination of `axial._kernels_py`, and
 every null space (`kernel`, `sparse_kernel`, `eigenspace`, `intersect` and
 the axis eigenspaces of `axial.fusion`) is read off it by `null_space`.
 `solve` and `inverse` read their answers off one RREF of an augmented
-matrix, and `det` is Bareiss's fraction-free elimination.  Only
-`char_poly` uses sympy, imported on its first call.
+matrix, and `det` is Bareiss's fraction-free elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from axial._backend import kernels
-from axial.univariate import rational_roots
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -404,57 +401,3 @@ def perp_space(s: Subspace, gram: Mat) -> Subspace:
         return full_space(n)
     constraint = tuple(mat_vec(gram, b) for b in s.basis)
     return kernel(constraint)
-
-
-def char_poly(m: Mat) -> list[Fraction]:
-    """Coefficients of det(t I - m), lowest degree first (monic, length n+1).
-
-    Computed by sympy's DomainMatrix over QQ, imported on the first call,
-    whose `charpoly` runs Berkowitz's division-free algorithm.
-    """
-    from sympy import QQ
-    from sympy.polys.matrices import DomainMatrix
-
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    qq = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m], (n, n), QQ)
-    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(qq.charpoly())]
-
-
-@dataclass
-class SpectrumResult:
-    """Outcome of an exact semisimplicity check with rational spectrum."""
-
-    eigenpairs: Optional[list[tuple[Fraction, Subspace]]]
-    defect: int
-    reason: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.eigenpairs is not None
-
-
-def semisimple_spectrum(m: Mat) -> SpectrumResult:
-    """Rational eigenvalues with eigenspaces, when they span the whole space.
-
-    Candidate eigenvalues are the rational roots of the characteristic
-    polynomial.  When the eigenspace dimensions do not sum to n the matrix is
-    not semisimple over Q and the defect is reported instead of a result.
-    """
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("spectrum of a non-square matrix")
-    roots = rational_roots(char_poly(m))
-    pairs = []
-    total = 0
-    for lam in sorted(roots, reverse=True):
-        space = eigenspace(m, lam)
-        if not space.is_zero():
-            pairs.append((lam, space))
-            total += space.dim
-    if total == n:
-        return SpectrumResult(pairs, 0)
-    return SpectrumResult(
-        None, n - total, "eigenspaces of rational eigenvalues span a proper subspace"
-    )

@@ -27,7 +27,6 @@ result is the same factor list either way.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 IntPoly = tuple[int, ...]  # coefficients, lowest degree first
@@ -107,16 +106,6 @@ def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
         out.append((tuple(g), 1))
     out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
-
-
-def rational_roots(coeffs) -> dict[Fraction, int]:
-    """Rational roots with multiplicities, read off the linear factors."""
-    roots: dict[Fraction, int] = {}
-    for factor, mult in irreducible_factors(coeffs):
-        if len(factor) == 2:
-            b, a = factor
-            roots[Fraction(-b, a)] = mult
-    return roots
 
 
 def _zassenhaus(ints: IntPoly) -> list[tuple[IntPoly, int]]:

@@ -1,7 +1,7 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except twenty-one former implementations kept to test the current
+package except twenty-two former implementations kept to test the current
 ones against: `reference_rref` (the dense fraction-free loop),
 `reference_ad_matrix` (the dense adjoint loop), `reference_annihilator`
 (the kernel of stacked dense adjoints),
@@ -9,11 +9,14 @@ ones against: `reference_rref` (the dense fraction-free loop),
 `reference_enumerate_points` (one new basis per branch),
 `reference_normal_form` (division over Q in Fraction arithmetic),
 `reference_s_polynomial` (two polynomial products), `reference_char_poly`
-(n+1 determinants and a Vandermonde solve), `reference_coordinates`
-(one linear solve per vector), `reference_graded_involution` (one solve per
-column), `reference_derivation_space` (one dense RREF),
+(n+1 determinants and a Vandermonde solve), `reference_semisimple_spectrum`
+(its rational roots by Sturm bisection, one dense eigenspace each),
+`reference_coordinates` (one linear solve per vector),
+`reference_graded_involution` (one solve per column),
+`reference_derivation_space` (one dense RREF),
 `reference_check_axis` (one membership test per eigenvector product),
-`reference_infer_fusion_law` (eigenbasis coordinates of every product),
+`reference_infer_fusion_law` (eigenbasis coordinates of every product, on
+`reference_semisimple_spectrum`, so without sympy),
 `reference_frobenius_violation` (the n^3 triple loop),
 `reference_miyamoto_group` (every element, one matrix each),
 `reference_aut_from_axis_permutations` (every candidate map verified),
@@ -675,6 +678,90 @@ def reference_char_poly(m):
     return list(coeffs)
 
 
+def _poly_divmod(f, g):
+    """Quotient and remainder of f by g over Q, coefficients lowest degree
+    first; g has a nonzero leading coefficient, and the remainder has no
+    trailing zeros."""
+    f = list(f)
+    quotient = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    for shift in range(len(quotient) - 1, -1, -1):
+        c = quotient[shift] = f[shift + len(g) - 1] / g[-1]
+        for i, x in enumerate(g):
+            f[shift + i] -= c * x
+    while f and f[-1] == 0:
+        f.pop()
+    return quotient, f
+
+
+def reference_rational_roots(coeffs):
+    """The distinct rational roots of a nonzero polynomial, coefficients
+    lowest degree first, in increasing order, by Sturm bisection.
+
+    g = f / gcd(f, f') has the same roots, each simple.  Scaled to a
+    primitive integer polynomial with leading coefficient +-s, every
+    rational root of g lies on the grid Z / s (a root p/q in lowest terms
+    has q | s) and strictly inside the Cauchy bound 1 + max |g_i / g_d|.
+    Sturm's theorem counts the roots of g in (lo/s, hi/s] as
+    V(lo/s) - V(hi/s), V the sign changes along the Sturm chain of g;
+    halving the grid interval down to single steps isolates each real root,
+    and the step end is kept when g vanishes there.
+    """
+    from math import ceil, gcd, lcm
+
+    f = [Fraction(c) for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    a, b = f, [k * c for k, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    g, _ = _poly_divmod(f, a)
+    if len(g) < 2:
+        return []
+    chain = [g, [k * c for k, c in enumerate(g)][1:]]
+    while len(chain[-1]) > 1:
+        chain.append([-x for x in _poly_divmod(chain[-2], chain[-1])[1]])
+    denom = lcm(*(c.denominator for c in g))
+    ints = [int(c * denom) for c in g]
+    scale = abs(ints[-1]) // gcd(*ints)
+
+    def value(p, x):
+        return sum(c * x**k for k, c in enumerate(p))
+
+    def changes(y):
+        signs = [v > 0 for v in (value(p, Fraction(y, scale)) for p in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = ceil(scale * (1 + max(abs(c / g[-1]) for c in g[:-1])))
+    roots, stack = [], [(-bound - 1, bound, changes(-bound - 1) - changes(bound))]
+    while stack:
+        lo, hi, count = stack.pop()
+        if count and hi - lo == 1:
+            if value(g, Fraction(hi, scale)) == 0:
+                roots.append(Fraction(hi, scale))
+        elif count:
+            mid = (lo + hi) // 2
+            left = changes(lo) - changes(mid)
+            stack += [(lo, mid, left), (mid, hi, count - left)]
+    return sorted(roots)
+
+
+def reference_semisimple_spectrum(m):
+    """The rational eigenvalues of a square matrix with their eigenspaces,
+    in decreasing order, and the defect: n minus the sum of their dimensions.
+
+    The package's `semisimple_spectrum`, deleted when `infer_fusion_law`
+    came to read the minimal polynomial of the integer adjoint, with its
+    sympy steps replaced: the roots of `reference_char_poly` by
+    `reference_rational_roots`, one `eigenspace` each.  The matrix is semisimple over Q with rational spectrum exactly
+    when the defect is 0.
+    """
+    from axial.linalg import eigenspace
+
+    roots = reference_rational_roots(reference_char_poly(m))
+    pairs = [(lam, eigenspace(m, lam)) for lam in reversed(roots)]
+    return pairs, len(m) - sum(space.dim for _, space in pairs)
+
+
 def reference_rref(rows):
     """Reduce a list of Fraction rows to reduced row-echelon form, in place.
 
@@ -923,20 +1010,20 @@ def reference_infer_fusion_law(alg, v):
     import itertools
 
     from axial.fusion import FusionLaw
-    from axial.linalg import is_zero_vec, semisimple_spectrum, vec
+    from axial.linalg import is_zero_vec, vec
 
     v = vec(v)
     if is_zero_vec(v) or alg.product(v, v) != v:
         return None
-    spectrum = semisimple_spectrum(reference_ad_matrix(alg, v))
-    if not spectrum.ok:
+    eigenpairs, defect = reference_semisimple_spectrum(reference_ad_matrix(alg, v))
+    if defect:
         return None
     basis, owners = [], []
-    for lam, space in spectrum.eigenpairs:
+    for lam, space in eigenpairs:
         basis.extend(space.basis)
         owners.extend([lam] * space.dim)
     star = {}
-    for (lam, sl), (mu, sm) in itertools.combinations_with_replacement(spectrum.eigenpairs, 2):
+    for (lam, sl), (mu, sm) in itertools.combinations_with_replacement(eigenpairs, 2):
         hit = set()
         for x in sl.basis:
             for y in sm.basis:
@@ -944,7 +1031,7 @@ def reference_infer_fusion_law(alg, v):
                 hit.update(nu for nu, c in zip(owners, coords) if c)
         star[(lam, mu)] = frozenset(hit)
     try:
-        return FusionLaw([lam for lam, _ in spectrum.eigenpairs], star)
+        return FusionLaw([lam for lam, _ in eigenpairs], star)
     except ValueError:
         return None
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from axial.algebra import (
     Algebra,
     AlgebraError,
     DegenerateFormError,
+    IntegerAdjoint,
     MissingFormError,
     diagonal_algebra,
     direct_sum,
@@ -16,9 +18,12 @@ from axial.algebra import (
 from axial.io import parse_algebra
 from axial.linalg import (
     Subspace,
+    combination,
     det,
     full_space,
+    identity,
     is_zero_vec,
+    mat_mul,
     unit_vec,
     vadd,
     vec,
@@ -26,7 +31,13 @@ from axial.linalg import (
     zero_vec,
 )
 from axial.matsuo import matsuo_algebra, symmetric_transpositions
-from oracles import reference_ad_matrix, reference_annihilator, reference_frobenius_violation
+from oracles import (
+    reference_ad_matrix,
+    reference_annihilator,
+    reference_frobenius_violation,
+    reference_rref,
+    reference_semisimple_spectrum,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -66,6 +77,26 @@ def test_find_unit_cases(q2):
     assert diagonal_algebra(2).find_unit() == vec([1, 1])
     zero_alg = Algebra.from_gamma(1, [])
     assert zero_alg.find_unit() is None
+
+
+def test_find_unit_solves_once_with_or_without_a_unit(monkeypatch):
+    import axial.algebra as algebra_module
+
+    calls = []
+    original = algebra_module.solve
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(algebra_module, "solve", counting)
+    no_unit = Algebra.from_gamma(2, [(0, 0, 0, 1)], gram=identity(2))
+    assert [no_unit.find_unit() for _ in range(5)] == [None] * 5
+    assert len(calls) == 1
+    calls.clear()
+    diagonal = Algebra.from_gamma(2, [(0, 0, 0, 1), (1, 1, 1, 1)])
+    assert [diagonal.find_unit() for _ in range(5)] == [vec([1, 1])] * 5
+    assert len(calls) == 1
 
 
 def test_subalgebra_closure(q2):
@@ -204,6 +235,39 @@ def test_products_in_and_ad_matrix_match_their_references(case):
         assert alg.ad_matrix(x) == reference_ad_matrix(alg, x)
 
 
+def assert_minimal_polynomial(alg, v):
+    """p = minimal_polynomial() of D ad(v) is primitive with a positive
+    leading coefficient, p(M) = 0 for M = D times the reference adjoint, and
+    I, M, ..., M^(d-1) are independent, so no lower degree works."""
+    adjoint = IntegerAdjoint(alg, v, ())
+    p = adjoint.minimal_polynomial()
+    assert p[-1] > 0 and gcd(*p) == 1
+    m = tuple(tuple(adjoint.scale * x for x in row) for row in reference_ad_matrix(alg, v))
+    powers = [identity(alg.dim)]
+    for _ in range(len(p) - 1):
+        powers.append(mat_mul(powers[-1], m))
+    flat = [tuple(x for row in power for x in row) for power in powers]
+    assert is_zero_vec(combination(p, flat, alg.dim**2))
+    assert len(reference_rref([list(row) for row in flat[:-1]])) == len(p) - 1
+
+
+@pytest.mark.parametrize("eta", ["1/2", "1/4", "1/3", "2/5", "3/8", "2"])
+@pytest.mark.parametrize("degree", [4, 5, 6])
+def test_minimal_polynomial_on_matsuo(degree, eta):
+    alg = matsuo_algebra(symmetric_transpositions(degree), F(eta))
+    u = vec(F(i % 5 - 2, i % 3 + 1) for i in range(alg.dim))
+    for v in (u, unit_vec(alg.dim, 0)):
+        assert_minimal_polynomial(alg, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(products_cases())
+def test_minimal_polynomial_on_random_algebras(case):
+    alg, xs, ys, _ = case
+    for v in xs + ys + [zero_vec(alg.dim)]:
+        assert_minimal_polynomial(alg, v)
+
+
 @pytest.mark.parametrize("name", ["q2.alg", "triple2b.alg", "matsuo-s4"])
 def test_annihilator_matches_reference_kernel(name):
     if name == "matsuo-s4":
@@ -257,14 +321,14 @@ def test_restrict_rejects_open_subspace(q2):
 
 
 def test_q2_single_axis_spectrum(q2):
-    from axial.linalg import eigenspace, semisimple_spectrum
+    from axial.linalg import eigenspace
 
     ad = q2.ad_matrix(unit_vec(4, 0))
     assert eigenspace(ad, F(1)).dim == 1  # primitive
     assert eigenspace(ad, F(1, 2)).is_zero()  # Jordan type 1/4, no 1/2 part
-    spectrum = semisimple_spectrum(ad)
-    assert spectrum.ok
-    assert [lam for lam, _ in spectrum.eigenpairs] == [F(1), F(1, 4), F(0)]
+    pairs, defect = reference_semisimple_spectrum(ad)
+    assert defect == 0
+    assert [lam for lam, _ in pairs] == [F(1), F(1, 4), F(0)]
 
 
 def test_q2_perp_of_fixed_triple(q2):

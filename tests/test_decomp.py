@@ -199,6 +199,18 @@ def test_sign_kernel_long_probe_parity(triple_2b):
     assert len(res.admissible) == 4
 
 
+@pytest.mark.parametrize("triple", [(0, 1, 9), (0, 1), (-1, 0, 1), (0, 0, 1), (0, 1, 2, 0)])
+def test_generate_probes_rejects_bad_long_probes(triple_2b, triple):
+    axes = [check_axis(triple_2b, unit_vec(7, i), MONSTER_QUARTER) for i in range(3)]
+    dec = decompose_joint(triple_2b, axes)
+    q, t = F(1, 4), F(1, 32)
+    comps = [dec.components[k] for k in [(q, t, t), (t, q, t), (t, t, q)]]
+    message = f"long probe {triple} is not three distinct component positions in 0..2"
+    with pytest.raises(ValueError) as err:
+        generate_probes(triple_2b, dec.zero_component, comps, long_probes=[(0, 1, 2), triple])
+    assert str(err.value) == message
+
+
 def test_sign_kernel_skips_vanishing_probe(triple_2b):
     axes = [check_axis(triple_2b, unit_vec(7, i), MONSTER_QUARTER) for i in range(3)]
     dec = decompose_joint(triple_2b, axes)

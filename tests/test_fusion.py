@@ -304,6 +304,21 @@ def test_infer_fusion_law(q2, matsuo_s3_quarter):
     assert infer_fusion_law(q2, vec([2, 0, 0, 0])) is None
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        [(0, 1, 1, F(1, 2)), (0, 1, 2, 1), (0, 2, 2, F(1, 2))],  # a Jordan block at 1/2
+        [(0, 1, 2, 1), (0, 2, 1, 2)],  # eigenvalues +-sqrt(2)
+        [(0, 1, 2, 1)],  # ad(e0) e1 = e2, ad(e0) e2 = 0: a Jordan block at 0
+    ],
+    ids=["repeated-half", "irrational", "repeated-zero"],
+)
+def test_infer_fusion_law_needs_a_semisimple_rational_adjoint(block):
+    alg = Algebra.from_gamma(3, [(0, 0, 0, 1)] + block)
+    assert infer_fusion_law(alg, unit_vec(3, 0)) is None
+    assert reference_infer_fusion_law(alg, unit_vec(3, 0)) is None
+
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 

@@ -102,7 +102,7 @@ def _module_level_imports(nodes):
 @pytest.mark.parametrize("module", ["__init__.py"] + MODULES)
 def test_sympy_is_imported_only_inside_functions(module):
     # sympy takes most of a fresh process's start-up, and only group orders,
-    # the factoring fallback, `content_primes` and `char_poly` need it
+    # the factoring fallback and `content_primes` need it
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     found = []
     for node in _module_level_imports(tree.body):
@@ -123,17 +123,22 @@ FRESH = (
 )
 
 
+def _fresh(script, *args):
+    """The standard output of a script run in a new interpreter."""
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def _fresh_cli(*argv):
     """Exit code, whether sympy was loaded, and the report of one command
     run by `cli.main` in a new interpreter."""
     args = [str(FIXTURES / a) if a.endswith((".alg", ".grp")) else a for a in argv]
-    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-c", FRESH, *args], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    status, report = done.stdout.split("\n", 1)
+    status, report = _fresh(FRESH, *args).split("\n", 1)
     code, loaded = status.split()
     return int(code), loaded == "True", report
 
@@ -179,3 +184,19 @@ def test_group_orders_load_sympy(argv, line):
     code, loaded, report = _fresh_cli(*argv)
     assert code == 0 and loaded
     assert line in report
+
+
+def test_infer_fusion_law_starts_without_sympy():
+    # the spectrum is read off the minimal polynomial of the integer
+    # adjoint, factored without the fallback on a Matsuo axis
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from axial.fusion import infer_fusion_law, jordan_law\n"
+        "from axial.linalg import unit_vec\n"
+        "from axial.matsuo import matsuo_algebra, symmetric_transpositions\n"
+        "alg = matsuo_algebra(symmetric_transpositions(4), Fraction(1, 4))\n"
+        "law = infer_fusion_law(alg, unit_vec(alg.dim, 0))\n"
+        "print(law == jordan_law(Fraction(1, 4)), 'sympy' in sys.modules)\n"
+    )
+    assert _fresh(script).split() == ["True", "False"]

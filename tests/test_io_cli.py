@@ -283,6 +283,30 @@ def test_cli_sign_kernel_deterministic(tmp_path, capsys):
     assert data["exit_code"] == 0
 
 
+@pytest.mark.parametrize(
+    "spec, triple", [("0,1,9", "(0, 1, 9)"), ("0,1", "(0, 1)"), ("-1,0,1", "(-1, 0, 1)")]
+)
+def test_cli_sign_kernel_rejects_bad_long_probes(capsys, spec, triple):
+    args = [
+        "sign-kernel",
+        str(FIXTURES / "triple2b.alg"),
+        "--y",
+        "1,2,3",
+        "--components",
+        "1/4,1/32,1/32;1/32,1/4,1/32;1/32,1/32,1/4",
+        f"--long-probes={spec}",
+    ]
+    assert main(args) == 4
+    out = capsys.readouterr().out
+    assert f"error: long probe {triple} is not three distinct component positions in 0..2" in out
+
+
+@pytest.mark.parametrize("command", ["twins", "axes-nuanced"])
+def test_cli_axis_takes_one_index(capsys, command):
+    assert main([command, str(FIXTURES / "q2.alg"), "--axis", "1,2"]) == 4
+    assert "error: --axis takes one axis index, got '1,2'" in capsys.readouterr().out
+
+
 def test_cli_matsuo_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "s3m.alg"
     assert main(["matsuo", str(FIXTURES / "s3.grp"), "--eta", "1/4", "--out-alg", str(out_path)]) == 0

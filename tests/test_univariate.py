@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from axial import groebner, univariate
 from axial.algebra import Algebra
 from axial.search import naive_idempotents
-from axial.univariate import PRIMES, irreducible_factors, primitive_integer, rational_roots
+from axial.univariate import PRIMES, irreducible_factors, primitive_integer
 
 
 def reference_factors(coeffs):
@@ -110,10 +110,14 @@ def test_eliminant_shaped_factors_match_sympy_poly(coeffs):
     assert irreducible_factors(coeffs) == reference_factors(coeffs)
 
 
-def test_rational_roots_with_multiplicities():
+def test_factors_of_rational_coefficients_with_multiplicities():
     # (2x - 1)^2 (x + 3) (x^2 + 1) / 7
     coeffs = times([-1, 2], [-1, 2], [3, 1], [1, 0, 1])
-    assert rational_roots([Fraction(c, 7) for c in coeffs]) == {Fraction(1, 2): 2, Fraction(-3): 1}
+    assert irreducible_factors([Fraction(c, 7) for c in coeffs]) == [
+        ((-1, 2), 2),
+        ((3, 1), 1),
+        ((1, 0, 1), 1),
+    ]
 
 
 @pytest.fixture

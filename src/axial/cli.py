@@ -137,10 +137,13 @@ def _verified_axes(alg, tagged_axes, custom_law) -> list[Axis]:
     return axes
 
 
-def _pick_axes(axes, spec: str) -> list[Axis]:
+def _pick_axes(axes, spec: str, option: str) -> list[Axis]:
     chosen = []
     for token in spec.split(","):
-        index = int(token)
+        try:
+            index = int(token)
+        except ValueError:
+            raise AlgebraError(f"{option}: {token!r} is not an axis index") from None
         if not (1 <= index <= len(axes)):
             raise AlgebraError(f"axis index {index} out of range (file has {len(axes)})")
         chosen.append(axes[index - 1])
@@ -149,7 +152,7 @@ def _pick_axes(axes, spec: str) -> list[Axis]:
 
 def _pick_axis(axes, spec: str) -> Axis:
     """The one axis that `--axis` names."""
-    chosen = _pick_axes(axes, spec)
+    chosen = _pick_axes(axes, spec, "--axis")
     if len(chosen) != 1:
         raise AlgebraError(f"--axis takes one axis index, got {spec!r}")
     return chosen[0]
@@ -317,15 +320,20 @@ def cmd_aut_perm(args, report):
     )
 
 
+def _key_label(key) -> str:
+    """A component's eigenvalue tuple as the component lines print it."""
+    return ",".join(format_rational(x) for x in key)
+
+
 def _decomposition(args, report, partial=False):
     alg, tagged, custom = _load(args)
     axes = _verified_axes(alg, tagged, custom)
-    chosen = _pick_axes(axes, args.y)
+    chosen = _pick_axes(axes, args.y, "--y")
     decomposition = (
         partial_decomposition(alg, chosen) if partial else decompose_joint(alg, chosen)
     )
     dims = {
-        ",".join(format_rational(x) for x in key): space.dim
+        _key_label(key): space.dim
         for key, space in sorted(decomposition.components.items(), reverse=True)
     }
     report.add("component_dimensions", dims, "")
@@ -344,14 +352,14 @@ def cmd_decompose(args, report):
 
 
 def cmd_extend(args, report):
-    alg, decomposition = _decomposition(args, report)
+    _, decomposition = _decomposition(args, report)
     u = decomposition.zero_component
     dims = {}
     for key, space in sorted(decomposition.components.items(), reverse=True):
         if space is u:
             continue
-        ext = extension_space(alg, u, space, identity(u.dim))
-        label = ",".join(format_rational(x) for x in key)
+        ext = extension_space(decomposition, key, identity(u.dim))
+        label = _key_label(key)
         dims[label] = ext.dim
         report.note(
             f"identity extensions to ({label}): dimension {ext.dim}"
@@ -368,7 +376,7 @@ def cmd_sign_kernel(args, report):
     components = []
     for key in keys:
         if key not in decomposition.components:
-            raise AlgebraError(f"no component with eigenvalues {key}")
+            raise AlgebraError(f"no component with eigenvalues ({_key_label(key)})")
         components.append(decomposition.components[key])
     long_probes = []
     if args.long_probes:

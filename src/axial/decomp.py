@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -41,7 +41,11 @@ PROBE_RETRIES = 16
 
 @dataclass
 class JointDecomposition:
-    """Joint eigenspace data for a tuple of mutually-fixed axes."""
+    """Joint eigenspace data for a tuple of mutually-fixed axes.
+
+    `modules[key]` holds the w-coordinates of every u_r w_j, u the zero
+    component and w the component at key, or None when one leaves w.
+    """
 
     axes: tuple[Axis, ...]
     law: FusionLaw
@@ -49,6 +53,7 @@ class JointDecomposition:
     complete: bool
     a_circ: Subspace
     a_sharp: Optional[Subspace] = None
+    modules: dict[tuple[Fraction, ...], Optional[list[list[Vec]]]] = field(default_factory=dict)
 
     @property
     def zero_component(self) -> Subspace:
@@ -56,18 +61,15 @@ class JointDecomposition:
         ambient = len(self.axes[0].vector)
         return self.components.get(key, Subspace(ambient))
 
-    def dims(self) -> dict[tuple[Fraction, ...], int]:
-        return {key: space.dim for key, space in self.components.items()}
-
 
 def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
     """Intersect the eigenspaces of the given axes, under the law of the
     first, over all value tuples.
 
-    Preconditions are checked exactly: each axis involution must fix every
-    other axis in the set.  The joint zero component is verified to be a
-    subalgebra and every other component to be a module over it (Seress
-    laws), each by one `Algebra.products_in`.
+    Preconditions are checked exactly: the axes are distinct, and each axis
+    involution fixes every other axis.  `modules` keeps one `products_in`
+    table per component, the zero one first; under a Seress law a None table
+    raises, as the zero part is a subalgebra with every component a module.
     """
     if not axes:
         raise ValueError("need at least one axis")
@@ -75,9 +77,11 @@ def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
     n = alg.dim
     for i, a in enumerate(axes):
         for j, b in enumerate(axes):
-            if i == j or a.miyamoto is None:
+            if i == j:
                 continue
-            if mat_vec(a.miyamoto, b.vector) != b.vector:
+            if a.vector == b.vector:
+                raise ValueError(f"axis {i} and axis {j} are the same vector")
+            if a.miyamoto is not None and mat_vec(a.miyamoto, b.vector) != b.vector:
                 raise AlgebraError(
                     f"involution of axis {i} does not fix axis {j}"
                 )
@@ -95,14 +99,20 @@ def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
     a_circ = subspace_sum(list(components.values()), ambient=n)
     complete = sum(space.dim for space in components.values()) == n
     decomposition = JointDecomposition(tuple(axes), law, components, complete, a_circ)
-    if law.is_seress():
-        u = decomposition.zero_component
-        if alg.products_in(u.basis, u.basis, u) is None:
-            raise AlgebraError("joint zero component is not a subalgebra")
-        for key, space in components.items():
-            if space is not u and alg.products_in(u.basis, space.basis, space) is None:
-                raise AlgebraError(f"component {key} is not a module over the zero part")
+    u = decomposition.zero_component
+    for key in sorted(components, key=any):  # the zero key, all zeros, first
+        space = components[key]
+        table = decomposition.modules[key] = alg.products_in(u.basis, space.basis, space)
+        if table is None and law.is_seress():
+            raise AlgebraError(_not_a_module(key))
     return decomposition
+
+
+def _not_a_module(key) -> str:
+    """Why the zero component's table on the component at key is None."""
+    if any(key):
+        return f"component {key} is not a module over the zero part"
+    return "joint zero component is not a subalgebra"
 
 
 def partial_decomposition(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
@@ -160,33 +170,26 @@ class ExtensionSpace:
         )
         return self.space.contains(flat)
 
-    def matrices(self) -> list[Mat]:
-        m = self.w_dim
-        return [
-            tuple(tuple(b[r * m + c] for c in range(m)) for r in range(m))
-            for b in self.space.basis
-        ]
 
-
-def extension_space(alg: Algebra, u: Subspace, w: Subspace, phi: Mat) -> ExtensionSpace:
-    """Extensions of an automorphism of the zero subalgebra to a module.
+def extension_space(decomposition: JointDecomposition, key, phi: Mat) -> ExtensionSpace:
+    """Extensions of an automorphism phi of the zero subalgebra u to the
+    component w at the eigenvalue tuple `key`, read off the decomposition's
+    `modules` tables.
 
     `phi` is given in coordinates of the basis of u and must be multiplicative
-    on it; `w` must satisfy u w inside w.  Unknowns are the entries of psi in
-    the basis of w.  The products are read by two `Algebra.products_in`:
-    the u-coordinates of u_r u_s are the subalgebra check and the product
-    table of the phi check, and the w-coordinates of u_r w_j the module
-    check and the system's right-hand sides.
+    on it, which u's own table checks.  Unknowns are the entries of psi in
+    the basis of w; w's table gives the system's right-hand sides.
     """
-    l, m = u.dim, w.dim
+    if key not in decomposition.components:
+        raise ValueError(f"no component with key {key}")
+    l, m = decomposition.zero_component.dim, decomposition.components[key].dim
     if len(phi) != l or any(len(r) != l for r in phi):
         raise ValueError("phi size does not match the subalgebra dimension")
-    table = alg.products_in(u.basis, u.basis, u)
-    if table is None:
-        raise AlgebraError("first subspace is not a subalgebra")
-    module = alg.products_in(u.basis, w.basis, w)
-    if module is None:
-        raise AlgebraError("second subspace is not a module over the first")
+    zero = (Fraction(0),) * len(key)
+    table = decomposition.modules.get(zero, [])  # no zero component: l = 0
+    module = decomposition.modules[key]
+    if table is None or module is None:
+        raise AlgebraError(_not_a_module(key if table is not None else zero))
     phi_cols = list(zip(*phi))
     for r in range(l):
         for s in range(r, l):

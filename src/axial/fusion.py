@@ -33,7 +33,7 @@ from axial.linalg import (
     transpose,
     vec,
 )
-from axial.univariate import irreducible_factors, primitive_part
+from axial.univariate import irreducible_factors, is_squarefree, primitive_part
 
 ONE = Fraction(1)
 
@@ -375,7 +375,8 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
 
     Returns None unless ad(v) is semisimple over Q with rational spectrum,
     that is, unless the minimal polynomial of the integer adjoint D ad(v)
-    splits into distinct linear factors over Q.  Substituting D t for its
+    splits into distinct linear factors over Q; a repeated factor is found
+    by `is_squarefree` before any factoring.  Substituting D t for its
     variable gives the polynomial whose roots are the eigenvalues.  Each
     D lam is a rational root of a monic integer polynomial, so an integer,
     and the same adjoint reads every eigenspace; they span A.
@@ -389,7 +390,10 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
         return None
     adjoint = IntegerAdjoint(alg, v, ())
     d = adjoint.scale
-    factors = irreducible_factors([c * d**i for i, c in enumerate(adjoint.minimal_polynomial())])
+    poly = [c * d**i for i, c in enumerate(adjoint.minimal_polynomial())]
+    if not is_squarefree(poly):
+        return None
+    factors = irreducible_factors(poly)
     if any(len(f) != 2 or mult != 1 for f, mult in factors):
         return None
     values = sorted((Fraction(-b, a) for (b, a), _ in factors), reverse=True)

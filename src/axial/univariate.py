@@ -1,4 +1,5 @@
-"""Univariate helpers over Z: primitive parts, rational roots, factor lists.
+"""Univariate helpers over Z: primitive parts, a squarefree test, rational
+roots, factor lists.
 
 `primitive_part` is the package's one rational-to-integer scaling: every
 site that clears denominators and common content calls it.
@@ -27,6 +28,7 @@ result is the same factor list either way.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 IntPoly = tuple[int, ...]  # coefficients, lowest degree first
@@ -106,6 +108,19 @@ def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
         out.append((tuple(g), 1))
     out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
+
+
+def is_squarefree(coeffs) -> bool:
+    """Whether a nonzero polynomial over Q has no repeated factor: its gcd
+    with its derivative, by exact Euclid on Fractions, is a constant."""
+    f = _trim([Fraction(c) for c in coeffs])
+    g = _trim([i * c for i, c in enumerate(f)][1:])
+    while g:
+        while len(f) >= len(g):
+            q, shift = f[-1] / g[-1], len(f) - len(g)
+            f = _trim([c - q * g[i - shift] if i >= shift else c for i, c in enumerate(f)])
+        f, g = g, f
+    return len(f) == 1
 
 
 def _zassenhaus(ints: IntPoly) -> list[tuple[IntPoly, int]]:

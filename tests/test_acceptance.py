@@ -301,9 +301,9 @@ def test_criterion_8_decomposition_suite(triple_2b):
         q, t = F(1, 4), F(1, 32)
         keys = [(q, t, t), (t, q, t), (t, t, q)]
         comps = [dec.components[k] for k in keys]
-        for comp in comps:
+        for key, comp in zip(keys, comps):
             assert comp.dim == 1
-            ext = extension_space(triple_2b, u, comp, identity(u.dim))
+            ext = extension_space(dec, key, identity(u.dim))
             assert ext.dim == 1 and ext.contains_identity()
         w = [comp.basis[0] for comp in comps]
         probes = [SquareProbe(i, w[i], u.basis[0]) for i in range(3)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import axial.decomp
-from axial.algebra import AlgebraError, diagonal_algebra, direct_sum
+from axial.algebra import Algebra, AlgebraError, direct_sum
 from axial.decomp import (
     PairingProbe,
     SquareProbe,
@@ -17,8 +17,8 @@ from axial.decomp import (
     partial_decomposition,
     sign_kernel,
 )
-from axial.fusion import MONSTER_QUARTER, check_axis, jordan_law
-from axial.linalg import Subspace, identity, subspace_sum, transpose, unit_vec, vec
+from axial.fusion import MONSTER_QUARTER, FusionLaw, check_axis, jordan_law
+from axial.linalg import Subspace, identity, subspace_sum, transpose, unit_vec
 from axial.matsuo import (
     double_transposition_perm,
     matsuo_algebra,
@@ -42,6 +42,14 @@ def test_precondition_identifies_pair(matsuo_s3_quarter):
     axes = [check_axis(matsuo_s3_quarter, unit_vec(3, i), law) for i in (0, 1)]
     with pytest.raises(AlgebraError, match="axis 0 does not fix axis 1"):
         decompose_joint(matsuo_s3_quarter, axes)
+
+
+def test_repeated_axis_is_rejected(triple_2b):
+    axes = [check_axis(triple_2b, unit_vec(7, i), MONSTER_QUARTER) for i in range(3)]
+    with pytest.raises(ValueError, match="axis 0 and axis 2 are the same vector"):
+        decompose_joint(triple_2b, [axes[0], axes[1], axes[0]])
+    with pytest.raises(ValueError, match="axis 1 and axis 2 are the same vector"):
+        decompose_joint(triple_2b, axes[1:] + axes[2:])
 
 
 def test_triple_2b_complete(triple_2b):
@@ -114,13 +122,31 @@ def test_complement_in(triple_2b):
 
 
 def test_extension_space_zero_action():
-    # u acts as zero on w: psi is unconstrained, all of End(W)
-    alg = diagonal_algebra(3)
-    u = Subspace(3, [unit_vec(3, 0)])
-    w = Subspace(3, [unit_vec(3, 1), unit_vec(3, 2)])
-    ext = extension_space(alg, u, w, identity(1))
+    # e0 is an axis of Jordan type 1/2 with u = <e3> acting as zero on the
+    # 1/2-component <e1, e2>: psi is unconstrained, all of End(W)
+    alg = Algebra.from_gamma(4, [(0, 0, 0, 1), (0, 1, 1, F(1, 2)), (0, 2, 2, F(1, 2))])
+    dec = decompose_joint(alg, [check_axis(alg, unit_vec(4, 0), jordan_law(F(1, 2)))])
+    assert dec.modules[(F(1, 2),)] == [[(0, 0), (0, 0)]]
+    ext = extension_space(dec, (F(1, 2),), identity(1))
     assert ext.dim == 4
     assert ext.contains_identity()
+
+
+def test_extension_space_reads_the_tables_of_a_non_seress_law():
+    # Under a law with 0 * 1/2 = 1, u = <e1> is a subalgebra but e1 e2 = e0
+    # leaves the 1/2-component <e2>: decompose_joint keeps the None table and
+    # extension_space raises its message
+    law = FusionLaw((1, 0, F(1, 2)), {(0, 0): {0}, (0, F(1, 2)): {1}})
+    assert not law.is_seress()
+    alg = Algebra.from_gamma(3, [(0, 0, 0, 1), (0, 2, 2, F(1, 2)), (1, 2, 0, 1)])
+    dec = decompose_joint(alg, [check_axis(alg, unit_vec(3, 0), law)])
+    half = (F(1, 2),)
+    assert dec.modules[half] is None
+    with pytest.raises(AlgebraError, match=r"component \(Fraction\(1, 2\),\) is not a module"):
+        extension_space(dec, half, identity(1))
+    assert extension_space(dec, (F(1),), identity(1)).dim == 1
+    with pytest.raises(ValueError, match="no component with key"):
+        extension_space(dec, (F(1, 4),), identity(1))
 
 
 def test_extension_space_scalar_line(triple_2b):
@@ -129,8 +155,7 @@ def test_extension_space_scalar_line(triple_2b):
     u = dec.zero_component
     q, t = F(1, 4), F(1, 32)
     for key in [(q, t, t), (t, q, t), (t, t, q)]:
-        w = dec.components[key]
-        ext = extension_space(triple_2b, u, w, identity(u.dim))
+        ext = extension_space(dec, key, identity(u.dim))
         assert ext.dim == 1
         assert ext.contains_identity()
 
@@ -138,11 +163,10 @@ def test_extension_space_scalar_line(triple_2b):
 def test_extension_space_checks_phi(triple_2b):
     axes = [check_axis(triple_2b, unit_vec(7, i), MONSTER_QUARTER) for i in range(3)]
     dec = decompose_joint(triple_2b, axes)
-    u = dec.zero_component  # spanned by the idempotent u
-    w = dec.components[(F(1, 4), F(1, 32), F(1, 32))]
+    assert dec.zero_component.dim == 1  # spanned by the idempotent u
     not_multiplicative = ((F(2),),)  # u -> 2u is not an algebra map
     with pytest.raises(AlgebraError):
-        extension_space(triple_2b, u, w, not_multiplicative)
+        extension_space(dec, (F(1, 4), F(1, 32), F(1, 32)), not_multiplicative)
 
 
 def test_sign_kernel_trivial_cases(triple_2b):
@@ -281,19 +305,11 @@ def test_extension_space_matches_reference(joint_case):
     alg, axes = joint_case
     dec = decompose_joint(alg, axes)
     u = dec.zero_component
-    n = alg.dim
-    cases = [(u, w, identity(u.dim)) for w in dec.components.values()]
-    w = next(iter(dec.components.values()))
-    cases += [
-        (u, w, tuple(tuple(2 * x for x in row) for row in identity(u.dim))),  # phi = 2I
-        (u, w, identity(u.dim + 1)),  # wrong size
-        (u, Subspace(n, [vec(range(1, n + 1))]), identity(u.dim)),  # rarely a module
-        (Subspace(n, [unit_vec(n, 0), unit_vec(n, 1)]), w, identity(2)),  # rarely a subalgebra
-        (u, Subspace(n), identity(u.dim)),  # zero module
-    ]
-    for args in cases:
-        expected = outcome(reference_extension_space, alg, *args)
-        assert outcome(extension_space, alg, *args) == expected
+    twice = tuple(tuple(2 * x for x in row) for row in identity(u.dim))
+    for key, w in dec.components.items():
+        for phi in (identity(u.dim), twice, identity(u.dim + 1)):
+            expected = outcome(reference_extension_space, alg, u, w, phi)
+            assert outcome(extension_space, dec, key, phi) == expected
 
 
 @pytest.mark.parametrize("m, k, eta", [(6, 3, F(1, 4)), (8, 4, F(1, 2))])
@@ -316,11 +332,28 @@ def test_extension_space_under_an_axis_swap_matches_reference(m, k, eta):
     phi = transpose(tuple(u.coordinates(move(b)) for b in u.basis))
     assert phi != identity(u.dim)
     dims = []
-    for w in dec.components.values():
-        got = outcome(extension_space, alg, u, w, phi)
+    for key, w in dec.components.items():
+        got = outcome(extension_space, dec, key, phi)
         assert got == outcome(reference_extension_space, alg, u, w, phi)
         dims.append(len(got[1][0]))
     assert any(dims)
+
+
+def test_extension_space_reads_the_decomposition_tables(monkeypatch):
+    """decompose_joint makes one products_in per component of S8 with four
+    commuting axes, and extension_space then makes none."""
+    alg, axes = commuting_axes(8, 4, F(1, 4))
+    calls = []
+    products_in = Algebra.products_in
+    monkeypatch.setattr(
+        Algebra, "products_in", lambda *args: calls.append(1) or products_in(*args)
+    )
+    dec = decompose_joint(alg, axes)
+    assert len(calls) == len(dec.components) == 15
+    calls.clear()
+    for key in dec.components:
+        extension_space(dec, key, identity(dec.zero_component.dim))
+    assert calls == []
 
 
 def test_decompose_joint_refines_with_few_intersections(monkeypatch):

@@ -200,3 +200,26 @@ def test_infer_fusion_law_starts_without_sympy():
         "print(law == jordan_law(Fraction(1, 4)), 'sympy' in sys.modules)\n"
     )
     assert _fresh(script).split() == ["True", "False"]
+
+
+def test_infer_fusion_law_on_a_non_semisimple_adjoint_starts_without_sympy():
+    # a repeated factor of the minimal polynomial is found by a gcd over Q,
+    # not by the factoring fallback; the three algebras of
+    # test_fusion.py::test_infer_fusion_law_needs_a_semisimple_rational_adjoint
+    script = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from axial.algebra import Algebra\n"
+        "from axial.fusion import infer_fusion_law\n"
+        "from axial.linalg import unit_vec\n"
+        "blocks = [\n"
+        "    [(0, 1, 1, F(1, 2)), (0, 1, 2, 1), (0, 2, 2, F(1, 2))],\n"
+        "    [(0, 1, 2, 1), (0, 2, 1, 2)],\n"
+        "    [(0, 1, 2, 1)],\n"
+        "]\n"
+        "for block in blocks:\n"
+        "    alg = Algebra.from_gamma(3, [(0, 0, 0, 1)] + block)\n"
+        "    print(infer_fusion_law(alg, unit_vec(3, 0)))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    assert _fresh(script).split() == ["None", "None", "None", "False"]

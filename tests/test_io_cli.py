@@ -307,6 +307,31 @@ def test_cli_axis_takes_one_index(capsys, command):
     assert "error: --axis takes one axis index, got '1,2'" in capsys.readouterr().out
 
 
+def test_cli_rejects_a_repeated_axis(capsys):
+    assert main(["decompose", str(FIXTURES / "triple2b.alg"), "--y", "1,1"]) == 4
+    assert "error: axis 0 and axis 1 are the same vector" in capsys.readouterr().out
+
+
+def test_cli_sign_kernel_names_a_missing_component(capsys):
+    args = ["sign-kernel", str(FIXTURES / "triple2b.alg"), "--y", "1,2,3", "--components", "1/4,1/32"]
+    assert main(args) == 4
+    assert "error: no component with eigenvalues (1/4,1/32)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, option, spec, token",
+    [
+        ("decompose", "--y", "1,2,3,x", "'x'"),
+        ("decompose", "--y", "", "''"),
+        ("twins", "--axis", "x", "'x'"),
+    ],
+)
+def test_cli_axis_indices_must_be_integers(capsys, command, option, spec, token):
+    fixture = "triple2b.alg" if option == "--y" else "q2.alg"
+    assert main([command, str(FIXTURES / fixture), option, spec]) == 4
+    assert f"error: {option}: {token} is not an axis index" in capsys.readouterr().out
+
+
 def test_cli_matsuo_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "s3m.alg"
     assert main(["matsuo", str(FIXTURES / "s3.grp"), "--eta", "1/4", "--out-alg", str(out_path)]) == 0

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from axial import groebner, univariate
 from axial.algebra import Algebra
 from axial.search import naive_idempotents
-from axial.univariate import PRIMES, irreducible_factors, primitive_integer
+from axial.univariate import PRIMES, irreducible_factors, is_squarefree, primitive_integer
 
 
 def reference_factors(coeffs):
@@ -108,6 +108,15 @@ def test_irreducible_factors_match_sympy_poly(coeffs):
 @example(times([-2, 0, 1], [-3, 0, 1], [-5, 0, 1]))  # degree 6, two quadratic factors mod p
 def test_eliminant_shaped_factors_match_sympy_poly(coeffs):
     assert irreducible_factors(coeffs) == reference_factors(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(factored_polynomials(), eliminant_shaped()))
+@example([Fraction(1), Fraction(-2), Fraction(1)])  # (x - 1)^2
+@example(times(x_power(2), [-2, 0, 1]))  # x^2 (x^2 - 2)
+@example([Fraction(5, 2)])  # a constant
+def test_is_squarefree_matches_the_multiplicities(coeffs):
+    assert is_squarefree(coeffs) == all(mult == 1 for _, mult in reference_factors(coeffs))
 
 
 def test_factors_of_rational_coefficients_with_multiplicities():

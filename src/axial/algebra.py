@@ -22,6 +22,7 @@ from axial.linalg import (
     combination,
     frac,
     identity,
+    independent_mod_p,
     inverse,
     kernel,
     mat,
@@ -76,7 +77,17 @@ class Algebra:
     `direct_sum`) are new objects, each with its own.
     """
 
-    __slots__ = ("dim", "table", "gram", "unit", "labels", "_unit_known", "_ints")
+    __slots__ = (
+        "dim",
+        "table",
+        "gram",
+        "unit",
+        "labels",
+        "_unit_known",
+        "_ints",
+        "_frobenius_checked",
+        "_form_ok",
+    )
 
     def __init__(
         self,
@@ -94,6 +105,8 @@ class Algebra:
         self.labels = labels
         self._unit_known = unit is not None
         self._ints: Optional[IntegerTable] = None
+        self._frobenius_checked = False  # set by `_validate` once the form passes
+        self._form_ok: Optional[bool] = None
         if check:
             self._validate()
 
@@ -155,6 +168,7 @@ class Algebra:
                 raise ValueError(
                     f"form is not Frobenius: (e{i}*e{j}, e{k}) != (e{i}, e{j}*e{k})"
                 )
+            self._frobenius_checked = True
         if self.unit is not None:
             if len(self.unit) != n:
                 raise ValueError("unit length does not match dimension")
@@ -211,6 +225,26 @@ class Algebra:
                     partners[b].append((a, row))
             self._ints = IntegerTable(denom, table, partners)
         return self._ints
+
+    def has_nondegenerate_form(self) -> bool:
+        """Whether the Gram matrix is proved a nondegenerate Frobenius form;
+        decided on first use and kept.
+
+        True is a proof: `_frobenius_violation` finds none (at construction
+        or now), and the Gram rows have full rank mod the prime
+        `linalg.MODULUS`, hence over Q.  False proves nothing about the
+        form: there is none, it is not Frobenius, or its rank mod p falls
+        short.
+        """
+        if self._form_ok is None:
+            gram, n = self.gram, self.dim
+            rows = ({j: g for j, g in enumerate(row) if g} for row in gram or ())
+            self._form_ok = (
+                gram is not None
+                and (self._frobenius_checked or self._frobenius_violation() is None)
+                and len(independent_mod_p(rows, n)) == n
+            )
+        return self._form_ok
 
     def basis_product(self, i: int, j: int) -> SparseRow:
         """Sparse product of basis vectors i and j."""

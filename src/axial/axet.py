@@ -89,7 +89,8 @@ def transport_axis(axis: Axis, g: Mat, g_inv: Mat) -> Axis:
     """Image of a verified axis under a verified automorphism.
 
     Eigendata and involutions move by conjugation, which preserves every
-    certified property exactly.
+    certified property exactly.  The eigendata move now; each involution is
+    conjugated when it is first read.
     """
     n = len(axis.vector)
     new_eigendata = tuple(
@@ -98,15 +99,15 @@ def transport_axis(axis: Axis, g: Mat, g_inv: Mat) -> Axis:
     )
 
     def conj(m):
-        return mat_mul(mat_mul(g, m), g_inv)
+        return mat_mul(mat_mul(g, m), g_inv) if m is not None else None
 
     return Axis(
         vector=mat_vec(g, axis.vector),
         law=axis.law,
         eigendata=new_eigendata,
         primitive=axis.primitive,
-        miyamoto=conj(axis.miyamoto) if axis.miyamoto is not None else None,
-        sigma=conj(axis.sigma) if axis.sigma is not None else None,
+        make_miyamoto=lambda: conj(axis.miyamoto),
+        make_sigma=lambda: conj(axis.sigma),
     )
 
 

@@ -137,13 +137,18 @@ def _verified_axes(alg, tagged_axes, custom_law) -> list[Axis]:
     return axes
 
 
+def _parse_token(token: str, kind, option: str, what: str):
+    """`kind(token)`, or an AlgebraError naming the option and the token."""
+    try:
+        return kind(token)
+    except (ValueError, ZeroDivisionError):
+        raise AlgebraError(f"{option}: {token!r} is not {what}") from None
+
+
 def _pick_axes(axes, spec: str, option: str) -> list[Axis]:
     chosen = []
     for token in spec.split(","):
-        try:
-            index = int(token)
-        except ValueError:
-            raise AlgebraError(f"{option}: {token!r} is not an axis index") from None
+        index = _parse_token(token, int, option, "an axis index")
         if not (1 <= index <= len(axes)):
             raise AlgebraError(f"axis index {index} out of range (file has {len(axes)})")
         chosen.append(axes[index - 1])
@@ -370,9 +375,10 @@ def cmd_extend(args, report):
 
 def cmd_sign_kernel(args, report):
     alg, decomposition = _decomposition(args, report)
-    keys = []
-    for chunk in args.components.split(";"):
-        keys.append(tuple(Fraction(x) for x in chunk.split(",")))
+    keys = [
+        tuple(_parse_token(x, Fraction, "--components", "an eigenvalue") for x in chunk.split(","))
+        for chunk in args.components.split(";")
+    ]
     components = []
     for key in keys:
         if key not in decomposition.components:
@@ -381,7 +387,12 @@ def cmd_sign_kernel(args, report):
     long_probes = []
     if args.long_probes:
         for chunk in args.long_probes.split(";"):
-            long_probes.append(tuple(int(x) for x in chunk.split(",")))
+            long_probes.append(
+                tuple(
+                    _parse_token(x, int, "--long-probes", "a component position")
+                    for x in chunk.split(",")
+                )
+            )
     probes = generate_probes(
         alg,
         decomposition.zero_component,

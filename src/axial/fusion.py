@@ -3,9 +3,12 @@
 An axis is certified here by explicit exact checks: idempotency, a semisimple
 adjoint with spectrum inside the law, eigenspace products landing where the
 star table says, and a 1-dimensional principal eigenspace.  Past the
-spectrum every check is a polynomial in the adjoint.  The certificate
-carries the eigenspace decomposition together with the graded involution
-matrices it entitles.
+spectrum every check is a polynomial in the adjoint.  A block of products
+is formed only when no other block implies it: the (1, mu) blocks hold when
+A_1 = <a>, and under a proved nondegenerate Frobenius form one block per
+forbidden eigenvalue triple {lam, mu, nu} decides the rest.  The
+certificate carries the eigenspace decomposition; the graded involution
+matrices it entitles are built when first read.
 
 The axis certificate, `infer_fusion_law` and `derivation_space` work over
 the integers on the algebra's cached `integer_table`, the first two through
@@ -16,9 +19,10 @@ adjoint's minimal polynomial, and no dense adjoint is formed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from axial.algebra import ZERO, Algebra, IntegerAdjoint
 from axial.linalg import (
@@ -174,14 +178,31 @@ MONSTER_QUARTER = monster_law(Fraction(1, 4), Fraction(1, 32))
 
 @dataclass(frozen=True)
 class Axis:
-    """A verified axis: idempotent, semisimple, fusion-checked, primitive."""
+    """A verified axis: idempotent, semisimple, fusion-checked, primitive.
+
+    The graded involutions `miyamoto` and `sigma` are built on first read,
+    by the callables `make_miyamoto` and `make_sigma`, and kept; each is
+    None when the law entitles the axis to no such involution.
+    """
 
     vector: Vec
     law: FusionLaw
     eigendata: tuple[tuple[Fraction, Subspace], ...]
     primitive: bool
-    miyamoto: Optional[Mat]
-    sigma: Optional[Mat]
+    make_miyamoto: Callable[[], Optional[Mat]] = field(repr=False)
+    make_sigma: Callable[[], Optional[Mat]] = field(repr=False)
+
+    @cached_property
+    def miyamoto(self) -> Optional[Mat]:
+        """The sign map of the law's grading (the identity when no negated
+        eigenvalue is present); None for a trivially graded law."""
+        return self.make_miyamoto()
+
+    @cached_property
+    def sigma(self) -> Optional[Mat]:
+        """For a Jordan-type axis under a graded law, the map negating the
+        eigenvalues other than 1 and 0; otherwise None."""
+        return self.make_sigma()
 
     def eigenspace(self, lam) -> Subspace:
         lam = frac(lam)
@@ -231,27 +252,96 @@ def _integer_product(table: dict, x: list[tuple[int, int]], y: list[tuple[int, i
     return {k: v for k, v in out.items() if v}
 
 
-def _block_products(
-    alg: Algebra, eigendata: Sequence[tuple[Fraction, Subspace]]
-) -> Iterator[tuple[Fraction, Fraction, Iterator[dict]]]:
-    """The products of eigenbasis vectors, one lazy iterator per block.
+def _integer_bases(eigendata: Sequence[tuple[Fraction, Subspace]]) -> dict:
+    """The basis of each eigenspace as `_integer_entries`, keyed by eigenvalue."""
+    return {lam: [_integer_entries(b) for b in space.basis] for lam, space in eigendata}
 
-    For each pair of eigenspaces (lam, mu), in `combinations_with_replacement`
-    order, yields (lam, mu, products): the products x y of basis vectors of
-    A_lam and A_mu, which span A_lam A_mu (each unordered pair once when
-    lam = mu, as the product is commutative).  They are computed on the
-    `primitive_part`s of the basis vectors and on the structure constants
-    times their common denominator (the algebra's `integer_table`), so each
-    is the true product times a nonzero integer.
+
+def _block_products(table: dict, bases: dict, lam: Fraction, mu: Fraction) -> Iterator[dict]:
+    """The products x y of basis vectors of A_lam and A_mu, lazily; they span
+    A_lam A_mu (each unordered pair once when lam = mu, as the product is
+    commutative).
+
+    They are computed on the `primitive_part`s of the basis vectors and on
+    the structure constants times their common denominator (the algebra's
+    `integer_table`), so each is the true product times a nonzero integer.
     """
-    table = alg.integer_table().table
-    blocks = [(lam, [_integer_entries(b) for b in space.basis]) for lam, space in eigendata]
-    for (lam, xs), (mu, ys) in itertools.combinations_with_replacement(blocks, 2):
-        if lam == mu:
-            pairs = itertools.combinations_with_replacement(xs, 2)
-        else:
-            pairs = itertools.product(xs, ys)
-        yield lam, mu, (_integer_product(table, x, y) for x, y in pairs)
+    xs, ys = bases[lam], bases[mu]
+    if lam == mu:
+        pairs = itertools.combinations_with_replacement(xs, 2)
+    else:
+        pairs = itertools.product(xs, ys)
+    return (_integer_product(table, x, y) for x, y in pairs)
+
+
+def _fusion_violation(
+    alg: Algebra,
+    adjoint: IntegerAdjoint,
+    law: FusionLaw,
+    eigendata: Sequence[tuple[Fraction, Subspace]],
+) -> Optional[tuple[Fraction, Fraction]]:
+    """The first block (lam, mu), in `combinations_with_replacement` order,
+    with a product outside the sum of the eigenspaces that law.star(lam, mu)
+    allows, or None.
+
+    A block is formed only when no other block already implies it:
+    - When A_1 = <a>, every block (1, mu) holds: a y = mu y, and the law has
+      1 * mu = {mu} (empty for mu = 0).
+    - When the form is a proved nondegenerate Frobenius form
+      (`Algebra.has_nondegenerate_form`), ad(a) is self-adjoint, so the
+      eigenspaces are orthogonal, and (x y, z) is symmetric in x, y and z.
+      So x y lies in the allowed sum exactly when (x y, z) = 0 for every z
+      in every forbidden A_nu, and the block (lam, mu) holds exactly when
+      the form vanishes on each unordered triple {lam, mu, nu}, nu
+      forbidden.  The blocks are taken cheapest first, and one is kept only
+      when it covers a triple no kept or implied block covers.
+    When a block fails, every block before it not yet seen to hold is
+    checked too, so the block named is the first one that fails.
+    """
+    present = [lam for lam, _ in eigendata]
+    dims = [space.dim for _, space in eigendata]
+    # the blocks with a forbidden eigenvalue, as index pairs into `present`
+    allowed, forbidden = {}, {}
+    for i, j in itertools.combinations_with_replacement(range(len(present)), 2):
+        star = law.star(present[i], present[j])
+        if not star.issuperset(present):
+            allowed[i, j] = [nu for nu in present if nu in star]
+            forbidden[i, j] = [k for k, nu in enumerate(present) if nu not in star]
+    order = list(allowed)
+    one = present.index(ONE) if ONE in present else None
+    held = {b for b in order if one in b} if one is not None and dims[one] == 1 else set()
+    todo = [b for b in order if b not in held]
+    if alg.has_nondegenerate_form():
+
+        def triples(block):
+            return {tuple(sorted((*block, k))) for k in forbidden[block]}
+
+        def cost(block):
+            i, j = block
+            return dims[i] * (dims[i] + 1) // 2 if i == j else dims[i] * dims[j]
+
+        covered = set().union(*map(triples, held))
+        kept = []
+        for block in sorted(todo, key=cost):
+            new = triples(block) - covered
+            if new:
+                kept.append(block)
+                covered |= new
+        todo = kept
+    table, bases = alg.integer_table().table, _integer_bases(eigendata)
+
+    def fails(block):
+        i, j = block
+        products = _block_products(table, bases, present[i], present[j])
+        return not all(adjoint.in_sum(allowed[block], p) for p in products)
+
+    for block in todo:
+        if fails(block):
+            earlier = order[: order.index(block)]
+            i, j = next((b for b in earlier if b not in held and fails(b)), block)
+            return present[i], present[j]
+        held.add(block)
+    return None
 
 
 def check_axis_verbose(
@@ -264,8 +354,9 @@ def check_axis_verbose(
     semisimple with the spectrum found, and the rest of the certificate is
     read off polynomials in the same integer adjoint: a product of
     eigenbasis vectors lies in the allowed sum exactly when the product of
-    (ad - nu) over the allowed eigenvalues kills it, and tau and sigma are
-    the sign polynomials of ad(a).
+    (ad - nu) over the allowed eigenvalues kills it (`_fusion_violation`
+    forms only the blocks of products the others do not imply), and tau and
+    sigma are the sign polynomials of ad(a), evaluated on first read.
     """
     v = vec(v)
     n = alg.dim
@@ -283,30 +374,25 @@ def check_axis_verbose(
             total += space.dim
     if total != n:
         return None, f"bad_spectrum: eigenspaces for the law span {total} of {n}"
-    present = [lam for lam, _ in eigendata]
-    for lam, mu, products in _block_products(alg, eigendata):
-        allowed = [nu for nu in present if nu in law.star(lam, mu)]
-        if len(allowed) < len(present) and not all(adjoint.in_sum(allowed, p) for p in products):
-            return None, f"fusion_violation: {lam} * {mu}"
+    violation = _fusion_violation(alg, adjoint, law, eigendata)
+    if violation is not None:
+        return None, "fusion_violation: {} * {}".format(*violation)
     one_space = next((s for lam, s in eigendata if lam == ONE), None)
     if one_space is None or one_space.dim != 1:
         return None, "not_primitive"
+    present = [lam for lam, _ in eigendata]
     _, minus = law.c2_grading()
-    miyamoto = adjoint.sign_map(present, minus) if minus else None
-    sigma = None
-    if minus and all(lam not in minus for lam in present):
-        # Jordan-type axis inside a larger graded law: negate the middle
-        # eigenvalue part (the alpha eigenspace for Monster-type laws).
-        inner = [lam for lam in present if lam not in (ONE, ZERO)]
-        if inner:
-            sigma = adjoint.sign_map(present, frozenset(inner))
+    # A Jordan-type axis inside a larger graded law has sigma: it negates
+    # the middle eigenvalue part (the alpha eigenspace for Monster-type laws).
+    inner = frozenset(lam for lam in present if lam not in (ONE, ZERO))
+    graded_jordan = minus and inner and not minus & set(present)
     axis = Axis(
         vector=v,
         law=law,
         eigendata=tuple(eigendata),
         primitive=True,
-        miyamoto=miyamoto,
-        sigma=sigma,
+        make_miyamoto=lambda: adjoint.sign_map(present, minus) if minus else None,
+        make_sigma=lambda: adjoint.sign_map(present, inner) if graded_jordan else None,
     )
     return axis, None
 
@@ -346,9 +432,10 @@ def derivation_space(alg: Algebra) -> Subspace:
     equation d(e_i e_j) = d(e_i) e_j + e_i d(e_j), read at one output e_k, is
     built from the scaled constants of the `integer_table`, without zero
     entries, and solved by `sparse_kernel`.  Full rank mod p there proves
-    the space zero; on a rank deficit mod p, which proves nothing, the whole
-    system is solved exactly.  A zero space certifies that the automorphism group (an
-    algebraic group in characteristic zero) is finite.
+    the space zero; on a rank deficit mod p, which proves nothing, the rows
+    that raised the rank are solved exactly and the answer is checked
+    against every row.  A zero space certifies that the automorphism group
+    (an algebraic group in characteristic zero) is finite.
     """
     n = alg.dim
     ints = alg.integer_table()
@@ -399,10 +486,11 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     values = sorted((Fraction(-b, a) for (b, a), _ in factors), reverse=True)
     eigendata = [(lam, adjoint.eigenspace(lam)) for lam in values]
     others = {nu: [k for k in values if k != nu] for nu in values}
+    table, bases = alg.integer_table().table, _integer_bases(eigendata)
     star = {}
-    for lam, mu, products in _block_products(alg, eigendata):
+    for lam, mu in itertools.combinations_with_replacement(values, 2):
         hit: set[Fraction] = set()
-        for p in products:
+        for p in _block_products(table, bases, lam, mu):
             hit.update([nu for nu in values if nu not in hit and not adjoint.in_sum(others[nu], p)])
             if len(hit) == len(values):
                 break

@@ -6,6 +6,8 @@ ever rounds.  Every row reduction, `rref` and both stages of `sparse_kernel`
 alike, is the one sparse integer elimination of `axial._kernels_py`, and
 every null space (`kernel`, `sparse_kernel`, `eigenspace`, `intersect` and
 the axis eigenspaces of `axial.fusion`) is read off it by `null_space`.
+The exact stage of `sparse_kernel` solves only the rows its mod-p screen
+kept, and checks the answer against every row.
 `solve` and `inverse` read their answers off one RREF of an augmented
 matrix, and `det` is Bareiss's fraction-free elimination.
 """
@@ -17,6 +19,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from axial._backend import kernels
+from axial.univariate import primitive_part
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -279,16 +282,18 @@ SparseVec = dict[int, Fraction]
 MODULUS = 2**31 - 1
 
 
-def _rank_mod_p(rows: Iterable[SparseVec], ncols: int) -> int:
-    """The rank mod MODULUS of the rows, scanned in order.
+def independent_mod_p(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
+    """The rows, scanned in order, that raise the rank mod MODULUS.
 
     A row holding a `Fraction` is scaled to its `primitive_row` first, so no
     denominator needs an inverse mod p; an integer row is reduced as it is
     (a content p divides only zeroes it).  Each row is inserted into one
-    pivot dict modulo p.  The rank mod p is at most the rank over Q.  The
-    scan stops once the rank reaches ncols.
+    pivot dict modulo p and kept when it adds a pivot.  Rows independent
+    mod p are independent over Q, so the rank mod p, the number kept, is at
+    most the rank over Q.  The scan stops once it reaches ncols.
     """
     pivots: dict[int, dict[int, int]] = {}
+    kept = []
     for row in rows:
         items = row.items()
         if not all(type(v) is int for v in row.values()):
@@ -298,9 +303,11 @@ def _rank_mod_p(rows: Iterable[SparseVec], ncols: int) -> int:
             v %= MODULUS
             if v:
                 work[c] = v
-        if kernels.insert(pivots, work, MODULUS) is not None and len(pivots) == ncols:
-            break
-    return len(pivots)
+        if kernels.insert(pivots, work, MODULUS) is not None:
+            kept.append(row)
+            if len(kept) == ncols:
+                break
+    return kept
 
 
 def null_space(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> Subspace:
@@ -337,14 +344,31 @@ def kernel(m: Mat) -> Subspace:
 def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
     """Canonical null space of a sparse system, rows given as {column: value}.
 
-    The rank is screened modulo the prime MODULUS first.  Full column rank
-    mod p proves the kernel over Q is zero.  A rank deficit mod p proves
-    nothing, so the whole system is then solved exactly by `null_space`.
+    The rows are screened modulo the prime MODULUS first, and the rows that
+    raise the rank mod p are kept.  Full column rank mod p proves the kernel
+    over Q is zero.  Otherwise the exact stage solves the kept rows only by
+    `null_space`: they are independent over Q, so their null space contains
+    the true one, and it is the true one when each of its basis vectors,
+    scaled to integers, is killed by every row.  When that check fails, the
+    whole system is solved exactly.
     """
     rows = sorted(rows, key=len)  # sparsest first keeps the fill-in low
-    if _rank_mod_p(rows, ncols) == ncols:
+    kept = independent_mod_p(rows, ncols)
+    if len(kept) == ncols:
         return Subspace(ncols)
-    return null_space((row.items() for row in rows), ncols)
+    space = null_space((row.items() for row in kept), ncols)
+    if len(kept) < len(rows) and not _kills(rows, space):
+        space = null_space((row.items() for row in rows), ncols)
+    return space
+
+
+def _kills(rows: Sequence[SparseVec], space: Subspace) -> bool:
+    """Whether every row vanishes on every basis vector of the space."""
+    for v in space.basis:
+        ints = primitive_part(v)
+        if any(sum(x * ints[c] for c, x in row.items()) for row in rows):
+            return False
+    return True
 
 
 def eigenspace(m: Mat, lam) -> Subspace:

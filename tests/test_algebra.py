@@ -17,6 +17,7 @@ from axial.algebra import (
 )
 from axial.io import parse_algebra
 from axial.linalg import (
+    MODULUS,
     Subspace,
     combination,
     det,
@@ -153,6 +154,23 @@ def test_unit_of_subalgebra_degenerate_form():
     )
     with pytest.raises(DegenerateFormError):
         alg.unit_of_subalgebra(Subspace(2, [[0, 1]]))
+
+
+def test_has_nondegenerate_form_states_its_direction(q2):
+    assert q2.has_nondegenerate_form()
+    diagonal = [(0, 0, 0, 1), (1, 1, 1, 1)]
+    p = F(MODULUS)
+    # no form, a degenerate one, and one unchecked at construction that is
+    # not Frobenius (e0 e0 = e0, but (e0 e0, e1) = 1 and (e0, e0 e1) = 0)
+    assert not Algebra.from_gamma(2, diagonal).has_nondegenerate_form()
+    assert not Algebra.from_gamma(2, diagonal, gram=[[1, 0], [0, 0]]).has_nondegenerate_form()
+    unchecked = Algebra.from_gamma(2, diagonal, gram=[[1, 1], [1, 2]], check=False)
+    assert not unchecked.has_nondegenerate_form()
+    unchecked = Algebra.from_gamma(2, diagonal, gram=[[1, 0], [0, 2]], check=False)
+    assert unchecked.has_nondegenerate_form()
+    # on the zero algebra every form is Frobenius; this one has determinant
+    # p, so it is nondegenerate over Q but singular mod p: no proof, False
+    assert not Algebra.from_gamma(2, [], gram=[[1, 1], [1, 1 + p]]).has_nondegenerate_form()
 
 
 def test_commutativity_is_structural():

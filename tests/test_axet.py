@@ -74,6 +74,24 @@ def test_transport_preserves_certificate(q2, q2_axes, q2_law):
     assert image.miyamoto == fresh.miyamoto
 
 
+def test_transport_conjugates_involutions_on_first_read(monkeypatch, q2, q2_axes, q2_law):
+    # Work counter: transport multiplies no matrices until an involution of
+    # the image is read; then tau costs two products, once.
+    calls = []
+    original = axial.axet.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(axial.axet, "mat_mul", counting)
+    g = q2_axes[2].miyamoto
+    image = transport_axis(q2_axes[0], g, g)
+    assert calls == []
+    assert image.miyamoto == image.miyamoto == check_axis(q2, image.vector, q2_law).miyamoto
+    assert len(calls) == 2
+
+
 def test_miyamoto_group_matsuo_s3(matsuo_s3_quarter):
     law = jordan_law(F(1, 4))
     seeds = [check_axis(matsuo_s3_quarter, unit_vec(3, i), law) for i in (0, 1)]

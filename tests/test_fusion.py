@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from axial import fusion, linalg
 from axial._backend import kernels
-from axial.algebra import Algebra, diagonal_algebra
+from axial.algebra import Algebra, IntegerAdjoint, diagonal_algebra
 from axial.fusion import (
     FusionLaw,
     MONSTER_QUARTER,
@@ -274,6 +275,32 @@ def test_derivation_space_matsuo_s7_is_zero():
     assert derivation_space(matsuo_algebra(symmetric_transpositions(7), F(1, 4))).is_zero()
 
 
+@pytest.mark.parametrize("m", [5, 6])
+def test_derivation_space_at_one_half_solves_the_kept_rows_only(monkeypatch, m):
+    # At 1/2 the Leibniz system of Matsuo S_m is rank deficient, so the
+    # exact stage runs.  It echelons only the rows that raised the rank mod p
+    # (at most m(m-1)/2 squared, the unknowns: 225 on S6, where the whole
+    # system has 1800 rows), and its answer is the null space of every row.
+    alg = matsuo_algebra(symmetric_transpositions(m), F(1, 2))
+    n = alg.dim
+    sizes = []
+    original = kernels.echelon
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(kernels, "echelon", counting)
+    space = derivation_space(alg)
+    assert len(sizes) == 1 and sizes[0] <= n * n
+    assert space.dim == (m - 1) * (m - 2) // 2
+    rows = []
+    monkeypatch.setattr(fusion, "sparse_kernel", lambda r, ncols: rows.extend(r))
+    derivation_space(alg)
+    assert len(rows) > sizes[0]
+    assert space == linalg.null_space((row.items() for row in rows), n * n)
+
+
 def test_derivation_space_s5_needs_no_dense_rref(monkeypatch):
     # Work counter: at 1/4 the Leibniz system of Matsuo S5 (100 unknowns)
     # has full rank mod p, which certifies the zero space with no RREF over
@@ -415,6 +442,30 @@ def test_check_axis_matches_reference_on_fixture_axes():
 AXIS_CASE_LAWS = (jordan_law(F(1, 4)), MONSTER_QUARTER, monster_law(F(1, 2), F(1, 4)))
 
 
+def _seen_in_another_basis(draw, plain):
+    """The algebra `plain` in a drawn unitriangular basis P (its columns),
+    with its Gram matrix, if any, carried to P^T G P, and the coordinates of
+    e0 in that basis, sometimes doubled, with a drawn law."""
+    n = plain.dim
+    above = st.sampled_from([F(0), F(1), F(-1), F(1, 2)])
+    change = tuple(
+        tuple(F(1) if a == i else draw(above) if a < i else F(0) for i in range(n))
+        for a in range(n)
+    )
+    back = inverse(change)
+    cols = [tuple(row[i] for row in change) for i in range(n)]
+    new_gamma = [
+        (i, j, k, c)
+        for i in range(n)
+        for j in range(i, n)
+        for k, c in enumerate(mat_vec(back, plain.product(cols[i], cols[j])))
+    ]
+    gram = None if plain.gram is None else [[plain.form_value(x, y) for y in cols] for x in cols]
+    alg = Algebra.from_gamma(n, new_gamma, gram=gram)
+    v = vscale(draw(st.sampled_from([1, 1, 1, 2])), mat_vec(back, unit_vec(n, 0)))
+    return alg, v, draw(st.sampled_from(AXIS_CASE_LAWS))
+
+
 @st.composite
 def axis_cases(draw):
     """An algebra where e0 is idempotent with diagonal adjoint, seen in another basis.
@@ -430,23 +481,7 @@ def axis_cases(draw):
     gamma += [
         (i, j, k, draw(sparse_constants)) for i in range(1, n) for j in range(i, n) for k in range(n)
     ]
-    plain = Algebra.from_gamma(n, gamma)
-    above = st.sampled_from([F(0), F(1), F(-1), F(1, 2)])
-    change = tuple(
-        tuple(F(1) if a == i else draw(above) if a < i else F(0) for i in range(n))
-        for a in range(n)
-    )
-    back = inverse(change)
-    cols = [tuple(row[i] for row in change) for i in range(n)]
-    new_gamma = [
-        (i, j, k, c)
-        for i in range(n)
-        for j in range(i, n)
-        for k, c in enumerate(mat_vec(back, plain.product(cols[i], cols[j])))
-    ]
-    alg = Algebra.from_gamma(n, new_gamma)
-    v = vscale(draw(st.sampled_from([1, 1, 1, 2])), mat_vec(back, unit_vec(n, 0)))
-    return alg, v, draw(st.sampled_from(AXIS_CASE_LAWS))
+    return _seen_in_another_basis(draw, Algebra.from_gamma(n, gamma))
 
 
 def test_check_axis_matches_reference_on_random_algebras():
@@ -465,6 +500,142 @@ def test_check_axis_matches_reference_on_random_algebras():
     assert set(kinds) == {
         "axis", "fusion_violation", "bad_spectrum", "not_primitive", "not_idempotent"
     }
+
+
+@st.composite
+def frobenius_axis_cases(draw):
+    """An algebra with a nondegenerate Frobenius form where e0 is idempotent
+    with diagonal adjoint, seen in another basis.
+
+    Under the identity Gram matrix the form is Frobenius exactly when the
+    constants c_ijk = (e_i e_j, e_k) are symmetric in i, j and k.
+    e0 e_j = lam_j e_j fixes every constant with an index 0 (e_j e_j has
+    lam_j e0), and the others are a random symmetric tensor, mostly zero.
+    A unitriangular change of basis P makes the eigenvectors dense and
+    carries the Gram matrix to P^T P.  The vector is e0 in the new basis,
+    sometimes doubled.
+    """
+    n = draw(st.integers(2, 5))
+    menu = st.sampled_from([F(1), F(0), F(1, 4), F(1, 32), F(1, 2)])
+    lams = [F(1)] + [draw(menu) for _ in range(1, n)]
+    tensor = {
+        key: draw(sparse_constants)
+        for key in itertools.combinations_with_replacement(range(1, n), 3)
+    }
+    gamma = [(0, j, j, lam) for j, lam in enumerate(lams)]
+    gamma += [(j, j, 0, lam) for j, lam in enumerate(lams) if j]
+    gamma += [
+        (i, j, k, tensor[tuple(sorted((i, j, k)))])
+        for i in range(1, n)
+        for j in range(i, n)
+        for k in range(1, n)
+    ]
+    return _seen_in_another_basis(draw, Algebra.from_gamma(n, gamma, gram=identity(n)))
+
+
+def test_check_axis_matches_reference_on_frobenius_algebras(monkeypatch):
+    # With a proved nondegenerate Frobenius form, check_axis forms only the
+    # blocks that cover a forbidden eigenvalue triple no other block covers;
+    # the reference forms every product, so outcomes and reasons must agree.
+    formed = []
+    original = fusion._block_products
+
+    def recording(table, bases, lam, mu):
+        formed.append((lam, mu))
+        return original(table, bases, lam, mu)
+
+    monkeypatch.setattr(fusion, "_block_products", recording)
+    kinds, pruned = [], []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(frobenius_axis_cases())
+    def compare(case):
+        alg, v, law = case
+        assert alg.has_nondegenerate_form()
+        formed.clear()
+        outcome = _outcome(alg, v, law)
+        assert outcome == reference_check_axis(alg, v, law)
+        kinds.append(outcome.split(":")[0] if isinstance(outcome, str) else "axis")
+        if kinds[-1] == "axis":
+            present = [lam for lam, _ in outcome[0]]
+            checkable = {
+                (lam, mu)
+                for lam, mu in itertools.combinations_with_replacement(present, 2)
+                if F(1) not in (lam, mu) and not law.star(lam, mu).issuperset(present)
+            }
+            pruned.append(bool(checkable - set(formed)))
+
+    compare()
+    assert {"axis", "fusion_violation"} <= set(kinds)
+    assert any(pruned)
+
+
+def test_check_axis_names_the_first_failing_block_after_pruning(monkeypatch):
+    # e0 has eigenvalue 1/4 on e1, e2 and 0 on e3, under the identity form;
+    # e1 e1 has an e1 part and e3 e3 an e1 part, which breaks both
+    # 1/4 * 1/4 <= {1, 0} and 0 * 0 <= {0}.  The cheapest block (0, 0) is
+    # formed first and fails, so (1/4, 1/4), earlier in the full order, is
+    # formed next and named, as the reference names it.
+    q = F(1, 4)
+    gamma = [(0, 0, 0, 1), (0, 1, 1, q), (0, 2, 2, q), (1, 1, 0, q), (2, 2, 0, q)]
+    gamma += [(1, 1, 1, 1), (1, 3, 3, 1), (3, 3, 1, 1)]
+    alg = Algebra.from_gamma(4, gamma, gram=identity(4))
+    formed = []
+    original = fusion._block_products
+
+    def recording(table, bases, lam, mu):
+        formed.append((lam, mu))
+        return original(table, bases, lam, mu)
+
+    monkeypatch.setattr(fusion, "_block_products", recording)
+    law = jordan_law(q)
+    _, reason = check_axis_verbose(alg, unit_vec(4, 0), law)
+    assert reason == reference_check_axis(alg, unit_vec(4, 0), law) == "fusion_violation: 1/4 * 1/4"
+    assert formed == [(F(0), F(0)), (q, q)]
+
+
+def test_check_axis_forms_one_block_per_forbidden_triple(monkeypatch):
+    # Work counter: a Jordan axis of Matsuo S5 at 1/4 has eigenspaces of
+    # dimension 1, 6 and 3 for 1, 0 and 1/4, so 55 eigenbasis products.
+    # The (1, mu) blocks hold as A_1 = <a>; under the Frobenius form the
+    # (1/4, 1/4) block (6 products) covers {1/4, 1/4, 1/4} and the (0, 1/4)
+    # block (18) covers {0, 0, 1/4}, so the (0, 0) block (21) is not formed.
+    data = symmetric_transpositions(5)
+    alg = matsuo_algebra(data, F(1, 4))
+    calls = []
+    original = fusion._integer_product
+
+    def counting(table, x, y):
+        calls.append(1)
+        return original(table, x, y)
+
+    monkeypatch.setattr(fusion, "_integer_product", counting)
+    for law in (jordan_law(F(1, 4)), MONSTER_QUARTER):
+        calls.clear()
+        assert check_axis(alg, unit_vec(data.size, 0), law) is not None
+        assert len(calls) == 24, law
+
+
+def test_check_axis_builds_involutions_on_first_read(monkeypatch):
+    # Work counter: the certificate calls no sign_map; the first read of
+    # `miyamoto` calls it once and keeps the map, and a second read calls none.
+    data = symmetric_transpositions(5)
+    alg = matsuo_algebra(data, F(1, 4))
+    calls = []
+    original = IntegerAdjoint.sign_map
+
+    def counting(self, present, negated):
+        calls.append(negated)
+        return original(self, present, negated)
+
+    monkeypatch.setattr(IntegerAdjoint, "sign_map", counting)
+    axis = check_axis(alg, unit_vec(data.size, 0), jordan_law(F(1, 4)))
+    assert calls == []
+    tau = axis.miyamoto
+    assert calls == [frozenset({F(1, 4)})]
+    assert axis.miyamoto is tau and axis.sigma is None
+    assert len(calls) == 1
+    assert tau == reference_graded_involution(axis.eigendata, frozenset({F(1, 4)}), data.size)
 
 
 def test_check_axis_inverts_nothing_and_tests_no_membership(monkeypatch):

@@ -332,6 +332,28 @@ def test_cli_axis_indices_must_be_integers(capsys, command, option, spec, token)
     assert f"error: {option}: {token} is not an axis index" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "option, spec, message",
+    [
+        ("--components", "1/4,x", "--components: 'x' is not an eigenvalue"),
+        ("--components", "1/0,1/4,1/32", "--components: '1/0' is not an eigenvalue"),
+        ("--long-probes", "0,1,x", "--long-probes: 'x' is not a component position"),
+    ],
+)
+def test_cli_sign_kernel_names_the_option_of_a_bad_token(capsys, option, spec, message):
+    args = [
+        "sign-kernel",
+        str(FIXTURES / "triple2b.alg"),
+        "--y",
+        "1,2,3",
+        "--components",
+        "1/4,1/32,1/32;1/32,1/4,1/32;1/32,1/32,1/4",
+        f"{option}={spec}",
+    ]
+    assert main(args) == 4
+    assert f"error: {message}" in capsys.readouterr().out
+
+
 def test_cli_matsuo_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "s3m.alg"
     assert main(["matsuo", str(FIXTURES / "s3.grp"), "--eta", "1/4", "--out-alg", str(out_path)]) == 0

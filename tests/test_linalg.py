@@ -465,6 +465,22 @@ def test_sparse_kernel_matches_dense_kernel(system):
     assert (got.basis, got.pivots) == reference_kernel(_dense(rows, ncols), ncols)
 
 
+def test_sparse_kernel_checks_the_kept_rows_against_every_row(monkeypatch):
+    # The rows agree mod p, so only the first is kept; its null space is
+    # spanned by (-1, 1), which the second row does not kill (it gives p),
+    # so the whole system is solved and its null space is zero.
+    sizes = []
+    original = kernels.echelon
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(kernels, "echelon", counting)
+    assert sparse_kernel([{0: 1, 1: 1}, {0: 1, 1: 1 + MODULUS}], 2).is_zero()
+    assert sizes == [1, 2]
+
+
 def test_sparse_kernel_certificate_directions():
     # the rows differ by (0, 2**31 - 1), which vanishes mod the prime: the
     # screen sees rank 1, which proves nothing, and the exact solve finds 0.

@@ -35,9 +35,20 @@ _ZERO = Fraction(0)
 
 
 def primitive_row(entries):
-    """The nonzero values of (column, value) pairs scaled by one `primitive_part`."""
+    """The nonzero values of (column, value) pairs scaled by one `primitive_part`.
+
+    A row of ints has no denominator to clear, so it is divided by its gcd
+    alone.
+    """
     nonzero = [(c, v) for c, v in entries if v]
-    return dict(zip([c for c, _ in nonzero], primitive_part([v for _, v in nonzero])))
+    values = [v for _, v in nonzero]
+    if all(type(v) is int for v in values):
+        content = gcd(*values)
+        if content > 1:
+            values = [v // content for v in values]
+    else:
+        values = primitive_part(values)
+    return dict(zip([c for c, _ in nonzero], values))
 
 
 def eliminate(work, prow, col, modulus=0):

@@ -145,6 +145,10 @@ def _parse_token(token: str, kind, option: str, what: str):
         raise AlgebraError(f"{option}: {token!r} is not {what}") from None
 
 
+def _parse_rational(token: str, option: str) -> Fraction:
+    return _parse_token(token, Fraction, option, "a rational number")
+
+
 def _pick_axes(axes, spec: str, option: str) -> list[Axis]:
     chosen = []
     for token in spec.split(","):
@@ -210,7 +214,7 @@ def cmd_derivations(args, report):
 def cmd_axes_naive(args, report):
     alg, _, custom = _load(args)
     caps = args.caps
-    length = Fraction(args.length) if args.length else None
+    length = _parse_rational(args.length, "--length") if args.length else None
     result = naive_idempotents(alg, length=length, caps=caps)
     report.add("status", result.status)
     report.add("idempotents", [list(p) for p in result.points])
@@ -236,10 +240,10 @@ def cmd_axes_nuanced(args, report):
     elif args.z_lengths == "":
         z_lengths = None  # enumerate idempotents of the 0-eigenspace directly
     else:
-        z_lengths = tuple(Fraction(t) for t in args.z_lengths.split(","))
+        z_lengths = tuple(_parse_rational(t, "--z-lengths") for t in args.z_lengths.split(","))
     cfg = SearchConfig(
         target_law=law,
-        length=Fraction(args.length) if args.length else None,
+        length=_parse_rational(args.length, "--length") if args.length else None,
         z_lengths=z_lengths,
         caps=args.caps,
     )
@@ -427,7 +431,7 @@ def _write_or_print(args, report, text: str):
 
 def cmd_matsuo(args, report):
     data = parse_group(args.group)
-    alg = matsuo_algebra(data, Fraction(args.eta))
+    alg = matsuo_algebra(data, _parse_rational(args.eta, "--eta"))
     report.add("class_size", data.size)
     report.add("dimension", alg.dim)
     axes = [(f"j:{args.eta}", tuple(row)) for row in identity(alg.dim)]
@@ -437,7 +441,7 @@ def cmd_matsuo(args, report):
 def cmd_flip(args, report):
     data = parse_group(args.group)
     sigma = parse_permutation(args.sigma, data.degree)
-    eta = Fraction(args.eta)
+    eta = _parse_rational(args.eta, "--eta")
     flip = double_axes_and_flip(data, eta, sigma)
     alg = flip.algebra
     report.add("dimension", alg.dim)

@@ -3,16 +3,18 @@
 All searches in the library bottom out here: idempotent systems are handed in
 as generators, a reduced lexicographic Groebner basis is computed, and for
 zero-dimensional ideals every rational point is extracted by eliminant
-factoring and back substitution, off that one basis: substituting a partial
-root into a lex Groebner basis leaves a Groebner basis of the branch in the
-elements whose leading coefficient survives (Gianni 1989, Kalkbrener 1989,
-both EUROCAL '87, LNCS 378).  Solutions that would live in a proper
-extension of Q are never approximated; the irreducible eliminant factors are
-returned as witnesses instead.
+root finding and back substitution, off that one basis: substituting a
+partial root into a lex Groebner basis leaves a Groebner basis of the branch
+in the elements whose leading coefficient survives (Gianni 1989, Kalkbrener
+1989, both EUROCAL '87, LNCS 378).  Solutions that would live in a proper
+extension of Q are never approximated; the eliminant cofactors with no
+rational root are returned as witnesses instead, and split into irreducible
+factors only when a caller reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -24,7 +26,7 @@ from typing import Callable, Optional, Sequence
 from axial._backend import kernels
 from axial.linalg import Vec, combination, kernel as matrix_kernel, mat
 from axial.mpoly import MPoly
-from axial.univariate import irreducible_factors, primitive_part
+from axial.univariate import irreducible_factors, linear_factors, primitive_part
 
 
 class CapExceeded(Exception):
@@ -71,19 +73,36 @@ NEEDS_EXTENSION = "needs_extension"
 class SolveResult:
     """Rational solutions of a polynomial system, or the reason they stop.
 
+    `cofactors` holds, in the order extraction met them, the distinct parts
+    of the eliminants left after their linear factors: integer coefficients,
+    lowest degree first, each of degree at least 2 with no rational root.
     `points` is complete over the algebraic closure exactly when the status is
-    `finite` and `eliminant_factors` is empty: then every eliminant along the
-    extraction split into linear factors.
+    `finite` and `cofactors` is empty: then every eliminant along the
+    extraction split into linear factors.  `eliminant_factors` splits the
+    cofactors into irreducible factors on first read.
     """
 
     status: str
     points: list[Vec] = field(default_factory=list)
-    eliminant_factors: list[tuple[int, ...]] = field(default_factory=list)
+    cofactors: list[tuple[int, ...]] = field(default_factory=list)
     basis: list[MPoly] = field(default_factory=list)
 
     @property
     def complete_over_closure(self) -> bool:
-        return self.status == FINITE and not self.eliminant_factors
+        return self.status == FINITE and not self.cofactors
+
+    @functools.cached_property
+    def eliminant_factors(self) -> list[tuple[int, ...]]:
+        """The distinct irreducible factors of the cofactors, in their order.
+
+        Each cofactor has no rational root, so each factor has degree >= 2.
+        """
+        factors: list[tuple[int, ...]] = []
+        for cofactor in self.cofactors:
+            for factor, _mult in irreducible_factors(cofactor):
+                if factor not in factors:
+                    factors.append(factor)
+        return factors
 
 
 def _pack(p: MPoly) -> dict[int, int]:
@@ -356,12 +375,14 @@ def enumerate_points(gb: Sequence[MPoly]) -> SolveResult:
     `gb` must be a lex Groebner basis, reduced or not: the zero-dimensionality
     test and every branch are read off it.  An element has level k when x_k
     is its greatest variable.  From the least variable on, the partial point
-    (a_{k+1}, ...) is substituted into the level-k elements, and the nonzero
-    result of least degree in x_k is factored over Z: by Gianni-Kalkbrener
-    it is a scalar multiple of the branch's eliminant, as an element whose
-    leading coefficient vanishes specialises to 0 or to a multiple of it.
-    Irreducible factors of degree >= 2 are collected as extension witnesses
-    and flagged via the status.
+    (a_{k+1}, ...) is substituted into the level-k elements, and the linear
+    factors over Z of the nonzero result of least degree in x_k are split
+    off (`linear_factors`): by Gianni-Kalkbrener it is a scalar multiple of
+    the branch's eliminant, as an element whose leading coefficient
+    vanishes specialises to 0 or to a multiple of it.  Each rational root
+    opens a branch.  What is left, with no rational root, is kept unsplit
+    in `cofactors` as an extension witness and flagged via the status;
+    `SolveResult.eliminant_factors` factors it only when read.
     """
     gb = [g for g in gb if g]
     if not gb:
@@ -369,15 +390,15 @@ def enumerate_points(gb: Sequence[MPoly]) -> SolveResult:
     if not ideal_dimension_zero(gb):
         return SolveResult(POSITIVE_DIMENSIONAL, basis=gb)
     points: list[Vec] = []
-    factors: list[tuple[int, ...]] = []
+    cofactors: list[tuple[int, ...]] = []
     if not any(g.is_constant() for g in gb):
         levels: list[list[MPoly]] = [[] for _ in range(gb[0].nvars)]
         for g in gb:
             levels[min(g.variables_used())].append(g)
-        _extract(levels, (), points, factors)
+        _extract(levels, (), points, cofactors)
     _sort_points(points)
-    status = NEEDS_EXTENSION if factors else FINITE
-    return SolveResult(status, points, factors, gb)
+    status = NEEDS_EXTENSION if cofactors else FINITE
+    return SolveResult(status, points, cofactors, gb)
 
 
 def _sort_points(points: list[Vec]) -> None:
@@ -395,7 +416,7 @@ def _sort_points(points: list[Vec]) -> None:
     points.sort(key=lambda p: tuple(rank[x.numerator, x.denominator] for rank, x in zip(ranks, p)))
 
 
-def _extract(levels: list[list[MPoly]], point: tuple, points: list, factors: list) -> None:
+def _extract(levels: list[list[MPoly]], point: tuple, points: list, cofactors: list) -> None:
     k = len(levels) - len(point) - 1
     if k < 0:
         points.append(point)
@@ -405,12 +426,12 @@ def _extract(levels: list[list[MPoly]], point: tuple, points: list, factors: lis
     if not specialised:
         raise NotZeroDimensional("no eliminant found; the basis is not a Groebner basis")
     elim = min(specialised, key=lambda s: s.lead()[0])
-    for factor, _mult in irreducible_factors(elim.univariate_coeffs(k)):
-        if len(factor) == 2:
-            b, a = factor
-            _extract(levels, (Fraction(-b, a),) + point, points, factors)
-        elif factor not in factors:
-            factors.append(factor)
+    linear, rest = linear_factors(elim.univariate_coeffs(k))
+    for (b, a), _mult in linear:
+        _extract(levels, (Fraction(-b, a),) + point, points, cofactors)
+    for cofactor, _mult in rest:
+        if cofactor not in cofactors:
+            cofactors.append(cofactor)
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,19 @@ roots, factor lists.
 `primitive_part` is the package's one rational-to-integer scaling: every
 site that clears denominators and common content calls it.
 
-`irreducible_factors` answers the common shape of a lex eliminant, x^k
-times a squarefree polynomial with few rational roots and at most one
-nonlinear factor, with two classical exact tools:
-
-- rational roots by p-adic lifting (Loos 1983): the roots of the
-  squarefree part modulo a prime are Newton-lifted until they determine a
-  rational candidate, and each candidate is kept only when exact integer
-  evaluation confirms it;
-- the modular degree-pattern irreducibility test (Musser 1978): the
-  degrees of the irreducible factors modulo a prime bound the degrees a
-  factor over Z can have, and an empty intersection of those bounds over
-  a few primes proves the cofactor irreducible.
+Factoring is done in two halves, for the common shape of a lex
+eliminant, x^k times a squarefree polynomial with few rational roots and
+at most one nonlinear factor.  `linear_factors` is the first half: x^k,
+then rational roots by p-adic lifting (Loos 1983): the roots of the
+squarefree part modulo a prime are Newton-lifted until they determine a
+rational candidate, and each candidate is kept only when exact integer
+evaluation confirms it.  It leaves the cofactor with no rational root
+unsplit, which is all point extraction needs.  `irreducible_factors` adds
+the second half, the split of that cofactor by the modular degree-pattern
+irreducibility test (Musser 1978): the degrees of the irreducible factors
+modulo a prime bound the degrees a factor over Z can have, and an empty
+intersection of those bounds over a few primes proves the cofactor
+irreducible.
 
 The certificate has one direction.  An empty intersection is a proof;
 a nonempty one proves nothing, since a polynomial such as x^4 - 10x^2 + 1
@@ -72,6 +73,42 @@ def primitive_integer(coeffs) -> IntPoly:
     return tuple(ints)
 
 
+def linear_factors(coeffs) -> tuple[list[tuple[IntPoly, int]], list[tuple[IntPoly, int]]]:
+    """The linear factors over Z of the primitive part, and the rest unsplit.
+
+    Returns (linear, cofactors), each a list of (factor, multiplicity) in
+    the form of `irreducible_factors`.  `linear` holds x^k and the rational
+    roots, sorted by coefficients.  `cofactors` holds polynomials of degree
+    at least 2 with no rational root, whose irreducible factors, with the
+    multiplicities multiplied, are the nonlinear factors of the input.
+
+    x^k is split off first.  When the rest, g, is squarefree modulo one of
+    the first SQUAREFREE_TRIES primes of PRIMES that do not divide its
+    leading coefficient (which proves g squarefree over Q), its rational
+    roots are found by p-adic lifting and divided out, and what is left of
+    g, when its degree is at least 2, is the one cofactor.  Otherwise the
+    whole input is factored by sympy's `dup_factor_list`, and its
+    nonlinear factors, each irreducible, are the cofactors.
+    """
+    ints = primitive_integer(coeffs)
+    if len(ints) == 1:
+        return [], []
+    k = next(i for i, c in enumerate(ints) if c)
+    g = list(ints[k:])
+    linear = [((0, 1), k)] if k else []
+    if len(g) > 2:
+        split = _split_squarefree(g)
+        if split is None:
+            factors = _zassenhaus(ints)
+            return [f for f in factors if len(f[0]) == 2], [f for f in factors if len(f[0]) > 2]
+        roots, g = split
+        linear += roots
+    if len(g) == 2:
+        linear.append((tuple(g), 1))
+    linear.sort()
+    return linear, [(tuple(g), 1)] if len(g) > 2 else []
+
+
 def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
     """Irreducible factors over Z of the primitive part, with multiplicities.
 
@@ -79,35 +116,20 @@ def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
     first, with a positive leading coefficient; the rational content is
     dropped.  The list is sorted by degree, then by coefficients.
 
-    x^k is split off first.  When the rest, g, is squarefree modulo one of
-    the first SQUAREFREE_TRIES primes of PRIMES that do not divide its
-    leading coefficient (which proves g squarefree over Q), its rational
-    roots are found by p-adic lifting and divided out.  The cofactor is
-    irreducible when its degree is at most 3 (it has no rational root
-    left), or when the degree patterns of up to PATTERN_PRIMES primes
-    leave no possible degree for a proper factor.  Otherwise only the
-    cofactor is factored by sympy's `dup_factor_list`: an inconclusive
-    pattern proves nothing.  The whole input goes there only when no
-    squarefree image is found.
+    The linear factors are those of `linear_factors`, and each of its
+    cofactors is split in turn.  A cofactor is irreducible when its degree
+    is at most 3 (it has no rational root), or when the degree patterns of
+    up to PATTERN_PRIMES primes leave no possible degree for a proper
+    factor.  Otherwise only the cofactor is factored by sympy's
+    `dup_factor_list`: an inconclusive pattern proves nothing.
     """
-    ints = primitive_integer(coeffs)
-    if len(ints) == 1:
-        return []
-    k = next(i for i, c in enumerate(ints) if c)
-    g = list(ints[k:])
-    out = [((0, 1), k)] if k else []
-    if len(g) > 2:
-        split = _split_squarefree(g)
-        if split is None:
-            return _zassenhaus(ints)
-        roots, g = split
-        out += roots
-    if len(g) > 4 and not _pattern_certifies(g):
-        out += _zassenhaus(tuple(g))
-    elif len(g) > 1:
-        out.append((tuple(g), 1))
-    out.sort(key=lambda item: (len(item[0]), item[0]))
-    return out
+    factors, cofactors = linear_factors(coeffs)
+    for h, mult in cofactors:
+        if len(h) > 4 and not _pattern_certifies(h):
+            factors += [(f, mult * m) for f, m in _zassenhaus(h)]
+        else:
+            factors.append((h, mult))
+    return factors
 
 
 def is_squarefree(coeffs) -> bool:

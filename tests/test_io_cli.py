@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from axial.algebra import Algebra
 from axial.cli import main
 from axial.io import (
     AlgebraFileError,
@@ -352,6 +353,39 @@ def test_cli_sign_kernel_names_the_option_of_a_bad_token(capsys, option, spec, m
     ]
     assert main(args) == 4
     assert f"error: {message}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["matsuo", str(FIXTURES / "s3.grp"), "--eta", "1/0"], "--eta"),
+        (["flip", str(FIXTURES / "s4.grp"), "--eta", "1/0", "--sigma", "(1,2)(3,4)"], "--eta"),
+        (["axes-naive", str(FIXTURES / "q2.alg"), "--length", "1/0"], "--length"),
+        (["axes-nuanced", str(FIXTURES / "q2.alg"), "--axis", "3", "--length", "1/0"], "--length"),
+        (["axes-nuanced", str(FIXTURES / "q2.alg"), "--axis", "3", "--z-lengths", "1,1/0"], "--z-lengths"),
+    ],
+)
+def test_cli_names_the_option_of_a_zero_denominator(capsys, argv, option):
+    assert main(argv) == 4
+    assert f"error: {option}: '1/0' is not a rational number" in capsys.readouterr().out
+
+
+def test_cli_axes_naive_reports_the_irreducible_eliminant_factors(tmp_path, capsys):
+    # Algebra 54 of the seeded criterion-9 draws: its one nonlinear
+    # eliminant, of degree 7, splits into a quadratic and a quintic
+    gamma = [
+        (0, 0, 0, -1), (0, 0, 2, -2), (0, 1, 0, -2), (0, 1, 1, 1), (0, 1, 2, -1), (0, 2, 0, 1),
+        (0, 2, 1, 1), (0, 2, 2, -2), (1, 1, 0, 2), (1, 1, 1, 1), (1, 1, 2, -2), (1, 2, 1, 1),
+        (1, 2, 2, 2), (2, 2, 0, 2), (2, 2, 1, -1), (2, 2, 2, 1),
+    ]
+    path = tmp_path / "random.alg"
+    path.write_text(emit_algebra(Algebra.from_gamma(3, gamma)))
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "axes-naive", str(path)]) == 0
+    report = json.loads(out.read_text())
+    assert report["status"] == "needs_extension"
+    assert report["idempotents"] == [["0", "0", "0"]]
+    assert report["eliminant_factors"] == [[4, -32, 103], [26, 35, -1078, 6304, -18300, 27541]]
 
 
 def test_cli_matsuo_roundtrip(tmp_path, capsys):

@@ -110,6 +110,17 @@ def test_primitive_part_is_a_coprime_positive_multiple(values):
     assert all(v == ratio * x for x, v in zip(values, ints))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-60, 60), max_size=6))
+@example([0, 0])  # all zeros: an empty row
+@example([-12, 0, 18])  # content 6, the negative entry kept negative
+def test_primitive_row_of_ints_equals_the_primitive_part(values):
+    row = _kernels_py.primitive_row(enumerate(values))
+    nonzero = [(c, v) for c, v in enumerate(values) if v]
+    assert row == dict(zip([c for c, _ in nonzero], primitive_part([v for _, v in nonzero])))
+    assert all(type(v) is int for v in row.values())
+
+
 @settings(max_examples=100, deadline=None)
 @given(reduction_instances())
 def test_divisor_is_primitive_with_positive_lead(instance):

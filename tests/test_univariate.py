@@ -110,6 +110,20 @@ def test_eliminant_shaped_factors_match_sympy_poly(coeffs):
     assert irreducible_factors(coeffs) == reference_factors(coeffs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(factored_polynomials(), eliminant_shaped()))
+@example([Fraction(5, 2)])  # a constant: no factor of either kind
+@example(times(x_power(2), [-2, 0, 1]))  # x^2 (x^2 - 2): one cofactor
+@example(times([-1, 1], [-1, 1], [1, 0, 1], [1, 0, 1]))  # no squarefree image: sympy's cofactors
+def test_linear_factors_leave_the_nonlinear_factors_in_the_cofactors(coeffs):
+    reference = reference_factors(coeffs)
+    linear, cofactors = univariate.linear_factors(coeffs)
+    assert linear == [item for item in reference if len(item[0]) == 2]
+    assert all(len(h) > 2 for h, _ in cofactors)
+    split = [(f, m * mf) for h, m in cofactors for f, mf in irreducible_factors(h)]
+    assert sorted(split) == sorted(item for item in reference if len(item[0]) > 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(factored_polynomials(), eliminant_shaped()))
 @example([Fraction(1), Fraction(-2), Fraction(1)])  # (x - 1)^2
@@ -203,20 +217,49 @@ def criterion_9_algebras(count):
 
 def test_solver_eliminants_match_sympy_and_rarely_reach_the_fallback(fallbacks, monkeypatch):
     eliminants = []
-    original = groebner.irreducible_factors
+    original = groebner.linear_factors
 
     def recorded(coeffs):
-        eliminants.append(list(coeffs))
-        return original(coeffs)
+        halves = original(coeffs)
+        eliminants.append((list(coeffs), halves))
+        return halves
 
-    monkeypatch.setattr(groebner, "irreducible_factors", recorded)
-    for alg in criterion_9_algebras(150):
-        naive_idempotents(alg)
+    monkeypatch.setattr(groebner, "linear_factors", recorded)
+    results = [naive_idempotents(alg) for alg in criterion_9_algebras(150)]
+    # Extraction splits off the rational roots only: the one fallback is an
+    # eliminant with no squarefree image, factored whole
+    assert len(fallbacks) == 1
+    for result in results:
+        result.eliminant_factors
     assert len(fallbacks) == 7
-    for coeffs in eliminants:
-        assert irreducible_factors(coeffs) == reference_factors(coeffs)
-    # Sympy's factoring ran on every one of these 480 eliminants (none is
-    # constant); now 7 of them need it.
+    for coeffs, (linear, cofactors) in eliminants:
+        split = [(f, m * mf) for h, m in cofactors for f, mf in irreducible_factors(h)]
+        assert sorted(linear + split, key=lambda item: (len(item[0]), item[0])) == (
+            reference_factors(coeffs)
+        )
+    # Sympy's factoring once ran on every one of these 480 eliminants (none
+    # is constant); now 1 needs it during the solves, and 6 cofactors when
+    # the factors are read.
     assert len(eliminants) == 480
-    assert all(len(primitive_integer(c)) > 1 for c in eliminants)
-    assert max(len(primitive_integer(c)) - 1 for c in eliminants) == 8
+    assert all(len(primitive_integer(c)) > 1 for c, _ in eliminants)
+    assert max(len(primitive_integer(c)) - 1 for c, _ in eliminants) == 8
+
+
+def test_extraction_certifies_no_cofactor_until_the_factors_are_read(monkeypatch):
+    certified = []
+    original = univariate._pattern_certifies
+
+    def counted(h):
+        certified.append(tuple(h))
+        return original(h)
+
+    monkeypatch.setattr(univariate, "_pattern_certifies", counted)
+    results = [naive_idempotents(alg) for alg in criterion_9_algebras(20)]
+    assert any(len(h) > 4 for result in results for h in result.cofactors)
+    assert not certified
+    factors = [result.eliminant_factors for result in results]
+    assert certified
+    # the list is kept: a second read splits nothing
+    count = len(certified)
+    assert [result.eliminant_factors for result in results] == factors
+    assert len(certified) == count

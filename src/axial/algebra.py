@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from axial._backend import kernels
 from axial.linalg import (
@@ -497,11 +497,23 @@ class IntegerAdjoint:
 
     def eigenspace(self, nu: Fraction) -> Subspace:
         """The nu-eigenspace of ad(a): the null space of D ad - D nu."""
+        return null_space((row.items() for row in self._shifted_rows(nu)), len(self.rows))
+
+    def lacks_eigenvalue(self, nu: Fraction) -> bool:
+        """Whether nu is proved not to be an eigenvalue of ad(a).
+
+        True is a proof: the rows of D ad - D nu have full rank mod the
+        prime `linalg.MODULUS`, hence over Q.  False proves nothing: nu is
+        an eigenvalue, or the rank falls short mod p only.
+        """
+        n = len(self.rows)
+        return len(independent_mod_p(self._shifted_rows(nu), n)) == n
+
+    def _shifted_rows(self, nu: Fraction) -> Iterator[dict[int, int]]:
+        """The rows of D ad - D nu, as {index: int} (a zero may appear on
+        the diagonal)."""
         s = nu.numerator * (self.scale // nu.denominator)
-        return null_space(
-            ({**row, i: row.get(i, 0) - s}.items() for i, row in enumerate(self.rows)),
-            len(self.rows),
-        )
+        return ({**row, i: row.get(i, 0) - s} for i, row in enumerate(self.rows))
 
     def shift(self, nu: Fraction, x: dict[int, int]) -> dict[int, int]:
         """(D ad - D nu) x."""

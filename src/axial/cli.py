@@ -127,9 +127,13 @@ def _load(args) -> tuple[Algebra, list[tuple[str, tuple]], FusionLaw | None]:
 
 
 def _verified_axes(alg, tagged_axes, custom_law) -> list[Axis]:
+    """Certify each tagged axis in order, parsing each distinct law tag once."""
     axes = []
+    laws: dict[str, FusionLaw] = {}
     for position, (tag, v) in enumerate(tagged_axes, start=1):
-        law = parse_law_spec(tag, custom_law)
+        if tag not in laws:
+            laws[tag] = parse_law_spec(tag, custom_law)
+        law = laws[tag]
         axis, reason = check_axis_verbose(alg, v, law)
         if axis is None:
             raise AlgebraError(f"axis {position} fails verification: {reason}")

@@ -11,9 +11,10 @@ certificate carries the eigenspace decomposition; the graded involution
 matrices it entitles are built when first read.
 
 The axis certificate, `infer_fusion_law` and `derivation_space` work over
-the integers on the algebra's cached `integer_table`, the first two through
-its `IntegerAdjoint`; `infer_fusion_law` reads the spectrum off that
-adjoint's minimal polynomial, and no dense adjoint is formed.
+the integers on the algebra's cached `integer_table`, through its
+`IntegerAdjoint`; `infer_fusion_law` reads the spectrum off that adjoint's
+minimal polynomial, `derivation_space` first drops the columns its
+idempotent basis vectors prove zero, and no dense adjoint is formed.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ from axial.linalg import (
     sparse_kernel,
     subspace_sum,
     transpose,
+    unit_vec,
     vec,
 )
 from axial.univariate import irreducible_factors, is_squarefree, primitive_part
 
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 class FusionLaw:
@@ -428,33 +431,74 @@ def is_automorphism(alg: Algebra, g: Mat) -> bool:
 def derivation_space(alg: Algebra) -> Subspace:
     """Solutions d of the Leibniz identity on all basis pairs, as n^2 vectors.
 
-    The unknown d[r][c] (the e_r part of d(e_c)) is entry r*n + c.  Each
-    equation d(e_i e_j) = d(e_i) e_j + e_i d(e_j), read at one output e_k, is
-    built from the scaled constants of the `integer_table`, without zero
-    entries, and solved by `sparse_kernel`.  Full rank mod p there proves
-    the space zero; on a rank deficit mod p, which proves nothing, the rows
-    that raised the rank are solved exactly and the answer is checked
-    against every row.  A zero space certifies that the automorphism group
-    (an algebraic group in characteristic zero) is finite.
+    The unknown d[r][c] (the e_r part of d(e_c)) is entry r*n + c.  For an
+    idempotent e, d(e) = d(e e) = 2 e d(e), so d(e) lies in the
+    1/2-eigenspace of ad(e).  Each basis vector with e_c e_c = e_c is
+    screened by `IntegerAdjoint.lacks_eigenvalue(1/2)`: full rank mod p
+    proves that space zero, hence column c of every derivation zero, and its
+    n unknowns leave the system.  A rank deficit mod p proves nothing, and
+    the column stays.  When every column is certified no row is built.
+
+    Each equation d(e_i e_j) = d(e_i) e_j + e_i d(e_j), read at one output
+    e_k, is built over the remaining unknowns, numbered in increasing
+    (r, c) order, from the scaled constants of the `integer_table`, without
+    zero entries, and solved by `sparse_kernel`.  Full rank mod p there
+    proves the space zero; on a rank deficit mod p, which proves nothing,
+    the rows that raised the rank are solved exactly and the answer is
+    checked against the other rows.  Putting the certified columns back as
+    zeros keeps the order of the unknowns, so the basis stays canonical.
+    A zero space certifies that the automorphism group (an algebraic group
+    in characteristic zero) is finite.
     """
     n = alg.dim
     ints = alg.integer_table()
+    free = [c for c in range(n) if not _column_is_zero(alg, c)]
+    if not free:
+        return Subspace(n * n)
+    width = len(free)
+    position = {c: p for p, c in enumerate(free)}
     rows = []
     for i in range(n):
         for j in range(i, n):
             eqs: list[dict[int, int]] = [{} for _ in range(n)]
             # d(e_i e_j) = sum_m gamma_ij^m d(e_m), whose e_k part is d[k][m]
             for m, c in ints.table.get((i, j), ()):
-                for k in range(n):
-                    eqs[k][k * n + m] = c
+                if (p := position.get(m)) is not None:
+                    for k in range(n):
+                        eqs[k][k * width + p] = c
             # minus d(e_i) e_j = sum_r d[r][i] e_r e_j, and e_i d(e_j) likewise
             for col, others in ((i, ints.partners[j]), (j, ints.partners[i])):
+                if (p := position.get(col)) is None:
+                    continue
                 for r, product in others:
-                    key = r * n + col
+                    key = r * width + p
                     for k, c in product:
                         eqs[k][key] = eqs[k].get(key, 0) - c
             rows.extend(row for eq in eqs if (row := {key: c for key, c in eq.items() if c}))
-    return sparse_kernel(rows, n * n)
+    space = sparse_kernel(rows, n * width)
+    if width == n:
+        return space
+
+    def unknown(q: int) -> int:
+        return q // width * n + free[q % width]
+
+    basis = []
+    for v in space.basis:
+        w = [ZERO] * (n * n)
+        for q, x in enumerate(v):
+            if x:
+                w[unknown(q)] = x
+        basis.append(tuple(w))
+    return Subspace._canonical(n * n, basis, [unknown(q) for q in space.pivots])
+
+
+def _column_is_zero(alg: Algebra, c: int) -> bool:
+    """Whether d(e_c) = 0 is proved for every derivation d: e_c is
+    idempotent and 1/2 is proved not to be an eigenvalue of ad(e_c)."""
+    ints = alg.integer_table()
+    if ints.table.get((c, c)) != ((c, ints.denom),):
+        return False
+    return IntegerAdjoint(alg, unit_vec(alg.dim, c), (HALF,)).lacks_eigenvalue(HALF)
 
 
 def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:

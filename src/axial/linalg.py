@@ -7,7 +7,7 @@ alike, is the one sparse integer elimination of `axial._kernels_py`, and
 every null space (`kernel`, `sparse_kernel`, `eigenspace`, `intersect` and
 the axis eigenspaces of `axial.fusion`) is read off it by `null_space`.
 The exact stage of `sparse_kernel` solves only the rows its mod-p screen
-kept, and checks the answer against every row.
+kept, and checks the answer against the rows it did not keep.
 `solve` and `inverse` read their answers off one RREF of an augmented
 matrix, and `det` is Bareiss's fraction-free elimination.
 """
@@ -349,15 +349,18 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
     over Q is zero.  Otherwise the exact stage solves the kept rows only by
     `null_space`: they are independent over Q, so their null space contains
     the true one, and it is the true one when each of its basis vectors,
-    scaled to integers, is killed by every row.  When that check fails, the
-    whole system is solved exactly.
+    scaled to integers, is killed by every row that was not kept (the kept
+    rows kill it by construction).  When that check fails, the whole system
+    is solved exactly.
     """
     rows = sorted(rows, key=len)  # sparsest first keeps the fill-in low
     kept = independent_mod_p(rows, ncols)
     if len(kept) == ncols:
         return Subspace(ncols)
     space = null_space((row.items() for row in kept), ncols)
-    if len(kept) < len(rows) and not _kills(rows, space):
+    kept_ids = {id(row) for row in kept}
+    others = [row for row in rows if id(row) not in kept_ids]
+    if others and not _kills(others, space):
         space = null_space((row.items() for row in rows), ncols)
     return space
 

@@ -22,7 +22,7 @@ The certificate has one direction.  An empty intersection is a proof;
 a nonempty one proves nothing, since a polynomial such as x^4 - 10x^2 + 1
 is irreducible over Z and reducible modulo every prime.  In every
 inconclusive case the cofactor left after x^k and the rational roots, and
-every input with no squarefree image among the first primes tried, is
+every input with no squarefree image modulo the primes of PRIMES, is
 factored by sympy's dense Zassenhaus factoring over ZZ instead, so the
 result is the same factor list either way.
 """
@@ -38,9 +38,6 @@ IntPoly = tuple[int, ...]  # coefficients, lowest degree first
 # keep root finding by evaluation cheap; 2 is left out because x^2 - x
 # vanishes on all of F_2, so few polynomials are squarefree there.
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
-# Primes not dividing the leading coefficient tried for a squarefree image
-# before the input goes to the fallback (a non-squarefree input has none).
-SQUAREFREE_TRIES = 4
 # Squarefree images whose degree patterns are intersected before the
 # certificate gives up.
 PATTERN_PRIMES = 6
@@ -83,12 +80,12 @@ def linear_factors(coeffs) -> tuple[list[tuple[IntPoly, int]], list[tuple[IntPol
     multiplicities multiplied, are the nonlinear factors of the input.
 
     x^k is split off first.  When the rest, g, is squarefree modulo one of
-    the first SQUAREFREE_TRIES primes of PRIMES that do not divide its
-    leading coefficient (which proves g squarefree over Q), its rational
-    roots are found by p-adic lifting and divided out, and what is left of
-    g, when its degree is at least 2, is the one cofactor.  Otherwise the
-    whole input is factored by sympy's `dup_factor_list`, and its
-    nonlinear factors, each irreducible, are the cofactors.
+    the primes of PRIMES that do not divide its leading coefficient (which
+    proves g squarefree over Q), its rational roots are found by p-adic
+    lifting and divided out, and what is left of g, when its degree is at
+    least 2, is the one cofactor.  Otherwise the whole input is factored by
+    sympy's `dup_factor_list`, and its nonlinear factors, each irreducible,
+    are the cofactors.
     """
     ints = primitive_integer(coeffs)
     if len(ints) == 1:
@@ -166,18 +163,16 @@ def _split_squarefree(g: list[int]):
 
     g is primitive, of degree at least 2, with a positive leading
     coefficient and a nonzero constant term.  Returns (linear factors, h)
-    when g is squarefree modulo one of the first primes tried, h being the
-    cofactor of g's rational roots: primitive, squarefree, with a positive
-    leading coefficient and no rational root.  Returns None when no such
-    prime is found.
+    when g is squarefree modulo a prime of PRIMES not dividing its leading
+    coefficient, h being the cofactor of g's rational roots: primitive,
+    squarefree, with a positive leading coefficient and no rational root.
+    Returns None when no such prime is found, as for every g with a repeated
+    factor: each image test is a gcd over a small field, cheap next to the
+    fallback.
     """
-    tried = 0
     for p in PRIMES:
         if g[-1] % p == 0:
             continue
-        if tried == SQUAREFREE_TRIES:
-            return None
-        tried += 1
         image = [c % p for c in g]
         if _is_squarefree(image, p):
             break

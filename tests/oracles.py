@@ -13,7 +13,8 @@ ones against: `reference_rref` (the dense fraction-free loop),
 (its rational roots by Sturm bisection, one dense eigenspace each),
 `reference_coordinates` (one linear solve per vector),
 `reference_graded_involution` (one solve per column),
-`reference_derivation_space` (one dense RREF),
+`reference_derivation_space` (one dense RREF of
+`reference_leibniz_rows`, every column kept),
 `reference_check_axis` (one membership test per eigenvector product),
 `reference_infer_fusion_law` (eigenbasis coordinates of every product, on
 `reference_semisimple_spectrum`, so without sympy),
@@ -874,11 +875,19 @@ def reference_graded_involution(eigendata, negated, n):
 def reference_derivation_space(alg):
     """Derivations of an algebra by one dense RREF of the whole Leibniz system.
 
-    The package's `derivation_space` as it was before it built sparse rows
-    and screened their rank mod p; kept as an oracle for that rewrite.
+    The package's `derivation_space` as it was before it built sparse rows,
+    screened their rank mod p and dropped the columns its idempotents prove
+    zero; kept as an oracle for those rewrites.
     """
     from axial.linalg import kernel, mat
 
+    return kernel(mat(reference_leibniz_rows(alg)))
+
+
+def reference_leibniz_rows(alg):
+    """The dense Leibniz system over all n^2 unknowns d[r][c] (entry r*n + c):
+    one row per basis pair i <= j and output k, in that order, zero rows
+    included."""
     n = alg.dim
 
     def dense(sparse_row):
@@ -909,7 +918,7 @@ def reference_derivation_space(alg):
                         if kk == k:
                             row[r * n + j] -= c
                 rows.append(tuple(row))
-    return kernel(mat(rows))
+    return rows
 
 
 def reference_ad_matrix(alg, u):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from axial import fusion, linalg
 from axial._backend import kernels
@@ -36,12 +36,18 @@ from axial.linalg import (
     vscale,
     zero_vec,
 )
-from axial.matsuo import matsuo_algebra, symmetric_transpositions, transposition_perm
+from axial.matsuo import (
+    double_axes_and_flip,
+    matsuo_algebra,
+    symmetric_transpositions,
+    transposition_perm,
+)
 from oracles import (
     reference_check_axis,
     reference_derivation_space,
     reference_graded_involution,
     reference_infer_fusion_law,
+    reference_leibniz_rows,
 )
 
 
@@ -302,9 +308,9 @@ def test_derivation_space_at_one_half_solves_the_kept_rows_only(monkeypatch, m):
 
 
 def test_derivation_space_s5_needs_no_dense_rref(monkeypatch):
-    # Work counter: at 1/4 the Leibniz system of Matsuo S5 (100 unknowns)
-    # has full rank mod p, which certifies the zero space with no RREF over
-    # Q at all.  The dense solve ran one 550 x 100 RREF.
+    # Work counter: at 1/4 the derivation space of Matsuo S5 (100 unknowns)
+    # is certified zero with no RREF over Q at all.  The dense solve ran one
+    # 550 x 100 RREF.
     alg = matsuo_algebra(symmetric_transpositions(5), F(1, 4))
     calls = []
     original = kernels.rref
@@ -316,6 +322,107 @@ def test_derivation_space_s5_needs_no_dense_rref(monkeypatch):
     monkeypatch.setattr(kernels, "rref", counting)
     assert derivation_space(alg).is_zero()
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("eta", DERIVATION_ETAS)
+def test_derivation_space_matches_reference_on_matsuo(m, eta):
+    # Every column is certified zero at eta != 1/2 and none at 1/2
+    alg = matsuo_algebra(symmetric_transpositions(m), F(eta))
+    assert derivation_space(alg) == reference_derivation_space(alg)
+
+
+def _sparse_kernel_calls(monkeypatch):
+    """Record (rows, ncols) of each `sparse_kernel` call of `derivation_space`."""
+    calls = []
+    original = fusion.sparse_kernel
+
+    def recorded(rows, ncols):
+        rows = list(rows)
+        calls.append((rows, ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(fusion, "sparse_kernel", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name, certified", [("q2.alg", 2), ("triple2b.alg", 4)])
+def test_derivation_space_solves_only_the_uncertified_columns(monkeypatch, name, certified):
+    # q2 has two basis axes with no 1/2-eigenvalue (and two with one), and
+    # triple2b four of seven: the Leibniz system keeps only the other columns
+    calls = _sparse_kernel_calls(monkeypatch)
+    alg = parse_algebra(FIXTURES / name).algebra
+    n = alg.dim
+    space = derivation_space(alg)
+    assert space == reference_derivation_space(alg) and space.is_zero()
+    assert [ncols for _, ncols in calls] == [n * (n - certified)]
+
+
+@pytest.mark.parametrize("eta", ["1/4", "1/2", "1/3"])
+@pytest.mark.parametrize("m, sigma", [(5, (1, 0, 3, 2, 4)), (6, (1, 0, 3, 2, 5, 4))])
+def test_derivation_space_matches_reference_on_flip_subalgebras(m, sigma, eta):
+    # flip subalgebras mix single axes, double axes and other basis vectors
+    alg = double_axes_and_flip(symmetric_transpositions(m), F(eta), sigma).algebra
+    assert derivation_space(alg) == reference_derivation_space(alg)
+
+
+def test_derivation_space_matsuo_s6_at_a_quarter_builds_no_system(monkeypatch):
+    # Work counter: each of the 15 axes of Matsuo S6 at 1/4 has spectrum
+    # {1, 0, 1/4}, so every column is certified zero and no Leibniz row is
+    # built, where the whole system has 1800 rows over 225 unknowns.
+    calls = _sparse_kernel_calls(monkeypatch)
+    assert derivation_space(matsuo_algebra(symmetric_transpositions(6), F(1, 4))).is_zero()
+    assert calls == []
+
+
+def test_derivation_space_at_one_half_solves_the_whole_system(monkeypatch):
+    # At 1/2 no column is certified, so `sparse_kernel` receives the whole
+    # Leibniz system: its nonzero rows, in order, scaled by the table's
+    # denominator.
+    calls = _sparse_kernel_calls(monkeypatch)
+    alg = matsuo_algebra(symmetric_transpositions(5), F(1, 2))
+    n, denom = alg.dim, alg.integer_table().denom
+    assert derivation_space(alg).dim == 6
+    [(rows, ncols)] = calls
+    dense = []
+    for row in rows:
+        out = [F(0)] * (n * n)
+        for key, c in row.items():
+            out[key] = F(c, denom)
+        dense.append(tuple(out))
+    assert ncols == n * n
+    assert dense == [row for row in reference_leibniz_rows(alg) if any(row)]
+
+
+# products of the basis vectors that are not forced idempotent; 1/2 is
+# drawn often, so some forced idempotents keep a 1/2-eigenvalue
+idempotent_mix_constants = st.sampled_from(
+    [F(0)] * 6 + [F(1, 2)] * 3 + [F(1), F(-1), F(1, 4), F(2, 3), F(-3, 2)]
+)
+
+
+@st.composite
+def algebras_with_idempotent_basis_vectors(draw):
+    n = draw(st.integers(2, 4))
+    idempotent = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    gamma = []
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and i in idempotent:
+                gamma.append((i, i, i, 1))
+            else:
+                gamma += [(i, j, k, draw(idempotent_mix_constants)) for k in range(n)]
+    return Algebra.from_gamma(n, gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_with_idempotent_basis_vectors())
+@example(
+    # e0 e1 = 1/2 e1 keeps column 0; e2 (spectrum {1, 0}) is certified
+    Algebra.from_gamma(3, [(0, 0, 0, 1), (0, 1, 1, F(1, 2)), (2, 2, 2, 1), (1, 1, 0, 1)])
+)
+def test_derivation_space_matches_reference_with_idempotent_basis_vectors(alg):
+    assert derivation_space(alg) == reference_derivation_space(alg)
 
 
 def test_infer_fusion_law(q2, matsuo_s3_quarter):

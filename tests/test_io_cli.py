@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from axial.algebra import Algebra
+from axial import cli
+from axial.algebra import Algebra, AlgebraError
 from axial.cli import main
 from axial.io import (
     AlgebraFileError,
@@ -300,6 +301,40 @@ def test_cli_sign_kernel_rejects_bad_long_probes(capsys, spec, triple):
     assert main(args) == 4
     out = capsys.readouterr().out
     assert f"error: long probe {triple} is not three distinct component positions in 0..2" in out
+
+
+def test_verified_axes_parse_each_law_tag_once(monkeypatch):
+    # q2 tags its four axes with one law: one parse, one law object shared
+    parsed = parse_algebra(FIXTURES / "q2.alg")
+    calls = []
+
+    def counted(tag, custom=None):
+        calls.append(tag)
+        return parse_law_spec(tag, custom)
+
+    monkeypatch.setattr(cli, "parse_law_spec", counted)
+    axes = cli._verified_axes(parsed.algebra, parsed.axes, parsed.law)
+    assert len(axes) == 4 and calls == ["m:1/2:1/4"]
+    assert all(axis.law is axes[0].law for axis in axes)
+    # a bad tag still raises where it first appears, after the axes before it
+    vectors = [v for _, v in parsed.axes]
+    tagged = [("m:1/2:1/4", vectors[0]), ("m:1/2:1/4", vectors[1]), ("nope", vectors[2])]
+    calls.clear()
+    with pytest.raises(AlgebraFileError, match="unknown law spec 'nope'"):
+        cli._verified_axes(parsed.algebra, tagged, parsed.law)
+    assert calls == ["m:1/2:1/4", "nope"]
+    # and an axis that fails its law is named by its position
+    tagged = [("m:1/2:1/4", vectors[0]), ("j:1/3", vectors[1]), ("nope", vectors[2])]
+    with pytest.raises(AlgebraError, match="axis 2 fails verification"):
+        cli._verified_axes(parsed.algebra, tagged, parsed.law)
+
+
+def test_cli_reports_a_bad_axis_tag(capsys, tmp_path):
+    text = (FIXTURES / "q2.alg").read_text().replace("m:1/2:1/4 0 0 1 0", "nope 0 0 1 0")
+    path = tmp_path / "bad_tag.alg"
+    path.write_text(text)
+    assert main(["miy", str(path)]) == 4
+    assert "unknown law spec 'nope'" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["twins", "axes-nuanced"])

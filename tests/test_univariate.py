@@ -195,10 +195,18 @@ def test_a_non_squarefree_input_tries_a_bounded_number_of_primes(fallbacks, monk
         return original(image, p)
 
     monkeypatch.setattr(univariate, "_is_squarefree", counted)
+    # a repeated factor leaves no squarefree image: every prime of PRIMES
+    # is tried once, then the whole input goes to the fallback once
     coeffs = times([-1, 1], x_power(3), [-1, 4], [-1, 4])  # (x - 1) x^3 (4x - 1)^2
     assert irreducible_factors(coeffs) == [((-1, 1), 1), ((-1, 4), 2), ((0, 1), 3)]
-    assert tested == [3, 5, 7, 11] and len(tested) == univariate.SQUAREFREE_TRIES
+    assert tested == list(univariate.PRIMES)
     assert len(fallbacks) == 1
+    # primes dividing the leading coefficient are skipped
+    tested.clear()
+    coeffs = times([-1, 3], [-1, 5], [-1, 5])  # (3x - 1)(5x - 1)^2
+    assert irreducible_factors(coeffs) == [((-1, 3), 1), ((-1, 5), 2)]
+    assert tested == [p for p in univariate.PRIMES if p not in (3, 5)]
+    assert len(fallbacks) == 2
 
 
 def criterion_9_algebras(count):
@@ -226,9 +234,10 @@ def test_solver_eliminants_match_sympy_and_rarely_reach_the_fallback(fallbacks, 
 
     monkeypatch.setattr(groebner, "linear_factors", recorded)
     results = [naive_idempotents(alg) for alg in criterion_9_algebras(150)]
-    # Extraction splits off the rational roots only: the one fallback is an
-    # eliminant with no squarefree image, factored whole
-    assert len(fallbacks) == 1
+    # Extraction splits off the rational roots only, and every eliminant
+    # here has a squarefree image modulo some prime of PRIMES, so none is
+    # factored whole
+    assert len(fallbacks) == 0
     for result in results:
         result.eliminant_factors
     assert len(fallbacks) == 7
@@ -238,8 +247,8 @@ def test_solver_eliminants_match_sympy_and_rarely_reach_the_fallback(fallbacks, 
             reference_factors(coeffs)
         )
     # Sympy's factoring once ran on every one of these 480 eliminants (none
-    # is constant); now 1 needs it during the solves, and 6 cofactors when
-    # the factors are read.
+    # is constant); now none needs it during the solves, and 7 cofactors
+    # when the factors are read.
     assert len(eliminants) == 480
     assert all(len(primitive_integer(c)) > 1 for c, _ in eliminants)
     assert max(len(primitive_integer(c)) - 1 for c, _ in eliminants) == 8

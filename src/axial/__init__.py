@@ -18,7 +18,6 @@ from axial.axet import (
     Axet,
     AutGroup,
     MiyGroup,
-    NS_UNIT_LENGTHS,
     PairClass,
     aut_from_axis_permutations,
     classify_pair,
@@ -27,7 +26,6 @@ from axial.axet import (
     jordan_axes,
     miyamoto_group,
     tau_realizer,
-    transport_axis,
     twins_of,
 )
 from axial.decomp import (
@@ -47,6 +45,7 @@ from axial.fusion import (
     Axis,
     FusionLaw,
     MONSTER_QUARTER,
+    NS_UNIT_LENGTHS,
     check_axis,
     check_axis_verbose,
     derivation_space,

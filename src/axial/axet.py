@@ -1,5 +1,9 @@
 """Closed axis sets, the Miyamoto group, twins, Jordan axes, pair classes.
 
+`close_axet` builds each new axis as an `Axis` of its vector, with its own
+integer adjoint: the image of a certified axis under an automorphism needs
+no certificate, and no dense matrix is multiplied to find it.
+
 The Miyamoto group and the automorphisms permuting an axet are held as
 sympy permutation groups on spanning sets of vectors, with one matrix per
 generator; their orders and orbits come from deterministic Schreier-Sims,
@@ -13,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from axial.algebra import Algebra, AlgebraError
+from axial.algebra import Algebra, AlgebraError, IntegerAdjoint
 from axial.fusion import (
     Axis,
     FusionLaw,
     MONSTER_QUARTER,
+    NS_UNIT_LENGTHS,
     check_axis,
     is_automorphism,
     jordan_law,
@@ -47,20 +52,6 @@ from axial.search import axes_from_idempotents, naive_idempotents
 if TYPE_CHECKING:
     from sympy.combinatorics import Permutation, PermutationGroup
 
-# Identity lengths of the two-generated algebras of Monster type (1/4, 1/32),
-# the only classification data this library builds in.
-NS_UNIT_LENGTHS: dict[str, Fraction] = {
-    "2A": Fraction(12, 5),
-    "2B": Fraction(2),
-    "3A": Fraction(116, 35),
-    "3C": Fraction(32, 11),
-    "4A": Fraction(4),
-    "4B": Fraction(19, 5),
-    "5A": Fraction(32, 7),
-    "6A": Fraction(51, 10),
-}
-
-
 @dataclass
 class Axet:
     """A set of axes closed under all of their graded involutions."""
@@ -85,32 +76,6 @@ class Axet:
         return Subspace(dim, self.vectors()).dim == dim
 
 
-def transport_axis(axis: Axis, g: Mat, g_inv: Mat) -> Axis:
-    """Image of a verified axis under a verified automorphism.
-
-    Eigendata and involutions move by conjugation, which preserves every
-    certified property exactly.  The eigendata move now; each involution is
-    conjugated when it is first read.
-    """
-    n = len(axis.vector)
-    new_eigendata = tuple(
-        (lam, Subspace(n, [mat_vec(g, b) for b in space.basis]))
-        for lam, space in axis.eigendata
-    )
-
-    def conj(m):
-        return mat_mul(mat_mul(g, m), g_inv) if m is not None else None
-
-    return Axis(
-        vector=mat_vec(g, axis.vector),
-        law=axis.law,
-        eigendata=new_eigendata,
-        primitive=axis.primitive,
-        make_miyamoto=lambda: conj(axis.miyamoto),
-        make_sigma=lambda: conj(axis.sigma),
-    )
-
-
 def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512) -> Axet:
     """Orbit of the seeds under the group G their involutions generate.
 
@@ -118,8 +83,10 @@ def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512) -> Axet:
     involution of an axis in the orbit lies in G, and an orbit of G is closed
     under each of them: the orbit is the closure of the seeds under the
     involutions of all axes found.  One pass applies each distinct seed
-    involution to each axis of a list that grows while it is read; new axes
-    are produced by conjugation transport.
+    involution to each axis of a list that grows while it is read.  A new
+    axis, the image of a certified axis under an automorphism, is an axis
+    of the same law: it is held as its vector, the law and its own integer
+    adjoint, and nothing is certified again.
     """
     if not seed_axes:
         raise ValueError("need at least one seed axis")
@@ -141,7 +108,7 @@ def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512) -> Axet:
             if len(axes) >= cap:
                 raise CapExceeded(f"axis closure exceeded cap {cap}")
             seen.add(w)
-            axes.append(transport_axis(a, g, g))  # involutions are self-inverse
+            axes.append(Axis(w, law, IntegerAdjoint(alg, w, law.values)))
     return Axet(tuple(axes))
 
 

@@ -23,7 +23,14 @@ from axial.axet import (
     miyamoto_group,
     twins_of,
 )
-from axial.decomp import decompose_joint, extension_space, generate_probes, partial_decomposition, sign_kernel
+from axial.decomp import (
+    axis_conflict,
+    decompose_joint,
+    extension_space,
+    generate_probes,
+    partial_decomposition,
+    sign_kernel,
+)
 from axial.fusion import Axis, FusionLaw, check_axis_verbose, derivation_space
 from axial.groebner import (
     DEFAULT_CAPS,
@@ -153,22 +160,23 @@ def _parse_rational(token: str, option: str) -> Fraction:
     return _parse_token(token, Fraction, option, "a rational number")
 
 
-def _pick_axes(axes, spec: str, option: str) -> list[Axis]:
-    chosen = []
+def _axis_indices(axes, spec: str, option: str) -> list[int]:
+    """The 1-based axis indices in `spec`, each checked against the file."""
+    indices = []
     for token in spec.split(","):
         index = _parse_token(token, int, option, "an axis index")
         if not (1 <= index <= len(axes)):
             raise AlgebraError(f"axis index {index} out of range (file has {len(axes)})")
-        chosen.append(axes[index - 1])
-    return chosen
+        indices.append(index)
+    return indices
 
 
 def _pick_axis(axes, spec: str) -> Axis:
     """The one axis that `--axis` names."""
-    chosen = _pick_axes(axes, spec, "--axis")
-    if len(chosen) != 1:
+    indices = _axis_indices(axes, spec, "--axis")
+    if len(indices) != 1:
         raise AlgebraError(f"--axis takes one axis index, got {spec!r}")
-    return chosen[0]
+    return axes[indices[0] - 1]
 
 
 def cmd_info(args, report):
@@ -341,7 +349,14 @@ def _key_label(key) -> str:
 def _decomposition(args, report, partial=False):
     alg, tagged, custom = _load(args)
     axes = _verified_axes(alg, tagged, custom)
-    chosen = _pick_axes(axes, args.y, "--y")
+    indices = _axis_indices(axes, args.y, "--y")
+    repeated = next((i for p, i in enumerate(indices) if i in indices[:p]), None)
+    if repeated is not None:
+        raise AlgebraError(f"--y names axis {repeated} twice")
+    chosen = [axes[i - 1] for i in indices]
+    conflict = axis_conflict(chosen, indices)
+    if conflict is not None:
+        raise conflict
     decomposition = (
         partial_decomposition(alg, chosen) if partial else decompose_joint(alg, chosen)
     )
@@ -446,6 +461,8 @@ def cmd_flip(args, report):
     data = parse_group(args.group)
     sigma = parse_permutation(args.sigma, data.degree)
     eta = _parse_rational(args.eta, "--eta")
+    if eta == Fraction(1, 2):
+        raise AlgebraError("flip at eta = 1/2 has no axis law: 2 eta would be the eigenvalue 1")
     flip = double_axes_and_flip(data, eta, sigma)
     alg = flip.algebra
     report.add("dimension", alg.dim)

@@ -62,6 +62,25 @@ class JointDecomposition:
         return self.components.get(key, Subspace(ambient))
 
 
+def axis_conflict(axes: Sequence[Axis], names: Sequence) -> Optional[Exception]:
+    """The error for the first ordered pair of axes that breaks a
+    precondition of `decompose_joint`, or None.
+
+    Two axes at positions i and j break it when they are the same vector
+    (a ValueError) or when the involution of axis i moves axis j (an
+    AlgebraError).  The message names them as names[i] and names[j].
+    """
+    for i, a in enumerate(axes):
+        for j, b in enumerate(axes):
+            if i == j:
+                continue
+            if a.vector == b.vector:
+                return ValueError(f"axis {names[i]} and axis {names[j]} are the same vector")
+            if a.miyamoto is not None and mat_vec(a.miyamoto, b.vector) != b.vector:
+                return AlgebraError(f"involution of axis {names[i]} does not fix axis {names[j]}")
+    return None
+
+
 def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
     """Intersect the eigenspaces of the given axes, under the law of the
     first, over all value tuples.
@@ -75,16 +94,9 @@ def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
         raise ValueError("need at least one axis")
     law = axes[0].law
     n = alg.dim
-    for i, a in enumerate(axes):
-        for j, b in enumerate(axes):
-            if i == j:
-                continue
-            if a.vector == b.vector:
-                raise ValueError(f"axis {i} and axis {j} are the same vector")
-            if a.miyamoto is not None and mat_vec(a.miyamoto, b.vector) != b.vector:
-                raise AlgebraError(
-                    f"involution of axis {i} does not fix axis {j}"
-                )
+    conflict = axis_conflict(axes, range(len(axes)))
+    if conflict is not None:
+        raise conflict
     # Refine axis by axis: the parts for axes[:i+1] are the nonzero meets of
     # each part for axes[:i] with each eigenspace of axis i, in law.values
     # order, so the keys come out in itertools.product order.

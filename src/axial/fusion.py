@@ -6,9 +6,11 @@ star table says, and a 1-dimensional principal eigenspace.  Past the
 spectrum every check is a polynomial in the adjoint.  A block of products
 is formed only when no other block implies it: the (1, mu) blocks hold when
 A_1 = <a>, and under a proved nondegenerate Frobenius form one block per
-forbidden eigenvalue triple {lam, mu, nu} decides the rest.  The
-certificate carries the eigenspace decomposition; the graded involution
-matrices it entitles are built when first read.
+forbidden eigenvalue triple {lam, mu, nu} decides the rest.  An `Axis` is
+its vector, its law and its integer adjoint: the eigenspaces and the graded
+involutions the law entitles are read off that adjoint when first asked for,
+and kept, whether the axis was certified here or is the image of a
+certified axis under an automorphism (`axial.axet.close_axet`).
 
 The axis certificate, `infer_fusion_law` and `derivation_space` work over
 the integers on the algebra's cached `integer_table`, through its
@@ -23,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from axial.algebra import ZERO, Algebra, IntegerAdjoint
 from axial.linalg import (
@@ -178,34 +180,63 @@ def jordan_law(eta) -> FusionLaw:
 
 MONSTER_QUARTER = monster_law(Fraction(1, 4), Fraction(1, 32))
 
+# Identity lengths of the two-generated algebras of Monster type (1/4, 1/32),
+# the only classification data this library builds in.
+NS_UNIT_LENGTHS: dict[str, Fraction] = {
+    "2A": Fraction(12, 5),
+    "2B": Fraction(2),
+    "3A": Fraction(116, 35),
+    "3C": Fraction(32, 11),
+    "4A": Fraction(4),
+    "4B": Fraction(19, 5),
+    "5A": Fraction(32, 7),
+    "6A": Fraction(51, 10),
+}
+
 
 @dataclass(frozen=True)
 class Axis:
-    """A verified axis: idempotent, semisimple, fusion-checked, primitive.
+    """A primitive axis of `law`: its vector and the `IntegerAdjoint` of it.
 
-    The graded involutions `miyamoto` and `sigma` are built on first read,
-    by the callables `make_miyamoto` and `make_sigma`, and kept; each is
-    None when the law entitles the axis to no such involution.
+    Everything else is read off the adjoint on first use and kept: the
+    eigenspaces of the law's values, and the graded involutions `miyamoto`
+    and `sigma`, each None when the law entitles the axis to no such
+    involution.  `check_axis` builds an Axis and certifies these reads;
+    `close_axet` builds one for the image of a certified axis under an
+    automorphism, whose reads the seed's certificate already implies.
     """
 
     vector: Vec
     law: FusionLaw
-    eigendata: tuple[tuple[Fraction, Subspace], ...]
-    primitive: bool
-    make_miyamoto: Callable[[], Optional[Mat]] = field(repr=False)
-    make_sigma: Callable[[], Optional[Mat]] = field(repr=False)
+    adjoint: IntegerAdjoint = field(repr=False)
+
+    primitive = True  # every Axis is primitive: a 1-dimensional 1-eigenspace
+
+    @cached_property
+    def eigendata(self) -> tuple[tuple[Fraction, Subspace], ...]:
+        """The nonzero eigenspaces of ad(a) for the law's values, in the
+        law's order: the null spaces of D ad(a) - D lam."""
+        spaces = ((lam, self.adjoint.eigenspace(lam)) for lam in self.law.values)
+        return tuple((lam, space) for lam, space in spaces if not space.is_zero())
 
     @cached_property
     def miyamoto(self) -> Optional[Mat]:
         """The sign map of the law's grading (the identity when no negated
         eigenvalue is present); None for a trivially graded law."""
-        return self.make_miyamoto()
+        _, minus = self.law.c2_grading()
+        return self.adjoint.sign_map(self.spectrum(), minus) if minus else None
 
     @cached_property
     def sigma(self) -> Optional[Mat]:
         """For a Jordan-type axis under a graded law, the map negating the
-        eigenvalues other than 1 and 0; otherwise None."""
-        return self.make_sigma()
+        eigenvalues other than 1 and 0 (the alpha eigenspace for
+        Monster-type laws); otherwise None."""
+        _, minus = self.law.c2_grading()
+        present = self.spectrum()
+        inner = frozenset(lam for lam in present if lam not in (ONE, ZERO))
+        if minus and inner and not minus & set(present):
+            return self.adjoint.sign_map(present, inner)
+        return None
 
     def eigenspace(self, lam) -> Subspace:
         lam = frac(lam)
@@ -277,12 +308,7 @@ def _block_products(table: dict, bases: dict, lam: Fraction, mu: Fraction) -> It
     return (_integer_product(table, x, y) for x, y in pairs)
 
 
-def _fusion_violation(
-    alg: Algebra,
-    adjoint: IntegerAdjoint,
-    law: FusionLaw,
-    eigendata: Sequence[tuple[Fraction, Subspace]],
-) -> Optional[tuple[Fraction, Fraction]]:
+def _fusion_violation(alg: Algebra, axis: Axis) -> Optional[tuple[Fraction, Fraction]]:
     """The first block (lam, mu), in `combinations_with_replacement` order,
     with a product outside the sum of the eigenspaces that law.star(lam, mu)
     allows, or None.
@@ -301,6 +327,7 @@ def _fusion_violation(
     When a block fails, every block before it not yet seen to hold is
     checked too, so the block named is the first one that fails.
     """
+    law, eigendata = axis.law, axis.eigendata
     present = [lam for lam, _ in eigendata]
     dims = [space.dim for _, space in eigendata]
     # the blocks with a forbidden eigenvalue, as index pairs into `present`
@@ -336,7 +363,7 @@ def _fusion_violation(
     def fails(block):
         i, j = block
         products = _block_products(table, bases, present[i], present[j])
-        return not all(adjoint.in_sum(allowed[block], p) for p in products)
+        return not all(axis.adjoint.in_sum(allowed[block], p) for p in products)
 
     for block in todo:
         if fails(block):
@@ -352,8 +379,8 @@ def check_axis_verbose(
 ) -> tuple[Optional[Axis], Optional[str]]:
     """Verify the axis conditions, returning (axis, None) or (None, reason).
 
-    The eigenspaces of the law's values are the null spaces of the integer
-    shifts D ad(a) - D lam (`IntegerAdjoint`).  Once they span A, ad(a) is
+    The axis's `eigendata` are the null spaces of the integer shifts
+    D ad(a) - D lam (`IntegerAdjoint`).  Once they span A, ad(a) is
     semisimple with the spectrum found, and the rest of the certificate is
     read off polynomials in the same integer adjoint: a product of
     eigenbasis vectors lies in the allowed sum exactly when the product of
@@ -362,41 +389,19 @@ def check_axis_verbose(
     sigma are the sign polynomials of ad(a), evaluated on first read.
     """
     v = vec(v)
-    n = alg.dim
     if is_zero_vec(v):
         return None, "not_idempotent: zero vector"
     if alg.product(v, v) != v:
         return None, "not_idempotent"
-    adjoint = IntegerAdjoint(alg, v, law.values)
-    eigendata = []
-    total = 0
-    for lam in law.values:
-        space = adjoint.eigenspace(lam)
-        if not space.is_zero():
-            eigendata.append((lam, space))
-            total += space.dim
-    if total != n:
-        return None, f"bad_spectrum: eigenspaces for the law span {total} of {n}"
-    violation = _fusion_violation(alg, adjoint, law, eigendata)
+    axis = Axis(v, law, IntegerAdjoint(alg, v, law.values))
+    total = sum(space.dim for _, space in axis.eigendata)
+    if total != alg.dim:
+        return None, f"bad_spectrum: eigenspaces for the law span {total} of {alg.dim}"
+    violation = _fusion_violation(alg, axis)
     if violation is not None:
         return None, "fusion_violation: {} * {}".format(*violation)
-    one_space = next((s for lam, s in eigendata if lam == ONE), None)
-    if one_space is None or one_space.dim != 1:
+    if axis.eigenspace(ONE).dim != 1:
         return None, "not_primitive"
-    present = [lam for lam, _ in eigendata]
-    _, minus = law.c2_grading()
-    # A Jordan-type axis inside a larger graded law has sigma: it negates
-    # the middle eigenvalue part (the alpha eigenspace for Monster-type laws).
-    inner = frozenset(lam for lam in present if lam not in (ONE, ZERO))
-    graded_jordan = minus and inner and not minus & set(present)
-    axis = Axis(
-        vector=v,
-        law=law,
-        eigendata=tuple(eigendata),
-        primitive=True,
-        make_miyamoto=lambda: adjoint.sign_map(present, minus) if minus else None,
-        make_sigma=lambda: adjoint.sign_map(present, inner) if graded_jordan else None,
-    )
     return axis, None
 
 

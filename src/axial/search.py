@@ -16,7 +16,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from axial.algebra import Algebra, MissingFormError
-from axial.fusion import Axis, FusionLaw, MONSTER_QUARTER, adjoint_eigenspace, check_axis
+from axial.fusion import (
+    Axis,
+    FusionLaw,
+    MONSTER_QUARTER,
+    NS_UNIT_LENGTHS,
+    adjoint_eigenspace,
+    check_axis,
+)
 from axial.groebner import (
     DEFAULT_CAPS,
     POSITIVE_DIMENSIONAL,
@@ -38,16 +45,7 @@ from axial.mpoly import MPoly
 
 # Allowed (z, z) values for the Monster (1/4, 1/32) pair classification: the
 # identity length of each two-generated algebra minus the axis length 1.
-Z_LENGTHS: tuple[Fraction, ...] = (
-    Fraction(7, 5),
-    Fraction(1),
-    Fraction(81, 35),
-    Fraction(21, 11),
-    Fraction(3),
-    Fraction(14, 5),
-    Fraction(25, 7),
-    Fraction(41, 10),
-)
+Z_LENGTHS: tuple[Fraction, ...] = tuple(u - 1 for u in NS_UNIT_LENGTHS.values())
 
 # A positive-dimensional branch is retried with the determinant relation of
 # each of these eigenvalues whose eigenspace has at most DETERMINANT_DIM_CAP

@@ -1,7 +1,7 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except twenty-two former implementations kept to test the current
+package except twenty-three former implementations kept to test the current
 ones against: `reference_rref` (the dense fraction-free loop),
 `reference_ad_matrix` (the dense adjoint loop), `reference_annihilator`
 (the kernel of stacked dense adjoints),
@@ -22,7 +22,8 @@ ones against: `reference_rref` (the dense fraction-free loop),
 `reference_miyamoto_group` (every element, one matrix each),
 `reference_aut_from_axis_permutations` (every candidate map verified),
 `reference_close_axet` (rounds under every found involution to a
-fixpoint), `reference_intersect` (the kernel of stacked bases),
+fixpoint), `reference_transport_axis` (conjugation by dense matrices),
+`reference_intersect` (the kernel of stacked bases),
 `reference_decompose_joint` (every tuple of eigenvalues),
 `reference_extension_space` (dense rows) and `reference_sign_filter` (all
 2^k sign tuples).  Elimination goes through Sylvester resultants whose
@@ -1175,6 +1176,37 @@ def reference_aut_from_axis_permutations(alg, axet):
     return matrices, perms
 
 
+def reference_transport_axis(axis, g, g_inv):
+    """Image of a verified axis under a verified automorphism g, by
+    conjugation, as a namespace of the `Axis` reads: vector, law,
+    eigendata, miyamoto and sigma.
+
+    The package's `transport_axis` as it was before `close_axet` built each
+    orbit axis from its own integer adjoint: the eigenspaces move by g, and
+    the involutions by conjugation with g, with dense matrix products.  Kept
+    as an oracle for that rewrite.
+    """
+    from types import SimpleNamespace
+
+    from axial.linalg import Subspace, mat_mul, mat_vec
+
+    n = len(axis.vector)
+
+    def conj(m):
+        return mat_mul(mat_mul(g, m), g_inv) if m is not None else None
+
+    return SimpleNamespace(
+        vector=mat_vec(g, axis.vector),
+        law=axis.law,
+        eigendata=tuple(
+            (lam, Subspace(n, [mat_vec(g, b) for b in space.basis]))
+            for lam, space in axis.eigendata
+        ),
+        miyamoto=conj(axis.miyamoto),
+        sigma=conj(axis.sigma),
+    )
+
+
 def reference_close_axet(alg, seed_axes, cap=512):
     """Closure of the seeds under the involutions of all found axes.
 
@@ -1183,7 +1215,7 @@ def reference_close_axet(alg, seed_axes, cap=512):
     of every axis found so far and applies each to every axis, until a round
     adds nothing.  Kept as an oracle for that rewrite.
     """
-    from axial.axet import Axet, transport_axis
+    from axial.axet import Axet
     from axial.groebner import CapExceeded
     from axial.linalg import mat_vec
 
@@ -1212,7 +1244,7 @@ def reference_close_axet(alg, seed_axes, cap=512):
                 w = mat_vec(g, a.vector)
                 if w in seen:
                     continue
-                image = transport_axis(a, g, g)  # involutions are self-inverse
+                image = reference_transport_axis(a, g, g)  # involutions are self-inverse
                 seen[image.vector] = len(axes)
                 axes.append(image)
                 changed = True

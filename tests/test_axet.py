@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 import axial.axet
-from axial.algebra import Algebra, AlgebraError, diagonal_algebra
+from axial import linalg
+from axial.algebra import Algebra, AlgebraError, IntegerAdjoint, diagonal_algebra
 from axial.axet import (
     Axet,
     NS_UNIT_LENGTHS,
@@ -15,7 +16,6 @@ from axial.axet import (
     jordan_axes,
     miyamoto_group,
     tau_realizer,
-    transport_axis,
     twins_of,
 )
 from axial.fusion import MONSTER_QUARTER, check_axis, is_automorphism, jordan_law, monster_law
@@ -40,6 +40,7 @@ from oracles import (
     reference_aut_from_axis_permutations,
     reference_close_axet,
     reference_miyamoto_group,
+    reference_transport_axis,
 )
 
 BENCHMARK_ETAS = ("1/2", "1/4", "1/3", "2/5", "3/8", "2")
@@ -65,31 +66,14 @@ def test_close_axet_trivial_tau(two_b):
 
 
 def test_transport_preserves_certificate(q2, q2_axes, q2_law):
+    # the conjugation oracle against a full axis check of the image
     g = q2_axes[2].miyamoto  # swaps s1 and s2
-    image = transport_axis(q2_axes[0], g, g)
+    image = reference_transport_axis(q2_axes[0], g, g)
     assert image.vector == unit_vec(4, 1)
     fresh = check_axis(q2, image.vector, q2_law)
     assert fresh is not None
     assert dict(image.eigendata) == dict(fresh.eigendata)
     assert image.miyamoto == fresh.miyamoto
-
-
-def test_transport_conjugates_involutions_on_first_read(monkeypatch, q2, q2_axes, q2_law):
-    # Work counter: transport multiplies no matrices until an involution of
-    # the image is read; then tau costs two products, once.
-    calls = []
-    original = axial.axet.mat_mul
-
-    def counting(a, b):
-        calls.append(1)
-        return original(a, b)
-
-    monkeypatch.setattr(axial.axet, "mat_mul", counting)
-    g = q2_axes[2].miyamoto
-    image = transport_axis(q2_axes[0], g, g)
-    assert calls == []
-    assert image.miyamoto == image.miyamoto == check_axis(q2, image.vector, q2_law).miyamoto
-    assert len(calls) == 2
 
 
 def test_miyamoto_group_matsuo_s3(matsuo_s3_quarter):
@@ -281,21 +265,6 @@ def _axis_record(a):
     return (a.vector, a.eigendata, a.miyamoto, a.sigma)
 
 
-def test_close_axet_transport_agrees_with_axis_check(s4_data, q2, q2_axes):
-    # every axis the closure transports is what a full axis check of its
-    # vector finds: the same eigendata, tau and sigma
-    law = jordan_law(F(1, 4))
-    alg = matsuo_algebra(s4_data, F(1, 4))
-    seeds = [check_axis(alg, unit_vec(s4_data.size, i), law) for i in (0, 1)]
-    for algebra, axes in ((alg, seeds), (q2, [q2_axes[0], q2_axes[2]])):
-        axet = close_axet(algebra, axes)
-        assert len(axet) > len(axes)
-        for a in axet.axes:
-            checked = check_axis(algebra, a.vector, a.law)
-            assert checked is not None
-            assert _axis_record(checked) == _axis_record(a)
-
-
 def _coxeter_seeds(m, eta):
     """Matsuo S_m at eta with the axes of the transpositions (a, a+1)."""
     data = symmetric_transpositions(m)
@@ -303,6 +272,54 @@ def _coxeter_seeds(m, eta):
     law = jordan_law(F(eta))
     seeds = [data.index_of(transposition_perm(m, a, a + 1)) for a in range(1, m)]
     return alg, [check_axis(alg, unit_vec(data.size, i), law) for i in seeds]
+
+
+def test_close_axet_transport_agrees_with_axis_check(q2, q2_axes):
+    # every orbit axis, read off its own integer adjoint, is what a full
+    # axis check of its vector finds, and what conjugating the axis it was
+    # found from finds: the same eigendata, tau and sigma; on Matsuo S4-S6
+    # at each benchmark eta from the Coxeter seeds, and on q2 from one
+    # single and one double axis
+    cases = [_coxeter_seeds(m, eta) for m in (4, 5, 6) for eta in BENCHMARK_ETAS]
+    for alg, seeds in cases + [(q2, [q2_axes[0], q2_axes[2]])]:
+        axes = close_axet(alg, seeds).axes
+        assert len(axes) > len(seeds)
+        taus = list(dict.fromkeys(a.miyamoto for a in seeds))
+        for position, b in enumerate(axes):
+            checked = check_axis(alg, b.vector, b.law)
+            assert checked is not None
+            assert _axis_record(b) == _axis_record(checked)
+            if position < len(seeds):
+                continue
+            a, g = next((a, g) for a in axes[:position] for g in taus if mat_vec(g, a.vector) == b.vector)
+            assert _axis_record(b) == _axis_record(reference_transport_axis(a, g, g))
+
+
+def test_close_axet_reads_no_eigenspace_and_multiplies_no_matrix(monkeypatch):
+    # S5 at 1/4 from its 4 Coxeter seeds: the 6 orbit axes are built from
+    # their vectors alone; reading their taus reads each one's 3 eigenspaces
+    # once, and the group needs no matrix product
+    alg, seeds = _coxeter_seeds(5, "1/4")
+    eigenspaces, products = [], []
+    original_eigenspace = IntegerAdjoint.eigenspace
+
+    def counting_eigenspace(self, nu):
+        eigenspaces.append(nu)
+        return original_eigenspace(self, nu)
+
+    def counting_mat_mul(a, b):
+        products.append(1)
+        return linalg.mat_mul(a, b)
+
+    monkeypatch.setattr(IntegerAdjoint, "eigenspace", counting_eigenspace)
+    for module in [m for name, m in sys.modules.items() if name.startswith("axial")]:
+        if getattr(module, "mat_mul", None) is linalg.mat_mul and module is not linalg:
+            monkeypatch.setattr(module, "mat_mul", counting_mat_mul)
+    axet = close_axet(alg, seeds)
+    assert (len(axet), len(eigenspaces), len(products)) == (10, 0, 0)
+    assert all(a.miyamoto is not None for a in axet.axes)
+    assert miyamoto_group(alg, axet).order == 120
+    assert (len(eigenspaces), len(products)) == (18, 0)
 
 
 def _assert_same_closure(alg, seeds):

@@ -345,7 +345,33 @@ def test_cli_axis_takes_one_index(capsys, command):
 
 def test_cli_rejects_a_repeated_axis(capsys):
     assert main(["decompose", str(FIXTURES / "triple2b.alg"), "--y", "1,1"]) == 4
-    assert "error: axis 0 and axis 1 are the same vector" in capsys.readouterr().out
+    assert "error: --y names axis 1 twice" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["decompose", "extend", "sign-kernel"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("1,3", "involution of axis 1 does not fix axis 3"),
+        ("3,3", "--y names axis 3 twice"),
+        ("4,2,4", "--y names axis 4 twice"),
+    ],
+)
+def test_cli_y_errors_name_the_file_indices(capsys, command, spec, message):
+    args = [command, str(FIXTURES / "q2.alg"), "--y", spec]
+    if command == "sign-kernel":
+        args += ["--components", "0"]
+    assert main(args) == 4
+    assert f"error: {message}" in capsys.readouterr().out
+
+
+def test_cli_y_names_two_file_axes_with_one_vector(tmp_path, capsys):
+    # a fifth AXES line repeats d2, the fourth
+    text = (FIXTURES / "q2.alg").read_text()
+    path = tmp_path / "twice.alg"
+    path.write_text(text.replace("0 0 0 1\nEND", "0 0 0 1\nm:1/2:1/4 0 0 0 1\nEND"))
+    assert main(["decompose", str(path), "--y", "5,4"]) == 4
+    assert "error: axis 5 and axis 4 are the same vector" in capsys.readouterr().out
 
 
 def test_cli_sign_kernel_names_a_missing_component(capsys):
@@ -453,6 +479,15 @@ def test_cli_flip_reproduces_q2(tmp_path, capsys):
     shipped = parse_algebra(FIXTURES / "q2.alg")
     assert produced.algebra.table == shipped.algebra.table
     assert produced.algebra.gram == shipped.algebra.gram
+
+
+def test_cli_flip_refuses_eta_one_half(tmp_path, capsys):
+    # the double axes' law (2 eta, eta) would be m:1:1/2, which no law parses
+    out_path = tmp_path / "flip.alg"
+    args = ["flip", str(FIXTURES / "s4.grp"), "--eta", "1/2", "--sigma", "(1,2)(3,4)"]
+    assert main(args + ["--out-alg", str(out_path)]) == 4
+    assert "error: flip at eta = 1/2 has no axis law" in capsys.readouterr().out
+    assert not out_path.exists()
 
 
 def test_cli_cap_exit_code(tmp_path, capsys):

@@ -2,6 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import axial
+import axial.axet
+import axial.fusion
 from axial.algebra import diagonal_algebra
 from axial.axet import classify_pair, twins_of
 from axial.fusion import MONSTER_QUARTER, check_axis, jordan_law
@@ -9,6 +12,7 @@ from axial.groebner import POSITIVE_DIMENSIONAL
 from axial.linalg import Subspace, eigenspace, intersect, is_zero_vec, unit_vec, vec, vsub, zero_vec
 from axial.mpoly import MPoly
 from axial.search import (
+    Z_LENGTHS,
     SearchConfig,
     axes_from_idempotents,
     determinant_relation,
@@ -16,6 +20,16 @@ from axial.search import (
     nuanced_axes,
     symbolic_coordinates,
 )
+
+
+def test_z_lengths_are_the_unit_lengths_less_one():
+    # (z, z) = (1, 1) - (a, a) for z = 1 - a in each two-generated algebra,
+    # in the order of NS_UNIT_LENGTHS: 2A 2B 3A 3C 4A 4B 5A 6A
+    expected = (F(7, 5), F(1), F(81, 35), F(21, 11), F(3), F(14, 5), F(25, 7), F(41, 10))
+    assert Z_LENGTHS == expected
+    assert SearchConfig().z_lengths == expected
+    # the table lives in axial.fusion and stays importable where it was
+    assert axial.NS_UNIT_LENGTHS is axial.axet.NS_UNIT_LENGTHS is axial.fusion.NS_UNIT_LENGTHS
 
 
 def test_naive_2b_no_length(two_b):

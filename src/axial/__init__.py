@@ -44,6 +44,7 @@ from axial.decomp import (
 from axial.fusion import (
     Axis,
     FusionLaw,
+    IntegerMap,
     MONSTER_QUARTER,
     NS_UNIT_LENGTHS,
     check_axis,

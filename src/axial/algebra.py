@@ -30,7 +30,6 @@ from axial.linalg import (
     mat_vec,
     null_space,
     solve,
-    transpose,
     unit_vec,
     vdot,
     vec,
@@ -497,7 +496,7 @@ class IntegerAdjoint:
 
     def eigenspace(self, nu: Fraction) -> Subspace:
         """The nu-eigenspace of ad(a): the null space of D ad - D nu."""
-        return null_space((row.items() for row in self._shifted_rows(nu)), len(self.rows))
+        return null_space((row.items() for row in self.shifted_rows(nu)), len(self.rows))
 
     def lacks_eigenvalue(self, nu: Fraction) -> bool:
         """Whether nu is proved not to be an eigenvalue of ad(a).
@@ -507,9 +506,9 @@ class IntegerAdjoint:
         an eigenvalue, or the rank falls short mod p only.
         """
         n = len(self.rows)
-        return len(independent_mod_p(self._shifted_rows(nu), n)) == n
+        return len(independent_mod_p(self.shifted_rows(nu), n)) == n
 
-    def _shifted_rows(self, nu: Fraction) -> Iterator[dict[int, int]]:
+    def shifted_rows(self, nu: Fraction) -> Iterator[dict[int, int]]:
         """The rows of D ad - D nu, as {index: int} (a zero may appear on
         the diagonal)."""
         s = nu.numerator * (self.scale // nu.denominator)
@@ -558,11 +557,14 @@ class IntegerAdjoint:
             x = self.shift(nu, x)
         return not x
 
-    def sign_map(self, present: Sequence[Fraction], negated: frozenset) -> Mat:
+    def sign_map(
+        self, present: Sequence[Fraction], negated: frozenset
+    ) -> tuple[int, list[dict[int, int]]]:
         """f(ad) for the polynomial f that is -1 on the `negated` eigenvalues
         in `present` and +1 on the others: on a semisimple adjoint with that
         spectrum, the map acting as -1 on the negated eigenspaces (the
-        identity when none is present).
+        identity when none is present).  Returned as (denom, cols): column j
+        of the map is the sparse integer vector cols[j] divided by denom.
 
         f is held in Newton form, sum_i c_i prod_{l<i} (t - present[l]), up
         to its last nonzero c_i, and column j is sum_i c_i / D^i w_i for
@@ -585,8 +587,8 @@ class IntegerAdjoint:
                 w = self.shift(present[i - 1], w) if i else w
                 for r, x in w.items():
                     col[r] = col.get(r, 0) + num * x
-            cols.append(tuple(Fraction(col[r], denom) if col.get(r) else ZERO for r in range(n)))
-        return transpose(tuple(cols))
+            cols.append({r: x for r, x in col.items() if x})
+        return denom, cols
 
 
 def diagonal_algebra(n: int) -> Algebra:

@@ -1,31 +1,46 @@
 """Closed axis sets, the Miyamoto group, twins, Jordan axes, pair classes.
 
-`close_axet` builds each new axis as an `Axis` of its vector, with its own
-integer adjoint: the image of a certified axis under an automorphism needs
-no certificate, and no dense matrix is multiplied to find it.
+The group layer works on integer data.  Involutions are `IntegerMap`s,
+sparse integer columns over one denominator, and points are `Point`s, a
+vector over one denominator in lowest terms, so they are applied in
+O(nonzeros) and hashed as integers.  `close_axet` builds each new axis as an
+`Axis` of its vector, with its own integer adjoint and the spectrum of the
+axis it is the image of: the image of a certified axis under an
+automorphism needs no certificate, and reading its involution solves no
+eigenspace.
 
 The Miyamoto group and the automorphisms permuting an axet are held as
-sympy permutation groups on spanning sets of vectors, with one matrix per
-generator; their orders and orbits come from deterministic Schreier-Sims,
-and no element is listed or stored as a matrix.  sympy is imported by the
-two functions that build these groups, on their first call.
+sympy permutation groups on spanning sets of vectors, with one `IntegerMap`
+per generator and its matrix built when read; their orders and orbits come
+from deterministic Schreier-Sims, and no element is listed or stored as a
+matrix.  A candidate automorphism is verified in the axet frame, on the
+products of axet vectors and base coordinates, with no matrix formed.
+sympy is imported by the two functions that build these groups, on their
+first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from axial.algebra import Algebra, AlgebraError, IntegerAdjoint
 from axial.fusion import (
     Axis,
     FusionLaw,
+    IntegerMap,
     MONSTER_QUARTER,
     NS_UNIT_LENGTHS,
+    Point,
     check_axis,
+    integer_point,
+    integer_product,
     is_automorphism,
     jordan_law,
+    point_vector,
 )
 from axial.groebner import DEFAULT_CAPS, POSITIVE_DIMENSIONAL, CapExceeded, SolverCaps
 from axial.linalg import (
@@ -35,17 +50,14 @@ from axial.linalg import (
     full_space,
     identity,
     inverse,
-    kernel,
     mat_from_cols,
     mat_mul,
     mat_sub,
-    mat_vec,
+    null_space,
     rref,
     transpose,
     unit_vec,
-    vdot,
     vscale,
-    zero_vec,
 )
 from axial.search import axes_from_idempotents, naive_idempotents
 
@@ -64,13 +76,16 @@ class Axet:
     def vectors(self) -> list[Vec]:
         return [a.vector for a in self.axes]
 
-    def taus(self) -> list[Mat]:
+    def tau_maps(self) -> list[IntegerMap]:
         out = []
         for a in self.axes:
-            if a.miyamoto is None:
+            if a.miyamoto_map is None:
                 raise ValueError("axis without a graded involution in the axet")
-            out.append(a.miyamoto)
+            out.append(a.miyamoto_map)
         return out
+
+    def taus(self) -> list[Mat]:
+        return [g.matrix() for g in self.tau_maps()]
 
     def spans(self, dim: int) -> bool:
         return Subspace(dim, self.vectors()).dim == dim
@@ -83,32 +98,40 @@ def close_axet(alg: Algebra, seed_axes: Sequence[Axis], cap: int = 512) -> Axet:
     involution of an axis in the orbit lies in G, and an orbit of G is closed
     under each of them: the orbit is the closure of the seeds under the
     involutions of all axes found.  One pass applies each distinct seed
-    involution to each axis of a list that grows while it is read.  A new
+    involution, an `IntegerMap`, to the `Point` of each axis of a list that
+    grows while it is read; points are compared as integer data.  A new
     axis, the image of a certified axis under an automorphism, is an axis
-    of the same law: it is held as its vector, the law and its own integer
-    adjoint, and nothing is certified again.
+    of the same law with the same spectrum: it is held as its vector, the
+    law, its own integer adjoint and that spectrum, and nothing is certified
+    again.
     """
     if not seed_axes:
         raise ValueError("need at least one seed axis")
     law = seed_axes[0].law
     if any(a.law != law for a in seed_axes):
         raise ValueError("seed axes must share one fusion law")
+    n = alg.dim
     axes: list[Axis] = []
-    seen: set[Vec] = set()
+    points: list[Point] = []
+    seen: set[Point] = set()
     for a in seed_axes:
-        if a.vector not in seen:
-            seen.add(a.vector)
+        p = integer_point(a.vector)
+        if p not in seen:
+            seen.add(p)
+            points.append(p)
             axes.append(a)
-    taus = list(dict.fromkeys(a.miyamoto for a in axes if a.miyamoto is not None))
-    for a in axes:  # the list grows while it is read
+    taus = list(dict.fromkeys(a.miyamoto_map for a in axes if a.miyamoto_map is not None))
+    for a, p in zip(axes, points):  # both lists grow while they are read
         for g in taus:
-            w = mat_vec(g, a.vector)
+            w = g.image(p)
             if w in seen:
                 continue
             if len(axes) >= cap:
                 raise CapExceeded(f"axis closure exceeded cap {cap}")
             seen.add(w)
-            axes.append(Axis(w, law, IntegerAdjoint(alg, w, law.values)))
+            points.append(w)
+            v = point_vector(w, n)
+            axes.append(Axis(v, law, IntegerAdjoint(alg, v, law.values), a.present))
     return Axet(tuple(axes))
 
 
@@ -120,10 +143,12 @@ class MiyGroup:
     algebra, the orbits of the unit vectors appended after them.  The points
     span, and a linear map is fixed by its action on a spanning set, so the
     action is faithful: `group.order()` is the order of the Miyamoto group.
-    `faithful` records whether the axet alone spans.
+    `faithful` records whether the axet alone spans.  `maps` holds the
+    distinct involutions as `IntegerMap`s; `generators` are their matrices,
+    built when first read.
     """
 
-    generators: list[Mat]
+    maps: list[IntegerMap]
     points: list[Vec]
     group: PermutationGroup
     faithful: bool
@@ -132,26 +157,33 @@ class MiyGroup:
     def order(self) -> int:
         return self.group.order()
 
+    @cached_property
+    def generators(self) -> list[Mat]:
+        return [g.matrix() for g in self.maps]
+
 
 def miyamoto_group(alg: Algebra, axet: Axet, cap: int = 200_000) -> MiyGroup:
     """The Miyamoto group, from the permutations its involutions induce.
 
-    `cap` bounds the number of points; an infinite group has an infinite
-    orbit, so the cap is what makes the call return.
+    Each involution is applied as an `IntegerMap` to `Point`s, which key the
+    points as integer data.  `cap` bounds the number of points; an infinite
+    group has an infinite orbit, so the cap is what makes the call return.
     """
     from sympy.combinatorics import Permutation, PermutationGroup
 
     n = alg.dim
-    taus = list(dict.fromkeys(axet.taus()))
-    points = axet.vectors()
+    maps = list(dict.fromkeys(axet.tau_maps()))
+    vectors = axet.vectors()
+    points = [integer_point(v) for v in vectors]
     faithful = axet.spans(n)
     if not faithful:
-        points += [e for e in (unit_vec(n, j) for j in range(n)) if e not in points]
-    index = {v: i for i, v in enumerate(points)}
-    images: list[list[int]] = [[] for _ in taus]
-    for v in points:  # the list grows while it is read
-        for g, image in zip(taus, images):
-            w = mat_vec(g, v)
+        units = (integer_point(unit_vec(n, j)) for j in range(n))
+        points += [e for e in units if e not in points]
+    index = {p: i for i, p in enumerate(points)}
+    images: list[list[int]] = [[] for _ in maps]
+    for p in points:  # the list grows while it is read
+        for g, image in zip(maps, images):
+            w = g.image(p)
             if w not in index:
                 if faithful:
                     raise AlgebraError("involution does not preserve the axet")
@@ -161,7 +193,8 @@ def miyamoto_group(alg: Algebra, axet: Axet, cap: int = 200_000) -> MiyGroup:
                 points.append(w)
             image.append(index[w])
     perms = [Permutation(image) for image in images] or [Permutation(len(points) - 1)]
-    return MiyGroup(taus, points, PermutationGroup(perms), faithful)
+    vectors += [point_vector(p, n) for p in points[len(vectors) :]]
+    return MiyGroup(maps, vectors, PermutationGroup(perms), faithful)
 
 
 def twins_of(alg: Algebra, a: Axis, caps: SolverCaps = DEFAULT_CAPS) -> list[Axis]:
@@ -230,12 +263,18 @@ def tau_realizer(
 def fixed_subalgebra(alg: Algebra, group: MiyGroup) -> Subspace:
     """Common fixed space of the group generators (hence of the group).
 
-    One kernel of the rows of g - I stacked over the generators; with no
-    generators every vector is fixed.
+    One null space of the integer rows of denom g - denom I, stacked over
+    the generators' `IntegerMap`s; with no generators every vector is fixed.
     """
     n = alg.dim
-    rows = tuple(row for g in group.generators for row in mat_sub(g, identity(n)))
-    return kernel(rows) if rows else full_space(n)
+    rows = []
+    for g in group.maps:
+        shifted: list[dict[int, int]] = [{i: -g.denom} for i in range(n)]
+        for j, col in enumerate(g.cols):
+            for r, x in col:
+                shifted[r][j] = shifted[r].get(j, 0) + x
+        rows.extend(row.items() for row in shifted)
+    return null_space(rows, n) if rows else full_space(n)
 
 
 def jordan_axes(
@@ -287,15 +326,26 @@ class PairClass:
     label: Optional[str] = None
 
 
-def _matrix_order(m: Mat, cap: int = 64) -> Optional[int]:
-    n = len(m)
-    ident = identity(n)
-    power = m
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = mat_mul(power, m)
-    return None
+def _product_order(g: IntegerMap, h: IntegerMap, n: int, cap: int = 64) -> Optional[int]:
+    """The order of g h when it is at most `cap`, else None.
+
+    (g h)^k is the identity exactly when every orbit length of a unit
+    vector under g h divides k, so the order is the lcm of those lengths,
+    each found by applying h and then g to the unit vector's `Point`.
+    """
+    order = 1
+    for j in range(n):
+        start = p = (1, ((j, 1),))
+        for k in range(1, cap + 1):
+            p = g.image(h.image(p))
+            if p == start:
+                break
+        else:
+            return None
+        order = lcm(order, k)
+        if order > cap:
+            return None
+    return order
 
 
 def classify_pair(
@@ -314,8 +364,8 @@ def classify_pair(
         raise ValueError("the two axes must be distinct")
     sub = alg.subalgebra_closure([a.vector, b.vector])
     tau_order = None
-    if a.miyamoto is not None and b.miyamoto is not None:
-        tau_order = _matrix_order(mat_mul(a.miyamoto, b.miyamoto))
+    if a.miyamoto_map is not None and b.miyamoto_map is not None:
+        tau_order = _product_order(a.miyamoto_map, b.miyamoto_map, alg.dim)
     form_value = None
     if alg.gram is not None:
         form_value = alg.form_value(a.vector, b.vector)
@@ -362,16 +412,21 @@ def _row_matches(row: dict, dim, tau_order, form_value, unit_length) -> bool:
 class AutGroup:
     """Automorphisms permuting a spanning axet, held by strong generators.
 
-    `group` acts on the positions of the axet; `generators` are the
-    matrices of its generators, in the same order.
+    `group` acts on the positions of the axet; `maps` are its generators as
+    `IntegerMap`s, in the same order, and `generators` their matrices,
+    built when first read.
     """
 
-    generators: list[Mat]
+    maps: list[IntegerMap]
     group: PermutationGroup
 
     @property
     def order(self) -> int:
         return self.group.order()
+
+    @cached_property
+    def generators(self) -> list[Mat]:
+        return [g.matrix() for g in self.maps]
 
 
 def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
@@ -384,38 +439,35 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
     image of b_l outside the orbit found so far is tried in turn, and the
     first map fixing b_0 ... b_(l-1) that sends b_l there becomes a strong
     generator.  Candidate assignments are pruned by form values (an
-    edge-colored graph isomorphism constraint) and zero products; each
-    assignment determines a unique linear map, which is verified exactly:
-    multiplicative and bijective on the axet.  It preserves the form too:
-    the colours compare the form value of every pair of base axes, each
-    with itself included, with that of their images, and a bilinear form
-    is fixed by its values on a basis.
+    edge-colored graph isomorphism constraint) and zero products.  Each
+    assignment b_i -> a_pi(i) determines a unique linear map g, which is
+    verified exactly in the axet frame, with no matrix formed:
+    - g is multiplicative: with b_i b_j = sum_k c_ijk b_k, computed once in
+      base coordinates, a_pi(i) a_pi(j) = sum_k c_ijk a_pi(k) for all
+      i <= j, the products of axet vectors computed once each, sparsely;
+    - g permutes the axet: each axet vector, held in base coordinates, goes
+      to an axet vector, and no two to the same one.  The axet spans, so
+      such a g is bijective.
+    It preserves the form too: the colours compare the form value of every
+    pair of base axes, each with itself included, with that of their
+    images, and a bilinear form is fixed by its values on a basis.  Only an
+    accepted generator is built as a map.
     """
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    n = alg.dim
     vectors = axet.vectors()
     m = len(vectors)
     # the greedy spanning subset: the pivot columns
     basis_positions = rref(mat_from_cols(vectors))[2]
-    if len(basis_positions) != n:
+    if len(basis_positions) != alg.dim:
         raise AlgebraError("axet does not span the algebra")
+    frame = _AxetFrame(alg, vectors, basis_positions)
 
-    # edge colours: (form value or None, whether the product is zero); the
-    # diagonal flag is always False, as a_i a_i = a_i
-    zero = zero_vec(n)
-    gram_images = [mat_vec(alg.gram, v) for v in vectors] if alg.gram is not None else [None] * m
-    color = [
-        [
-            (vdot(u, w) if w is not None else None, alg.product(u, v) == zero)
-            for v, w in zip(vectors, gram_images)
-        ]
-        for u in vectors
-    ]
-
-    index = {v: i for i, v in enumerate(vectors)}
-    basis_inv = inverse(mat_from_cols([vectors[i] for i in basis_positions]))
-    assert basis_inv is not None
+    # edge colours: (form value, all scaled by one positive integer, or
+    # None; whether the product is zero); the diagonal flag is always False,
+    # as a_i a_i = a_i
+    forms = frame.form_values(alg.gram) if alg.gram is not None else None
+    color = [[(forms[p][q] if forms else None, not frame.product(p, q)) for q in range(m)] for p in range(m)]
 
     def consistent(assigned: list[int], candidate: int) -> bool:
         i_new = basis_positions[len(assigned)]
@@ -424,8 +476,8 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
             for i, img in zip(basis_positions, assigned + [candidate])
         )
 
-    def first_map(assigned: list[int]) -> Optional[tuple[Mat, Permutation]]:
-        """The first verified map that extends the assignment, and its permutation."""
+    def first_map(assigned: list[int]) -> Optional[tuple[list[int], list[int]]]:
+        """The first verified assignment that extends this one, and its permutation."""
         if len(assigned) < len(basis_positions):
             for candidate in range(m):
                 if candidate not in assigned and consistent(assigned, candidate):
@@ -433,15 +485,10 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
                     if found is not None:
                         return found
             return None
-        g = mat_mul(mat_from_cols([vectors[k] for k in assigned]), basis_inv)
-        if not is_automorphism(alg, g):
-            return None
-        perm = [index.get(mat_vec(g, v)) for v in vectors]
-        if None in perm or len(set(perm)) != m:
-            return None
-        return g, Permutation(perm)
+        perm = frame.permutation(assigned)
+        return None if perm is None else (assigned, perm)
 
-    matrices: list[Mat] = []
+    maps: list[IntegerMap] = []
     perms: list[Permutation] = []
     group = PermutationGroup([Permutation(m - 1)])
     for level in reversed(range(len(basis_positions))):
@@ -452,8 +499,125 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
                 continue
             found = first_map(fixed + [candidate])
             if found is not None:
-                matrices.append(found[0])
-                perms.append(found[1])
+                maps.append(frame.integer_map(found[0]))
+                perms.append(Permutation(found[1]))
                 group = PermutationGroup(perms)
                 orbit = group.orbit(basis_positions[level])
-    return AutGroup(matrices, group)
+    return AutGroup(maps, group)
+
+
+class _AxetFrame:
+    """A spanning axet in the coordinates of its base, where a candidate
+    automorphism, given by the images of the base axes, is verified in
+    integer arithmetic.
+
+    Each axet vector a_p is held as the sparse integer vector A_p = D a_p,
+    D the common denominator of the axet, and the product of every pair is
+    held as the integer product P_pq of the `integer_table`, which is
+    a_p a_q times one positive integer.  The inverse of the base b_0, b_1,
+    ... (the axet vectors at `basis_positions`) is held as integer columns
+    over one denominator e.  `base_products` holds for each i <= j the base
+    coordinates of P_pq / D (p, q the positions of b_i and b_j), and
+    `others` those of A_k / D for each axet vector off the base, each as
+    (g, G): integers G_k over one denominator g.
+    """
+
+    def __init__(self, alg: Algebra, vectors: Sequence[Vec], basis_positions: Sequence[int]):
+        m = len(vectors)
+        self.scale = lcm(*(x.denominator for v in vectors for x in v))
+        self.ints = [
+            tuple((i, x.numerator * (self.scale // x.denominator)) for i, x in enumerate(v) if x)
+            for v in vectors
+        ]
+        self.index = {x: k for k, x in enumerate(self.ints)}
+        table = alg.integer_table().table
+        self.products = {
+            (p, q): integer_product(table, self.ints[p], self.ints[q]) for p in range(m) for q in range(p, m)
+        }
+        self.basis_positions = list(basis_positions)
+        inverse_base = inverse(mat_from_cols([vectors[k] for k in basis_positions]))
+        assert inverse_base is not None
+        self.inverse_denom = lcm(*(x.denominator for row in inverse_base for x in row))
+        self.inverse_cols = [
+            [(i, x.numerator * (self.inverse_denom // x.denominator)) for i, x in enumerate(col) if x]
+            for col in zip(*inverse_base)
+        ]
+        self.base_products = {
+            (i, j): self._coordinates(self.product(p, q).items())
+            for i, p in enumerate(basis_positions)
+            for j, q in enumerate(basis_positions[i:], i)
+        }
+        in_base = set(basis_positions)
+        self.others = {k: self._coordinates(self.ints[k]) for k in range(m) if k not in in_base}
+
+    def product(self, p: int, q: int) -> dict[int, int]:
+        """P_pq, the integer product of axet vectors p and q, without zeros."""
+        return self.products[(p, q) if p <= q else (q, p)]
+
+    def form_values(self, gram: Mat) -> list[list[int]]:
+        """(a_p, a_q) for every pair of axet vectors, all times one positive
+        integer, from the Gram matrix scaled to integers (it is symmetric,
+        so its column j is its row j)."""
+        d = lcm(*(g.denominator for row in gram for g in row))
+        rows = [[(i, g.numerator * (d // g.denominator)) for i, g in enumerate(row) if g] for row in gram]
+        images = []
+        for x in self.ints:
+            image: dict[int, int] = {}
+            for j, xj in x:
+                for i, g in rows[j]:
+                    image[i] = image.get(i, 0) + g * xj
+            images.append(image)
+        return [[sum(x * w.get(i, 0) for i, x in u) for w in images] for u in self.ints]
+
+    def _coordinates(self, x) -> tuple[int, list[tuple[int, int]]]:
+        """The base coordinates of x / D, for x given as (index, int)
+        pairs, as (g, G): integers G_k over one denominator g, in lowest
+        terms."""
+        out: dict[int, int] = {}
+        for j, xj in x:
+            for i, c in self.inverse_cols[j]:
+                out[i] = out.get(i, 0) + c * xj
+        d = self.inverse_denom * self.scale
+        g = gcd(d, *out.values())
+        return d // g, [(i, c // g) for i, c in out.items() if c]
+
+    def _combine(self, terms, assigned: Sequence[int]) -> dict[int, int]:
+        """sum G_k A_assigned[k] over the terms (k, G_k), without zeros."""
+        out: dict[int, int] = {}
+        for k, c in terms:
+            for i, x in self.ints[assigned[k]]:
+                out[i] = out.get(i, 0) + c * x
+        return {i: x for i, x in out.items() if x}
+
+    def permutation(self, assigned: Sequence[int]) -> Optional[list[int]]:
+        """The permutation of the axet by the map b_i -> a_assigned[i], when
+        that map is an automorphism that permutes the axet; else None.
+
+        The map sends b_i b_j to sum_k c_ijk a_assigned[k], so it is
+        multiplicative exactly when g P_(assigned[i], assigned[j]) =
+        sum_k G_ijk A_assigned[k] for every base pair; it sends an axet
+        vector off the base with coordinates G / g to sum_k G_k
+        A_assigned[k] / (g D), which must be some A_t / D.
+        """
+        for (i, j), (g, terms) in self.base_products.items():
+            product = self.product(assigned[i], assigned[j])
+            if self._combine(terms, assigned) != (product if g == 1 else {r: g * x for r, x in product.items()}):
+                return None
+        perm: list[Optional[int]] = [None] * len(self.ints)
+        for k, image in zip(self.basis_positions, assigned):
+            perm[k] = image
+        for k, (g, terms) in self.others.items():
+            lhs = self._combine(terms, assigned)
+            if any(x % g for x in lhs.values()):
+                return None
+            perm[k] = self.index.get(tuple(sorted((i, x // g) for i, x in lhs.items())))
+        if None in perm or len(set(perm)) != len(perm):
+            return None
+        return perm
+
+    def integer_map(self, assigned: Sequence[int]) -> IntegerMap:
+        """The map b_i -> a_assigned[i]: its column j is the sum over i of
+        (base inverse)_ij a_assigned[i], that is, of the integer inverse's
+        entry times A_assigned[i], over e D."""
+        cols = [self._combine(col, assigned) for col in self.inverse_cols]
+        return IntegerMap.from_columns(self.inverse_denom * self.scale, cols)

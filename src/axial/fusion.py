@@ -2,15 +2,23 @@
 
 An axis is certified here by explicit exact checks: idempotency, a semisimple
 adjoint with spectrum inside the law, eigenspace products landing where the
-star table says, and a 1-dimensional principal eigenspace.  Past the
-spectrum every check is a polynomial in the adjoint.  A block of products
-is formed only when no other block implies it: the (1, mu) blocks hold when
-A_1 = <a>, and under a proved nondegenerate Frobenius form one block per
-forbidden eigenvalue triple {lam, mu, nu} decides the rest.  An `Axis` is
-its vector, its law and its integer adjoint: the eigenspaces and the graded
-involutions the law entitles are read off that adjoint when first asked for,
-and kept, whether the axis was certified here or is the image of a
-certified axis under an automorphism (`axial.axet.close_axet`).
+star table says, and a 1-dimensional principal eigenspace.  The eigenspaces
+are held as primitive integer bases read off one echelon each, with no
+`Fraction` basis formed; A_1 = <a> is proved instead by rank n - 1 of
+D ad - D mod a prime (a deficit mod p proves nothing, and A_1 is solved
+exactly).  Past the spectrum every check is a polynomial in the adjoint.  A
+block of products is formed only when no other block implies it: the
+(1, mu) blocks hold when A_1 = <a>, and under a proved nondegenerate
+Frobenius form one block per forbidden eigenvalue triple {lam, mu, nu}
+decides the rest.
+
+An `Axis` is its vector, its law, its integer adjoint and its spectrum.
+The canonical eigenspaces are built from the integer bases when first read,
+and the graded involutions the law entitles are the sign polynomials of the
+adjoint over the spectrum, held as sparse `IntegerMap`s, whether the axis
+was certified here or is the image of a certified axis under an
+automorphism (`axial.axet.close_axet`), whose spectrum is its seed's.
+`is_automorphism` is the dense check of a user's matrix.
 
 The axis certificate, `infer_fusion_law` and `derivation_space` work over
 the integers on the algebra's cached `integer_table`, through its
@@ -25,8 +33,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from axial._backend import kernels
 from axial.algebra import ZERO, Algebra, IntegerAdjoint
 from axial.linalg import (
     Mat,
@@ -34,6 +44,7 @@ from axial.linalg import (
     Vec,
     combination,
     frac,
+    independent_mod_p,
     is_zero_vec,
     sparse_kernel,
     subspace_sum,
@@ -194,49 +205,145 @@ NS_UNIT_LENGTHS: dict[str, Fraction] = {
 }
 
 
+IntegerVec = tuple[tuple[int, int], ...]  # the nonzero (index, int) entries, by index
+Point = tuple[int, IntegerVec]  # (d, x): the vector x / d, in lowest terms with d > 0
+
+
+def integer_point(v: Vec) -> Point:
+    """The vector v as a `Point`: over the lcm of its denominators, the
+    numerators share no factor with it, so the pair is in lowest terms."""
+    d = lcm(*(x.denominator for x in v))
+    return d, tuple((i, x.numerator * (d // x.denominator)) for i, x in enumerate(v) if x)
+
+
+def point_vector(p: Point, n: int) -> Vec:
+    """The vector of Q^n that a `Point` stands for."""
+    d, entries = p
+    out = [ZERO] * n
+    for i, x in entries:
+        out[i] = Fraction(x, d)
+    return tuple(out)
+
+
+class IntegerMap(NamedTuple):
+    """A linear map of Q^n as sparse integer columns over one denominator:
+    column j is cols[j] / denom, with denom > 0 and no factor common to
+    denom and every entry.  That form is unique, so equal maps are equal
+    data, and a map is hashed and compared without a dense matrix.
+    """
+
+    denom: int
+    cols: tuple[IntegerVec, ...]
+
+    @classmethod
+    def from_columns(cls, denom: int, cols: Sequence[Mapping[int, int]]) -> "IntegerMap":
+        """The map with columns cols[j] / denom (denom > 0), in lowest terms."""
+        g = gcd(denom, *(x for col in cols for x in col.values()))
+        return cls(denom // g, tuple(tuple(sorted((r, x // g) for r, x in col.items() if x)) for col in cols))
+
+    def image(self, p: Point) -> Point:
+        """The image of a point, in lowest terms."""
+        d, entries = p
+        out: dict[int, int] = {}
+        for j, x in entries:
+            for r, c in self.cols[j]:
+                out[r] = out.get(r, 0) + c * x
+        d *= self.denom
+        g = gcd(d, *out.values())
+        return d // g, tuple(sorted((r, x // g) for r, x in out.items() if x))
+
+    def matrix(self) -> Mat:
+        """The dense matrix of the map."""
+        n = len(self.cols)
+        rows = [[ZERO] * n for _ in range(n)]
+        for j, col in enumerate(self.cols):
+            for r, x in col:
+                rows[r][j] = Fraction(x, self.denom)
+        return tuple(tuple(row) for row in rows)
+
+
 @dataclass(frozen=True)
 class Axis:
-    """A primitive axis of `law`: its vector and the `IntegerAdjoint` of it.
+    """A primitive axis of `law`: its vector, the `IntegerAdjoint` of it and
+    `present`, the law's values that are eigenvalues of ad(a), in the law's
+    order.
 
-    Everything else is read off the adjoint on first use and kept: the
-    eigenspaces of the law's values, and the graded involutions `miyamoto`
-    and `sigma`, each None when the law entitles the axis to no such
-    involution.  `check_axis` builds an Axis and certifies these reads;
-    `close_axet` builds one for the image of a certified axis under an
-    automorphism, whose reads the seed's certificate already implies.
+    `eigenbases` holds the primitive integer basis of each nonzero
+    eigenspace that `check_axis` read off its echelons, keyed by eigenvalue:
+    the basis vector of each free column f of the canonical basis, scaled to
+    coprime integers, its entries sorted by index.  `close_axet` builds an
+    Axis for the image of a certified axis under an automorphism with the
+    spectrum of the axis it is the image of and no bases; they are solved
+    on first use, one null space per eigenvalue.  The canonical `eigendata`
+    are built from the bases when first read.
+
+    The graded involutions are the sign polynomials of the adjoint over the
+    spectrum, so reading them solves no eigenspace.  `miyamoto_map` and
+    `sigma_map` hold them as `IntegerMap`s, each None when the law entitles
+    the axis to no such involution; `miyamoto` and `sigma` are their dense
+    matrices, built when read.
     """
 
     vector: Vec
     law: FusionLaw
     adjoint: IntegerAdjoint = field(repr=False)
+    present: tuple[Fraction, ...]
+    eigenbases: Optional[dict[Fraction, list[IntegerVec]]] = field(default=None, repr=False)
 
     primitive = True  # every Axis is primitive: a 1-dimensional 1-eigenspace
 
     @cached_property
-    def eigendata(self) -> tuple[tuple[Fraction, Subspace], ...]:
-        """The nonzero eigenspaces of ad(a) for the law's values, in the
-        law's order: the null spaces of D ad(a) - D lam."""
-        spaces = ((lam, self.adjoint.eigenspace(lam)) for lam in self.law.values)
-        return tuple((lam, space) for lam, space in spaces if not space.is_zero())
+    def integer_eigenbases(self) -> dict[Fraction, list[IntegerVec]]:
+        """`eigenbases`, solved here for an axis built without them."""
+        if self.eigenbases is not None:
+            return self.eigenbases
+        return {lam: _eigenbasis(self.adjoint, lam) for lam in self.present}
 
     @cached_property
-    def miyamoto(self) -> Optional[Mat]:
+    def eigendata(self) -> tuple[tuple[Fraction, Subspace], ...]:
+        """The nonzero eigenspaces of ad(a) for the law's values, in the
+        law's order, as canonical subspaces: each integer basis vector
+        divided by its entry at its free column, its first entry."""
+        n = len(self.vector)
+        out = []
+        for lam, basis in self.integer_eigenbases.items():
+            rows = []
+            for x in basis:
+                top = x[0][1]
+                row = [ZERO] * n
+                for i, c in x:
+                    row[i] = Fraction(c, top)
+                rows.append(tuple(row))
+            out.append((lam, Subspace._canonical(n, rows, [x[0][0] for x in basis])))
+        return tuple(out)
+
+    @cached_property
+    def miyamoto_map(self) -> Optional[IntegerMap]:
         """The sign map of the law's grading (the identity when no negated
         eigenvalue is present); None for a trivially graded law."""
         _, minus = self.law.c2_grading()
-        return self.adjoint.sign_map(self.spectrum(), minus) if minus else None
+        return IntegerMap.from_columns(*self.adjoint.sign_map(self.present, minus)) if minus else None
 
     @cached_property
-    def sigma(self) -> Optional[Mat]:
+    def sigma_map(self) -> Optional[IntegerMap]:
         """For a Jordan-type axis under a graded law, the map negating the
         eigenvalues other than 1 and 0 (the alpha eigenspace for
         Monster-type laws); otherwise None."""
         _, minus = self.law.c2_grading()
-        present = self.spectrum()
-        inner = frozenset(lam for lam in present if lam not in (ONE, ZERO))
-        if minus and inner and not minus & set(present):
-            return self.adjoint.sign_map(present, inner)
+        inner = frozenset(lam for lam in self.present if lam not in (ONE, ZERO))
+        if minus and inner and not minus & set(self.present):
+            return IntegerMap.from_columns(*self.adjoint.sign_map(self.present, inner))
         return None
+
+    @cached_property
+    def miyamoto(self) -> Optional[Mat]:
+        """The dense matrix of `miyamoto_map`."""
+        return None if self.miyamoto_map is None else self.miyamoto_map.matrix()
+
+    @cached_property
+    def sigma(self) -> Optional[Mat]:
+        """The dense matrix of `sigma_map`."""
+        return None if self.sigma_map is None else self.sigma_map.matrix()
 
     def eigenspace(self, lam) -> Subspace:
         lam = frac(lam)
@@ -246,7 +353,7 @@ class Axis:
         return Subspace(len(self.vector))
 
     def spectrum(self) -> tuple[Fraction, ...]:
-        return tuple(lam for lam, _ in self.eigendata)
+        return self.present
 
     def minus_space(self) -> Subspace:
         """Sum of the eigenspaces in the negative part of the grading."""
@@ -256,7 +363,7 @@ class Axis:
 
     def is_jordan_type(self) -> bool:
         """No eigenvalue in the negative part of the grading (trivial tau)."""
-        return self.minus_space().is_zero()
+        return not set(self.present) & self.law.c2_grading()[1]
 
     def __eq__(self, other):
         return isinstance(other, Axis) and self.vector == other.vector
@@ -270,12 +377,50 @@ def adjoint_eigenspace(alg: Algebra, v: Vec, lam) -> Subspace:
     return IntegerAdjoint(alg, vec(v), (frac(lam),)).eigenspace(frac(lam))
 
 
-def _integer_entries(v: Vec) -> list[tuple[int, int]]:
-    """The nonzero entries of the `primitive_part` of v, as (index, integer)."""
-    return [(i, x) for i, x in enumerate(primitive_part(v)) if x]
+def _eigenbasis(adjoint: IntegerAdjoint, lam: Fraction) -> list[IntegerVec]:
+    """The primitive integer basis of the lam-eigenspace, read off one
+    echelon of D ad - D lam with no `Fraction` formed.
+
+    The rows are reduced with their columns reversed, as in
+    `linalg.null_space`: the null vector of free column f is 1 at f, 0 at
+    the other free columns and -v / p at the pivot column of each pivot row
+    with pivot entry p and entry v at f.  Scaled by the lcm of those p and
+    divided by its content, it is a positive multiple of that canonical
+    basis vector whose first entry is at f.
+    """
+    n = len(adjoint.rows)
+    last = n - 1
+    pivots = kernels.echelon([{last - c: x for c, x in row.items() if x} for row in adjoint.shifted_rows(lam)])
+    terms: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(n) if last - f not in pivots}
+    for c, prow in pivots.items():
+        p = prow[c]
+        for j, v in prow.items():
+            if j != c:
+                terms[last - j].append((last - c, v, p))
+    basis = []
+    for f, column in terms.items():
+        scale = lcm(*(p for _, _, p in column))
+        x = [(f, scale)] + sorted((i, -v * (scale // p)) for i, v, p in column)
+        g = gcd(*(c for _, c in x))
+        basis.append(tuple((i, c // g) for i, c in x))
+    return basis
 
 
-def _integer_product(table: dict, x: list[tuple[int, int]], y: list[tuple[int, int]]) -> dict:
+def _principal_basis(adjoint: IntegerAdjoint, v: Vec) -> Optional[list[IntegerVec]]:
+    """[primitive v] when the rank of D ad - D mod the prime `linalg.MODULUS`
+    proves A_1 = <v>, else None.
+
+    v is a nonzero idempotent, so it lies in A_1, and a rank n - 1 mod p
+    bounds the rank over Q below by n - 1: A_1 has dimension exactly 1.  A
+    smaller rank mod p proves nothing, and the caller solves A_1 exactly.
+    """
+    n = len(v)
+    if len(independent_mod_p(adjoint.shifted_rows(ONE), n)) != n - 1:
+        return None
+    return [tuple((i, x) for i, x in enumerate(primitive_part(v)) if x)]
+
+
+def integer_product(table: dict, x: IntegerVec, y: IntegerVec) -> dict:
     """The product of two sparse integer vectors over an integer table, as
     {index: value} without zero values."""
     out: dict[int, int] = {}
@@ -286,18 +431,13 @@ def _integer_product(table: dict, x: list[tuple[int, int]], y: list[tuple[int, i
     return {k: v for k, v in out.items() if v}
 
 
-def _integer_bases(eigendata: Sequence[tuple[Fraction, Subspace]]) -> dict:
-    """The basis of each eigenspace as `_integer_entries`, keyed by eigenvalue."""
-    return {lam: [_integer_entries(b) for b in space.basis] for lam, space in eigendata}
-
-
 def _block_products(table: dict, bases: dict, lam: Fraction, mu: Fraction) -> Iterator[dict]:
     """The products x y of basis vectors of A_lam and A_mu, lazily; they span
     A_lam A_mu (each unordered pair once when lam = mu, as the product is
     commutative).
 
-    They are computed on the `primitive_part`s of the basis vectors and on
-    the structure constants times their common denominator (the algebra's
+    They are computed on the integer eigenbases and on the structure
+    constants times their common denominator (the algebra's
     `integer_table`), so each is the true product times a nonzero integer.
     """
     xs, ys = bases[lam], bases[mu]
@@ -305,7 +445,7 @@ def _block_products(table: dict, bases: dict, lam: Fraction, mu: Fraction) -> It
         pairs = itertools.combinations_with_replacement(xs, 2)
     else:
         pairs = itertools.product(xs, ys)
-    return (_integer_product(table, x, y) for x, y in pairs)
+    return (integer_product(table, x, y) for x, y in pairs)
 
 
 def _fusion_violation(alg: Algebra, axis: Axis) -> Optional[tuple[Fraction, Fraction]]:
@@ -327,9 +467,9 @@ def _fusion_violation(alg: Algebra, axis: Axis) -> Optional[tuple[Fraction, Frac
     When a block fails, every block before it not yet seen to hold is
     checked too, so the block named is the first one that fails.
     """
-    law, eigendata = axis.law, axis.eigendata
-    present = [lam for lam, _ in eigendata]
-    dims = [space.dim for _, space in eigendata]
+    law, bases = axis.law, axis.integer_eigenbases
+    present = list(bases)
+    dims = [len(basis) for basis in bases.values()]
     # the blocks with a forbidden eigenvalue, as index pairs into `present`
     allowed, forbidden = {}, {}
     for i, j in itertools.combinations_with_replacement(range(len(present)), 2):
@@ -358,7 +498,7 @@ def _fusion_violation(alg: Algebra, axis: Axis) -> Optional[tuple[Fraction, Frac
                 kept.append(block)
                 covered |= new
         todo = kept
-    table, bases = alg.integer_table().table, _integer_bases(eigendata)
+    table = alg.integer_table().table
 
     def fails(block):
         i, j = block
@@ -379,8 +519,12 @@ def check_axis_verbose(
 ) -> tuple[Optional[Axis], Optional[str]]:
     """Verify the axis conditions, returning (axis, None) or (None, reason).
 
-    The axis's `eigendata` are the null spaces of the integer shifts
-    D ad(a) - D lam (`IntegerAdjoint`).  Once they span A, ad(a) is
+    The eigenspaces are the null spaces of the integer shifts D ad(a) - D lam
+    (`IntegerAdjoint`), each held as the primitive integer basis read off
+    one echelon (`_eigenbasis`).  A_1 is screened first: rank n - 1 of
+    D ad - D mod the prime `linalg.MODULUS` proves A_1 = <a>
+    (`_principal_basis`), and only a rank deficit mod p, which proves
+    nothing, solves it exactly.  Once the eigenspaces span A, ad(a) is
     semisimple with the spectrum found, and the rest of the certificate is
     read off polynomials in the same integer adjoint: a product of
     eigenbasis vectors lies in the allowed sum exactly when the product of
@@ -393,14 +537,22 @@ def check_axis_verbose(
         return None, "not_idempotent: zero vector"
     if alg.product(v, v) != v:
         return None, "not_idempotent"
-    axis = Axis(v, law, IntegerAdjoint(alg, v, law.values))
-    total = sum(space.dim for _, space in axis.eigendata)
+    adjoint = IntegerAdjoint(alg, v, law.values)
+    bases = {}
+    for lam in law.values:
+        basis = _principal_basis(adjoint, v) if lam == ONE else None
+        if basis is None:
+            basis = _eigenbasis(adjoint, lam)
+        if basis:
+            bases[lam] = basis
+    total = sum(map(len, bases.values()))
     if total != alg.dim:
         return None, f"bad_spectrum: eigenspaces for the law span {total} of {alg.dim}"
+    axis = Axis(v, law, adjoint, tuple(bases), bases)
     violation = _fusion_violation(alg, axis)
     if violation is not None:
         return None, "fusion_violation: {} * {}".format(*violation)
-    if axis.eigenspace(ONE).dim != 1:
+    if len(bases.get(ONE, ())) != 1:
         return None, "not_primitive"
     return axis, None
 
@@ -533,9 +685,9 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     if any(len(f) != 2 or mult != 1 for f, mult in factors):
         return None
     values = sorted((Fraction(-b, a) for (b, a), _ in factors), reverse=True)
-    eigendata = [(lam, adjoint.eigenspace(lam)) for lam in values]
+    bases = {lam: _eigenbasis(adjoint, lam) for lam in values}
     others = {nu: [k for k in values if k != nu] for nu in values}
-    table, bases = alg.integer_table().table, _integer_bases(eigendata)
+    table = alg.integer_table().table
     star = {}
     for lam, mu in itertools.combinations_with_replacement(values, 2):
         hit: set[Fraction] = set()

@@ -4,8 +4,9 @@ Vectors are tuples of Fractions and matrices are tuples of row tuples, so
 every value is immutable and hashable.  All arithmetic is exact; nothing here
 ever rounds.  Every row reduction, `rref` and both stages of `sparse_kernel`
 alike, is the one sparse integer elimination of `axial._kernels_py`, and
-every null space (`kernel`, `sparse_kernel`, `eigenspace`, `intersect` and
-the axis eigenspaces of `axial.fusion`) is read off it by `null_space`.
+every null space (`kernel`, `sparse_kernel`, `eigenspace` and `intersect`)
+is read off it by `null_space`; the axis certificates of `axial.fusion`
+read their integer eigenbases off the same echelon.
 The exact stage of `sparse_kernel` solves only the rows its mod-p screen
 kept, and checks the answer against the rows it did not keep.
 `solve` and `inverse` read their answers off one RREF of an augmented

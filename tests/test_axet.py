@@ -5,7 +5,8 @@ import pytest
 
 import axial.axet
 from axial import linalg
-from axial.algebra import Algebra, AlgebraError, IntegerAdjoint, diagonal_algebra
+from axial._backend import kernels
+from axial.algebra import Algebra, AlgebraError, diagonal_algebra
 from axial.axet import (
     Axet,
     NS_UNIT_LENGTHS,
@@ -18,7 +19,14 @@ from axial.axet import (
     tau_realizer,
     twins_of,
 )
-from axial.fusion import MONSTER_QUARTER, check_axis, is_automorphism, jordan_law, monster_law
+from axial.fusion import (
+    MONSTER_QUARTER,
+    IntegerMap,
+    check_axis,
+    is_automorphism,
+    jordan_law,
+    monster_law,
+)
 from axial.groebner import CapExceeded
 from axial.linalg import (
     Subspace,
@@ -297,29 +305,50 @@ def test_close_axet_transport_agrees_with_axis_check(q2, q2_axes):
 
 def test_close_axet_reads_no_eigenspace_and_multiplies_no_matrix(monkeypatch):
     # S5 at 1/4 from its 4 Coxeter seeds: the 6 orbit axes are built from
-    # their vectors alone; reading their taus reads each one's 3 eigenspaces
-    # once, and the group needs no matrix product
+    # their vectors alone and carry their seeds' spectrum, so reading their
+    # taus solves no eigenspace (no echelon at all), and the group needs no
+    # matrix product
     alg, seeds = _coxeter_seeds(5, "1/4")
-    eigenspaces, products = [], []
-    original_eigenspace = IntegerAdjoint.eigenspace
+    echelons, products = [], []
+    original_echelon = kernels.echelon
 
-    def counting_eigenspace(self, nu):
-        eigenspaces.append(nu)
-        return original_eigenspace(self, nu)
+    def counting_echelon(rows):
+        echelons.append(1)
+        return original_echelon(rows)
 
     def counting_mat_mul(a, b):
         products.append(1)
         return linalg.mat_mul(a, b)
 
-    monkeypatch.setattr(IntegerAdjoint, "eigenspace", counting_eigenspace)
     for module in [m for name, m in sys.modules.items() if name.startswith("axial")]:
         if getattr(module, "mat_mul", None) is linalg.mat_mul and module is not linalg:
             monkeypatch.setattr(module, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(kernels, "echelon", counting_echelon)
     axet = close_axet(alg, seeds)
-    assert (len(axet), len(eigenspaces), len(products)) == (10, 0, 0)
-    assert all(a.miyamoto is not None for a in axet.axes)
+    assert (len(axet), len(echelons), len(products)) == (10, 0, 0)
+    assert all(a.miyamoto_map is not None for a in axet.axes)
+    assert (len(echelons), len(products)) == (0, 0)
     assert miyamoto_group(alg, axet).order == 120
-    assert (len(eigenspaces), len(products)) == (18, 0)
+    assert len(products) == 0
+
+
+def test_group_layer_applies_no_dense_matrix_on_matsuo_s5(monkeypatch):
+    # closing the axet, the Miyamoto group and the Aut search apply the
+    # involutions and the candidate maps sparsely: no dense mat_vec
+    alg, seeds = _coxeter_seeds(5, "1/4")
+    calls = []
+
+    def counting_mat_vec(m, v):
+        calls.append(1)
+        return linalg.mat_vec(m, v)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("axial")]:
+        if getattr(module, "mat_vec", None) is linalg.mat_vec and module is not linalg:
+            monkeypatch.setattr(module, "mat_vec", counting_mat_vec)
+    axet = close_axet(alg, seeds)
+    assert miyamoto_group(alg, axet).order == 120
+    assert aut_from_axis_permutations(alg, axet).order == 120
+    assert calls == []
 
 
 def _assert_same_closure(alg, seeds):
@@ -347,13 +376,14 @@ def test_close_axet_forms_one_image_per_seed_tau_and_axis(monkeypatch):
     # involution
     alg, seeds = _coxeter_seeds(6, "1/4")
     images = []
+    original = IntegerMap.image
 
-    def counting(m, v):
+    def counting(self, p):
         if sys._getframe(1).f_code.co_name == "close_axet":
-            images.append(v)
-        return mat_vec(m, v)
+            images.append(p)
+        return original(self, p)
 
-    monkeypatch.setattr(axial.axet, "mat_vec", counting)
+    monkeypatch.setattr(IntegerMap, "image", counting)
     assert len(close_axet(alg, seeds)) == 15
     assert len(images) == 5 * 15
 
@@ -464,6 +494,47 @@ def test_groups_match_enumeration_on_small_algebras(q2, q2_axes, two_b):
     _check_against_oracles(one, Axet((check_axis(one, unit_vec(1, 0), MONSTER_QUARTER),)))
 
 
+def _in_basis(plain, cols):
+    """The algebra `plain` in the basis of the given columns."""
+    n = plain.dim
+    back = inverse(mat_from_cols(cols))
+    gamma = [
+        (i, j, k, c)
+        for i in range(n)
+        for j in range(i, n)
+        for k, c in enumerate(mat_vec(back, plain.product(cols[i], cols[j])))
+    ]
+    gram = None if plain.gram is None else [[plain.form_value(x, y) for y in cols] for x in cols]
+    return Algebra.from_gamma(n, gamma, gram=gram), back
+
+
+def test_groups_match_enumeration_off_the_unit_vectors():
+    # The axet frame with a base that is not the unit vectors: Matsuo S4 at
+    # 1/4 in a unitriangular basis, where every axis is a dense vector; and
+    # Matsuo S3 at -1 modulo the radical of its form, e0 + e1 + e2, where
+    # the three axes e0, e1 and -e0 - e1 span a 2-dimensional algebra, so
+    # one axet vector lies off the base.
+    data = symmetric_transpositions(4)
+    cols = [vec([1 if a == i or (a < i and (a + i) % 3 == 0) else 0 for a in range(6)]) for i in range(6)]
+    alg, back = _in_basis(matsuo_algebra(data, F(1, 4)), cols)
+    law = jordan_law(F(1, 4))
+    seeds = [data.index_of(transposition_perm(4, a, a + 1)) for a in range(1, 4)]
+    axet = close_axet(alg, [check_axis(alg, mat_vec(back, unit_vec(6, i)), law) for i in seeds])
+    assert len(axet) == 6 and axet.spans(6)
+    _check_against_oracles(alg, axet)
+    assert aut_from_axis_permutations(alg, axet).order == 24
+    half = F(-1, 2)
+    quotient = Algebra.from_gamma(
+        2, [(0, 0, 0, 1), (1, 1, 1, 1), (0, 1, 0, -1), (0, 1, 1, -1)], gram=[[1, half], [half, 1]]
+    )
+    law = jordan_law(-1)
+    axes = [check_axis(quotient, v, law) for v in (vec([1, 0]), vec([0, 1]), vec([-1, -1]))]
+    axet = close_axet(quotient, axes[:2])
+    assert len(axet) == 3
+    _check_against_oracles(quotient, axet)
+    assert aut_from_axis_permutations(quotient, axet).order == 6
+
+
 @pytest.mark.parametrize("m, order", [(6, 720), (7, 5040), (8, 40320)])
 def test_group_orders_beyond_enumeration(m, order):
     # the symmetric group S_m, out of reach of listing its elements
@@ -475,17 +546,19 @@ def test_group_orders_beyond_enumeration(m, order):
 
 
 def test_aut_verifies_one_map_per_strong_generator(monkeypatch):
-    # listing S5 verified all 120 candidate maps; the strong generators need 4
+    # listing S5 verified all 120 candidate maps; the strong generators need
+    # 4, each verified in the axet frame
     data = symmetric_transpositions(5)
     alg = matsuo_algebra(data, F(1, 4))
     law = jordan_law(F(1, 4))
     axet = close_axet(alg, [check_axis(alg, unit_vec(10, i), law) for i in range(10)])
     calls = []
+    original = axial.axet._AxetFrame.permutation
 
-    def counting(alg, g):
-        calls.append(g)
-        return is_automorphism(alg, g)
+    def counting(self, assigned):
+        calls.append(assigned)
+        return original(self, assigned)
 
-    monkeypatch.setattr(axial.axet, "is_automorphism", counting)
+    monkeypatch.setattr(axial.axet._AxetFrame, "permutation", counting)
     assert aut_from_axis_permutations(alg, axet).order == 120
-    assert len(calls) <= 6
+    assert 4 <= len(calls) <= 6

@@ -710,13 +710,13 @@ def test_check_axis_forms_one_block_per_forbidden_triple(monkeypatch):
     data = symmetric_transpositions(5)
     alg = matsuo_algebra(data, F(1, 4))
     calls = []
-    original = fusion._integer_product
+    original = fusion.integer_product
 
     def counting(table, x, y):
         calls.append(1)
         return original(table, x, y)
 
-    monkeypatch.setattr(fusion, "_integer_product", counting)
+    monkeypatch.setattr(fusion, "integer_product", counting)
     for law in (jordan_law(F(1, 4)), MONSTER_QUARTER):
         calls.clear()
         assert check_axis(alg, unit_vec(data.size, 0), law) is not None
@@ -772,7 +772,8 @@ def test_check_axis_inverts_nothing_and_tests_no_membership(monkeypatch):
 
 def test_check_axis_reads_each_eigenspace_off_one_echelon(monkeypatch):
     # Work counter: each eigenspace of the certificate is the null space of
-    # one integer shift of the adjoint, read off one echelon with no RREF.
+    # one integer shift of the adjoint, read off one echelon with no RREF,
+    # except A_1, which rank n - 1 mod p proves to be <a> with no echelon.
     data = symmetric_transpositions(5)
     alg = matsuo_algebra(data, F(1, 4))
     counts = {"rref": 0, "echelon": 0}
@@ -789,7 +790,125 @@ def test_check_axis_reads_each_eigenspace_off_one_echelon(monkeypatch):
     for law in (jordan_law(F(1, 4)), MONSTER_QUARTER):
         counts.update(rref=0, echelon=0)
         assert check_axis(alg, unit_vec(data.size, 0), law) is not None
-        assert counts == {"rref": 0, "echelon": len(law.values)}, law
+        assert counts == {"rref": 0, "echelon": len(law.values) - 1}, law
+
+
+BENCHMARK_ETAS = ("1/2", "1/4", "1/3", "2/5", "3/8", "2")
+SMALL_PRIME = 3
+
+
+def _fallback_cases():
+    """(build, vectors, laws) on Matsuo S3-S6 at each benchmark eta, the
+    fixtures and the flip subalgebras of S5; `build` makes a fresh algebra,
+    so no rank mod p is kept from an earlier prime."""
+    for m in (3, 4, 5, 6):
+        data = symmetric_transpositions(m)
+        for eta in map(F, BENCHMARK_ETAS):
+            vectors = [unit_vec(data.size, i) for i in range(data.size)]
+            vectors.append(vadd(vectors[0], vectors[1]))
+            laws = (jordan_law(eta), _narrow_jordan_law(eta))
+            yield (lambda data=data, eta=eta: matsuo_algebra(data, eta)), vectors, laws
+    for name in ("q2.alg", "triple2b.alg"):
+        parsed = parse_algebra(FIXTURES / name)
+        laws = tuple(dict.fromkeys(parse_law_spec(tag, parsed.law) for tag, _ in parsed.axes))
+        n = parsed.algebra.dim
+        vectors = [v for _, v in parsed.axes] + [unit_vec(n, i) for i in range(n)]
+        yield (lambda name=name: parse_algebra(FIXTURES / name).algebra), vectors, laws
+    for eta in map(F, BENCHMARK_ETAS[1:]):
+        flip = double_axes_and_flip(symmetric_transpositions(5), eta, (1, 0, 3, 2, 4))
+        n = flip.algebra.dim
+        vectors = [unit_vec(n, i) for i in range(n)]
+        yield (lambda eta=eta: double_axes_and_flip(symmetric_transpositions(5), eta, (1, 0, 3, 2, 4)).algebra), vectors, (monster_law(2 * eta, eta),)
+
+
+def test_check_axis_falls_back_to_the_exact_null_space_under_a_small_prime(monkeypatch):
+    # Modulo 3 the rank of D ad - D falls short on many axes, which proves
+    # nothing: A_1 is then solved exactly, and every outcome (eigendata, tau,
+    # sigma or the reason) is the one found under the default prime.
+    screens = []
+    original = fusion._principal_basis
+
+    def recording(adjoint, v):
+        basis = original(adjoint, v)
+        screens.append(basis is not None)
+        return basis
+
+    monkeypatch.setattr(fusion, "_principal_basis", recording)
+    expected, found = [], []
+    cases = list(_fallback_cases())
+    for build, vectors, laws in cases:
+        alg = build()
+        expected += [_outcome(alg, v, law) for law in laws for v in vectors]
+    assert all(screens)  # mod 2^31 - 1 the screen proves A_1 = <a> for every idempotent here
+    screens.clear()
+    monkeypatch.setattr(linalg, "MODULUS", SMALL_PRIME)
+    for build, vectors, laws in cases:
+        alg = build()
+        found += [_outcome(alg, v, law) for law in laws for v in vectors]
+    assert found == expected
+    assert True in screens and False in screens
+
+
+@st.composite
+def perturbed_vectors(draw):
+    """An idempotent of Matsuo S3 or S4 built from its axes, sometimes
+    perturbed, with a drawn law.
+
+    The idempotent is an axis, the unit, the unit minus an axis, or, in S4,
+    the sum of two orthogonal axes; the perturbation adds a small multiple
+    of a basis vector.  These reach every outcome of the axis check.
+    """
+    m = draw(st.sampled_from([3, 4]))
+    eta = draw(st.sampled_from([F(1, 4), F(1, 2), F(1, 3), F(2)]))
+    data, alg = _matsuo(m, eta)
+    n = data.size
+    i = draw(st.integers(0, n - 1))
+    axis = unit_vec(n, i)
+    one = alg.find_unit()
+    kinds = ["axis", "unit", "unit minus axis"] + (["orthogonal pair"] if m == 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "axis":
+        v = axis
+    elif kind == "unit":
+        v = one
+    elif kind == "unit minus axis":
+        v = vadd(one, vscale(-1, axis))
+    else:
+        j = next(j for j in range(n) if data.orders[i][j] == 2)
+        v = vadd(axis, unit_vec(n, j))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([F(1), F(-1, 2), F(1, 3)]))
+        v = vadd(v, vscale(c, unit_vec(n, draw(st.integers(0, n - 1)))))
+    laws = [jordan_law(eta), monster_law(eta, F(1, 32)), _narrow_jordan_law(eta)]
+    if eta != F(1, 2):
+        laws.append(monster_law(2 * eta, eta))
+    return alg, v, draw(st.sampled_from(laws))
+
+
+_MATSUO = {}
+
+
+def _matsuo(m, eta):
+    if (m, eta) not in _MATSUO:
+        data = symmetric_transpositions(m)
+        _MATSUO[m, eta] = data, matsuo_algebra(data, eta)
+    return _MATSUO[m, eta]
+
+
+def test_check_axis_matches_reference_on_perturbed_vectors():
+    kinds = []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(perturbed_vectors())
+    def compare(case):
+        outcome = _outcome(*case)
+        assert outcome == reference_check_axis(*case)
+        kinds.append(outcome.split(":")[0] if isinstance(outcome, str) else "axis")
+
+    compare()
+    assert set(kinds) == {
+        "axis", "fusion_violation", "bad_spectrum", "not_primitive", "not_idempotent"
+    }
 
 
 @pytest.mark.parametrize("eta", ["1/4", "1/3", "2"])

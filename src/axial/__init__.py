@@ -44,7 +44,6 @@ from axial.decomp import (
 from axial.fusion import (
     Axis,
     FusionLaw,
-    IntegerMap,
     MONSTER_QUARTER,
     NS_UNIT_LENGTHS,
     check_axis,
@@ -53,7 +52,6 @@ from axial.fusion import (
     infer_fusion_law,
     is_automorphism,
     jordan_law,
-    miyamoto_involution,
     monster_law,
 )
 from axial.groebner import (
@@ -71,6 +69,7 @@ from axial.groebner import (
     normal_form,
 )
 from axial.linalg import (
+    IntegerMap,
     Mat,
     Subspace,
     Vec,

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from axial._backend import kernels
 from axial.linalg import (
+    IntegerMap,
     Mat,
     Subspace,
     Vec,
@@ -23,6 +24,7 @@ from axial.linalg import (
     frac,
     identity,
     independent_mod_p,
+    integer_point,
     inverse,
     kernel,
     mat,
@@ -286,16 +288,12 @@ class Algebra:
         """The w-coordinates of every product x y, one row per x and one entry
         per y, or None when some product leaves w.
 
-        Each y is scaled to integers once, and x y is read off the
-        `IntegerAdjoint` of x, so only the entries of a product that are
-        nonzero are divided back into `Fraction`s.
+        Each y is scaled to integers once, as its `Point`, and x y is read
+        off the `IntegerAdjoint` of x, so only the entries of a product that
+        are nonzero are divided back into `Fraction`s.
         """
         n = self.dim
-        scaled = []
-        for y in ys:
-            d = lcm(*(c.denominator for c in y))
-            ints = {j: c.numerator * (d // c.denominator) for j, c in enumerate(y) if c}
-            scaled.append((d, ints))
+        scaled = [(d, dict(y)) for d, y in map(integer_point, ys)]
         table = []
         for x in xs:
             adjoint = IntegerAdjoint(self, x, ())
@@ -557,14 +555,11 @@ class IntegerAdjoint:
             x = self.shift(nu, x)
         return not x
 
-    def sign_map(
-        self, present: Sequence[Fraction], negated: frozenset
-    ) -> tuple[int, list[dict[int, int]]]:
+    def sign_map(self, present: Sequence[Fraction], negated: frozenset) -> IntegerMap:
         """f(ad) for the polynomial f that is -1 on the `negated` eigenvalues
         in `present` and +1 on the others: on a semisimple adjoint with that
         spectrum, the map acting as -1 on the negated eigenspaces (the
-        identity when none is present).  Returned as (denom, cols): column j
-        of the map is the sparse integer vector cols[j] divided by denom.
+        identity when none is present), as an `IntegerMap`.
 
         f is held in Newton form, sum_i c_i prod_{l<i} (t - present[l]), up
         to its last nonzero c_i, and column j is sum_i c_i / D^i w_i for
@@ -587,8 +582,8 @@ class IntegerAdjoint:
                 w = self.shift(present[i - 1], w) if i else w
                 for r, x in w.items():
                     col[r] = col.get(r, 0) + num * x
-            cols.append({r: x for r, x in col.items() if x})
-        return denom, cols
+            cols.append(col)
+        return IntegerMap.from_columns(denom, cols)
 
 
 def diagonal_algebra(n: int) -> Algebra:

@@ -1,59 +1,57 @@
 """Closed axis sets, the Miyamoto group, twins, Jordan axes, pair classes.
 
-The group layer works on integer data.  Involutions are `IntegerMap`s,
-sparse integer columns over one denominator, and points are `Point`s, a
-vector over one denominator in lowest terms, so they are applied in
-O(nonzeros) and hashed as integers.  `close_axet` builds each new axis as an
-`Axis` of its vector, with its own integer adjoint and the spectrum of the
-axis it is the image of: the image of a certified axis under an
-automorphism needs no certificate, and reading its involution solves no
-eigenspace.
+The group layer works on integer data, in the sparse integer format of
+`axial.linalg`.  Involutions are `IntegerMap`s, sparse integer columns over
+one denominator, and points are `Point`s, a vector over one denominator in
+lowest terms, so they are applied in O(nonzeros) and hashed as integers.
+`close_axet` builds each new axis as an `Axis` of its vector, with its own
+integer adjoint and the spectrum of the axis it is the image of: the image
+of a certified axis under an automorphism needs no certificate, and reading
+its involution solves no eigenspace.
 
 The Miyamoto group and the automorphisms permuting an axet are held as
 sympy permutation groups on spanning sets of vectors, with one `IntegerMap`
-per generator and its matrix built when read; their orders and orbits come
-from deterministic Schreier-Sims, and no element is listed or stored as a
-matrix.  A candidate automorphism is verified in the axet frame, on the
-products of axet vectors and base coordinates, with no matrix formed.
-sympy is imported by the two functions that build these groups, on their
-first call.
+per generator, whose `matrix` is its one dense read; their orders and
+orbits come from deterministic Schreier-Sims, and no element is listed or
+stored as a matrix.  A candidate automorphism is verified in the axet
+frame, on the products of axet vectors and base coordinates, with no matrix
+formed.  sympy is imported by the two functions that build these groups, on
+their first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from axial.algebra import Algebra, AlgebraError, IntegerAdjoint
 from axial.fusion import (
     Axis,
     FusionLaw,
-    IntegerMap,
     MONSTER_QUARTER,
     NS_UNIT_LENGTHS,
-    Point,
     check_axis,
-    integer_point,
     integer_product,
     is_automorphism,
     jordan_law,
-    point_vector,
 )
 from axial.groebner import DEFAULT_CAPS, POSITIVE_DIMENSIONAL, CapExceeded, SolverCaps
 from axial.linalg import (
+    IntegerMap,
     Mat,
+    Point,
     Subspace,
     Vec,
     full_space,
     identity,
+    integer_point,
     inverse,
     mat_from_cols,
-    mat_mul,
     mat_sub,
     null_space,
+    point_vector,
     rref,
     transpose,
     unit_vec,
@@ -83,9 +81,6 @@ class Axet:
                 raise ValueError("axis without a graded involution in the axet")
             out.append(a.miyamoto_map)
         return out
-
-    def taus(self) -> list[Mat]:
-        return [g.matrix() for g in self.tau_maps()]
 
     def spans(self, dim: int) -> bool:
         return Subspace(dim, self.vectors()).dim == dim
@@ -144,8 +139,7 @@ class MiyGroup:
     span, and a linear map is fixed by its action on a spanning set, so the
     action is faithful: `group.order()` is the order of the Miyamoto group.
     `faithful` records whether the axet alone spans.  `maps` holds the
-    distinct involutions as `IntegerMap`s; `generators` are their matrices,
-    built when first read.
+    distinct involutions as `IntegerMap`s.
     """
 
     maps: list[IntegerMap]
@@ -156,10 +150,6 @@ class MiyGroup:
     @property
     def order(self) -> int:
         return self.group.order()
-
-    @cached_property
-    def generators(self) -> list[Mat]:
-        return [g.matrix() for g in self.maps]
 
 
 def miyamoto_group(alg: Algebra, axet: Axet, cap: int = 200_000) -> MiyGroup:
@@ -217,7 +207,7 @@ def twins_of(alg: Algebra, a: Axis, caps: SolverCaps = DEFAULT_CAPS) -> list[Axi
         )
     twins = []
     for axis in axes_from_idempotents(alg, result, a.law):
-        if axis.vector != a.vector and axis.miyamoto == a.miyamoto:
+        if axis.vector != a.vector and axis.miyamoto_map == a.miyamoto_map:
             twins.append(axis)
     return twins
 
@@ -231,14 +221,18 @@ def tau_realizer(
     negated eigenvalue of the law, so candidates are searched on that affine
     coset (within the span of Ann and the unit when the negated eigenvalue is
     not unique); each rational idempotent is filtered through the axis check
-    and a tau comparison.  Realizers of the identity are Jordan axes; prefer
-    `jordan_axes`, which searches the much smaller fixed subalgebra.
+    and a tau comparison.  tau is read once as an `IntegerMap`, so its rows
+    may be tuples or lists and its entries ints, strings or Fractions, and
+    the involution check and the comparisons are on integer data.
+    Realizers of the identity are Jordan axes; prefer `jordan_axes`, which
+    searches the much smaller fixed subalgebra.
     """
     one = alg.require_unit()
     n = alg.dim
     if not is_automorphism(alg, tau):
         raise AlgebraError("tau is not an algebra automorphism")
-    if mat_mul(tau, tau) != identity(n):
+    t = IntegerMap.from_matrix(tau)
+    if t.compose(t) != IntegerMap.from_matrix(identity(n)):
         raise AlgebraError("tau is not an involution")
     commutator_image = Subspace(n, transpose(mat_sub(tau, identity(n))))
     ann = alg.annihilator(commutator_image)
@@ -255,7 +249,7 @@ def tau_realizer(
         raise AlgebraError("realizer variety is positive-dimensional")
     found = []
     for axis in axes_from_idempotents(alg, result, law):
-        if axis.miyamoto == tau:
+        if axis.miyamoto_map == t:
             found.append(axis)
     return found
 
@@ -413,8 +407,7 @@ class AutGroup:
     """Automorphisms permuting a spanning axet, held by strong generators.
 
     `group` acts on the positions of the axet; `maps` are its generators as
-    `IntegerMap`s, in the same order, and `generators` their matrices,
-    built when first read.
+    `IntegerMap`s, in the same order.
     """
 
     maps: list[IntegerMap]
@@ -423,10 +416,6 @@ class AutGroup:
     @property
     def order(self) -> int:
         return self.group.order()
-
-    @cached_property
-    def generators(self) -> list[Mat]:
-        return [g.matrix() for g in self.maps]
 
 
 def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
@@ -514,9 +503,10 @@ class _AxetFrame:
     Each axet vector a_p is held as the sparse integer vector A_p = D a_p,
     D the common denominator of the axet, and the product of every pair is
     held as the integer product P_pq of the `integer_table`, which is
-    a_p a_q times one positive integer.  The inverse of the base b_0, b_1,
-    ... (the axet vectors at `basis_positions`) is held as integer columns
-    over one denominator e.  `base_products` holds for each i <= j the base
+    a_p a_q times one positive integer.  `inverse` is the inverse of the
+    base b_0, b_1, ... (the axet vectors at `basis_positions`) as an
+    `IntegerMap`, and the base coordinates of x / D are its image of the
+    `Point` (D, x).  `base_products` holds for each i <= j the base
     coordinates of P_pq / D (p, q the positions of b_i and b_j), and
     `others` those of A_k / D for each axet vector off the base, each as
     (g, G): integers G_k over one denominator g.
@@ -535,20 +525,14 @@ class _AxetFrame:
             (p, q): integer_product(table, self.ints[p], self.ints[q]) for p in range(m) for q in range(p, m)
         }
         self.basis_positions = list(basis_positions)
-        inverse_base = inverse(mat_from_cols([vectors[k] for k in basis_positions]))
-        assert inverse_base is not None
-        self.inverse_denom = lcm(*(x.denominator for row in inverse_base for x in row))
-        self.inverse_cols = [
-            [(i, x.numerator * (self.inverse_denom // x.denominator)) for i, x in enumerate(col) if x]
-            for col in zip(*inverse_base)
-        ]
+        self.inverse = IntegerMap.from_matrix(inverse(mat_from_cols([vectors[k] for k in basis_positions])))
         self.base_products = {
-            (i, j): self._coordinates(self.product(p, q).items())
+            (i, j): self.inverse.image((self.scale, self.product(p, q).items()))
             for i, p in enumerate(basis_positions)
             for j, q in enumerate(basis_positions[i:], i)
         }
         in_base = set(basis_positions)
-        self.others = {k: self._coordinates(self.ints[k]) for k in range(m) if k not in in_base}
+        self.others = {k: self.inverse.image((self.scale, self.ints[k])) for k in range(m) if k not in in_base}
 
     def product(self, p: int, q: int) -> dict[int, int]:
         """P_pq, the integer product of axet vectors p and q, without zeros."""
@@ -556,30 +540,13 @@ class _AxetFrame:
 
     def form_values(self, gram: Mat) -> list[list[int]]:
         """(a_p, a_q) for every pair of axet vectors, all times one positive
-        integer, from the Gram matrix scaled to integers (it is symmetric,
-        so its column j is its row j)."""
-        d = lcm(*(g.denominator for row in gram for g in row))
-        rows = [[(i, g.numerator * (d // g.denominator)) for i, g in enumerate(row) if g] for row in gram]
-        images = []
-        for x in self.ints:
-            image: dict[int, int] = {}
-            for j, xj in x:
-                for i, g in rows[j]:
-                    image[i] = image.get(i, 0) + g * xj
-            images.append(image)
-        return [[sum(x * w.get(i, 0) for i, x in u) for w in images] for u in self.ints]
-
-    def _coordinates(self, x) -> tuple[int, list[tuple[int, int]]]:
-        """The base coordinates of x / D, for x given as (index, int)
-        pairs, as (g, G): integers G_k over one denominator g, in lowest
-        terms."""
-        out: dict[int, int] = {}
-        for j, xj in x:
-            for i, c in self.inverse_cols[j]:
-                out[i] = out.get(i, 0) + c * xj
-        d = self.inverse_denom * self.scale
-        g = gcd(d, *out.values())
-        return d // g, [(i, c // g) for i, c in out.items() if c]
+        integer: the Gram map's image of each A_q, brought to one
+        denominator, dotted with each A_p."""
+        gram_map = IntegerMap.from_matrix(gram)
+        images = [gram_map.image((1, x)) for x in self.ints]
+        e = lcm(*(d for d, _ in images))
+        columns = [{i: y * (e // d) for i, y in w} for d, w in images]
+        return [[sum(x * w.get(i, 0) for i, x in u) for w in columns] for u in self.ints]
 
     def _combine(self, terms, assigned: Sequence[int]) -> dict[int, int]:
         """sum G_k A_assigned[k] over the terms (k, G_k), without zeros."""
@@ -616,8 +583,7 @@ class _AxetFrame:
         return perm
 
     def integer_map(self, assigned: Sequence[int]) -> IntegerMap:
-        """The map b_i -> a_assigned[i]: its column j is the sum over i of
-        (base inverse)_ij a_assigned[i], that is, of the integer inverse's
-        entry times A_assigned[i], over e D."""
-        cols = [self._combine(col, assigned) for col in self.inverse_cols]
-        return IntegerMap.from_columns(self.inverse_denom * self.scale, cols)
+        """The map b_i -> a_assigned[i]: the map with columns
+        A_assigned[i] / D, composed with `inverse`."""
+        images = IntegerMap.from_columns(self.scale, [dict(self.ints[k]) for k in assigned])
+        return images.compose(self.inverse)

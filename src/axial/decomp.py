@@ -25,6 +25,7 @@ from axial.linalg import (
     Vec,
     combination,
     full_space,
+    integer_point,
     intersect,
     mat_vec,
     null_space,
@@ -70,13 +71,14 @@ def axis_conflict(axes: Sequence[Axis], names: Sequence) -> Optional[Exception]:
     (a ValueError) or when the involution of axis i moves axis j (an
     AlgebraError).  The message names them as names[i] and names[j].
     """
+    points = [integer_point(b.vector) for b in axes]
     for i, a in enumerate(axes):
         for j, b in enumerate(axes):
             if i == j:
                 continue
             if a.vector == b.vector:
                 return ValueError(f"axis {names[i]} and axis {names[j]} are the same vector")
-            if a.miyamoto is not None and mat_vec(a.miyamoto, b.vector) != b.vector:
+            if a.miyamoto_map is not None and a.miyamoto_map.image(points[j]) != points[j]:
                 return AlgebraError(f"involution of axis {names[i]} does not fix axis {names[j]}")
     return None
 

@@ -15,10 +15,12 @@ decides the rest.
 An `Axis` is its vector, its law, its integer adjoint and its spectrum.
 The canonical eigenspaces are built from the integer bases when first read,
 and the graded involutions the law entitles are the sign polynomials of the
-adjoint over the spectrum, held as sparse `IntegerMap`s, whether the axis
+adjoint over the spectrum, held only as sparse `IntegerMap`s (the format of
+`axial.linalg`, whose `matrix` is the one dense read), whether the axis
 was certified here or is the image of a certified axis under an
 automorphism (`axial.axet.close_axet`), whose spectrum is its seed's.
-`is_automorphism` is the dense check of a user's matrix.
+`is_automorphism` is the dense check of a user's matrix.  A law is never
+changed, so `jordan_law` and `monster_law` build each law once.
 
 The axis certificate, `infer_fusion_law` and `derivation_space` work over
 the integers on the algebra's cached `integer_table`, through its
@@ -32,13 +34,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 from axial._backend import kernels
 from axial.algebra import ZERO, Algebra, IntegerAdjoint
 from axial.linalg import (
+    IntegerMap,
+    IntegerVec,
     Mat,
     Subspace,
     Vec,
@@ -153,8 +157,10 @@ class FusionLaw:
         return f"FusionLaw({{{vals}}})"
 
 
+@cache
 def monster_law(alpha, beta) -> FusionLaw:
-    """The Monster-type law on {1, 0, alpha, beta}."""
+    """The Monster-type law on {1, 0, alpha, beta}, built once per argument
+    pair and kept: a law is never changed."""
     a, b = frac(alpha), frac(beta)
     if len({ONE, ZERO, a, b}) != 4:
         raise ValueError("alpha, beta must be distinct and avoid 1, 0")
@@ -173,8 +179,9 @@ def monster_law(alpha, beta) -> FusionLaw:
     return FusionLaw([ONE, ZERO, a, b], star)
 
 
+@cache
 def jordan_law(eta) -> FusionLaw:
-    """The Jordan-type law on {1, 0, eta}."""
+    """The Jordan-type law on {1, 0, eta}, built once per argument and kept."""
     e = frac(eta)
     if e in (ONE, ZERO):
         raise ValueError("eta must avoid 1 and 0")
@@ -205,63 +212,6 @@ NS_UNIT_LENGTHS: dict[str, Fraction] = {
 }
 
 
-IntegerVec = tuple[tuple[int, int], ...]  # the nonzero (index, int) entries, by index
-Point = tuple[int, IntegerVec]  # (d, x): the vector x / d, in lowest terms with d > 0
-
-
-def integer_point(v: Vec) -> Point:
-    """The vector v as a `Point`: over the lcm of its denominators, the
-    numerators share no factor with it, so the pair is in lowest terms."""
-    d = lcm(*(x.denominator for x in v))
-    return d, tuple((i, x.numerator * (d // x.denominator)) for i, x in enumerate(v) if x)
-
-
-def point_vector(p: Point, n: int) -> Vec:
-    """The vector of Q^n that a `Point` stands for."""
-    d, entries = p
-    out = [ZERO] * n
-    for i, x in entries:
-        out[i] = Fraction(x, d)
-    return tuple(out)
-
-
-class IntegerMap(NamedTuple):
-    """A linear map of Q^n as sparse integer columns over one denominator:
-    column j is cols[j] / denom, with denom > 0 and no factor common to
-    denom and every entry.  That form is unique, so equal maps are equal
-    data, and a map is hashed and compared without a dense matrix.
-    """
-
-    denom: int
-    cols: tuple[IntegerVec, ...]
-
-    @classmethod
-    def from_columns(cls, denom: int, cols: Sequence[Mapping[int, int]]) -> "IntegerMap":
-        """The map with columns cols[j] / denom (denom > 0), in lowest terms."""
-        g = gcd(denom, *(x for col in cols for x in col.values()))
-        return cls(denom // g, tuple(tuple(sorted((r, x // g) for r, x in col.items() if x)) for col in cols))
-
-    def image(self, p: Point) -> Point:
-        """The image of a point, in lowest terms."""
-        d, entries = p
-        out: dict[int, int] = {}
-        for j, x in entries:
-            for r, c in self.cols[j]:
-                out[r] = out.get(r, 0) + c * x
-        d *= self.denom
-        g = gcd(d, *out.values())
-        return d // g, tuple(sorted((r, x // g) for r, x in out.items() if x))
-
-    def matrix(self) -> Mat:
-        """The dense matrix of the map."""
-        n = len(self.cols)
-        rows = [[ZERO] * n for _ in range(n)]
-        for j, col in enumerate(self.cols):
-            for r, x in col:
-                rows[r][j] = Fraction(x, self.denom)
-        return tuple(tuple(row) for row in rows)
-
-
 @dataclass(frozen=True)
 class Axis:
     """A primitive axis of `law`: its vector, the `IntegerAdjoint` of it and
@@ -280,8 +230,8 @@ class Axis:
     The graded involutions are the sign polynomials of the adjoint over the
     spectrum, so reading them solves no eigenspace.  `miyamoto_map` and
     `sigma_map` hold them as `IntegerMap`s, each None when the law entitles
-    the axis to no such involution; `miyamoto` and `sigma` are their dense
-    matrices, built when read.
+    the axis to no such involution; `IntegerMap.matrix` is their one dense
+    read.
     """
 
     vector: Vec
@@ -322,7 +272,7 @@ class Axis:
         """The sign map of the law's grading (the identity when no negated
         eigenvalue is present); None for a trivially graded law."""
         _, minus = self.law.c2_grading()
-        return IntegerMap.from_columns(*self.adjoint.sign_map(self.present, minus)) if minus else None
+        return self.adjoint.sign_map(self.present, minus) if minus else None
 
     @cached_property
     def sigma_map(self) -> Optional[IntegerMap]:
@@ -332,18 +282,8 @@ class Axis:
         _, minus = self.law.c2_grading()
         inner = frozenset(lam for lam in self.present if lam not in (ONE, ZERO))
         if minus and inner and not minus & set(self.present):
-            return IntegerMap.from_columns(*self.adjoint.sign_map(self.present, inner))
+            return self.adjoint.sign_map(self.present, inner)
         return None
-
-    @cached_property
-    def miyamoto(self) -> Optional[Mat]:
-        """The dense matrix of `miyamoto_map`."""
-        return None if self.miyamoto_map is None else self.miyamoto_map.matrix()
-
-    @cached_property
-    def sigma(self) -> Optional[Mat]:
-        """The dense matrix of `sigma_map`."""
-        return None if self.sigma_map is None else self.sigma_map.matrix()
 
     def eigenspace(self, lam) -> Subspace:
         lam = frac(lam)
@@ -351,9 +291,6 @@ class Axis:
             if mu == lam:
                 return space
         return Subspace(len(self.vector))
-
-    def spectrum(self) -> tuple[Fraction, ...]:
-        return self.present
 
     def minus_space(self) -> Subspace:
         """Sum of the eigenspaces in the negative part of the grading."""
@@ -561,13 +498,6 @@ def check_axis(alg: Algebra, v: Vec, law: FusionLaw) -> Optional[Axis]:
     """Certify v as a primitive axis for the law, or return None."""
     axis, _ = check_axis_verbose(alg, v, law)
     return axis
-
-
-def miyamoto_involution(ax: Axis) -> Mat:
-    """The graded involution of a verified axis (identity for Jordan axes)."""
-    if ax.miyamoto is None:
-        raise ValueError("the axis law carries no sign grading")
-    return ax.miyamoto
 
 
 def is_automorphism(alg: Algebra, g: Mat) -> bool:

@@ -11,13 +11,20 @@ The exact stage of `sparse_kernel` solves only the rows its mod-p screen
 kept, and checks the answer against the rows it did not keep.
 `solve` and `inverse` read their answers off one RREF of an augmented
 matrix, and `det` is Bareiss's fraction-free elimination.
+
+The axis and group layers work in one sparse integer format, defined here:
+a `Point` is a vector as integers over one denominator, and an `IntegerMap`
+a linear map as sparse integer columns over one denominator, both in lowest
+terms, so they are compared and hashed as integer data and applied in
+O(nonzeros).  `IntegerMap.from_matrix` and `IntegerMap.matrix` are the only
+conversions between a map and a dense matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from axial._backend import kernels
 from axial.univariate import primitive_part
@@ -429,3 +436,84 @@ def perp_space(s: Subspace, gram: Mat) -> Subspace:
         return full_space(n)
     constraint = tuple(mat_vec(gram, b) for b in s.basis)
     return kernel(constraint)
+
+
+IntegerVec = tuple[tuple[int, int], ...]  # the nonzero (index, int) entries, by index
+Point = tuple[int, IntegerVec]  # (d, x): the vector x / d, in lowest terms with d > 0
+
+
+def integer_point(v: Vec) -> Point:
+    """The vector v as a `Point`: over the lcm of its denominators, the
+    numerators share no factor with it, so the pair is in lowest terms."""
+    d = lcm(*(x.denominator for x in v))
+    return d, tuple((i, x.numerator * (d // x.denominator)) for i, x in enumerate(v) if x)
+
+
+def point_vector(p: Point, n: int) -> Vec:
+    """The vector of Q^n that a `Point` stands for."""
+    d, entries = p
+    out = [Fraction(0)] * n
+    for i, x in entries:
+        out[i] = Fraction(x, d)
+    return tuple(out)
+
+
+def _apply(cols: Sequence[IntegerVec], x: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """sum x_j cols[j] over the entries (j, x_j), as {index: int}."""
+    out: dict[int, int] = {}
+    for j, xj in x:
+        for r, c in cols[j]:
+            out[r] = out.get(r, 0) + c * xj
+    return out
+
+
+class IntegerMap(NamedTuple):
+    """A linear map of Q^n as sparse integer columns over one denominator:
+    column j is cols[j] / denom, with denom > 0 and no factor common to
+    denom and every entry.  That form is unique, so equal maps are equal
+    data, and a map is hashed and compared without a dense matrix.
+    `from_matrix` and `matrix` are the only conversions from and to a dense
+    matrix.
+    """
+
+    denom: int
+    cols: tuple[IntegerVec, ...]
+
+    @classmethod
+    def from_columns(cls, denom: int, cols: Sequence[Mapping[int, int]]) -> "IntegerMap":
+        """The map with columns cols[j] / denom (denom > 0), in lowest terms."""
+        g = gcd(denom, *(x for col in cols for x in col.values()))
+        return cls(denom // g, tuple(tuple(sorted((r, x // g) for r, x in col.items() if x)) for col in cols))
+
+    @classmethod
+    def from_matrix(cls, m: Iterable[Iterable]) -> "IntegerMap":
+        """The map of a square rational matrix, its rows any sequences of
+        ints, strings or Fractions (normalised by `mat`)."""
+        m = mat(m)
+        if m and len(m[0]) != len(m):
+            raise ValueError("not a square matrix")
+        d = lcm(*(x.denominator for row in m for x in row))
+        cols = [{r: x.numerator * (d // x.denominator) for r, x in enumerate(col) if x} for col in transpose(m)]
+        return cls.from_columns(d, cols)
+
+    def image(self, p: Point) -> Point:
+        """The image of a point, in lowest terms."""
+        d, entries = p
+        out = _apply(self.cols, entries)
+        d *= self.denom
+        g = gcd(d, *out.values())
+        return d // g, tuple(sorted((r, x // g) for r, x in out.items() if x))
+
+    def compose(self, other: "IntegerMap") -> "IntegerMap":
+        """self after other: self applied to the columns of other, over the
+        product of the denominators."""
+        return IntegerMap.from_columns(self.denom * other.denom, [_apply(self.cols, col) for col in other.cols])
+
+    def matrix(self) -> Mat:
+        """The dense matrix of the map."""
+        n = len(self.cols)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for j, col in enumerate(self.cols):
+            for r, x in col:
+                rows[r][j] = Fraction(x, self.denom)
+        return tuple(tuple(row) for row in rows)

@@ -1080,7 +1080,7 @@ def reference_miyamoto_group(alg, axet):
     n = alg.dim
     vectors = axet.vectors()
     index = {v: i for i, v in enumerate(vectors)}
-    taus = list(dict.fromkeys(axet.taus()))
+    taus = list(dict.fromkeys(g.matrix() for g in axet.tau_maps()))
     if axet.spans(n):
         def to_perm(g):
             return tuple(index[mat_vec(g, v)] for v in vectors)
@@ -1176,24 +1176,30 @@ def reference_aut_from_axis_permutations(alg, axet):
     return matrices, perms
 
 
+def dense(g):
+    """The dense matrix of an `IntegerMap`, or None for None."""
+    return None if g is None else g.matrix()
+
+
 def reference_transport_axis(axis, g, g_inv):
-    """Image of a verified axis under a verified automorphism g, by
-    conjugation, as a namespace of the `Axis` reads: vector, law,
-    eigendata, miyamoto and sigma.
+    """Image of a verified axis under a verified automorphism g, a dense
+    matrix, by conjugation, as a namespace of the `Axis` reads: vector, law,
+    eigendata, miyamoto_map and sigma_map.
 
     The package's `transport_axis` as it was before `close_axet` built each
     orbit axis from its own integer adjoint: the eigenspaces move by g, and
-    the involutions by conjugation with g, with dense matrix products.  Kept
-    as an oracle for that rewrite.
+    the involutions by conjugation with g, with dense matrix products, each
+    product read back as an `IntegerMap`.  Kept as an oracle for that
+    rewrite.
     """
     from types import SimpleNamespace
 
-    from axial.linalg import Subspace, mat_mul, mat_vec
+    from axial.linalg import IntegerMap, Subspace, mat_mul, mat_vec
 
     n = len(axis.vector)
 
     def conj(m):
-        return mat_mul(mat_mul(g, m), g_inv) if m is not None else None
+        return IntegerMap.from_matrix(mat_mul(mat_mul(g, m.matrix()), g_inv)) if m is not None else None
 
     return SimpleNamespace(
         vector=mat_vec(g, axis.vector),
@@ -1202,8 +1208,8 @@ def reference_transport_axis(axis, g, g_inv):
             (lam, Subspace(n, [mat_vec(g, b) for b in space.basis]))
             for lam, space in axis.eigendata
         ),
-        miyamoto=conj(axis.miyamoto),
-        sigma=conj(axis.sigma),
+        miyamoto_map=conj(axis.miyamoto_map),
+        sigma_map=conj(axis.sigma_map),
     )
 
 
@@ -1236,9 +1242,10 @@ def reference_close_axet(alg, seed_axes, cap=512):
         taus = []
         tau_seen = set()
         for a in axes:
-            if a.miyamoto is not None and a.miyamoto not in tau_seen:
-                tau_seen.add(a.miyamoto)
-                taus.append(a.miyamoto)
+            tau = dense(a.miyamoto_map)
+            if tau is not None and tau not in tau_seen:
+                tau_seen.add(tau)
+                taus.append(tau)
         for g in taus:
             for a in list(axes):
                 w = mat_vec(g, a.vector)
@@ -1307,9 +1314,9 @@ def reference_decompose_joint(alg, axes, law=None):
     n = alg.dim
     for i, a in enumerate(axes):
         for j, b in enumerate(axes):
-            if i == j or a.miyamoto is None:
+            if i == j or a.miyamoto_map is None:
                 continue
-            if mat_vec(a.miyamoto, b.vector) != b.vector:
+            if mat_vec(a.miyamoto_map.matrix(), b.vector) != b.vector:
                 raise AlgebraError(f"involution of axis {i} does not fix axis {j}")
     components = {}
     total = 0

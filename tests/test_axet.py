@@ -21,7 +21,6 @@ from axial.axet import (
 )
 from axial.fusion import (
     MONSTER_QUARTER,
-    IntegerMap,
     check_axis,
     is_automorphism,
     jordan_law,
@@ -29,6 +28,7 @@ from axial.fusion import (
 )
 from axial.groebner import CapExceeded
 from axial.linalg import (
+    IntegerMap,
     Subspace,
     identity,
     intersect,
@@ -45,6 +45,7 @@ from axial.linalg import (
 )
 from axial.matsuo import matsuo_algebra, symmetric_transpositions, transposition_perm
 from oracles import (
+    dense,
     reference_aut_from_axis_permutations,
     reference_close_axet,
     reference_miyamoto_group,
@@ -75,13 +76,13 @@ def test_close_axet_trivial_tau(two_b):
 
 def test_transport_preserves_certificate(q2, q2_axes, q2_law):
     # the conjugation oracle against a full axis check of the image
-    g = q2_axes[2].miyamoto  # swaps s1 and s2
+    g = q2_axes[2].miyamoto_map.matrix()  # swaps s1 and s2
     image = reference_transport_axis(q2_axes[0], g, g)
     assert image.vector == unit_vec(4, 1)
     fresh = check_axis(q2, image.vector, q2_law)
     assert fresh is not None
     assert dict(image.eigendata) == dict(fresh.eigendata)
-    assert image.miyamoto == fresh.miyamoto
+    assert image.miyamoto_map.matrix() == fresh.miyamoto_map.matrix()
 
 
 def test_miyamoto_group_matsuo_s3(matsuo_s3_quarter):
@@ -121,7 +122,7 @@ def test_twins_2b(two_b):
 
 def test_twins_conjugation_invariant(q2, q2_axes, q2_law):
     # g b in twins(g a) for an automorphism g
-    g = q2_axes[0].miyamoto  # swaps d1, d2
+    g = q2_axes[0].miyamoto_map.matrix()  # swaps d1, d2
     a = q2_axes[2]
     twins = twins_of(q2, a)
     image_axis = check_axis(q2, mat_vec(g, a.vector), q2_law)
@@ -136,9 +137,9 @@ def test_twins_empty_in_matsuo_s3(matsuo_s3_quarter):
 
 
 def test_tau_realizer_q2(q2, q2_axes, q2_law):
-    realizers = tau_realizer(q2, q2_axes[2].miyamoto, q2_law)
+    realizers = tau_realizer(q2, q2_axes[2].miyamoto_map.matrix(), q2_law)
     assert {a.vector for a in realizers} == {unit_vec(4, 2), unit_vec(4, 3)}
-    realizers = tau_realizer(q2, q2_axes[0].miyamoto, q2_law)
+    realizers = tau_realizer(q2, q2_axes[0].miyamoto_map.matrix(), q2_law)
     assert {a.vector for a in realizers} == {unit_vec(4, 0), unit_vec(4, 1)}
 
 
@@ -153,6 +154,24 @@ def test_tau_realizer_rejects_non_automorphism(q2, q2_law):
     )
     with pytest.raises(AlgebraError):
         tau_realizer(q2, bad, q2_law)
+
+
+def test_tau_realizer_reads_tau_written_as_lists(q2, q2_axes, q2_law):
+    # axis 3's tau as tuples of Fractions, as lists of lists and with int
+    # entries: one map, so the same two realizers
+    tau = q2_axes[2].miyamoto_map.matrix()
+    forms = [tau, [list(row) for row in tau], [[int(x) for x in row] for row in tau]]
+    found = [{a.vector for a in tau_realizer(q2, form, q2_law)} for form in forms]
+    assert found == [{unit_vec(4, 2), unit_vec(4, 3)}] * 3
+
+
+def test_tau_realizer_rejects_non_involution(matsuo_s3_quarter):
+    # the 3-cycle e0 -> e1 -> e2 -> e0 permutes the axes of Matsuo S3: an
+    # automorphism of order 3
+    cycle = [[1 if i == (j + 1) % 3 else 0 for j in range(3)] for i in range(3)]
+    assert is_automorphism(matsuo_s3_quarter, mat(cycle))
+    with pytest.raises(AlgebraError, match="tau is not an involution"):
+        tau_realizer(matsuo_s3_quarter, cycle, jordan_law(F(1, 4)))
 
 
 def test_fixed_subalgebra_and_jordan_axes(q2, q2_axes, q2_law):
@@ -179,13 +198,12 @@ def test_jordan_axes_none_in_triple_fixture(triple_2b):
 
 
 def test_sigma_centralizes_miyamoto(q2, q2_axes, q2_law):
-    from axial.linalg import mat_mul
-
     group = miyamoto_group(q2, Axet(tuple(q2_axes)))
     for axis in jordan_axes(q2, group, q2_law):
-        assert axis.sigma is not None
-        for g in group.generators:
-            assert mat_mul(axis.sigma, g) == mat_mul(g, axis.sigma)
+        assert axis.sigma_map is not None
+        sigma = axis.sigma_map.matrix()
+        for g in group.maps:
+            assert mat_mul(sigma, g.matrix()) == mat_mul(g.matrix(), sigma)
 
 
 def test_jordan_dichotomy_orthogonal_direction():
@@ -196,7 +214,7 @@ def test_jordan_dichotomy_orthogonal_direction():
     axes = [check_axis(alg, unit_vec(3, i), MONSTER_QUARTER) for i in range(3)]
     group = miyamoto_group(alg, Axet(tuple(axes)))
     for a in jordan_axes(alg, group):
-        sigma = a.sigma if a.sigma is not None else identity(3)
+        sigma = a.sigma_map.matrix() if a.sigma_map is not None else identity(3)
         for b in axes:
             if b.vector == a.vector:
                 continue
@@ -251,9 +269,9 @@ def test_aut_matsuo_s3(matsuo_s3_quarter):
 
 def test_aut_preserves_form_and_axet(q2, q2_axes):
     aut = aut_from_axis_permutations(q2, Axet(tuple(q2_axes)))
-    assert len(aut.generators) == len(aut.group.generators)
-    for g in aut.generators:
-        assert _preserves(q2, g, [a.vector for a in q2_axes])
+    assert len(aut.maps) == len(aut.group.generators)
+    for g in aut.maps:
+        assert _preserves(q2, g.matrix(), [a.vector for a in q2_axes])
 
 
 def test_aut_requires_spanning_axet(two_b):
@@ -270,7 +288,7 @@ def test_single_axis_spanning_trivial_group():
 
 
 def _axis_record(a):
-    return (a.vector, a.eigendata, a.miyamoto, a.sigma)
+    return (a.vector, a.eigendata, dense(a.miyamoto_map), dense(a.sigma_map))
 
 
 def _coxeter_seeds(m, eta):
@@ -292,7 +310,7 @@ def test_close_axet_transport_agrees_with_axis_check(q2, q2_axes):
     for alg, seeds in cases + [(q2, [q2_axes[0], q2_axes[2]])]:
         axes = close_axet(alg, seeds).axes
         assert len(axes) > len(seeds)
-        taus = list(dict.fromkeys(a.miyamoto for a in seeds))
+        taus = list(dict.fromkeys(a.miyamoto_map.matrix() for a in seeds))
         for position, b in enumerate(axes):
             checked = check_axis(alg, b.vector, b.law)
             assert checked is not None
@@ -395,8 +413,8 @@ def test_fixed_subalgebra_is_the_intersection_of_fixed_spaces(q2, q2_axes):
         group = miyamoto_group(alg, axet)
         n = alg.dim
         expected = Subspace(n, identity(n))
-        for g in group.generators:
-            expected = intersect(expected, kernel(mat_sub(g, identity(n))))
+        for g in group.maps:
+            expected = intersect(expected, kernel(mat_sub(g.matrix(), identity(n))))
         assert fixed_subalgebra(alg, group) == expected
     # no generators: every vector is fixed
     assert fixed_subalgebra(q2, miyamoto_group(q2, Axet(()))) == Subspace(4, identity(4))
@@ -463,14 +481,16 @@ def _check_against_oracles(alg, axet):
         assert matrices == set(elements.values())
     else:
         assert matrices == set(elements)
-    assert set(miy.generators) == set(axet.taus())
-    assert all(_preserves(alg, g, axet.vectors()) for g in miy.generators)
+    generators = [g.matrix() for g in miy.maps]
+    assert set(generators) == {g.matrix() for g in axet.tau_maps()}
+    assert all(_preserves(alg, g, axet.vectors()) for g in generators)
     if not spans:
         return
     aut = aut_from_axis_permutations(alg, axet)
     _, perms = reference_aut_from_axis_permutations(alg, axet)
     assert _perms(aut.group) == set(perms)
-    for g, perm in zip(aut.generators, aut.group.generators):
+    for g, perm in zip(aut.maps, aut.group.generators):
+        g = g.matrix()
         assert _matrix(axet.vectors(), perm.array_form) == g
         assert _preserves(alg, g, axet.vectors())
 

@@ -18,7 +18,6 @@ from axial.fusion import (
     infer_fusion_law,
     is_automorphism,
     jordan_law,
-    miyamoto_involution,
     monster_law,
 )
 from axial.io import parse_algebra, parse_algebra_text, parse_law_spec
@@ -43,6 +42,7 @@ from axial.matsuo import (
     transposition_perm,
 )
 from oracles import (
+    dense,
     reference_check_axis,
     reference_derivation_space,
     reference_graded_involution,
@@ -105,12 +105,17 @@ def test_c2_grading_is_kept_and_equals_a_fresh_computation(law):
     assert twin == law and hash(twin) == hash(law)
 
 
+def test_laws_are_built_once():
+    assert jordan_law(F(1, 4)) is jordan_law(F(1, 4))
+    assert monster_law(F(1, 4), F(1, 32)) is MONSTER_QUARTER
+
+
 def test_check_axis_q2_cases(q2, q2_law):
     s1 = check_axis(q2, unit_vec(4, 0), jordan_law(F(1, 4)))
     assert s1 is not None and s1.primitive
     d1 = check_axis(q2, unit_vec(4, 2), q2_law)
     assert d1 is not None
-    assert d1.spectrum() == (F(1), F(1, 2), F(1, 4), F(0))
+    assert d1.present == (F(1), F(1, 2), F(1, 4), F(0))
     one = q2.find_unit()
     axis, reason = check_axis_verbose(q2, one, q2_law)
     assert axis is None and reason == "not_primitive"
@@ -136,10 +141,10 @@ def test_check_axis_fusion_violation():
 
 def test_jordan_axis_trivial_involution(two_b):
     axis = check_axis(two_b, unit_vec(2, 0), MONSTER_QUARTER)
-    assert axis.miyamoto == identity(2)
+    assert axis.miyamoto_map.matrix() == identity(2)
     assert axis.is_jordan_type()
     # sigma would negate the 1/4-part, which is empty too
-    assert axis.sigma is None or axis.sigma == identity(2)
+    assert axis.sigma_map is None or axis.sigma_map.matrix() == identity(2)
 
 
 def test_miyamoto_on_matsuo_s3(matsuo_s3_quarter, s3_data):
@@ -148,7 +153,7 @@ def test_miyamoto_on_matsuo_s3(matsuo_s3_quarter, s3_data):
     j = s3_data.index_of(transposition_perm(3, 1, 3))
     k = s3_data.index_of(transposition_perm(3, 2, 3))
     axis = check_axis(matsuo_s3_quarter, unit_vec(3, i), law)
-    tau = miyamoto_involution(axis)
+    tau = axis.miyamoto_map.matrix()
     assert mat_vec(tau, unit_vec(3, j)) == unit_vec(3, k)
     assert mat_vec(tau, unit_vec(3, k)) == unit_vec(3, j)
     assert mat_vec(tau, axis.vector) == axis.vector
@@ -158,7 +163,7 @@ def test_miyamoto_on_matsuo_s3(matsuo_s3_quarter, s3_data):
 
 def test_tau_is_automorphism_on_q2(q2, q2_axes):
     for axis in q2_axes:
-        tau = axis.miyamoto
+        tau = axis.miyamoto_map.matrix()
         assert is_automorphism(q2, tau)
         assert mat_mul(tau, tau) == identity(4)
 
@@ -167,7 +172,7 @@ def test_commutator_space_is_beta_part(q2, q2_axes):
     from axial.linalg import mat_sub
 
     for axis in q2_axes:
-        tau = axis.miyamoto
+        tau = axis.miyamoto_map.matrix()
         image = Subspace(
             4, [mat_vec(mat_sub(tau, identity(4)), unit_vec(4, j)) for j in range(4)]
         )
@@ -487,12 +492,13 @@ def test_graded_involutions_match_reference_solves():
         expected_tau = (
             reference_graded_involution(axis.eigendata, minus, n) if present & minus else identity(n)
         )
-        assert axis.miyamoto == expected_tau
-        involutions = [axis.miyamoto]
-        if axis.sigma is not None:
+        tau, sigma = dense(axis.miyamoto_map), dense(axis.sigma_map)
+        assert tau == expected_tau
+        involutions = [tau]
+        if sigma is not None:
             inner = frozenset(present - {F(1), F(0)})
-            assert axis.sigma == reference_graded_involution(axis.eigendata, inner, n)
-            involutions.append(axis.sigma)
+            assert sigma == reference_graded_involution(axis.eigendata, inner, n)
+            involutions.append(sigma)
             checked_sigma += 1
         for g in involutions:
             assert mat_mul(g, g) == identity(n)
@@ -506,7 +512,7 @@ def _outcome(alg, v, law):
     if axis is None:
         return reason
     assert axis.vector == vec(v) and axis.law == law and axis.primitive
-    return axis.eigendata, axis.miyamoto, axis.sigma
+    return axis.eigendata, dense(axis.miyamoto_map), dense(axis.sigma_map)
 
 
 def _narrow_jordan_law(eta):
@@ -725,7 +731,8 @@ def test_check_axis_forms_one_block_per_forbidden_triple(monkeypatch):
 
 def test_check_axis_builds_involutions_on_first_read(monkeypatch):
     # Work counter: the certificate calls no sign_map; the first read of
-    # `miyamoto` calls it once and keeps the map, and a second read calls none.
+    # `miyamoto_map` calls it once and keeps the map, and a second read calls
+    # none.
     data = symmetric_transpositions(5)
     alg = matsuo_algebra(data, F(1, 4))
     calls = []
@@ -738,11 +745,11 @@ def test_check_axis_builds_involutions_on_first_read(monkeypatch):
     monkeypatch.setattr(IntegerAdjoint, "sign_map", counting)
     axis = check_axis(alg, unit_vec(data.size, 0), jordan_law(F(1, 4)))
     assert calls == []
-    tau = axis.miyamoto
+    tau = axis.miyamoto_map
     assert calls == [frozenset({F(1, 4)})]
-    assert axis.miyamoto is tau and axis.sigma is None
+    assert axis.miyamoto_map is tau and axis.sigma_map is None
     assert len(calls) == 1
-    assert tau == reference_graded_involution(axis.eigendata, frozenset({F(1, 4)}), data.size)
+    assert tau.matrix() == reference_graded_involution(axis.eigendata, frozenset({F(1, 4)}), data.size)
 
 
 def test_check_axis_inverts_nothing_and_tests_no_membership(monkeypatch):
@@ -763,10 +770,10 @@ def test_check_axis_inverts_nothing_and_tests_no_membership(monkeypatch):
         if hasattr(module, "inverse"):
             monkeypatch.setattr(module, "inverse", counting("inverse", module.inverse))
     monkeypatch.setattr(Subspace, "contains", counting("contains", Subspace.contains))
-    for law, graded in ((jordan_law(F(1, 4)), "miyamoto"), (MONSTER_QUARTER, "sigma")):
+    for law, graded in ((jordan_law(F(1, 4)), "miyamoto_map"), (MONSTER_QUARTER, "sigma_map")):
         counts.update(inverse=0, contains=0)
         axis = check_axis(alg, unit_vec(data.size, 0), law)
-        assert getattr(axis, graded) != identity(data.size)
+        assert getattr(axis, graded).matrix() != identity(data.size)
         assert counts == {"inverse": 0, "contains": 0}, law
 
 

@@ -27,6 +27,7 @@ from axial.io import parse_algebra, parse_law_spec
 from axial.linalg import MODULUS, eigenspace, unit_vec, vadd, vec, vsub
 from axial.matsuo import matsuo_algebra, symmetric_transpositions, transposition_perm
 from oracles import (
+    dense,
     reference_ad_matrix,
     reference_check_axis,
     reference_derivation_space,
@@ -53,7 +54,7 @@ def _outcome(alg, v, law):
     axis, reason = check_axis_verbose(alg, v, law)
     if axis is None:
         return reason
-    return axis.eigendata, axis.miyamoto, axis.sigma
+    return axis.eigendata, dense(axis.miyamoto_map), dense(axis.sigma_map)
 
 
 def _rational_cases():

@@ -2,19 +2,23 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from math import gcd
+
+from hypothesis import example, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from axial._backend import kernels
 from axial.linalg import (
     MODULUS,
+    IntegerMap,
     Subspace,
     combination,
     det,
     eigenspace,
     full_space,
     identity,
+    integer_point,
     intersect,
     inverse,
     kernel,
@@ -411,6 +415,53 @@ def test_coordinates_match_reference_solve(vectors, coeffs, outside, inside):
 
 # mostly zero entries: three draws in four are 0
 sparse_entries = st.tuples(st.integers(0, 3), fractions).map(lambda p: p[1] if p[0] == 0 else F(0))
+
+
+@st.composite
+def square_pairs(draw):
+    """Two sparse square matrices of one size and a vector of that length."""
+    n = draw(st.integers(0, 4))
+
+    def matrix():
+        return tuple(tuple(draw(sparse_entries) for _ in range(n)) for _ in range(n))
+
+    return matrix(), matrix(), tuple(draw(fractions) for _ in range(n))
+
+
+def _written(m, form):
+    """m as a user may write it: tuples of Fractions, lists of strings, or
+    lists of ints where an entry is an integer."""
+    if form == "tuples":
+        return m
+    if form == "strings":
+        return [[str(x) for x in row] for row in m]
+    return [[x.numerator if x.denominator == 1 else x for x in row] for row in m]
+
+
+ZERO_3 = ((F(0),) * 3,) * 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_pairs(), st.sampled_from(["tuples", "strings", "ints"]))
+@example((ZERO_3, ZERO_3, (F(1), F(-1, 2), F(0))), "ints")
+@example((ZERO_3, identity(3), (F(0),) * 3), "strings")
+def test_integer_map_matches_dense_arithmetic(triple, form):
+    # from_matrix, compose, equality, hashing and image against mat, mat_mul
+    # and mat_vec, with zero columns and the zero matrix among the inputs
+    a, b, v = triple
+    g = IntegerMap.from_matrix(_written(a, form))
+    h = IntegerMap.from_matrix(b)
+    assert g.matrix() == mat(a)
+    assert g.compose(h).matrix() == mat_mul(a, b)
+    assert g == IntegerMap.from_matrix(a) and hash(g) == hash(IntegerMap.from_matrix(a))
+    assert (g == h) == (mat(a) == mat(b))
+    assert g.denom > 0 and gcd(g.denom, *(x for col in g.cols for _, x in col)) == 1
+    assert g.image(integer_point(v)) == integer_point(mat_vec(a, v))
+
+
+def test_integer_map_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="not a square matrix"):
+        IntegerMap.from_matrix([[1, 0, 0], [0, 1, 0]])
 
 
 @st.composite

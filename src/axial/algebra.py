@@ -20,6 +20,7 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
+    canonical_span,
     combination,
     frac,
     identity,
@@ -30,7 +31,8 @@ from axial.linalg import (
     mat,
     mat_from_cols,
     mat_vec,
-    null_space,
+    null_basis,
+    point_vector,
     solve,
     unit_vec,
     vdot,
@@ -299,8 +301,8 @@ class Algebra:
             adjoint = IntegerAdjoint(self, x, ())
             row = []
             for d, y in scaled:
-                p, s = adjoint.shift(ZERO, y), adjoint.scale * d
-                coords = w.coordinates([Fraction(p[k], s) if k in p else ZERO for k in range(n)])
+                product = (adjoint.scale * d, adjoint.shift(ZERO, y).items())
+                coords = w.coordinates(point_vector(product, n))
                 if coords is None:
                     return None
                 row.append(coords)
@@ -364,10 +366,8 @@ class Algebra:
     def annihilator(self, w: Subspace) -> Subspace:
         """{u | u x = 0 for all x in the subspace}: the null space of the
         integer adjoints of w's basis, as u x = ad(x) u."""
-        return null_space(
-            (row.items() for x in w.basis for row in IntegerAdjoint(self, x, ()).rows),
-            self.dim,
-        )
+        rows = (row for x in w.basis for row in IntegerAdjoint(self, x, ()).rows)
+        return canonical_span(null_basis(rows, self.dim), self.dim)
 
     def radical(self) -> Subspace:
         """Kernel of the Frobenius form (equals the algebra radical when the
@@ -494,7 +494,8 @@ class IntegerAdjoint:
 
     def eigenspace(self, nu: Fraction) -> Subspace:
         """The nu-eigenspace of ad(a): the null space of D ad - D nu."""
-        return null_space((row.items() for row in self.shifted_rows(nu)), len(self.rows))
+        n = len(self.rows)
+        return canonical_span(null_basis(self.shifted_rows(nu), n), n)
 
     def lacks_eigenvalue(self, nu: Fraction) -> bool:
         """Whether nu is proved not to be an eigenvalue of ad(a).
@@ -506,15 +507,22 @@ class IntegerAdjoint:
         n = len(self.rows)
         return len(independent_mod_p(self.shifted_rows(nu), n)) == n
 
+    def _scaled(self, nu: Fraction) -> int:
+        """D nu, which must be an integer (D clears the values given)."""
+        q, r = divmod(self.scale, nu.denominator)
+        if r:
+            raise ValueError(f"nu = {nu} does not scale to an integer by D = {self.scale}")
+        return nu.numerator * q
+
     def shifted_rows(self, nu: Fraction) -> Iterator[dict[int, int]]:
         """The rows of D ad - D nu, as {index: int} (a zero may appear on
         the diagonal)."""
-        s = nu.numerator * (self.scale // nu.denominator)
+        s = self._scaled(nu)
         return ({**row, i: row.get(i, 0) - s} for i, row in enumerate(self.rows))
 
     def shift(self, nu: Fraction, x: dict[int, int]) -> dict[int, int]:
         """(D ad - D nu) x."""
-        s = nu.numerator * (self.scale // nu.denominator)
+        s = self._scaled(nu)
         out: dict[int, int] = {}
         for j, xj in x.items():
             out[j] = out.get(j, 0) - s * xj

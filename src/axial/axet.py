@@ -44,13 +44,14 @@ from axial.linalg import (
     Point,
     Subspace,
     Vec,
-    full_space,
+    apply_columns,
+    canonical_span,
     identity,
     integer_point,
     inverse,
     mat_from_cols,
     mat_sub,
-    null_space,
+    null_basis,
     point_vector,
     rref,
     transpose,
@@ -257,18 +258,12 @@ def tau_realizer(
 def fixed_subalgebra(alg: Algebra, group: MiyGroup) -> Subspace:
     """Common fixed space of the group generators (hence of the group).
 
-    One null space of the integer rows of denom g - denom I, stacked over
-    the generators' `IntegerMap`s; with no generators every vector is fixed.
+    One null space of the rows of denom g - denom I
+    (`IntegerMap.shifted_rows`), stacked over the generators; with no
+    generators every vector is fixed.
     """
-    n = alg.dim
-    rows = []
-    for g in group.maps:
-        shifted: list[dict[int, int]] = [{i: -g.denom} for i in range(n)]
-        for j, col in enumerate(g.cols):
-            for r, x in col:
-                shifted[r][j] = shifted[r].get(j, 0) + x
-        rows.extend(row.items() for row in shifted)
-    return null_space(rows, n) if rows else full_space(n)
+    rows = [row for g in group.maps for row in g.shifted_rows()]
+    return canonical_span(null_basis(rows, alg.dim), alg.dim)
 
 
 def jordan_axes(
@@ -329,7 +324,7 @@ def _product_order(g: IntegerMap, h: IntegerMap, n: int, cap: int = 64) -> Optio
     """
     order = 1
     for j in range(n):
-        start = p = (1, ((j, 1),))
+        start = p = integer_point(unit_vec(n, j))
         for k in range(1, cap + 1):
             p = g.image(h.image(p))
             if p == start:
@@ -540,20 +535,15 @@ class _AxetFrame:
 
     def form_values(self, gram: Mat) -> list[list[int]]:
         """(a_p, a_q) for every pair of axet vectors, all times one positive
-        integer: the Gram map's image of each A_q, brought to one
-        denominator, dotted with each A_p."""
-        gram_map = IntegerMap.from_matrix(gram)
-        images = [gram_map.image((1, x)) for x in self.ints]
-        e = lcm(*(d for d, _ in images))
-        columns = [{i: y * (e // d) for i, y in w} for d, w in images]
+        integer: the integer columns of the Gram map applied to each A_q,
+        dotted with each A_p."""
+        gram_cols = IntegerMap.from_matrix(gram).cols
+        columns = [apply_columns(gram_cols, x) for x in self.ints]
         return [[sum(x * w.get(i, 0) for i, x in u) for w in columns] for u in self.ints]
 
     def _combine(self, terms, assigned: Sequence[int]) -> dict[int, int]:
         """sum G_k A_assigned[k] over the terms (k, G_k), without zeros."""
-        out: dict[int, int] = {}
-        for k, c in terms:
-            for i, x in self.ints[assigned[k]]:
-                out[i] = out.get(i, 0) + c * x
+        out = apply_columns(self.ints, ((assigned[k], c) for k, c in terms))
         return {i: x for i, x in out.items() if x}
 
     def permutation(self, assigned: Sequence[int]) -> Optional[list[int]]:

@@ -3,8 +3,9 @@
 An axis is certified here by explicit exact checks: idempotency, a semisimple
 adjoint with spectrum inside the law, eigenspace products landing where the
 star table says, and a 1-dimensional principal eigenspace.  The eigenspaces
-are held as primitive integer bases read off one echelon each, with no
-`Fraction` basis formed; A_1 = <a> is proved instead by rank n - 1 of
+are held as primitive integer bases, each read by `linalg.null_basis`, the
+package's one null-space reader, off the integer shift of the adjoint with
+no `Fraction` basis formed; A_1 = <a> is proved instead by rank n - 1 of
 D ad - D mod a prime (a deficit mod p proves nothing, and A_1 is solved
 exactly).  Past the spectrum every check is a polynomial in the adjoint.  A
 block of products is formed only when no other block implies it: the
@@ -13,12 +14,13 @@ Frobenius form one block per forbidden eigenvalue triple {lam, mu, nu}
 decides the rest.
 
 An `Axis` is its vector, its law, its integer adjoint and its spectrum.
-The canonical eigenspaces are built from the integer bases when first read,
-and the graded involutions the law entitles are the sign polynomials of the
-adjoint over the spectrum, held only as sparse `IntegerMap`s (the format of
-`axial.linalg`, whose `matrix` is the one dense read), whether the axis
-was certified here or is the image of a certified axis under an
-automorphism (`axial.axet.close_axet`), whose spectrum is its seed's.
+The canonical eigenspaces are built from the integer bases when first read
+(`linalg.canonical_span`), and the graded involutions the law entitles are
+the sign polynomials of the adjoint over the spectrum, held only as sparse
+`IntegerMap`s (the format of `axial.linalg`, which alone reads it, and
+whose `matrix` is the one dense read), whether the axis was certified here
+or is the image of a certified axis under an automorphism
+(`axial.axet.close_axet`), whose spectrum is its seed's.
 `is_automorphism` is the dense check of a user's matrix.  A law is never
 changed, so `jordan_law` and `monster_law` build each law once.
 
@@ -35,10 +37,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
 from typing import Iterator, Mapping, Optional
 
-from axial._backend import kernels
 from axial.algebra import ZERO, Algebra, IntegerAdjoint
 from axial.linalg import (
     IntegerMap,
@@ -46,10 +46,12 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
+    canonical_span,
     combination,
     frac,
     independent_mod_p,
     is_zero_vec,
+    null_basis,
     sparse_kernel,
     subspace_sum,
     transpose,
@@ -219,13 +221,14 @@ class Axis:
     order.
 
     `eigenbases` holds the primitive integer basis of each nonzero
-    eigenspace that `check_axis` read off its echelons, keyed by eigenvalue:
-    the basis vector of each free column f of the canonical basis, scaled to
-    coprime integers, its entries sorted by index.  `close_axet` builds an
-    Axis for the image of a certified axis under an automorphism with the
-    spectrum of the axis it is the image of and no bases; they are solved
-    on first use, one null space per eigenvalue.  The canonical `eigendata`
-    are built from the bases when first read.
+    eigenspace that `check_axis` read by `linalg.null_basis`, keyed by
+    eigenvalue: the basis vector of each free column f of the canonical
+    basis, scaled to coprime integers, its entries sorted by index.
+    `close_axet` builds an Axis for the image of a certified axis under an
+    automorphism with the spectrum of the axis it is the image of and no
+    bases; they are solved on first use by the same reader, one null space
+    per eigenvalue.  The canonical `eigendata` are built from the bases by
+    `linalg.canonical_span` when first read.
 
     The graded involutions are the sign polynomials of the adjoint over the
     spectrum, so reading them solves no eigenspace.  `miyamoto_map` and
@@ -247,25 +250,15 @@ class Axis:
         """`eigenbases`, solved here for an axis built without them."""
         if self.eigenbases is not None:
             return self.eigenbases
-        return {lam: _eigenbasis(self.adjoint, lam) for lam in self.present}
+        return {lam: null_basis(self.adjoint.shifted_rows(lam), len(self.vector)) for lam in self.present}
 
     @cached_property
     def eigendata(self) -> tuple[tuple[Fraction, Subspace], ...]:
         """The nonzero eigenspaces of ad(a) for the law's values, in the
-        law's order, as canonical subspaces: each integer basis vector
-        divided by its entry at its free column, its first entry."""
+        law's order, as canonical subspaces: the `canonical_span` of each
+        integer eigenbasis."""
         n = len(self.vector)
-        out = []
-        for lam, basis in self.integer_eigenbases.items():
-            rows = []
-            for x in basis:
-                top = x[0][1]
-                row = [ZERO] * n
-                for i, c in x:
-                    row[i] = Fraction(c, top)
-                rows.append(tuple(row))
-            out.append((lam, Subspace._canonical(n, rows, [x[0][0] for x in basis])))
-        return tuple(out)
+        return tuple((lam, canonical_span(basis, n)) for lam, basis in self.integer_eigenbases.items())
 
     @cached_property
     def miyamoto_map(self) -> Optional[IntegerMap]:
@@ -307,40 +300,6 @@ class Axis:
 
     def __hash__(self):
         return hash(self.vector)
-
-
-def adjoint_eigenspace(alg: Algebra, v: Vec, lam) -> Subspace:
-    """The canonical lam-eigenspace of ad(v), read off the integer adjoint."""
-    return IntegerAdjoint(alg, vec(v), (frac(lam),)).eigenspace(frac(lam))
-
-
-def _eigenbasis(adjoint: IntegerAdjoint, lam: Fraction) -> list[IntegerVec]:
-    """The primitive integer basis of the lam-eigenspace, read off one
-    echelon of D ad - D lam with no `Fraction` formed.
-
-    The rows are reduced with their columns reversed, as in
-    `linalg.null_space`: the null vector of free column f is 1 at f, 0 at
-    the other free columns and -v / p at the pivot column of each pivot row
-    with pivot entry p and entry v at f.  Scaled by the lcm of those p and
-    divided by its content, it is a positive multiple of that canonical
-    basis vector whose first entry is at f.
-    """
-    n = len(adjoint.rows)
-    last = n - 1
-    pivots = kernels.echelon([{last - c: x for c, x in row.items() if x} for row in adjoint.shifted_rows(lam)])
-    terms: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(n) if last - f not in pivots}
-    for c, prow in pivots.items():
-        p = prow[c]
-        for j, v in prow.items():
-            if j != c:
-                terms[last - j].append((last - c, v, p))
-    basis = []
-    for f, column in terms.items():
-        scale = lcm(*(p for _, _, p in column))
-        x = [(f, scale)] + sorted((i, -v * (scale // p)) for i, v, p in column)
-        g = gcd(*(c for _, c in x))
-        basis.append(tuple((i, c // g) for i, c in x))
-    return basis
 
 
 def _principal_basis(adjoint: IntegerAdjoint, v: Vec) -> Optional[list[IntegerVec]]:
@@ -458,7 +417,7 @@ def check_axis_verbose(
 
     The eigenspaces are the null spaces of the integer shifts D ad(a) - D lam
     (`IntegerAdjoint`), each held as the primitive integer basis read off
-    one echelon (`_eigenbasis`).  A_1 is screened first: rank n - 1 of
+    one echelon by `linalg.null_basis`.  A_1 is screened first: rank n - 1 of
     D ad - D mod the prime `linalg.MODULUS` proves A_1 = <a>
     (`_principal_basis`), and only a rank deficit mod p, which proves
     nothing, solves it exactly.  Once the eigenspaces span A, ad(a) is
@@ -479,7 +438,7 @@ def check_axis_verbose(
     for lam in law.values:
         basis = _principal_basis(adjoint, v) if lam == ONE else None
         if basis is None:
-            basis = _eigenbasis(adjoint, lam)
+            basis = null_basis(adjoint.shifted_rows(lam), alg.dim)
         if basis:
             bases[lam] = basis
     total = sum(map(len, bases.values()))
@@ -615,7 +574,7 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     if any(len(f) != 2 or mult != 1 for f, mult in factors):
         return None
     values = sorted((Fraction(-b, a) for (b, a), _ in factors), reverse=True)
-    bases = {lam: _eigenbasis(adjoint, lam) for lam in values}
+    bases = {lam: null_basis(adjoint.shifted_rows(lam), alg.dim) for lam in values}
     others = {nu: [k for k in values if k != nu] for nu in values}
     table = alg.integer_table().table
     star = {}

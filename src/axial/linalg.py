@@ -4,20 +4,22 @@ Vectors are tuples of Fractions and matrices are tuples of row tuples, so
 every value is immutable and hashable.  All arithmetic is exact; nothing here
 ever rounds.  Every row reduction, `rref` and both stages of `sparse_kernel`
 alike, is the one sparse integer elimination of `axial._kernels_py`, and
-every null space (`kernel`, `sparse_kernel`, `eigenspace` and `intersect`)
-is read off it by `null_space`; the axis certificates of `axial.fusion`
-read their integer eigenbases off the same echelon.
-The exact stage of `sparse_kernel` solves only the rows its mod-p screen
-kept, and checks the answer against the rows it did not keep.
+every null space is read off it by `null_basis`, the package's one
+null-space reader, as primitive integer vectors, which `canonical_span`
+makes a canonical subspace.  `null_space` (so `kernel`, `eigenspace` and
+`intersect`) feeds it `primitive_row`s; `sparse_kernel`, `IntegerAdjoint`,
+the axis certificates and the group layer's fixed spaces feed it their
+integer rows.  The exact stage of `sparse_kernel` solves only the rows its
+mod-p screen kept, and checks the answer against the rows it did not keep.
 `solve` and `inverse` read their answers off one RREF of an augmented
 matrix, and `det` is Bareiss's fraction-free elimination.
 
-The axis and group layers work in one sparse integer format, defined here:
-a `Point` is a vector as integers over one denominator, and an `IntegerMap`
-a linear map as sparse integer columns over one denominator, both in lowest
-terms, so they are compared and hashed as integer data and applied in
-O(nonzeros).  `IntegerMap.from_matrix` and `IntegerMap.matrix` are the only
-conversions between a map and a dense matrix.
+The axis and group layers work in one sparse integer format, defined and
+read only here: a `Point` is a vector as integers over one denominator, and
+an `IntegerMap` a linear map as sparse integer columns over one denominator,
+both in lowest terms, so they are compared and hashed as integer data and
+applied in O(nonzeros).  `IntegerMap.from_matrix` and `IntegerMap.matrix`
+are the only conversions between a map and a dense matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from axial._backend import kernels
-from axial.univariate import primitive_part
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -284,6 +285,7 @@ def full_space(n: int) -> Subspace:
 
 
 SparseVec = dict[int, Fraction]
+IntegerVec = tuple[tuple[int, int], ...]  # the nonzero (index, int) entries, by index
 
 # A fixed prime for the rank screen of `sparse_kernel`; any prime gives exact
 # answers, only the number of rows it picks can change.
@@ -318,30 +320,52 @@ def independent_mod_p(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
     return kept
 
 
-def null_space(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> Subspace:
-    """Canonical basis of the null space over Q of rows given as (column,
-    value) pairs, the values Fractions or ints, read off one echelon.
+def null_basis(rows: Iterable[Mapping[int, int]], ncols: int) -> list[IntegerVec]:
+    """The canonical null basis over Q of integer rows {column: int} (no
+    content need be divided out), read off one echelon.
 
     The rows are reduced with their columns reversed, so their pivots are
     taken from the last column backwards.  The null vector of each free
-    column f is then 1 at f, 0 at every other free column and nonzero only
-    at pivot columns after f: in increasing f these vectors are already the
-    canonical (RREF) basis of the null space, with the free columns as its
-    pivots.
+    column f is then 1 at f, 0 at every other free column and -v / p at the
+    pivot column of each pivot row with pivot entry p and entry v at f: in
+    increasing f these vectors are the canonical (RREF) basis, with the free
+    columns as its pivots.  Each is returned scaled by the lcm of its |p|
+    and divided by its content: primitive, its entries sorted by index, the
+    first positive and at f.
     """
     last = ncols - 1
-    pivots = kernels.echelon(
-        [kernels.primitive_row((last - c, x) for c, x in row) for row in rows]
-    )
-    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if last - f not in pivots}
-    for f, v in basis.items():
-        v[f] = Fraction(1)
+    pivots = kernels.echelon([{last - c: x for c, x in row.items() if x} for row in rows])
+    terms: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(ncols) if last - f not in pivots}
     for c, prow in pivots.items():
         p = prow[c]
         for j, v in prow.items():
             if j != c:
-                basis[last - j][last - c] = Fraction(-v, p)
-    return Subspace._canonical(ncols, [tuple(v) for v in basis.values()], list(basis))
+                terms[last - j].append((last - c, v, p))
+    basis = []
+    for f, column in terms.items():
+        scale = lcm(*(p for _, _, p in column))
+        x = [(f, scale)] + sorted((i, -v * (scale // p)) for i, v, p in column)
+        g = gcd(*(c for _, c in x))
+        basis.append(tuple((i, c // g) for i, c in x))
+    return basis
+
+
+def canonical_span(basis: Sequence[IntegerVec], ncols: int) -> Subspace:
+    """The canonical subspace of a `null_basis`, each vector divided by its first entry."""
+    rows = []
+    for x in basis:
+        row = [Fraction(0)] * ncols
+        for i, c in x:
+            row[i] = Fraction(c, x[0][1])
+        rows.append(tuple(row))
+    return Subspace._canonical(ncols, rows, [x[0][0] for x in basis])
+
+
+def null_space(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> Subspace:
+    """Canonical basis of the null space over Q of rows given as (column,
+    value) pairs, the values Fractions or ints: the `canonical_span` of the
+    `null_basis` of their `primitive_row`s."""
+    return canonical_span(null_basis(map(kernels.primitive_row, rows), ncols), ncols)
 
 
 def kernel(m: Mat) -> Subspace:
@@ -355,40 +379,34 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int) -> Subspace:
     The rows are screened modulo the prime MODULUS first, and the rows that
     raise the rank mod p are kept.  Full column rank mod p proves the kernel
     over Q is zero.  Otherwise the exact stage solves the kept rows only by
-    `null_space`: they are independent over Q, so their null space contains
-    the true one, and it is the true one when each of its basis vectors,
-    scaled to integers, is killed by every row that was not kept (the kept
-    rows kill it by construction).  When that check fails, the whole system
-    is solved exactly.
+    `null_basis`: they are independent over Q, so their null space contains
+    the true one, and it is the true one when each of its primitive integer
+    basis vectors is killed by every row that was not kept (the kept rows
+    kill it by construction).  When that check fails, the whole system is
+    solved exactly.
     """
     rows = sorted(rows, key=len)  # sparsest first keeps the fill-in low
     kept = independent_mod_p(rows, ncols)
     if len(kept) == ncols:
         return Subspace(ncols)
-    space = null_space((row.items() for row in kept), ncols)
+    basis = null_basis([kernels.primitive_row(row.items()) for row in kept], ncols)
     kept_ids = {id(row) for row in kept}
     others = [row for row in rows if id(row) not in kept_ids]
-    if others and not _kills(others, space):
-        space = null_space((row.items() for row in rows), ncols)
-    return space
-
-
-def _kills(rows: Sequence[SparseVec], space: Subspace) -> bool:
-    """Whether every row vanishes on every basis vector of the space."""
-    for v in space.basis:
-        ints = primitive_part(v)
-        if any(sum(x * ints[c] for c, x in row.items()) for row in rows):
-            return False
-    return True
+    for x in basis:
+        dense = [0] * ncols  # indexing x densely per row entry beats walking x per row
+        for i, c in x:
+            dense[i] = c
+        if any(sum(v * dense[c] for c, v in row.items()) for row in others):
+            basis = null_basis([kernels.primitive_row(row.items()) for row in rows], ncols)
+            break
+    return canonical_span(basis, ncols)
 
 
 def eigenspace(m: Mat, lam) -> Subspace:
-    """Exact eigenspace: kernel(m - lam I), shifting only the diagonal."""
+    """Exact eigenspace: the `null_space` of m - lam I, shifting only the diagonal."""
     lam = frac(lam)
-    shifted = [list(row) for row in m]
-    for i, row in enumerate(shifted):
-        row[i] -= lam
-    return kernel(tuple(tuple(row) for row in shifted))
+    rows = (((j, x - lam if j == i else x) for j, x in enumerate(row)) for i, row in enumerate(m))
+    return null_space(rows, len(m))
 
 
 def _equations(s: Subspace) -> list[list[tuple[int, Fraction]]]:
@@ -438,7 +456,6 @@ def perp_space(s: Subspace, gram: Mat) -> Subspace:
     return kernel(constraint)
 
 
-IntegerVec = tuple[tuple[int, int], ...]  # the nonzero (index, int) entries, by index
 Point = tuple[int, IntegerVec]  # (d, x): the vector x / d, in lowest terms with d > 0
 
 
@@ -458,8 +475,9 @@ def point_vector(p: Point, n: int) -> Vec:
     return tuple(out)
 
 
-def _apply(cols: Sequence[IntegerVec], x: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """sum x_j cols[j] over the entries (j, x_j), as {index: int}."""
+def apply_columns(cols: Sequence[IntegerVec], x: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """sum x_j cols[j] over the entries (j, x_j), as {index: int} (zero
+    values may appear)."""
     out: dict[int, int] = {}
     for j, xj in x:
         for r, c in cols[j]:
@@ -499,7 +517,7 @@ class IntegerMap(NamedTuple):
     def image(self, p: Point) -> Point:
         """The image of a point, in lowest terms."""
         d, entries = p
-        out = _apply(self.cols, entries)
+        out = apply_columns(self.cols, entries)
         d *= self.denom
         g = gcd(d, *out.values())
         return d // g, tuple(sorted((r, x // g) for r, x in out.items() if x))
@@ -507,7 +525,15 @@ class IntegerMap(NamedTuple):
     def compose(self, other: "IntegerMap") -> "IntegerMap":
         """self after other: self applied to the columns of other, over the
         product of the denominators."""
-        return IntegerMap.from_columns(self.denom * other.denom, [_apply(self.cols, col) for col in other.cols])
+        return IntegerMap.from_columns(self.denom * other.denom, [apply_columns(self.cols, col) for col in other.cols])
+
+    def shifted_rows(self) -> list[dict[int, int]]:
+        """The rows of denom g - denom I, whose null space is the fixed space of g."""
+        rows: list[dict[int, int]] = [{i: -self.denom} for i in range(len(self.cols))]
+        for j, col in enumerate(self.cols):
+            for r, x in col:
+                rows[r][j] = rows[r].get(j, 0) + x
+        return rows
 
     def matrix(self) -> Mat:
         """The dense matrix of the map."""

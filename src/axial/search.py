@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from axial.algebra import Algebra, MissingFormError
+from axial.algebra import Algebra, IntegerAdjoint, MissingFormError
 from axial.fusion import (
     Axis,
     FusionLaw,
     MONSTER_QUARTER,
     NS_UNIT_LENGTHS,
-    adjoint_eigenspace,
+    ONE,
     check_axis,
 )
 from axial.groebner import (
@@ -322,7 +322,7 @@ def nuanced_axes(alg: Algebra, a: Axis, cfg: SearchConfig = SearchConfig()) -> N
         if z in seen_z:
             continue
         seen_z.add(z)
-        b_space = adjoint_eigenspace(alg, vadd(a.vector, z), 1)
+        b_space = IntegerAdjoint(alg, vadd(a.vector, z), (ONE,)).eigenspace(ONE)
         if b_space.is_zero():
             continue
         result = naive_idempotents(alg, subspace=b_space, length=cfg.length, caps=cfg.caps)

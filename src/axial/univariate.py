@@ -1,8 +1,9 @@
 """Univariate helpers over Z: primitive parts, a squarefree test, rational
 roots, factor lists.
 
-`primitive_part` is the package's one rational-to-integer scaling: every
-site that clears denominators and common content calls it.
+`primitive_part` scales rationals to coprime integers, and sparse rows by
+`kernels.primitive_row`; sites that keep the denominator they clear, such as
+`linalg.integer_point`, `IntegerMap` and `IntegerAdjoint`, scale on their own.
 
 Factoring is done in two halves, for the common shape of a lex
 eliminant, x^k times a squarefree polynomial with few rational roots and

@@ -81,6 +81,23 @@ def test_every_private_module_name_is_used():
     assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []
 
 
+@pytest.mark.parametrize("module", ["fusion.py", "axet.py"])
+def test_axis_and_group_layers_import_nothing_from_the_backend(module):
+    # the echelon kernels are reached through `axial.linalg` alone, so a
+    # change to the null-space reader stays local to that module
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [f"{module}:{node.lineno} {n}" for n in names if n.startswith("axial._backend")]
+    assert found == []
+
+
 def _is_type_checking_block(node) -> bool:
     return isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
 

@@ -12,10 +12,9 @@ from pathlib import Path
 import pytest
 
 from axial import algebra as algebra_module
-from axial.algebra import Algebra, IntegerTable, direct_sum
+from axial.algebra import Algebra, IntegerAdjoint, IntegerTable, direct_sum
 from axial.fusion import (
     MONSTER_QUARTER,
-    adjoint_eigenspace,
     check_axis,
     check_axis_verbose,
     derivation_space,
@@ -127,8 +126,27 @@ def test_frobenius_violation_matches_reference_on_rational_grams(case):
 def test_adjoint_eigenspace_matches_dense_eigenspace():
     for _, alg, vectors, _ in _rational_cases():
         for v in vectors:
-            for lam in (1, 0, F(1, 4), F(1, 32), F(-3, 4)):
-                assert adjoint_eigenspace(alg, v, lam) == eigenspace(reference_ad_matrix(alg, v), lam)
+            for lam in (F(1), F(0), F(1, 4), F(1, 32), F(-3, 4)):
+                got = IntegerAdjoint(alg, vec(v), (lam,)).eigenspace(lam)
+                assert got == eigenspace(reference_ad_matrix(alg, v), lam)
+
+
+def test_integer_adjoint_rejects_an_eigenvalue_its_scale_does_not_clear():
+    # The adjoint of e_0 on Matsuo S4 at 1/4 has scale D = 8, and D / 3 is
+    # no integer: rounding D nu down read the 1/4-eigenspace (dimension 2)
+    # as the 1/3-eigenspace, whose true dimension is 0.
+    alg = matsuo_algebra(symmetric_transpositions(4), F(1, 4))
+    adjoint = IntegerAdjoint(alg, unit_vec(alg.dim, 0), ())
+    third = F(1, 3)
+    for read in (
+        lambda: adjoint.eigenspace(third),
+        lambda: adjoint.lacks_eigenvalue(third),
+        lambda: adjoint.in_sum([third], {0: 1}),
+        lambda: adjoint.shift(third, {0: 1}),
+    ):
+        with pytest.raises(ValueError, match="1/3"):
+            read()
+    assert IntegerAdjoint(alg, unit_vec(alg.dim, 0), (third,)).eigenspace(third).is_zero()
 
 
 def test_matsuo_s7_builds_one_table_and_no_adjoint_matrix(monkeypatch):

@@ -13,6 +13,7 @@ from axial.linalg import (
     MODULUS,
     IntegerMap,
     Subspace,
+    canonical_span,
     combination,
     det,
     eigenspace,
@@ -25,6 +26,7 @@ from axial.linalg import (
     mat,
     mat_mul,
     mat_vec,
+    null_basis,
     perp_space,
     rref,
     solve,
@@ -169,7 +171,23 @@ def test_kernel_is_the_canonical_null_basis(rows):
     # basis and pivots.
     m = mat(rows)
     got = kernel(m)
-    assert (got.basis, got.pivots) == reference_kernel(m, len(m[0]))
+    expected = reference_kernel(m, len(m[0]))
+    assert (got.basis, got.pivots) == expected
+    _assert_canonical_null_basis([kernels.primitive_row(enumerate(row)) for row in m], len(m[0]), expected)
+
+
+def _assert_canonical_null_basis(rows, ncols, expected):
+    """`null_basis` of integer rows: each vector primitive, its entries
+    sorted by index, its first entry positive and at the free column that is
+    the pivot of its canonical basis row; its canonical span is `expected`."""
+    basis = null_basis(rows, ncols)
+    for x in basis:
+        indices = [i for i, _ in x]
+        assert indices == sorted(set(indices))
+        assert all(c for _, c in x) and gcd(*(c for _, c in x)) == 1 and x[0][1] > 0
+    assert tuple(x[0][0] for x in basis) == expected[1]
+    got = canonical_span(basis, ncols)
+    assert (got.basis, got.pivots) == expected
 
 
 def test_eigenspace_runs_one_echelon(monkeypatch):
@@ -513,7 +531,9 @@ def _dense(rows, ncols):
 def test_sparse_kernel_matches_dense_kernel(system):
     ncols, rows = system
     got = sparse_kernel(rows, ncols)
-    assert (got.basis, got.pivots) == reference_kernel(_dense(rows, ncols), ncols)
+    expected = reference_kernel(_dense(rows, ncols), ncols)
+    assert (got.basis, got.pivots) == expected
+    _assert_canonical_null_basis([kernels.primitive_row(row.items()) for row in rows], ncols, expected)
 
 
 def test_sparse_kernel_checks_the_kept_rows_against_every_row(monkeypatch):

@@ -48,6 +48,7 @@ from axial.linalg import (
     canonical_span,
     identity,
     integer_point,
+    integer_vectors,
     inverse,
     mat_from_cols,
     mat_sub,
@@ -509,11 +510,7 @@ class _AxetFrame:
 
     def __init__(self, alg: Algebra, vectors: Sequence[Vec], basis_positions: Sequence[int]):
         m = len(vectors)
-        self.scale = lcm(*(x.denominator for v in vectors for x in v))
-        self.ints = [
-            tuple((i, x.numerator * (self.scale // x.denominator)) for i, x in enumerate(v) if x)
-            for v in vectors
-        ]
+        self.scale, self.ints = integer_vectors(vectors)
         self.index = {x: k for k, x in enumerate(self.ints)}
         table = alg.integer_table().table
         self.products = {

@@ -225,9 +225,9 @@ def cmd_derivations(args, report):
 
 def cmd_axes_naive(args, report):
     alg, _, custom = _load(args)
-    caps = args.caps
     length = _parse_rational(args.length, "--length") if args.length else None
-    result = naive_idempotents(alg, length=length, caps=caps)
+    law = parse_law_spec(args.law, custom)
+    result = naive_idempotents(alg, length=length, caps=args.caps)
     report.add("status", result.status)
     report.add("idempotents", [list(p) for p in result.points])
     report.note(f"idempotent count: {len(result.points)}")
@@ -236,7 +236,6 @@ def cmd_axes_naive(args, report):
     if result.status == POSITIVE_DIMENSIONAL:
         report.note("variety is positive-dimensional; add relations and retry")
         return
-    law = parse_law_spec(args.law, custom)
     axes = axes_from_idempotents(alg, result, law)
     report.add("axes", [list(a.vector) for a in axes])
     report.note(f"axis count: {len(axes)}")

@@ -58,7 +58,7 @@ from axial.linalg import (
     unit_vec,
     vec,
 )
-from axial.univariate import irreducible_factors, is_squarefree, primitive_part
+from axial.univariate import is_squarefree, linear_factors, primitive_part
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -552,8 +552,11 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
 
     Returns None unless ad(v) is semisimple over Q with rational spectrum,
     that is, unless the minimal polynomial of the integer adjoint D ad(v)
-    splits into distinct linear factors over Q; a repeated factor is found
-    by `is_squarefree` before any factoring.  Substituting D t for its
+    splits into distinct linear factors over Q: a repeated factor is found
+    by `is_squarefree`, and `linear_factors` then splits off the rational
+    roots and leaves any other factor unsplit in a cofactor (sympy is
+    loaded only when no prime of `univariate.PRIMES` leaves a squarefree
+    image of the polynomial).  Substituting D t for its
     variable gives the polynomial whose roots are the eigenvalues.  Each
     D lam is a rational root of a monic integer polynomial, so an integer,
     and the same adjoint reads every eigenspace; they span A.
@@ -570,8 +573,8 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
     poly = [c * d**i for i, c in enumerate(adjoint.minimal_polynomial())]
     if not is_squarefree(poly):
         return None
-    factors = irreducible_factors(poly)
-    if any(len(f) != 2 or mult != 1 for f, mult in factors):
+    factors, cofactors = linear_factors(poly)
+    if cofactors:
         return None
     values = sorted((Fraction(-b, a) for (b, a), _ in factors), reverse=True)
     bases = {lam: null_basis(adjoint.shifted_rows(lam), alg.dim) for lam in values}

@@ -30,7 +30,7 @@ class AlgebraFileError(Exception):
 
 
 def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
-    if not re.fullmatch(r"-?\d+(/\d+)?", token):
+    if not re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", token):
         raise AlgebraFileError(f"malformed rational {token!r}", line)
     return Fraction(token)
 
@@ -57,13 +57,21 @@ class AlgebraFile:
 
 
 def parse_law_spec(spec: str, custom: Optional[FusionLaw] = None) -> FusionLaw:
-    """Parse 'm:alpha:beta', 'j:eta', or 'custom' (the file's LAW section)."""
-    parts = spec.split(":")
-    if parts[0] == "m" and len(parts) == 3:
-        return monster_law(Fraction(parts[1]), Fraction(parts[2]))
-    if parts[0] == "j" and len(parts) == 2:
-        return jordan_law(Fraction(parts[1]))
-    if parts[0] == "custom":
+    """Parse 'm:alpha:beta', 'j:eta', or 'custom' (the file's LAW section).
+
+    A parameter is any `Fraction` literal; one that is not, or has a zero
+    denominator, raises AlgebraFileError naming it and the spec.
+    """
+    kind, *params = spec.split(":")
+    if (kind, len(params)) in (("m", 2), ("j", 1)):
+        values = []
+        for token in params:
+            try:
+                values.append(Fraction(token))
+            except (ValueError, ZeroDivisionError):
+                raise AlgebraFileError(f"malformed rational {token!r} in law spec {spec!r}") from None
+        return monster_law(*values) if kind == "m" else jordan_law(*values)
+    if kind == "custom":
         if custom is None:
             raise AlgebraFileError("axis tagged 'custom' but no LAW section present")
         return custom

@@ -18,8 +18,10 @@ The axis and group layers work in one sparse integer format, defined and
 read only here: a `Point` is a vector as integers over one denominator, and
 an `IntegerMap` a linear map as sparse integer columns over one denominator,
 both in lowest terms, so they are compared and hashed as integer data and
-applied in O(nonzeros).  `IntegerMap.from_matrix` and `IntegerMap.matrix`
-are the only conversions between a map and a dense matrix.
+applied in O(nonzeros).  `integer_vectors` clears the denominators of
+rational vectors into it, and `IntegerMap.from_matrix` and
+`IntegerMap.matrix` are the only conversions between a map and a dense
+matrix.
 """
 
 from __future__ import annotations
@@ -459,11 +461,18 @@ def perp_space(s: Subspace, gram: Mat) -> Subspace:
 Point = tuple[int, IntegerVec]  # (d, x): the vector x / d, in lowest terms with d > 0
 
 
+def integer_vectors(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, list[IntegerVec]]:
+    """D, the lcm of the denominators of the vectors, and each vector times
+    D as an `IntegerVec`."""
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return d, [tuple((i, x.numerator * (d // x.denominator)) for i, x in enumerate(v) if x) for v in vectors]
+
+
 def integer_point(v: Vec) -> Point:
     """The vector v as a `Point`: over the lcm of its denominators, the
     numerators share no factor with it, so the pair is in lowest terms."""
-    d = lcm(*(x.denominator for x in v))
-    return d, tuple((i, x.numerator * (d // x.denominator)) for i, x in enumerate(v) if x)
+    d, (x,) = integer_vectors([v])
+    return d, x
 
 
 def point_vector(p: Point, n: int) -> Vec:
@@ -510,9 +519,8 @@ class IntegerMap(NamedTuple):
         m = mat(m)
         if m and len(m[0]) != len(m):
             raise ValueError("not a square matrix")
-        d = lcm(*(x.denominator for row in m for x in row))
-        cols = [{r: x.numerator * (d // x.denominator) for r, x in enumerate(col) if x} for col in transpose(m)]
-        return cls.from_columns(d, cols)
+        d, cols = integer_vectors(transpose(m))
+        return cls.from_columns(d, [dict(col) for col in cols])
 
     def image(self, p: Point) -> Point:
         """The image of a point, in lowest terms."""

@@ -2,8 +2,8 @@
 roots, factor lists.
 
 `primitive_part` scales rationals to coprime integers, and sparse rows by
-`kernels.primitive_row`; sites that keep the denominator they clear, such as
-`linalg.integer_point`, `IntegerMap` and `IntegerAdjoint`, scale on their own.
+`kernels.primitive_row`; sites that keep the denominator they clear scale
+with `linalg.integer_vectors`, and `IntegerAdjoint` scales on its own.
 
 Factoring is done in two halves, for the common shape of a lex
 eliminant, x^k times a squarefree polynomial with few rational roots and
@@ -12,20 +12,12 @@ then rational roots by p-adic lifting (Loos 1983): the roots of the
 squarefree part modulo a prime are Newton-lifted until they determine a
 rational candidate, and each candidate is kept only when exact integer
 evaluation confirms it.  It leaves the cofactor with no rational root
-unsplit, which is all point extraction needs.  `irreducible_factors` adds
-the second half, the split of that cofactor by the modular degree-pattern
-irreducibility test (Musser 1978): the degrees of the irreducible factors
-modulo a prime bound the degrees a factor over Z can have, and an empty
-intersection of those bounds over a few primes proves the cofactor
-irreducible.
-
-The certificate has one direction.  An empty intersection is a proof;
-a nonempty one proves nothing, since a polynomial such as x^4 - 10x^2 + 1
-is irreducible over Z and reducible modulo every prime.  In every
-inconclusive case the cofactor left after x^k and the rational roots, and
-every input with no squarefree image modulo the primes of PRIMES, is
-factored by sympy's dense Zassenhaus factoring over ZZ instead, so the
-result is the same factor list either way.
+unsplit, which is all point extraction and `fusion.infer_fusion_law`
+need.  `irreducible_factors` adds the second half: a cofactor of degree 2
+or 3 has no rational root, so it is irreducible, and one of degree 4 or
+more is factored by sympy's dense Zassenhaus factoring over ZZ.  An
+input with no squarefree image modulo the primes of PRIMES, as every input
+with a repeated factor, is factored whole by the same routine.
 """
 
 from __future__ import annotations
@@ -39,9 +31,6 @@ IntPoly = tuple[int, ...]  # coefficients, lowest degree first
 # keep root finding by evaluation cheap; 2 is left out because x^2 - x
 # vanishes on all of F_2, so few polynomials are squarefree there.
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
-# Squarefree images whose degree patterns are intersected before the
-# certificate gives up.
-PATTERN_PRIMES = 6
 
 
 def primitive_part(values) -> list[int]:
@@ -115,15 +104,13 @@ def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
     dropped.  The list is sorted by degree, then by coefficients.
 
     The linear factors are those of `linear_factors`, and each of its
-    cofactors is split in turn.  A cofactor is irreducible when its degree
-    is at most 3 (it has no rational root), or when the degree patterns of
-    up to PATTERN_PRIMES primes leave no possible degree for a proper
-    factor.  Otherwise only the cofactor is factored by sympy's
-    `dup_factor_list`: an inconclusive pattern proves nothing.
+    cofactors is split in turn: one of degree 2 or 3 has no rational root,
+    so it is irreducible, and one of degree 4 or more is factored by
+    sympy's `dup_factor_list`.
     """
     factors, cofactors = linear_factors(coeffs)
     for h, mult in cofactors:
-        if len(h) > 4 and not _pattern_certifies(h):
+        if len(h) > 4:
             factors += [(f, mult * m) for f, m in _zassenhaus(h)]
         else:
             factors.append((h, mult))
@@ -233,36 +220,6 @@ def _divide_linear(g: list[int], a: int, b: int) -> list[int]:
     return quotient
 
 
-def _pattern_certifies(h: list[int]) -> bool:
-    """Whether degree patterns modulo primes prove h irreducible over Z.
-
-    h has degree n >= 4 and no rational root, so a proper factor over Z
-    has a degree in 2..n-2.  Modulo a prime not dividing the leading
-    coefficient, where h is squarefree, such a degree is a sum of some
-    factor degrees of the image.  Each pattern keeps only those sums; when
-    none remains, h is irreducible.  True is a proof, False proves nothing.
-    """
-    n = len(h) - 1
-    possible = set(range(2, n - 1))
-    used = 0
-    for p in PRIMES:
-        if h[-1] % p == 0:
-            continue
-        image = [c % p for c in h]
-        if not _is_squarefree(image, p):
-            continue
-        sums = {0}
-        for d in _degree_pattern(image, p):
-            sums |= {s + d for s in sums}
-        possible &= sums
-        if not possible:
-            return True
-        used += 1
-        if used == PATTERN_PRIMES:
-            break
-    return False
-
-
 # Polynomials over F_p: lists of residues, lowest degree first, with a
 # nonzero last entry (the zero polynomial is the empty list).
 
@@ -278,26 +235,23 @@ def _monic(f: list[int], p: int) -> list[int]:
     return [c * inv % p for c in f]
 
 
-def _divmod(f: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by a monic m over F_p."""
+def _rem(f: list[int], m: list[int], p: int) -> list[int]:
+    """The remainder of f by a monic m over F_p."""
     f = list(f)
     dm = len(m) - 1
-    quotient = [0] * max(len(f) - dm, 0)
     for i in range(len(f) - 1, dm - 1, -1):
         c = f[i] % p
         if c:
-            quotient[i - dm] = c
-            base = i - dm
             for j in range(dm):
-                f[base + j] -= c * m[j]
-    return quotient, _trim([c % p for c in f[:dm]])
+                f[i - dm + j] -= c * m[j]
+    return _trim([c % p for c in f[:dm]])
 
 
 def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
     """The monic gcd over F_p of f and a nonzero g."""
     while g:
         g = _monic(g, p)
-        f, g = g, _divmod(f, g, p)[1]
+        f, g = g, _rem(f, g, p)
     return f
 
 
@@ -310,46 +264,3 @@ def _is_squarefree(image: list[int], p: int) -> bool:
 def _roots_mod(image: list[int], p: int) -> list[int]:
     """The roots in F_p of a polynomial over F_p, by evaluation."""
     return [x for x in range(p) if _eval(image, x) % p == 0]
-
-
-def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    product = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                product[i + j] += x * y
-    return _divmod(product, m, p)[1]
-
-
-def _degree_pattern(image: list[int], p: int) -> list[int]:
-    """The degrees of the irreducible factors of a squarefree image over F_p.
-
-    Distinct-degree factorisation: gcd(f, x^(p^d) - x) is the product of
-    the factors of degree d of f once those of lower degree are divided
-    out.
-    """
-    f = _monic(image, p)
-    w = [0, 1]
-    degrees = []
-    d = 0
-    while 2 * (d + 1) <= len(f) - 1:
-        d += 1
-        power, base, e = [1], w, p  # w^p mod f, by squaring
-        while e:
-            if e & 1:
-                power = _mulmod(power, base, f, p)
-            e >>= 1
-            if e:
-                base = _mulmod(base, base, f, p)
-        w = power
-        shifted = list(w) + [0] * max(0, 2 - len(w))
-        shifted[1] = (shifted[1] - 1) % p
-        shifted = _trim(shifted)
-        factor = _gcd(f, shifted, p) if shifted else f
-        if len(factor) > 1:
-            degrees += [d] * ((len(factor) - 1) // d)
-            f = _divmod(f, factor, p)[0]
-            w = _divmod(w, f, p)[1]
-    if len(f) > 1:
-        degrees.append(len(f) - 1)
-    return degrees

@@ -240,3 +240,19 @@ def test_infer_fusion_law_on_a_non_semisimple_adjoint_starts_without_sympy():
         "print('sympy' in sys.modules)\n"
     )
     assert _fresh(script).split() == ["None", "None", "None", "False"]
+
+
+def test_infer_fusion_law_leaves_an_irreducible_quartic_unsplit_without_sympy():
+    # e0 is idempotent and acts on e1..e4 by the companion matrix of
+    # x^4 - 10x^2 + 1, which is irreducible over Q and splits modulo every
+    # prime: no rational spectrum, so no law, read off `linear_factors`
+    script = (
+        "import sys\n"
+        "from axial.algebra import Algebra\n"
+        "from axial.fusion import infer_fusion_law\n"
+        "from axial.linalg import unit_vec\n"
+        "gamma = [(0, 0, 0, 1), (0, 1, 2, 1), (0, 2, 3, 1), (0, 3, 4, 1), (0, 4, 1, -1), (0, 4, 3, 10)]\n"
+        "alg = Algebra.from_gamma(5, gamma)\n"
+        "print(infer_fusion_law(alg, unit_vec(5, 0)), 'sympy' in sys.modules)\n"
+    )
+    assert _fresh(script).split() == ["None", "False"]

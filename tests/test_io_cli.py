@@ -431,6 +431,30 @@ def test_cli_names_the_option_of_a_zero_denominator(capsys, argv, option):
     assert f"error: {option}: '1/0' is not a rational number" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "edit, argv, message",
+    [
+        (("1 1 1 1\n", "1 1 1 1/0\n"), ["info"], "malformed rational '1/0' (line 6)"),
+        (("m:1/2:1/4 1 0", "j:1/0 1 0"), ["miy"], "malformed rational '1/0' in law spec 'j:1/0'"),
+        (None, ["axes-naive", "--law", "j:1/0"], "malformed rational '1/0' in law spec 'j:1/0'"),
+        (None, ["axes-naive", "--law", "m:x:1/4"], "malformed rational 'x' in law spec 'm:x:1/4'"),
+    ],
+    ids=["gamma-row", "axes-tag", "law-zero-denominator", "law-not-a-rational"],
+)
+def test_cli_names_a_malformed_rational_of_a_file_or_a_law(tmp_path, capsys, edit, argv, message):
+    path = FIXTURES / "q2.alg"
+    if edit is not None:
+        text = path.read_text()
+        assert edit[0] in text
+        path = tmp_path / "bad.alg"
+        path.write_text(text.replace(edit[0], edit[1], 1))
+    assert main([argv[0], str(path), *argv[1:]]) == 4
+    out = capsys.readouterr().out
+    assert f"error: {message}" in out
+    # the law is parsed before the solve runs
+    assert "idempotent count" not in out
+
+
 def test_cli_axes_naive_reports_the_irreducible_eliminant_factors(tmp_path, capsys):
     # Algebra 54 of the seeded criterion-9 draws: its one nonlinear
     # eliminant, of degree 7, splits into a quadratic and a quintic

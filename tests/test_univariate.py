@@ -162,25 +162,26 @@ def fallbacks(monkeypatch):
 
 
 def test_the_certificate_proves_irreducible_without_the_fallback(fallbacks):
-    # x (x - 2)(3x + 1)(x^7 - 2 x + 2): roots lifted, the septic certified
-    septic = [2, -2, 0, 0, 0, 0, 0, 1]
-    coeffs = times(x_power(1), [-2, 1], [1, 3], septic)
+    # x (x - 2)(3x + 1)(x^7 - 2 x + 2): x and the roots are split off in
+    # house, and the fallback receives only the septic
+    septic = (2, -2, 0, 0, 0, 0, 0, 1)
+    coeffs = times(x_power(1), [-2, 1], [1, 3], list(septic))
     assert irreducible_factors(coeffs) == reference_factors(coeffs)
-    assert ((0, 1), 1) in irreducible_factors(coeffs) and not fallbacks
+    assert ((0, 1), 1) in reference_factors(coeffs)
+    assert fallbacks == [(septic,)]
 
 
 def test_an_inconclusive_pattern_reaches_the_fallback(fallbacks):
     # x^4 - 10x^2 + 1 splits into factors of degree at most 2 modulo every
-    # prime, so every pattern allows a quadratic factor: no proof either way
+    # prime, yet is irreducible: the quartic cofactor goes to the fallback
     h = [1, 0, -10, 0, 1]
-    assert not univariate._pattern_certifies(h)
-    assert irreducible_factors(h) == [((1, 0, -10, 0, 1), 1)]
+    assert irreducible_factors(h) == [((1, 0, -10, 0, 1), 1)] == reference_factors(h)
     assert len(fallbacks) == 1
 
 
 def test_the_fallback_factors_only_the_uncertified_cofactor(fallbacks):
     # x (x - 1)(x^4 - 10x^2 + 1): x and the root 1 are split off first, and
-    # only the quartic, which no degree pattern certifies, reaches sympy
+    # only the quartic cofactor reaches sympy
     coeffs = times(x_power(1), [-1, 1], [1, 0, -10, 0, 1])
     assert irreducible_factors(coeffs) == reference_factors(coeffs)
     assert [len(args[0]) - 1 for args in fallbacks] == [4]
@@ -240,35 +241,30 @@ def test_solver_eliminants_match_sympy_and_rarely_reach_the_fallback(fallbacks, 
     assert len(fallbacks) == 0
     for result in results:
         result.eliminant_factors
-    assert len(fallbacks) == 7
+    # every cofactor has degree 5 to 7, and each is factored once
+    cofactors = [(h,) for result in results for h in result.cofactors]
+    assert {len(h) - 1 for (h,) in cofactors} == {5, 6, 7}
+    assert fallbacks == cofactors and len(cofactors) == 150
     for coeffs, (linear, cofactors) in eliminants:
         split = [(f, m * mf) for h, m in cofactors for f, mf in irreducible_factors(h)]
         assert sorted(linear + split, key=lambda item: (len(item[0]), item[0])) == (
             reference_factors(coeffs)
         )
     # Sympy's factoring once ran on every one of these 480 eliminants (none
-    # is constant); now none needs it during the solves, and 7 cofactors
-    # when the factors are read.
+    # is constant); now none needs it during the solves, and the 150
+    # cofactors when the factors are read.
     assert len(eliminants) == 480
     assert all(len(primitive_integer(c)) > 1 for c, _ in eliminants)
     assert max(len(primitive_integer(c)) - 1 for c, _ in eliminants) == 8
 
 
-def test_extraction_certifies_no_cofactor_until_the_factors_are_read(monkeypatch):
-    certified = []
-    original = univariate._pattern_certifies
-
-    def counted(h):
-        certified.append(tuple(h))
-        return original(h)
-
-    monkeypatch.setattr(univariate, "_pattern_certifies", counted)
+def test_extraction_certifies_no_cofactor_until_the_factors_are_read(fallbacks):
     results = [naive_idempotents(alg) for alg in criterion_9_algebras(20)]
     assert any(len(h) > 4 for result in results for h in result.cofactors)
-    assert not certified
+    assert not fallbacks
     factors = [result.eliminant_factors for result in results]
-    assert certified
+    assert fallbacks
     # the list is kept: a second read splits nothing
-    count = len(certified)
+    count = len(fallbacks)
     assert [result.eliminant_factors for result in results] == factors
-    assert len(certified) == count
+    assert len(fallbacks) == count

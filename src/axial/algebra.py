@@ -285,20 +285,21 @@ class Algebra:
         )
 
     def products_in(
-        self, xs: Sequence[Vec], ys: Sequence[Vec], w: Subspace
+        self, xs: Sequence[Vec | IntegerAdjoint], ys: Sequence[Vec], w: Subspace
     ) -> Optional[list[list[Vec]]]:
         """The w-coordinates of every product x y, one row per x and one entry
         per y, or None when some product leaves w.
 
         Each y is scaled to integers once, as its `Point`, and x y is read
         off the `IntegerAdjoint` of x, so only the entries of a product that
-        are nonzero are divided back into `Fraction`s.
+        are nonzero are divided back into `Fraction`s.  An x may be given as
+        its adjoint, built once by a caller that reads several tables.
         """
         n = self.dim
         scaled = [(d, dict(y)) for d, y in map(integer_point, ys)]
         table = []
         for x in xs:
-            adjoint = IntegerAdjoint(self, x, ())
+            adjoint = x if isinstance(x, IntegerAdjoint) else IntegerAdjoint(self, x, ())
             row = []
             for d, y in scaled:
                 product = (adjoint.scale * d, adjoint.shift(ZERO, y).items())
@@ -507,7 +508,7 @@ class IntegerAdjoint:
         n = len(self.rows)
         return len(independent_mod_p(self.shifted_rows(nu), n)) == n
 
-    def _scaled(self, nu: Fraction) -> int:
+    def scaled(self, nu: Fraction) -> int:
         """D nu, which must be an integer (D clears the values given)."""
         q, r = divmod(self.scale, nu.denominator)
         if r:
@@ -517,18 +518,27 @@ class IntegerAdjoint:
     def shifted_rows(self, nu: Fraction) -> Iterator[dict[int, int]]:
         """The rows of D ad - D nu, as {index: int} (a zero may appear on
         the diagonal)."""
-        s = self._scaled(nu)
+        s = self.scaled(nu)
         return ({**row, i: row.get(i, 0) - s} for i, row in enumerate(self.rows))
 
     def shift(self, nu: Fraction, x: dict[int, int]) -> dict[int, int]:
-        """(D ad - D nu) x."""
-        s = self._scaled(nu)
-        out: dict[int, int] = {}
-        for j, xj in x.items():
-            out[j] = out.get(j, 0) - s * xj
-            for i, c in self.cols[j]:
-                out[i] = out.get(i, 0) + c * xj
-        return {i: v for i, v in out.items() if v}
+        """(D ad - D nu) x, without zero values."""
+        return {i: v for i, v in self.apply_shifts((self.scaled(nu),), x).items() if v}
+
+    def apply_shifts(self, shifts: Iterable[int], x: dict[int, int]) -> dict[int, int]:
+        """The product of D ad - s over the integers s of `shifts`, each a
+        `scaled` D nu, applied to x in turn; zero values may remain."""
+        cols = self.cols
+        for s in shifts:
+            out: dict[int, int] = {}
+            get = out.get
+            for j, xj in x.items():
+                if xj:
+                    out[j] = get(j, 0) - s * xj
+                    for i, c in cols[j]:
+                        out[i] = get(i, 0) + c * xj
+            x = out
+        return x
 
     def minimal_polynomial(self) -> list[int]:
         """The minimal polynomial of D ad(v): primitive integer coefficients,
@@ -552,16 +562,6 @@ class IntegerAdjoint:
                 coeffs = [pivots[c].get(n * n + i, 0) for i in range(k + 1)]
                 return coeffs if coeffs[-1] > 0 else [-x for x in coeffs]
             cols = [self.shift(ZERO, col) for col in cols]
-
-    def in_sum(self, values: Iterable[Fraction], x: dict[int, int]) -> bool:
-        """Whether x lies in the sum of the eigenspaces of `values` (0 for none).
-
-        ad(a) is semisimple here, so the product of (ad - nu) over `values`
-        kills that sum and scales each other eigenspace by a nonzero number.
-        """
-        for nu in values:
-            x = self.shift(nu, x)
-        return not x
 
     def sign_map(self, present: Sequence[Fraction], negated: frozenset) -> IntegerMap:
         """f(ad) for the polynomial f that is -1 on the `negated` eigenvalues

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from axial._backend import kernels
-from axial.algebra import Algebra, AlgebraError, DegenerateFormError, MissingFormError
+from axial.algebra import Algebra, AlgebraError, DegenerateFormError, IntegerAdjoint, MissingFormError
 from axial.fusion import Axis, FusionLaw
 from axial.linalg import (
     Mat,
@@ -89,7 +89,8 @@ def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
 
     Preconditions are checked exactly: the axes are distinct, and each axis
     involution fixes every other axis.  `modules` keeps one `products_in`
-    table per component, the zero one first; under a Seress law a None table
+    table per component, the zero one first, all read off the adjoints of
+    the zero part's basis, built once; under a Seress law a None table
     raises, as the zero part is a subalgebra with every component a module.
     """
     if not axes:
@@ -113,10 +114,10 @@ def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
     a_circ = subspace_sum(list(components.values()), ambient=n)
     complete = sum(space.dim for space in components.values()) == n
     decomposition = JointDecomposition(tuple(axes), law, components, complete, a_circ)
-    u = decomposition.zero_component
+    adjoints = [IntegerAdjoint(alg, x, ()) for x in decomposition.zero_component.basis]
     for key in sorted(components, key=any):  # the zero key, all zeros, first
         space = components[key]
-        table = decomposition.modules[key] = alg.products_in(u.basis, space.basis, space)
+        table = decomposition.modules[key] = alg.products_in(adjoints, space.basis, space)
         if table is None and law.is_seress():
             raise AlgebraError(_not_a_module(key))
     return decomposition

@@ -5,9 +5,9 @@ adjoint with spectrum inside the law, eigenspace products landing where the
 star table says, and a 1-dimensional principal eigenspace.  The eigenspaces
 are held as primitive integer bases, each read by `linalg.null_basis`, the
 package's one null-space reader, off the integer shift of the adjoint with
-no `Fraction` basis formed; A_1 = <a> is proved instead by rank n - 1 of
-D ad - D mod a prime (a deficit mod p proves nothing, and A_1 is solved
-exactly).  Past the spectrum every check is a polynomial in the adjoint.  A
+no `Fraction` basis formed; A_1 = <a> is proved instead when the other
+eigenspaces span n - 1 dimensions (otherwise A_1 is solved exactly too).
+Past the spectrum every check is a polynomial in the adjoint.  A
 block of products is formed only when no other block implies it: the
 (1, mu) blocks hold when A_1 = <a>, and under a proved nondegenerate
 Frobenius form one block per forbidden eigenvalue triple {lam, mu, nu}
@@ -49,7 +49,6 @@ from axial.linalg import (
     canonical_span,
     combination,
     frac,
-    independent_mod_p,
     is_zero_vec,
     null_basis,
     sparse_kernel,
@@ -226,9 +225,9 @@ class Axis:
     basis, scaled to coprime integers, its entries sorted by index.
     `close_axet` builds an Axis for the image of a certified axis under an
     automorphism with the spectrum of the axis it is the image of and no
-    bases; they are solved on first use by the same reader, one null space
-    per eigenvalue.  The canonical `eigendata` are built from the bases by
-    `linalg.canonical_span` when first read.
+    bases; they are solved on first use by the rule of `check_axis`, one
+    null space per eigenvalue other than 1.  The canonical `eigendata` are
+    built from the bases by `linalg.canonical_span` when first read.
 
     The graded involutions are the sign polynomials of the adjoint over the
     spectrum, so reading them solves no eigenspace.  `miyamoto_map` and
@@ -250,7 +249,7 @@ class Axis:
         """`eigenbases`, solved here for an axis built without them."""
         if self.eigenbases is not None:
             return self.eigenbases
-        return {lam: null_basis(self.adjoint.shifted_rows(lam), len(self.vector)) for lam in self.present}
+        return _eigenbases(self.adjoint, self.vector, self.present)
 
     @cached_property
     def eigendata(self) -> tuple[tuple[Fraction, Subspace], ...]:
@@ -302,28 +301,34 @@ class Axis:
         return hash(self.vector)
 
 
-def _principal_basis(adjoint: IntegerAdjoint, v: Vec) -> Optional[list[IntegerVec]]:
-    """[primitive v] when the rank of D ad - D mod the prime `linalg.MODULUS`
-    proves A_1 = <v>, else None.
+def _eigenbases(adjoint: IntegerAdjoint, v: Vec, values) -> dict[Fraction, list[IntegerVec]]:
+    """The integer bases of the nonzero eigenspaces of ad(v) for `values`
+    (which hold 1), in their order, for a nonzero idempotent v.
 
-    v is a nonzero idempotent, so it lies in A_1, and a rank n - 1 mod p
-    bounds the rank over Q below by n - 1: A_1 has dimension exactly 1.  A
-    smaller rank mod p proves nothing, and the caller solves A_1 exactly.
+    The values other than 1 are solved first.  v lies in A_1, and
+    eigenspaces of distinct values are independent, so when their
+    dimensions sum to n - 1, A_1 = <v> is proved and its basis is
+    [primitive v]; otherwise A_1 is solved exactly too.
     """
     n = len(v)
-    if len(independent_mod_p(adjoint.shifted_rows(ONE), n)) != n - 1:
-        return None
-    return [tuple((i, x) for i, x in enumerate(primitive_part(v)) if x)]
+    bases = {lam: null_basis(adjoint.shifted_rows(lam), n) for lam in values if lam != ONE}
+    if sum(map(len, bases.values())) == n - 1:
+        bases[ONE] = [tuple((i, x) for i, x in enumerate(primitive_part(v)) if x)]
+    else:
+        bases[ONE] = null_basis(adjoint.shifted_rows(ONE), n)
+    return {lam: bases[lam] for lam in values if bases[lam]}
 
 
 def integer_product(table: dict, x: IntegerVec, y: IntegerVec) -> dict:
     """The product of two sparse integer vectors over an integer table, as
     {index: value} without zero values."""
     out: dict[int, int] = {}
+    get, row = out.get, table.get
     for i, p in x:
         for j, q in y:
-            for k, c in table.get((i, j) if i <= j else (j, i), ()):
-                out[k] = out.get(k, 0) + p * q * c
+            pq = p * q
+            for k, c in row((i, j) if i <= j else (j, i), ()):
+                out[k] = get(k, 0) + pq * c
     return {k: v for k, v in out.items() if v}
 
 
@@ -363,15 +368,15 @@ def _fusion_violation(alg: Algebra, axis: Axis) -> Optional[tuple[Fraction, Frac
     When a block fails, every block before it not yet seen to hold is
     checked too, so the block named is the first one that fails.
     """
-    law, bases = axis.law, axis.integer_eigenbases
+    law, bases, adjoint = axis.law, axis.integer_eigenbases, axis.adjoint
     present = list(bases)
     dims = [len(basis) for basis in bases.values()]
-    # the blocks with a forbidden eigenvalue, as index pairs into `present`
+    # blocks with a forbidden eigenvalue (index pairs into `present`): allowed D nu
     allowed, forbidden = {}, {}
     for i, j in itertools.combinations_with_replacement(range(len(present)), 2):
         star = law.star(present[i], present[j])
         if not star.issuperset(present):
-            allowed[i, j] = [nu for nu in present if nu in star]
+            allowed[i, j] = [adjoint.scaled(nu) for nu in present if nu in star]
             forbidden[i, j] = [k for k, nu in enumerate(present) if nu not in star]
     order = list(allowed)
     one = present.index(ONE) if ONE in present else None
@@ -399,7 +404,7 @@ def _fusion_violation(alg: Algebra, axis: Axis) -> Optional[tuple[Fraction, Frac
     def fails(block):
         i, j = block
         products = _block_products(table, bases, present[i], present[j])
-        return not all(axis.adjoint.in_sum(allowed[block], p) for p in products)
+        return any(any(adjoint.apply_shifts(allowed[block], p).values()) for p in products)
 
     for block in todo:
         if fails(block):
@@ -417,16 +422,16 @@ def check_axis_verbose(
 
     The eigenspaces are the null spaces of the integer shifts D ad(a) - D lam
     (`IntegerAdjoint`), each held as the primitive integer basis read off
-    one echelon by `linalg.null_basis`.  A_1 is screened first: rank n - 1 of
-    D ad - D mod the prime `linalg.MODULUS` proves A_1 = <a>
-    (`_principal_basis`), and only a rank deficit mod p, which proves
-    nothing, solves it exactly.  Once the eigenspaces span A, ad(a) is
-    semisimple with the spectrum found, and the rest of the certificate is
-    read off polynomials in the same integer adjoint: a product of
-    eigenbasis vectors lies in the allowed sum exactly when the product of
-    (ad - nu) over the allowed eigenvalues kills it (`_fusion_violation`
-    forms only the blocks of products the others do not imply), and tau and
-    sigma are the sign polynomials of ad(a), evaluated on first read.
+    one echelon by `linalg.null_basis`; when those of the values other than
+    1 span n - 1 dimensions, A_1 = <a> is proved with no solve
+    (`_eigenbases`).  Once the eigenspaces span A, ad(a) is semisimple with
+    the spectrum found, and the rest of the certificate is read off
+    polynomials in the same integer adjoint: a product of eigenbasis vectors
+    lies in the allowed sum exactly when the product of (ad - nu) over the
+    allowed eigenvalues kills it, tested by one pass of the block's shifts
+    D nu, scaled once per block (`_fusion_violation` forms only the blocks
+    of products the others do not imply), and tau and sigma are the sign
+    polynomials of ad(a), evaluated on first read.
     """
     v = vec(v)
     if is_zero_vec(v):
@@ -434,13 +439,7 @@ def check_axis_verbose(
     if alg.product(v, v) != v:
         return None, "not_idempotent"
     adjoint = IntegerAdjoint(alg, v, law.values)
-    bases = {}
-    for lam in law.values:
-        basis = _principal_basis(adjoint, v) if lam == ONE else None
-        if basis is None:
-            basis = null_basis(adjoint.shifted_rows(lam), alg.dim)
-        if basis:
-            bases[lam] = basis
+    bases = _eigenbases(adjoint, v, law.values)
     total = sum(map(len, bases.values()))
     if total != alg.dim:
         return None, f"bad_spectrum: eigenspaces for the law span {total} of {alg.dim}"
@@ -578,13 +577,13 @@ def infer_fusion_law(alg: Algebra, v: Vec) -> Optional[FusionLaw]:
         return None
     values = sorted((Fraction(-b, a) for (b, a), _ in factors), reverse=True)
     bases = {lam: null_basis(adjoint.shifted_rows(lam), alg.dim) for lam in values}
-    others = {nu: [k for k in values if k != nu] for nu in values}
+    others = {nu: [adjoint.scaled(k) for k in values if k != nu] for nu in values}
     table = alg.integer_table().table
     star = {}
     for lam, mu in itertools.combinations_with_replacement(values, 2):
         hit: set[Fraction] = set()
         for p in _block_products(table, bases, lam, mu):
-            hit.update([nu for nu in values if nu not in hit and not adjoint.in_sum(others[nu], p)])
+            hit.update([nu for nu in values if nu not in hit and any(adjoint.apply_shifts(others[nu], p).values())])
             if len(hit) == len(values):
                 break
         star[(lam, mu)] = frozenset(hit)

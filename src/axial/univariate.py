@@ -17,7 +17,7 @@ need.  `irreducible_factors` adds the second half: a cofactor of degree 2
 or 3 has no rational root, so it is irreducible, and one of degree 4 or
 more is factored by sympy's dense Zassenhaus factoring over ZZ.  An
 input with no squarefree image modulo the primes of PRIMES, as every input
-with a repeated factor, is factored whole by the same routine.
+with a repeated factor, is factored whole by the same routine, once.
 """
 
 from __future__ import annotations
@@ -77,9 +77,16 @@ def linear_factors(coeffs) -> tuple[list[tuple[IntPoly, int]], list[tuple[IntPol
     sympy's `dup_factor_list`, and its nonlinear factors, each irreducible,
     are the cofactors.
     """
+    linear, cofactors, _ = _split_linear(coeffs)
+    return linear, cofactors
+
+
+def _split_linear(coeffs):
+    """`linear_factors`, and whether its cofactors are known irreducible
+    (they are when sympy factored the whole input)."""
     ints = primitive_integer(coeffs)
     if len(ints) == 1:
-        return [], []
+        return [], [], True
     k = next(i for i, c in enumerate(ints) if c)
     g = list(ints[k:])
     linear = [((0, 1), k)] if k else []
@@ -87,13 +94,13 @@ def linear_factors(coeffs) -> tuple[list[tuple[IntPoly, int]], list[tuple[IntPol
         split = _split_squarefree(g)
         if split is None:
             factors = _zassenhaus(ints)
-            return [f for f in factors if len(f[0]) == 2], [f for f in factors if len(f[0]) > 2]
+            return [f for f in factors if len(f[0]) == 2], [f for f in factors if len(f[0]) > 2], True
         roots, g = split
         linear += roots
     if len(g) == 2:
         linear.append((tuple(g), 1))
     linear.sort()
-    return linear, [(tuple(g), 1)] if len(g) > 2 else []
+    return linear, [(tuple(g), 1)] if len(g) > 2 else [], False
 
 
 def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
@@ -104,13 +111,13 @@ def irreducible_factors(coeffs) -> list[tuple[IntPoly, int]]:
     dropped.  The list is sorted by degree, then by coefficients.
 
     The linear factors are those of `linear_factors`, and each of its
-    cofactors is split in turn: one of degree 2 or 3 has no rational root,
-    so it is irreducible, and one of degree 4 or more is factored by
-    sympy's `dup_factor_list`.
+    cofactors is split in turn, unless sympy already factored the whole
+    input: one of degree 2 or 3 has no rational root, so it is irreducible,
+    and one of degree 4 or more is factored by sympy's `dup_factor_list`.
     """
-    factors, cofactors = linear_factors(coeffs)
+    factors, cofactors, irreducible = _split_linear(coeffs)
     for h, mult in cofactors:
-        if len(h) > 4:
+        if len(h) > 4 and not irreducible:
             factors += [(f, mult * m) for f, m in _zassenhaus(h)]
         else:
             factors.append((h, mult))

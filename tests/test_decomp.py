@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import axial.decomp
-from axial.algebra import Algebra, AlgebraError, direct_sum
+from axial.algebra import Algebra, AlgebraError, IntegerAdjoint, direct_sum
 from axial.decomp import (
     PairingProbe,
     SquareProbe,
@@ -354,6 +354,19 @@ def test_extension_space_reads_the_decomposition_tables(monkeypatch):
     for key in dec.components:
         extension_space(dec, key, identity(dec.zero_component.dim))
     assert calls == []
+
+
+def test_decompose_joint_builds_each_zero_part_adjoint_once(monkeypatch):
+    """decompose_joint reads the 15 component tables of S8 with four
+    commuting axes off the adjoints of the zero part's basis, one each;
+    building them per table made 15 times as many."""
+    alg, axes = commuting_axes(8, 4, F(1, 4))
+    calls = []
+    init = IntegerAdjoint.__init__
+    monkeypatch.setattr(IntegerAdjoint, "__init__", lambda *args: calls.append(1) or init(*args))
+    dec = decompose_joint(alg, axes)
+    assert len(dec.components) == 15
+    assert len(calls) == dec.zero_component.dim > 0
 
 
 def test_decompose_joint_refines_with_few_intersections(monkeypatch):

@@ -43,6 +43,7 @@ from axial.matsuo import (
 )
 from oracles import (
     dense,
+    reference_ad_matrix,
     reference_check_axis,
     reference_derivation_space,
     reference_graded_involution,
@@ -780,7 +781,8 @@ def test_check_axis_inverts_nothing_and_tests_no_membership(monkeypatch):
 def test_check_axis_reads_each_eigenspace_off_one_echelon(monkeypatch):
     # Work counter: each eigenspace of the certificate is the null space of
     # one integer shift of the adjoint, read off one echelon with no RREF,
-    # except A_1, which rank n - 1 mod p proves to be <a> with no echelon.
+    # except A_1, which the other eigenspaces' dimensions prove to be <a>
+    # with no echelon.
     data = symmetric_transpositions(5)
     alg = matsuo_algebra(data, F(1, 4))
     counts = {"rref": 0, "echelon": 0}
@@ -801,13 +803,11 @@ def test_check_axis_reads_each_eigenspace_off_one_echelon(monkeypatch):
 
 
 BENCHMARK_ETAS = ("1/2", "1/4", "1/3", "2/5", "3/8", "2")
-SMALL_PRIME = 3
 
 
 def _fallback_cases():
     """(build, vectors, laws) on Matsuo S3-S6 at each benchmark eta, the
-    fixtures and the flip subalgebras of S5; `build` makes a fresh algebra,
-    so no rank mod p is kept from an earlier prime."""
+    fixtures and the flip subalgebras of S5; `build` makes a fresh algebra."""
     for m in (3, 4, 5, 6):
         data = symmetric_transpositions(m)
         for eta in map(F, BENCHMARK_ETAS):
@@ -828,32 +828,67 @@ def _fallback_cases():
         yield (lambda eta=eta: double_axes_and_flip(symmetric_transpositions(5), eta, (1, 0, 3, 2, 4)).algebra), vectors, (monster_law(2 * eta, eta),)
 
 
-def test_check_axis_falls_back_to_the_exact_null_space_under_a_small_prime(monkeypatch):
-    # Modulo 3 the rank of D ad - D falls short on many axes, which proves
-    # nothing: A_1 is then solved exactly, and every outcome (eigendata, tau,
-    # sigma or the reason) is the one found under the default prime.
-    screens = []
-    original = fusion._principal_basis
+def _recording_shifts(monkeypatch) -> list:
+    """Patch `IntegerAdjoint.shifted_rows` to record each eigenvalue whose
+    null space is solved; returns the record."""
+    shifts = []
+    original = IntegerAdjoint.shifted_rows
 
-    def recording(adjoint, v):
-        basis = original(adjoint, v)
-        screens.append(basis is not None)
-        return basis
+    def recording(self, nu):
+        shifts.append(nu)
+        return original(self, nu)
 
-    monkeypatch.setattr(fusion, "_principal_basis", recording)
-    expected, found = [], []
-    cases = list(_fallback_cases())
-    for build, vectors, laws in cases:
-        alg = build()
-        expected += [_outcome(alg, v, law) for law in laws for v in vectors]
-    assert all(screens)  # mod 2^31 - 1 the screen proves A_1 = <a> for every idempotent here
-    screens.clear()
-    monkeypatch.setattr(linalg, "MODULUS", SMALL_PRIME)
-    for build, vectors, laws in cases:
-        alg = build()
-        found += [_outcome(alg, v, law) for law in laws for v in vectors]
-    assert found == expected
-    assert True in screens and False in screens
+    monkeypatch.setattr(IntegerAdjoint, "shifted_rows", recording)
+    return shifts
+
+
+def test_check_axis_solves_no_principal_eigenspace_on_matsuo_axes(monkeypatch):
+    # Work counter: on every axis of Matsuo S5 and S6 at the benchmark etas
+    # the eigenspaces for 0 and eta span n - 1, which proves A_1 = <a>, so
+    # no null space is solved for the eigenvalue 1.
+    cases = [
+        (matsuo_algebra(data, eta), data.size, jordan_law(eta))
+        for data in map(symmetric_transpositions, (5, 6))
+        for eta in map(F, BENCHMARK_ETAS)
+    ]
+    shifts = _recording_shifts(monkeypatch)
+    for alg, n, law in cases:
+        for i in range(n):
+            assert check_axis(alg, unit_vec(n, i), law) is not None
+    assert len(shifts) == 2 * sum(n for _, n, _ in cases)
+    assert F(1) not in shifts
+
+
+def test_check_axis_solves_the_principal_eigenspace_when_the_others_fall_short(monkeypatch):
+    # A_1 is solved exactly on an idempotent whose eigenspaces for the law's
+    # other values span less than n - 1, and on no other vector; every
+    # outcome is the reference's.  e0 + e1 of the diagonal algebra has
+    # A_1 of dimension 2, and the law at 1/3 misses the 1/4-eigenspace of
+    # an axis of Matsuo S4 at 1/4.
+    s4 = matsuo_algebra(symmetric_transpositions(4), F(1, 4))
+    extra = [
+        (diagonal_algebra(3), [vadd(unit_vec(3, 0), unit_vec(3, 1))], (jordan_law(F(1, 4)),)),
+        (s4, [unit_vec(s4.dim, 0), s4.find_unit()], (jordan_law(F(1, 3)), jordan_law(F(1, 4)))),
+    ]
+    cases = [(build(), vectors, laws) for build, vectors, laws in _fallback_cases()] + extra
+    shifts = _recording_shifts(monkeypatch)
+    solved, reasons = [], set()
+    for alg, vectors, laws in cases:
+        for law in laws:
+            for v in vectors:
+                shifts.clear()
+                outcome = _outcome(alg, v, law)
+                assert outcome == reference_check_axis(alg, v, law), (law, v)
+                reasons.add(outcome.split(":")[0] if isinstance(outcome, str) else "axis")
+                if alg.product(vec(v), vec(v)) == vec(v):
+                    ad = reference_ad_matrix(alg, v)
+                    others = sum(linalg.eigenspace(ad, lam).dim for lam in law.values if lam != 1)
+                    assert (F(1) in shifts) == (others < alg.dim - 1), (law, v)
+                    solved.append(F(1) in shifts)
+                else:
+                    assert shifts == []
+    assert {"axis", "not_primitive", "bad_spectrum", "fusion_violation", "not_idempotent"} <= reasons
+    assert True in solved and False in solved
 
 
 @st.composite

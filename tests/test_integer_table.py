@@ -141,7 +141,7 @@ def test_integer_adjoint_rejects_an_eigenvalue_its_scale_does_not_clear():
     for read in (
         lambda: adjoint.eigenspace(third),
         lambda: adjoint.lacks_eigenvalue(third),
-        lambda: adjoint.in_sum([third], {0: 1}),
+        lambda: adjoint.scaled(third),
         lambda: adjoint.shift(third, {0: 1}),
     ):
         with pytest.raises(ValueError, match="1/3"):

@@ -187,6 +187,15 @@ def test_the_fallback_factors_only_the_uncertified_cofactor(fallbacks):
     assert [len(args[0]) - 1 for args in fallbacks] == [4]
 
 
+def test_the_factors_of_a_factored_input_are_not_factored_again(fallbacks):
+    # (x - 1)^2 (x^4 - 10x^2 + 1) has no squarefree image, so sympy factors
+    # it whole; the quartic it returns is irreducible and is kept as it is
+    coeffs = times([-1, 1], [-1, 1], [1, 0, -10, 0, 1])
+    got = irreducible_factors(coeffs)
+    assert fallbacks == [(tuple(coeffs),)]
+    assert got == reference_factors(coeffs) == [((-1, 1), 2), ((1, 0, -10, 0, 1), 1)]
+
+
 def test_a_non_squarefree_input_tries_a_bounded_number_of_primes(fallbacks, monkeypatch):
     tested = []
     original = univariate._is_squarefree

@@ -514,7 +514,9 @@ class _AxetFrame:
         self.index = {x: k for k, x in enumerate(self.ints)}
         table = alg.integer_table().table
         self.products = {
-            (p, q): integer_product(table, self.ints[p], self.ints[q]) for p in range(m) for q in range(p, m)
+            (p, q): {k: v for k, v in integer_product(table, self.ints[p], self.ints[q]).items() if v}
+            for p in range(m)
+            for q in range(p, m)
         }
         self.basis_positions = list(basis_positions)
         self.inverse = IntegerMap.from_matrix(inverse(mat_from_cols([vectors[k] for k in basis_positions])))

@@ -46,6 +46,8 @@ class JointDecomposition:
 
     `modules[key]` holds the w-coordinates of every u_r w_j, u the zero
     component and w the component at key, or None when one leaves w.
+    `zero_adjoints` holds the `IntegerAdjoint` of each u_r, which the
+    tables are read off.
     """
 
     axes: tuple[Axis, ...]
@@ -55,6 +57,7 @@ class JointDecomposition:
     a_circ: Subspace
     a_sharp: Optional[Subspace] = None
     modules: dict[tuple[Fraction, ...], Optional[list[list[Vec]]]] = field(default_factory=dict)
+    zero_adjoints: list[IntegerAdjoint] = field(default_factory=list, repr=False)
 
     @property
     def zero_component(self) -> Subspace:
@@ -90,8 +93,9 @@ def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
     Preconditions are checked exactly: the axes are distinct, and each axis
     involution fixes every other axis.  `modules` keeps one `products_in`
     table per component, the zero one first, all read off the adjoints of
-    the zero part's basis, built once; under a Seress law a None table
-    raises, as the zero part is a subalgebra with every component a module.
+    the zero part's basis, built once and kept as `zero_adjoints`; under a
+    Seress law a None table raises, as the zero part is a subalgebra with
+    every component a module.
     """
     if not axes:
         raise ValueError("need at least one axis")
@@ -115,6 +119,7 @@ def decompose_joint(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposition:
     complete = sum(space.dim for space in components.values()) == n
     decomposition = JointDecomposition(tuple(axes), law, components, complete, a_circ)
     adjoints = [IntegerAdjoint(alg, x, ()) for x in decomposition.zero_component.basis]
+    decomposition.zero_adjoints = adjoints
     for key in sorted(components, key=any):  # the zero key, all zeros, first
         space = components[key]
         table = decomposition.modules[key] = alg.products_in(adjoints, space.basis, space)
@@ -134,7 +139,8 @@ def partial_decomposition(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposit
     """Joint decomposition completed by the orthogonal complement of its sum.
 
     Needs the form, nondegenerate on the span of the components; the
-    complement is verified to be a module over the joint zero subalgebra.
+    complement is verified to be a module over the joint zero subalgebra,
+    on the adjoints `decompose_joint` built.
     """
     if alg.gram is None:
         raise MissingFormError("partial decomposition needs the Frobenius form")
@@ -143,8 +149,7 @@ def partial_decomposition(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposit
     sharp = perp_space(a_circ, alg.gram)
     if a_circ.dim + sharp.dim != alg.dim or not intersect(a_circ, sharp).is_zero():
         raise DegenerateFormError("form is degenerate on the component sum")
-    u = decomposition.zero_component
-    if alg.products_in(u.basis, sharp.basis, sharp) is None:
+    if alg.products_in(decomposition.zero_adjoints, sharp.basis, sharp) is None:
         raise AlgebraError("orthogonal complement is not a module over the zero part")
     decomposition.a_sharp = sharp
     return decomposition

@@ -321,7 +321,7 @@ def _eigenbases(adjoint: IntegerAdjoint, v: Vec, values) -> dict[Fraction, list[
 
 def integer_product(table: dict, x: IntegerVec, y: IntegerVec) -> dict:
     """The product of two sparse integer vectors over an integer table, as
-    {index: value} without zero values."""
+    {index: value}; zero values may remain."""
     out: dict[int, int] = {}
     get, row = out.get, table.get
     for i, p in x:
@@ -329,7 +329,7 @@ def integer_product(table: dict, x: IntegerVec, y: IntegerVec) -> dict:
             pq = p * q
             for k, c in row((i, j) if i <= j else (j, i), ()):
                 out[k] = get(k, 0) + pq * c
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def _block_products(table: dict, bases: dict, lam: Fraction, mu: Fraction) -> Iterator[dict]:

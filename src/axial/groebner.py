@@ -6,10 +6,13 @@ zero-dimensional ideals every rational point is extracted by eliminant
 root finding and back substitution, off that one basis: substituting a
 partial root into a lex Groebner basis leaves a Groebner basis of the branch
 in the elements whose leading coefficient survives (Gianni 1989, Kalkbrener
-1989, both EUROCAL '87, LNCS 378).  Solutions that would live in a proper
-extension of Q are never approximated; the eliminant cofactors with no
-rational root are returned as witnesses instead, and split into irreducible
-factors only when a caller reads them.
+1989, both EUROCAL '87, LNCS 378).  Extraction works on integers: each
+basis element is scaled to primitive integer terms once, a branch
+substitutes the numerators and denominators of its partial root, and each
+distinct eliminant of a level is split once per extraction.  Solutions that
+would live in a proper extension of Q are never approximated; the eliminant
+cofactors with no rational root are returned as witnesses instead, and
+split into irreducible factors only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import getitem, itemgetter
 from time import monotonic
 from typing import Callable, Optional, Sequence
 
@@ -374,15 +378,20 @@ def enumerate_points(gb: Sequence[MPoly]) -> SolveResult:
 
     `gb` must be a lex Groebner basis, reduced or not: the zero-dimensionality
     test and every branch are read off it.  An element has level k when x_k
-    is its greatest variable.  From the least variable on, the partial point
-    (a_{k+1}, ...) is substituted into the level-k elements, and the linear
-    factors over Z of the nonzero result of least degree in x_k are split
-    off (`linear_factors`): by Gianni-Kalkbrener it is a scalar multiple of
-    the branch's eliminant, as an element whose leading coefficient
-    vanishes specialises to 0 or to a multiple of it.  Each rational root
-    opens a branch.  What is left, with no rational root, is kept unsplit
-    in `cofactors` as an extension witness and flagged via the status;
-    `SolveResult.eliminant_factors` factors it only when read.
+    is its greatest variable.  Each element is scaled to primitive integer
+    terms once (`_integer_levels`).  From the least variable on, the partial
+    point (a_{k+1}, ...) is substituted into the level-k elements as
+    numerators and denominators (`_specialise`): each result is the rational
+    specialisation times a positive integer, so its primitive form is the
+    same.  The linear factors over Z of the nonzero result of least degree
+    in x_k, the first in level order, are split off (`linear_factors`): by
+    Gianni-Kalkbrener it is a scalar multiple of the branch's eliminant, as
+    an element whose leading coefficient vanishes specialises to 0 or to a
+    multiple of it.  Branches that meet the same primitive eliminant at the
+    same level reuse its split, so each is split once per extraction.  Each
+    rational root opens a branch.  What is left, with no rational root, is
+    kept unsplit in `cofactors` as an extension witness and flagged via the
+    status; `SolveResult.eliminant_factors` factors it only when read.
     """
     gb = [g for g in gb if g]
     if not gb:
@@ -392,10 +401,7 @@ def enumerate_points(gb: Sequence[MPoly]) -> SolveResult:
     points: list[Vec] = []
     cofactors: list[tuple[int, ...]] = []
     if not any(g.is_constant() for g in gb):
-        levels: list[list[MPoly]] = [[] for _ in range(gb[0].nvars)]
-        for g in gb:
-            levels[min(g.variables_used())].append(g)
-        _extract(levels, (), points, cofactors)
+        _extract(_integer_levels(gb), (), points, cofactors, {})
     _sort_points(points)
     status = NEEDS_EXTENSION if cofactors else FINITE
     return SolveResult(status, points, cofactors, gb)
@@ -404,31 +410,88 @@ def enumerate_points(gb: Sequence[MPoly]) -> SolveResult:
 def _sort_points(points: list[Vec]) -> None:
     """Sort the points as `list.sort` would, on integer rank tuples.
 
-    Each coordinate takes few distinct values.  They are ranked once, keyed
-    by (numerator, denominator), which names a Fraction uniquely; the points
-    are then sorted by comparing ints, not Fractions, and with no Fraction
-    hashed.
+    Extraction makes each root once per eliminant it splits, so a column
+    holds few distinct Fraction objects.  They are ranked once by value,
+    equal values sharing a rank, and the points are then sorted by their
+    ranks, looked up by `id`: no Fraction is compared or hashed per point.
     """
     ranks = []
     for column in zip(*points):
-        values = {(x.numerator, x.denominator): x for x in column}
-        ranks.append({k: r for r, k in enumerate(sorted(values, key=values.__getitem__))})
-    points.sort(key=lambda p: tuple(rank[x.numerator, x.denominator] for rank, x in zip(ranks, p)))
+        objects = sorted({id(x): x for x in column}.items(), key=itemgetter(1))
+        groups = itertools.groupby(objects, key=itemgetter(1))
+        ranks.append({i: r for r, (_, group) in enumerate(groups) for i, _x in group})
+    points.sort(key=lambda p: tuple(map(getitem, ranks, map(id, p))))
 
 
-def _extract(levels: list[list[MPoly]], point: tuple, points: list, cofactors: list) -> None:
+def _integer_levels(gb: Sequence[MPoly]) -> list[list[tuple]]:
+    """The basis grouped by level, each element in primitive integer terms.
+
+    An element of level k is (degree, higher, degrees, terms): its degree in
+    x_k, the greater indices j of the variables it uses beside x_k, its
+    degree in each, and its terms as (exponents, c), the coefficients c
+    scaled by `primitive_part`.
+    """
+    nvars = gb[0].nvars
+    levels: list[list[tuple]] = [[] for _ in range(nvars)]
+    for g in gb:
+        tops = [max(column) for column in zip(*g.terms)]
+        k, *higher = (j for j in range(nvars) if tops[j])
+        terms = list(zip(g.terms, primitive_part(list(g.terms.values()))))
+        levels[k].append((tops[k], higher, [tops[j] for j in higher], terms))
+    return levels
+
+
+def _specialise(element: tuple, k: int, point: tuple) -> list[int]:
+    """The level-k element at the partial point, as integer coefficients in
+    x_k, lowest degree first, without trailing zeros.
+
+    Each higher variable x_j = p/q of degree D in the element contributes
+    p^e q^(D - e) to a term with exponent e in x_j, so the result is the
+    rational specialisation times the product of the q^D, a positive
+    integer.
+    """
+    degree, higher, degrees, terms = element
+    weights = []
+    for j, top in zip(higher, degrees):
+        a = point[j - k - 1]
+        p, q = a.numerator, a.denominator
+        weights.append((j, [p**e * q ** (top - e) for e in range(top + 1)]))
+    out = [0] * (degree + 1)
+    for e, c in terms:
+        for j, w in weights:
+            c *= w[e[j]]
+        out[e[k]] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _extract(levels: list[list[tuple]], point: tuple, points: list, cofactors: list, splits: dict) -> None:
+    """Extend the partial point (a_{k+1}, ...) by every rational root a_k.
+
+    `splits` keeps the split of each eliminant met, its rational roots and
+    the cofactors of `linear_factors`, keyed by its level and its primitive
+    coefficients with a positive leading one.
+    """
     k = len(levels) - len(point) - 1
-    if k < 0:
-        points.append(point)
-        return
-    fixed = dict(enumerate(point, k + 1))
-    specialised = [s for s in (g.substitute(fixed) for g in levels[k]) if s]
-    if not specialised:
+    elim: list[int] = []
+    for element in levels[k]:
+        coeffs = _specialise(element, k, point)
+        if coeffs and (not elim or len(coeffs) < len(elim)):
+            elim = coeffs
+    if not elim:
         raise NotZeroDimensional("no eliminant found; the basis is not a Groebner basis")
-    elim = min(specialised, key=lambda s: s.lead()[0])
-    linear, rest = linear_factors(elim.univariate_coeffs(k))
-    for (b, a), _mult in linear:
-        _extract(levels, (Fraction(-b, a),) + point, points, cofactors)
+    content = gcd(*elim) if elim[-1] > 0 else -gcd(*elim)
+    key = (k, tuple(c // content for c in elim))
+    if key not in splits:
+        linear, rest = linear_factors(key[1])
+        splits[key] = [Fraction(-b, a) for (b, a), _mult in linear], rest
+    roots, rest = splits[key]
+    if k:
+        for root in roots:
+            _extract(levels, (root,) + point, points, cofactors, splits)
+    else:
+        points += [(root,) + point for root in roots]
     for cofactor, _mult in rest:
         if cofactor not in cofactors:
             cofactors.append(cofactor)

@@ -369,6 +369,19 @@ def test_decompose_joint_builds_each_zero_part_adjoint_once(monkeypatch):
     assert len(calls) == dec.zero_component.dim > 0
 
 
+def test_partial_decomposition_reuses_the_zero_part_adjoints(monkeypatch):
+    """The complement's module check reads the adjoints decompose_joint
+    built: 6 constructions for dim u = 6, where building them again made
+    12."""
+    alg, axes = commuting_axes(8, 4, F(1, 4))
+    calls = []
+    init = IntegerAdjoint.__init__
+    monkeypatch.setattr(IntegerAdjoint, "__init__", lambda *args: calls.append(1) or init(*args))
+    dec = partial_decomposition(alg, axes)
+    assert dec.zero_component.dim == 6 and dec.a_sharp is not None
+    assert len(calls) == 6
+
+
 def test_decompose_joint_refines_with_few_intersections(monkeypatch):
     """S8 with four commuting axes needs 60 meets when the parts are refined
     axis by axis; intersecting every tuple of eigenvalues took 165."""

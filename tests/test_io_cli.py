@@ -186,6 +186,27 @@ def test_cli_info_and_exit_codes(tmp_path, capsys):
     assert main([]) == 2
 
 
+def test_cli_calls_share_the_parser_and_nothing_else(tmp_path, capsys, monkeypatch):
+    # main builds its parser once; a call's options must not reach the next
+    caps = []
+    solve = cli.naive_idempotents
+    monkeypatch.setattr(cli, "naive_idempotents", lambda *a, **kw: caps.append(kw["caps"]) or solve(*a, **kw))
+    q2 = str(FIXTURES / "q2.alg")
+    naive = ["axes-naive", q2, "--length", "1", "--law", "m:1/2:1/4"]
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), *naive, "--caps", "deadline=5"]) == 0
+    assert caps == [cli.SolverCaps(max_seconds=5.0)]
+    assert json.loads(out.read_text())["exit_code"] == 0
+    capsys.readouterr()
+    assert main(["info", q2]) == 0
+    assert "dimension: 4" in capsys.readouterr().out
+    assert main(naive) == 0
+    assert "axis count: 2" in capsys.readouterr().out.splitlines()
+    assert caps[1:] == [cli.DEFAULT_CAPS]
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert cli._parser() is cli._parser()
+
+
 def test_cli_validation_failure_names_triple(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("AXIAL 1\nDIM 2\nGAMMA\n1 1 2 1\nEND\nGRAM\n1\n0 1\nEND\n")

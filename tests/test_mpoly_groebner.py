@@ -372,7 +372,7 @@ def test_a_branch_without_an_eliminant_is_not_a_cap():
     # resource limit.
     x0, x1 = xvar(2, 0), xvar(2, 1)
     with pytest.raises(NotZeroDimensional, match="no eliminant found"):
-        groebner._extract([[x0 - x1], []], (), [], [])
+        groebner._extract(groebner._integer_levels([x0 - x1]), (), [], [], {})
 
 
 def test_points_satisfy_generators():
@@ -538,6 +538,23 @@ def test_naive_idempotents_computes_one_basis(monkeypatch):
     assert len(calls) == 1
     assert len(res.points) == 256
     assert res.points == sorted(set(res.points))
+
+
+def test_extraction_splits_each_distinct_eliminant_once(monkeypatch):
+    # Work counter: the 255 branch nodes of diagonal_algebra(8) each meet
+    # x^2 - x at their level; it is split once per level, so 8 times, not
+    # 255, and the 256 points are unchanged.
+    calls = []
+    original = groebner.linear_factors
+
+    def counting(coeffs):
+        calls.append(tuple(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(groebner, "linear_factors", counting)
+    res = search.naive_idempotents(diagonal_algebra(8))
+    assert calls == [(0, -1, 1)] * 8
+    assert len(res.points) == 256 and res.complete_over_closure
 
 
 def test_a_vanishing_leading_coefficient_is_skipped():

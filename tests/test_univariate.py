@@ -259,10 +259,12 @@ def test_solver_eliminants_match_sympy_and_rarely_reach_the_fallback(fallbacks, 
         assert sorted(linear + split, key=lambda item: (len(item[0]), item[0])) == (
             reference_factors(coeffs)
         )
-    # Sympy's factoring once ran on every one of these 480 eliminants (none
-    # is constant); now none needs it during the solves, and the 150
-    # cofactors when the factors are read.
-    assert len(eliminants) == 480
+    # Sympy's factoring once ran on every one of the 480 eliminants the
+    # branches meet (none is constant); now none needs it during the solves,
+    # and the 150 cofactors when the factors are read.  An extraction splits
+    # each distinct eliminant of a level once: 19 branches meet one already
+    # split at their level and reuse that split.
+    assert len(eliminants) == 461
     assert all(len(primitive_integer(c)) > 1 for c, _ in eliminants)
     assert max(len(primitive_integer(c)) - 1 for c, _ in eliminants) == 8
 

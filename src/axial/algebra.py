@@ -32,7 +32,6 @@ from axial.linalg import (
     mat_from_cols,
     mat_vec,
     null_basis,
-    point_vector,
     solve,
     unit_vec,
     vdot,
@@ -290,20 +289,19 @@ class Algebra:
         """The w-coordinates of every product x y, one row per x and one entry
         per y, or None when some product leaves w.
 
-        Each y is scaled to integers once, as its `Point`, and x y is read
-        off the `IntegerAdjoint` of x, so only the entries of a product that
-        are nonzero are divided back into `Fraction`s.  An x may be given as
-        its adjoint, built once by a caller that reads several tables.
+        Each y is scaled to integers once, as its `Point`, x y is read off
+        the `IntegerAdjoint` of x as a `Point`, and its coordinates are read
+        off those integers by `Subspace.point_coordinates`, which divides
+        only the coefficients into `Fraction`s.  An x may be given as its
+        adjoint, built once by a caller that reads several tables.
         """
-        n = self.dim
         scaled = [(d, dict(y)) for d, y in map(integer_point, ys)]
         table = []
         for x in xs:
             adjoint = x if isinstance(x, IntegerAdjoint) else IntegerAdjoint(self, x, ())
             row = []
             for d, y in scaled:
-                product = (adjoint.scale * d, adjoint.shift(ZERO, y).items())
-                coords = w.coordinates(point_vector(product, n))
+                coords = w.point_coordinates((adjoint.scale * d, adjoint.shift(ZERO, y)))
                 if coords is None:
                     return None
                 row.append(coords)

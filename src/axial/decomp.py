@@ -183,12 +183,7 @@ class ExtensionSpace:
 
     def contains_identity(self) -> bool:
         m = self.w_dim
-        flat = tuple(
-            Fraction(1) if i == j else Fraction(0)
-            for i in range(m)
-            for j in range(m)
-        )
-        return self.space.contains(flat)
+        return self.space.point_coordinates((1, [(i * m + i, 1) for i in range(m)])) is not None
 
 
 def extension_space(decomposition: JointDecomposition, key, phi: Mat) -> ExtensionSpace:

@@ -14,13 +14,13 @@ Frobenius form one block per forbidden eigenvalue triple {lam, mu, nu}
 decides the rest.
 
 An `Axis` is its vector, its law, its integer adjoint and its spectrum.
-The canonical eigenspaces are built from the integer bases when first read
-(`linalg.canonical_span`), and the graded involutions the law entitles are
-the sign polynomials of the adjoint over the spectrum, held only as sparse
-`IntegerMap`s (the format of `axial.linalg`, which alone reads it, and
-whose `matrix` is the one dense read), whether the axis was certified here
-or is the image of a certified axis under an automorphism
-(`axial.axet.close_axet`), whose spectrum is its seed's.
+Its canonical eigenspaces are those integer bases as they are
+(`linalg.canonical_span` divides nothing), and the graded involutions the
+law entitles are the sign polynomials of the adjoint over the spectrum,
+held only as sparse `IntegerMap`s (the format of `axial.linalg`, which
+alone reads it, and whose `matrix` is the one dense read), whether the axis
+was certified here or is the image of a certified axis under an
+automorphism (`axial.axet.close_axet`), whose spectrum is its seed's.
 `is_automorphism` is the dense check of a user's matrix.  A law is never
 changed, so `jordan_law` and `monster_law` build each law once.
 
@@ -226,8 +226,8 @@ class Axis:
     `close_axet` builds an Axis for the image of a certified axis under an
     automorphism with the spectrum of the axis it is the image of and no
     bases; they are solved on first use by the rule of `check_axis`, one
-    null space per eigenvalue other than 1.  The canonical `eigendata` are
-    built from the bases by `linalg.canonical_span` when first read.
+    null space per eigenvalue other than 1.  The bases are already canonical
+    subspace rows, so `eigendata` holds them as they are.
 
     The graded involutions are the sign polynomials of the adjoint over the
     spectrum, so reading them solves no eigenspace.  `miyamoto_map` and
@@ -254,8 +254,8 @@ class Axis:
     @cached_property
     def eigendata(self) -> tuple[tuple[Fraction, Subspace], ...]:
         """The nonzero eigenspaces of ad(a) for the law's values, in the
-        law's order, as canonical subspaces: the `canonical_span` of each
-        integer eigenbasis."""
+        law's order: the `canonical_span` of each integer eigenbasis, which
+        neither reduces nor divides."""
         n = len(self.vector)
         return tuple((lam, canonical_span(basis, n)) for lam, basis in self.integer_eigenbases.items())
 
@@ -308,12 +308,14 @@ def _eigenbases(adjoint: IntegerAdjoint, v: Vec, values) -> dict[Fraction, list[
     The values other than 1 are solved first.  v lies in A_1, and
     eigenspaces of distinct values are independent, so when their
     dimensions sum to n - 1, A_1 = <v> is proved and its basis is
-    [primitive v]; otherwise A_1 is solved exactly too.
+    [primitive v], signed as `null_basis` signs it (first entry positive);
+    otherwise A_1 is solved exactly too.
     """
     n = len(v)
     bases = {lam: null_basis(adjoint.shifted_rows(lam), n) for lam in values if lam != ONE}
     if sum(map(len, bases.values())) == n - 1:
-        bases[ONE] = [tuple((i, x) for i, x in enumerate(primitive_part(v)) if x)]
+        a = [(i, x) for i, x in enumerate(primitive_part(v)) if x]
+        bases[ONE] = [tuple((i, x if a[0][1] > 0 else -x) for i, x in a)]
     else:
         bases[ONE] = null_basis(adjoint.shifted_rows(ONE), n)
     return {lam: bases[lam] for lam in values if bases[lam]}
@@ -527,14 +529,7 @@ def derivation_space(alg: Algebra) -> Subspace:
     def unknown(q: int) -> int:
         return q // width * n + free[q % width]
 
-    basis = []
-    for v in space.basis:
-        w = [ZERO] * (n * n)
-        for q, x in enumerate(v):
-            if x:
-                w[unknown(q)] = x
-        basis.append(tuple(w))
-    return Subspace._canonical(n * n, basis, [unknown(q) for q in space.pivots])
+    return canonical_span([tuple((unknown(q), x) for q, x in row) for row in space.rows], n * n)
 
 
 def _column_is_zero(alg: Algebra, c: int) -> bool:

@@ -3,16 +3,17 @@
 Vectors are tuples of Fractions and matrices are tuples of row tuples, so
 every value is immutable and hashable.  All arithmetic is exact; nothing here
 ever rounds.  Every row reduction, `rref` and both stages of `sparse_kernel`
-alike, is the one sparse integer elimination of `axial._kernels_py`, and
-every null space is read off it by `null_basis`, the package's one
-null-space reader, as primitive integer vectors, which `canonical_span`
-makes a canonical subspace.  `null_space` (so `kernel`, `eigenspace` and
-`intersect`) feeds it `primitive_row`s; `sparse_kernel`, `IntegerAdjoint`,
-the axis certificates and the group layer's fixed spaces feed it their
-integer rows.  The exact stage of `sparse_kernel` solves only the rows its
-mod-p screen kept, and checks the answer against the rows it did not keep.
-`solve` and `inverse` read their answers off one RREF of an augmented
-matrix, and `det` is Bareiss's fraction-free elimination.
+alike, is the one sparse integer elimination of `axial._kernels_py`.  A
+`Subspace` has one stored form, its RREF rows scaled to primitive integers:
+`Subspace(n, vectors)` echelons to it, and `null_basis`, the package's one
+null-space reader, returns it, which `canonical_span` holds as it is.
+`null_space` (so `kernel` and `eigenspace`) feeds `null_basis`
+`primitive_row`s; `intersect`, `sparse_kernel`, `IntegerAdjoint`, the axis
+certificates and the group layer's fixed spaces feed it integer rows.  The
+exact stage of `sparse_kernel` solves only the rows its mod-p screen kept,
+and checks the answer against the rows it did not keep.  `solve` and
+`inverse` read their answers off one RREF of an augmented matrix, and `det`
+is Bareiss's fraction-free elimination.
 
 The axis and group layers work in one sparse integer format, defined and
 read only here: a `Point` is a vector as integers over one denominator, and
@@ -27,6 +28,7 @@ matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -201,93 +203,97 @@ def solve(a: Mat, b: Vec) -> Optional[Vec]:
     return tuple(row[ncols] for row in reduced[:ncols])
 
 
-class Subspace:
-    """A subspace of Q^n held as a canonical (RREF) basis.
+IntegerVec = tuple[tuple[int, int], ...]  # the nonzero (index, int) entries, by index
 
-    The canonical form makes subspace equality plain data equality.
+
+class Subspace:
+    """A subspace of Q^n held as its canonical basis: the RREF rows scaled
+    to coprime integers with positive pivot entries (`rows`, as `null_basis`
+    returns them), with their pivot columns.  That form is unique, so
+    equality and hashing are plain data equality.  `basis`, the RREF rows
+    as `Fraction`s, is divided out when first read and kept.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "_nonzero")
-
     def __init__(self, ambient: int, vectors: Iterable[Vec] = ()):
-        rows = [vec(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient:
+        rows = []
+        for v in vectors:
+            if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        if rows:
-            reduced, rk, pivots = rref(mat(rows))
-            self.basis: tuple[Vec, ...] = reduced[:rk]
-            self.pivots: tuple[int, ...] = tuple(pivots)
-        else:
-            self.basis = ()
-            self.pivots = ()
+            rows.append(kernels.primitive_row(enumerate(v)))
         self.ambient = ambient
-        self._nonzero: Optional[tuple[tuple[tuple[int, Fraction], ...], ...]] = None
+        self.rows: tuple[IntegerVec, ...] = tuple(_canonical_rows(rows))
+        self.pivots: tuple[int, ...] = tuple(row[0][0] for row in self.rows)
 
-    @classmethod
-    def _canonical(cls, ambient: int, basis: Sequence[Vec], pivots: Sequence[int]) -> "Subspace":
-        """The subspace of a basis already in canonical (RREF) form, with its
-        pivot columns; nothing is row-reduced again."""
-        space = cls.__new__(cls)
-        space.ambient = ambient
-        space.basis = tuple(basis)
-        space.pivots = tuple(pivots)
-        space._nonzero = None
-        return space
+    @cached_property
+    def basis(self) -> tuple[Vec, ...]:
+        """The RREF rows: each row divided by its pivot entry."""
+        return tuple(point_vector((row[0][1], row), self.ambient) for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def contains(self, v: Vec) -> bool:
         return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return all(self.point_coordinates((1, row)) is not None for row in other.rows)
 
     def coordinates(self, v: Vec) -> Optional[Vec]:
-        """Coefficients of v in the canonical basis, or None if v is outside.
+        """The `point_coordinates` of a vector of length `ambient`."""
+        if len(v) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        return self.point_coordinates(integer_point(v))
 
-        Basis row i is the only row nonzero at its pivot, where it is 1, so
-        the i-th coefficient can only be v at that pivot; v lies in the span
-        exactly when that combination reproduces it.  The subtraction runs
-        over the nonzero entries of each basis row only.
+    def point_coordinates(self, p: Point) -> Optional[Vec]:
+        """Coefficients of x / d in the canonical basis, or None if it is
+        outside (x may hold zeros).  Basis row i is the only one nonzero at
+        its pivot p_i, where it is 1, so its coefficient can only be x[p_i] / d.
+        That is checked in integers: with c_i the pivot entry of row r_i and
+        L the lcm of the c_i where x is nonzero, L x = sum x[p_i] (L / c_i) r_i.
         """
-        if self._nonzero is None:
-            self._nonzero = tuple(
-                tuple((i, x) for i, x in enumerate(row) if x) for row in self.basis
-            )
-        coords = tuple(frac(v[p]) for p in self.pivots)
-        residue = list(v)
-        for c, row in zip(coords, self._nonzero):
-            if c:
-                for i, x in row:
-                    residue[i] -= c * x
-        return None if any(residue) else coords
+        d, x = p
+        x = dict(x)
+        meets = [(x[q], row) for q, row in zip(self.pivots, self.rows) if x.get(q)]
+        scale = lcm(*(row[0][1] for _, row in meets))
+        residue = {i: scale * c for i, c in x.items() if c}
+        for c, row in meets:
+            m = c * (scale // row[0][1])
+            for i, r in row:
+                residue[i] = residue.get(i, 0) - m * r
+        if any(residue.values()):
+            return None
+        return tuple(Fraction(x.get(q, 0), d) for q in self.pivots)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and (self.ambient, self.rows) == (other.ambient, other.rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
+def _canonical_rows(rows: Iterable[dict[int, int]]) -> list[IntegerVec]:
+    """The canonical rows of the span of sparse integer rows (no zero values;
+    consumed): the pivot rows of one `kernels.echelon`, signed and sorted."""
+    pivots = kernels.echelon(rows)
+    out = []
+    for c in sorted(pivots):
+        row = sorted(pivots[c].items())
+        out.append(tuple(row) if row[0][1] > 0 else tuple((i, -x) for i, x in row))
+    return out
+
+
 def full_space(n: int) -> Subspace:
-    return Subspace._canonical(n, identity(n), range(n))
+    return canonical_span([((i, 1),) for i in range(n)], n)
 
 
 SparseVec = dict[int, Fraction]
-IntegerVec = tuple[tuple[int, int], ...]  # the nonzero (index, int) entries, by index
 
 # A fixed prime for the rank screen of `sparse_kernel`; any prime gives exact
 # answers, only the number of rows it picks can change.
@@ -352,15 +358,13 @@ def null_basis(rows: Iterable[Mapping[int, int]], ncols: int) -> list[IntegerVec
     return basis
 
 
-def canonical_span(basis: Sequence[IntegerVec], ncols: int) -> Subspace:
-    """The canonical subspace of a `null_basis`, each vector divided by its first entry."""
-    rows = []
-    for x in basis:
-        row = [Fraction(0)] * ncols
-        for i, c in x:
-            row[i] = Fraction(c, x[0][1])
-        rows.append(tuple(row))
-    return Subspace._canonical(ncols, rows, [x[0][0] for x in basis])
+def canonical_span(rows: Sequence[IntegerVec], ncols: int) -> Subspace:
+    """The subspace of Q^ncols whose canonical rows are `rows`, such as a
+    `null_basis`; nothing is reduced or divided."""
+    space = Subspace.__new__(Subspace)
+    space.ambient, space.rows = ncols, tuple(rows)
+    space.pivots = tuple(row[0][0] for row in space.rows)
+    return space
 
 
 def null_space(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> Subspace:
@@ -411,26 +415,32 @@ def eigenspace(m: Mat, lam) -> Subspace:
     return null_space(rows, len(m))
 
 
-def _equations(s: Subspace) -> list[list[tuple[int, Fraction]]]:
-    """Rows, as (column, value) pairs, whose null space is s.
-
-    Read off the canonical basis with no elimination: x in s has coordinate
-    x[p] on the basis row of pivot p, so each free column f gives the
-    equation x[f] = sum over the rows of (row at f) x[pivot].
-    """
-    free = sorted(set(range(s.ambient)) - set(s.pivots))
-    return [
-        [(f, Fraction(1))] + [(p, -row[f]) for p, row in zip(s.pivots, s.basis) if row[f]]
-        for f in free
-    ]
+def _equations(s: Subspace) -> list[dict[int, int]]:
+    """Integer rows {column: int} whose null space is s, read off its rows
+    with no elimination: x in s has coordinate x[p] on the basis row of pivot
+    p, so each free column f gives x[f] = sum over the rows r of
+    (r[f] / r[p]) x[p], here times the lcm of those r[p]."""
+    terms: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(s.ambient)}
+    for (p, c), *rest in s.rows:
+        del terms[p]
+        for f, v in rest:
+            terms[f].append((p, v, c))
+    equations = []
+    for f, column in terms.items():
+        scale = lcm(*(c for _, _, c in column))
+        row = {p: -v * (scale // c) for p, v, c in column}
+        row[f] = scale
+        equations.append(row)
+    return equations
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space: the
-    `null_space` of both subspaces' equations."""
+    `null_basis` of both subspaces' equations."""
     if s1.ambient != s2.ambient:
         raise ValueError("ambient dimension mismatch")
-    return null_space(_equations(s1) + _equations(s2), s1.ambient)
+    n = s1.ambient
+    return canonical_span(null_basis(_equations(s1) + _equations(s2), n), n)
 
 
 def subspace_sum(spaces: Sequence[Subspace], ambient: Optional[int] = None) -> Subspace:
@@ -439,12 +449,9 @@ def subspace_sum(spaces: Sequence[Subspace], ambient: Optional[int] = None) -> S
             raise ValueError("ambient dimension needed for an empty sum")
         return Subspace(ambient)
     n = spaces[0].ambient
-    vectors: list[Vec] = []
-    for s in spaces:
-        if s.ambient != n:
-            raise ValueError("ambient dimension mismatch")
-        vectors.extend(s.basis)
-    return Subspace(n, vectors)
+    if any(s.ambient != n for s in spaces):
+        raise ValueError("ambient dimension mismatch")
+    return canonical_span(_canonical_rows(dict(row) for s in spaces for row in s.rows), n)
 
 
 def perp_space(s: Subspace, gram: Mat) -> Subspace:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import axial.decomp
+from axial._backend import kernels
 from axial.algebra import Algebra, AlgebraError, IntegerAdjoint, direct_sum
 from axial.decomp import (
     PairingProbe,
@@ -380,6 +381,19 @@ def test_partial_decomposition_reuses_the_zero_part_adjoints(monkeypatch):
     dec = partial_decomposition(alg, axes)
     assert dec.zero_component.dim == 6 and dec.a_sharp is not None
     assert len(calls) == 6
+
+
+def test_intersect_clears_no_denominators_in_decompose_joint(monkeypatch, triple_2b):
+    """Work counter: the equations intersect hands null_basis are integer
+    rows read off the canonical rows, and the component sum echelons those
+    rows, so decompose_joint runs no kernels.primitive_row; intersect ran
+    one per equation row when subspaces held Fraction rows."""
+    axes = [check_axis(triple_2b, unit_vec(7, i), MONSTER_QUARTER) for i in range(3)]
+    calls = []
+    primitive_row = kernels.primitive_row
+    monkeypatch.setattr(kernels, "primitive_row", lambda entries: calls.append(1) or primitive_row(entries))
+    assert decompose_joint(triple_2b, axes).complete
+    assert calls == []
 
 
 def test_decompose_joint_refines_with_few_intersections(monkeypatch):

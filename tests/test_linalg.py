@@ -48,6 +48,7 @@ from oracles import (
     reference_intersect,
     reference_kernel,
     reference_rational_roots,
+    reference_rref,
     reference_semisimple_spectrum,
 )
 
@@ -383,6 +384,50 @@ def test_subspace_membership_and_coordinates():
     assert coords == vec([2, 5])
     assert not s.contains(vec([1, 0, 0]))
     assert s.coordinates(vec([1, 0, 0])) is None
+
+
+def test_coordinates_and_contains_reject_a_vector_of_the_wrong_length():
+    s = Subspace(3, [(1, 0, 0)])
+    for v in (vec([1, 0]), vec([1, 0, 0, 0])):
+        with pytest.raises(ValueError):
+            s.coordinates(v)
+        with pytest.raises(ValueError):
+            s.contains(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.one_of(st.just(F(0)), fractions), min_size=n, max_size=n),
+                min_size=0,
+                max_size=n + 1,
+            ),
+            st.lists(st.sampled_from([F(1), F(-1), F(2), F(-3, 2), F(5, 7)]), min_size=n + 1, max_size=n + 1),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_every_constructor_gives_the_one_canonical_form(case):
+    # Subspace(n, vectors) echelons its rows and intersect reads a null basis;
+    # rescaled, permuted generators and either route give equal data, whose
+    # Fraction rows are the RREF of the dense reference and whose integer
+    # rows are primitive with a positive pivot entry.
+    vectors, scales, rng = case
+    n = len(scales) - 1
+    s = Subspace(n, vectors)
+    rescaled = [vscale(c, v) for c, v in zip(scales, vectors)]
+    rng.shuffle(rescaled)
+    others = (Subspace(n, rescaled), intersect(s, full_space(n)))
+    rows = [list(vec(v)) for v in vectors]
+    pivots = reference_rref(rows)
+    expected = tuple(tuple(row) for row in rows[: len(pivots)])
+    for t in (s,) + others:
+        assert t == s and hash(t) == hash(s)
+        assert (t.basis, t.pivots) == (expected, tuple(pivots))
+        for row in t.rows:
+            assert row[0][1] > 0 and gcd(*(x for _, x in row)) == 1
 
 
 square_matrices = st.integers(min_value=0, max_value=4).flatmap(

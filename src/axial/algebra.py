@@ -5,6 +5,9 @@ structure-constant table, and optionally a Frobenius form (Gram matrix), a
 unit vector, and basis labels.  Construction validates commutativity, the
 Frobenius property of the form, and the unit equations; operations that need
 an absent ingredient fail loudly.
+
+The `Fraction` table is the input and file format only: every computation
+reads the `integer_table`, the constants scaled to integers once.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from axial._backend import kernels
 from axial.linalg import (
     IntegerMap,
+    IntegerVec,
     Mat,
     Subspace,
     Vec,
@@ -32,6 +36,7 @@ from axial.linalg import (
     mat_from_cols,
     mat_vec,
     null_basis,
+    point_vector,
     solve,
     unit_vec,
     vdot,
@@ -69,6 +74,19 @@ class IntegerTable(NamedTuple):
     denom: int
     table: dict[tuple[int, int], tuple]
     partners: list[list[tuple[int, tuple]]]
+
+
+def integer_product(table: dict, x: IntegerVec, y: IntegerVec) -> dict:
+    """The product of two sparse integer vectors over an integer table (an
+    `IntegerTable.table`), as {index: value}; zero values may remain."""
+    out: dict[int, int] = {}
+    get, row = out.get, table.get
+    for i, p in x:
+        for j, q in y:
+            pq = p * q
+            for k, c in row((i, j) if i <= j else (j, i), ()):
+                out[k] = get(k, 0) + pq * c
+    return out
 
 
 class Algebra:
@@ -253,22 +271,15 @@ class Algebra:
         return self.table.get((i, j) if i <= j else (j, i), ())
 
     def product(self, u: Vec, v: Vec) -> Vec:
-        """Bilinear commutative product of two coordinate vectors."""
-        n = self.dim
+        """Bilinear commutative product of two coordinate vectors: the
+        `integer_product` of their `Point`s over the `integer_table`,
+        divided once by du dv D."""
+        n, ints = self.dim, self.integer_table()
         if len(u) != n or len(v) != n:
             raise AlgebraError("vector dimension mismatch")
-        out = [Fraction(0)] * n
-        nz_u = [(i, a) for i, a in enumerate(u) if a]
-        nz_v = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in nz_u:
-            for j, b in nz_v:
-                ab = a * b
-                for k, c in self.basis_product(i, j):
-                    out[k] += ab * c
-        return tuple(out)
-
-    def square(self, u: Vec) -> Vec:
-        return self.product(u, u)
+        du, x = integer_point(u)
+        dv, y = (du, x) if v is u else integer_point(v)
+        return point_vector((du * dv * ints.denom, integer_product(ints.table, x, y).items()), n)
 
     def ad_matrix(self, u: Vec) -> Mat:
         """Matrix of left multiplication by u; column j is u * e_j.  The
@@ -318,26 +329,28 @@ class Algebra:
         return self.form_value(u, u)
 
     def find_unit(self) -> Optional[Vec]:
-        """The multiplicative identity, or None when there is none.
-
-        Solves the linear system unit * e_j = e_j over the coordinates.  A
-        consistent system has one solution: if u is a unit and z e_j = 0 for
-        every j, then z = z u = 0.  The answer, None included, is kept, as
-        the table never changes.
+        """The multiplicative identity, or None when there is none: read off
+        one `null_basis` of the rows sum_i C_ij^k x_i - D delta_jk t of
+        x e_j = t e_j (C / D the `integer_table`).  With a unit u its
+        solutions are the (t u + z, t), z in the annihilator, which is then
+        zero; with none, every solution has t = 0.  The answer is verified,
+        and kept, None included, as the table never changes.
         """
         if self._unit_known:
             return self.unit
-        n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n * n)]  # row j n + k: (unit e_j)_k
-        for (i, j), row in self.table.items():
-            for k, c in row:
-                rows[j * n + k][i] = rows[i * n + k][j] = c
-        rhs = tuple(Fraction(1 if k == j else 0) for j in range(n) for k in range(n))
-        candidate = solve(mat(rows), rhs)
-        if candidate is not None and any(
-            self.product(candidate, unit_vec(n, j)) != unit_vec(n, j) for j in range(n)
-        ):
-            candidate = None
+        n, ints = self.dim, self.integer_table()
+        rows: dict[tuple[int, int], dict[int, int]] = {(j, j): {n: -ints.denom} for j in range(n)}
+        for j, products in enumerate(ints.partners):
+            for i, row in products:
+                for k, c in row:
+                    rows.setdefault((j, k), {})[i] = c
+        basis = null_basis(rows.values(), n + 1)
+        candidate = None
+        if len(basis) == 1 and basis[0][-1][0] == n:
+            *x, (_, t) = basis[0]
+            candidate = point_vector((t, x), n)
+            if any(self.product(candidate, unit_vec(n, j)) != unit_vec(n, j) for j in range(n)):
+                candidate = None
         self.unit = candidate
         self._unit_known = True
         return candidate
@@ -462,9 +475,8 @@ class Algebra:
 class IntegerAdjoint:
     """D ad(v) on sparse integer vectors {index: int} with no zero entries.
 
-    The one adjoint of the package: `Algebra.ad_matrix`, `annihilator` and
-    `products_in` read it, and so do the axis certificates and
-    `infer_fusion_law` of `axial.fusion`.
+    The one adjoint of the package, read by `ad_matrix`, `annihilator`,
+    `products_in`, the axis certificates and `infer_fusion_law`.
     D is the denominator of the `integer_table` times the common denominator
     of v and the eigenvalues given, so each shift D ad - D nu is an integer
     matrix.  D ad is summed from the table's partner lists at the nonzero v_i

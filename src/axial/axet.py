@@ -26,14 +26,13 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from axial.algebra import Algebra, AlgebraError, IntegerAdjoint
+from axial.algebra import Algebra, AlgebraError, IntegerAdjoint, integer_product
 from axial.fusion import (
     Axis,
     FusionLaw,
     MONSTER_QUARTER,
     NS_UNIT_LENGTHS,
     check_axis,
-    integer_product,
     is_automorphism,
     jordan_law,
 )
@@ -224,19 +223,20 @@ def tau_realizer(
     coset (within the span of Ann and the unit when the negated eigenvalue is
     not unique); each rational idempotent is filtered through the axis check
     and a tau comparison.  tau is read once as an `IntegerMap`, so its rows
-    may be tuples or lists and its entries ints, strings or Fractions, and
-    the involution check and the comparisons are on integer data.
+    may be tuples or lists and its entries ints, strings or Fractions (any
+    shape but dim x dim is a ValueError), and the automorphism and
+    involution checks and the comparisons are on integer data.
     Realizers of the identity are Jordan axes; prefer `jordan_axes`, which
     searches the much smaller fixed subalgebra.
     """
     one = alg.require_unit()
     n = alg.dim
-    if not is_automorphism(alg, tau):
+    t = IntegerMap.from_matrix(tau, n)
+    if not is_automorphism(alg, t):
         raise AlgebraError("tau is not an algebra automorphism")
-    t = IntegerMap.from_matrix(tau)
     if t.compose(t) != IntegerMap.from_matrix(identity(n)):
         raise AlgebraError("tau is not an involution")
-    commutator_image = Subspace(n, transpose(mat_sub(tau, identity(n))))
+    commutator_image = Subspace(n, transpose(mat_sub(t.matrix(), identity(n))))
     ann = alg.annihilator(commutator_image)
     _, minus = law.c2_grading()
     if len(minus) == 1:

@@ -20,15 +20,16 @@ law entitles are the sign polynomials of the adjoint over the spectrum,
 held only as sparse `IntegerMap`s (the format of `axial.linalg`, which
 alone reads it, and whose `matrix` is the one dense read), whether the axis
 was certified here or is the image of a certified axis under an
-automorphism (`axial.axet.close_axet`), whose spectrum is its seed's.
-`is_automorphism` is the dense check of a user's matrix.  A law is never
-changed, so `jordan_law` and `monster_law` build each law once.
+automorphism (`axial.axet.close_axet`), whose spectrum is its seed's.  A
+law is never changed, so `jordan_law` and `monster_law` build each law once.
 
-The axis certificate, `infer_fusion_law` and `derivation_space` work over
-the integers on the algebra's cached `integer_table`, through its
-`IntegerAdjoint`; `infer_fusion_law` reads the spectrum off that adjoint's
-minimal polynomial, `derivation_space` first drops the columns its
-idempotent basis vectors prove zero, and no dense adjoint is formed.
+The axis certificate, `infer_fusion_law`, `derivation_space` and
+`is_automorphism` (on a user's matrix, read once as an `IntegerMap`) work
+over the integers on the algebra's cached `integer_table`, the first three
+through its `IntegerAdjoint`; `infer_fusion_law` reads the spectrum off
+that adjoint's minimal polynomial, `derivation_space` first drops the
+columns its idempotent basis vectors prove zero, and no dense adjoint is
+formed.
 """
 
 from __future__ import annotations
@@ -39,21 +40,20 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterator, Mapping, Optional
 
-from axial.algebra import ZERO, Algebra, IntegerAdjoint
+from axial.algebra import ZERO, Algebra, IntegerAdjoint, integer_product
 from axial.linalg import (
     IntegerMap,
     IntegerVec,
     Mat,
     Subspace,
     Vec,
+    apply_columns,
     canonical_span,
-    combination,
     frac,
     is_zero_vec,
     null_basis,
     sparse_kernel,
     subspace_sum,
-    transpose,
     unit_vec,
     vec,
 )
@@ -321,19 +321,6 @@ def _eigenbases(adjoint: IntegerAdjoint, v: Vec, values) -> dict[Fraction, list[
     return {lam: bases[lam] for lam in values if bases[lam]}
 
 
-def integer_product(table: dict, x: IntegerVec, y: IntegerVec) -> dict:
-    """The product of two sparse integer vectors over an integer table, as
-    {index: value}; zero values may remain."""
-    out: dict[int, int] = {}
-    get, row = out.get, table.get
-    for i, p in x:
-        for j, q in y:
-            pq = p * q
-            for k, c in row((i, j) if i <= j else (j, i), ()):
-                out[k] = get(k, 0) + pq * c
-    return out
-
-
 def _block_products(table: dict, bases: dict, lam: Fraction, mu: Fraction) -> Iterator[dict]:
     """The products x y of basis vectors of A_lam and A_mu, lazily; they span
     A_lam A_mu (each unordered pair once when lam = mu, as the product is
@@ -460,19 +447,19 @@ def check_axis(alg: Algebra, v: Vec, law: FusionLaw) -> Optional[Axis]:
     return axis
 
 
-def is_automorphism(alg: Algebra, g: Mat) -> bool:
-    """Exact multiplicativity check on all basis pairs, plus invertibility."""
-    n = alg.dim
-    cols = transpose(g)
-    if Subspace(n, cols).dim != n:
-        return False
-    for i in range(n):
-        for j in range(i, n):
-            product = alg.basis_product(i, j)
-            lhs = combination((c for _, c in product), (cols[k] for k, _ in product), n)
-            if lhs != alg.product(cols[i], cols[j]):
-                return False
-    return True
+def is_automorphism(alg: Algebra, g: Mat | IntegerMap) -> bool:
+    """Whether g, a dim x dim matrix (else ValueError) or its `IntegerMap`
+    G / d, is an automorphism.  With C / D the `integer_table`, it is
+    multiplicative when `integer_product`(G_i, G_j) = d sum_k C_ij^k G_k
+    for all i <= j, and invertible when its columns' `null_basis` is empty."""
+    n, table = alg.dim, alg.integer_table().table
+    g = g if isinstance(g, IntegerMap) else IntegerMap.from_matrix(g, n)
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        lhs = integer_product(table, g.cols[i], g.cols[j])
+        rhs = apply_columns(g.cols, table.get((i, j), ()))
+        if {k: v for k, v in lhs.items() if v} != {k: g.denom * v for k, v in rhs.items() if v}:
+            return False
+    return not null_basis(map(dict, g.cols), n)
 
 
 def derivation_space(alg: Algebra) -> Subspace:

@@ -455,14 +455,11 @@ def subspace_sum(spaces: Sequence[Subspace], ambient: Optional[int] = None) -> S
 
 
 def perp_space(s: Subspace, gram: Mat) -> Subspace:
-    """Vectors orthogonal to every basis vector of s under the bilinear form."""
+    """Vectors orthogonal to every basis vector of s under the bilinear form:
+    the `null_basis` of the Gram matrix's integer columns applied to s's rows."""
     n = s.ambient
-    if len(gram) != n or any(len(r) != n for r in gram):
-        raise ValueError("gram matrix size does not match ambient dimension")
-    if s.is_zero():
-        return full_space(n)
-    constraint = tuple(mat_vec(gram, b) for b in s.basis)
-    return kernel(constraint)
+    cols = IntegerMap.from_matrix(gram, n).cols
+    return canonical_span(null_basis((apply_columns(cols, row) for row in s.rows), n), n)
 
 
 Point = tuple[int, IntegerVec]  # (d, x): the vector x / d, in lowest terms with d > 0
@@ -471,8 +468,9 @@ Point = tuple[int, IntegerVec]  # (d, x): the vector x / d, in lowest terms with
 def integer_vectors(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, list[IntegerVec]]:
     """D, the lcm of the denominators of the vectors, and each vector times
     D as an `IntegerVec`."""
-    d = lcm(*(x.denominator for v in vectors for x in v))
-    return d, [tuple((i, x.numerator * (d // x.denominator)) for i, x in enumerate(v) if x) for v in vectors]
+    nonzero = [[(i, x.numerator, x.denominator) for i, x in enumerate(v) if x] for v in vectors]
+    d = lcm(*[q for v in nonzero for _, _, q in v])
+    return d, [tuple([(i, p * (d // q)) for i, p, q in v]) for v in nonzero]
 
 
 def integer_point(v: Vec) -> Point:
@@ -520,13 +518,15 @@ class IntegerMap(NamedTuple):
         return cls(denom // g, tuple(tuple(sorted((r, x // g) for r, x in col.items() if x)) for col in cols))
 
     @classmethod
-    def from_matrix(cls, m: Iterable[Iterable]) -> "IntegerMap":
-        """The map of a square rational matrix, its rows any sequences of
-        ints, strings or Fractions (normalised by `mat`)."""
-        m = mat(m)
-        if m and len(m[0]) != len(m):
-            raise ValueError("not a square matrix")
-        d, cols = integer_vectors(transpose(m))
+    def from_matrix(cls, m: Iterable[Iterable], n: Optional[int] = None) -> "IntegerMap":
+        """The map of an n x n rational matrix (n its row count by default),
+        its rows any sequences of ints, strings or Fractions (normalised by
+        `frac`); any other shape is a ValueError that names n x n."""
+        m = tuple(m)
+        n = len(m) if n is None else n
+        if len(m) != n or any(len(row) != n for row in m):
+            raise ValueError(f"not a square matrix of the expected size {n} x {n}")
+        d, cols = integer_vectors(transpose(mat(m)))
         return cls.from_columns(d, [dict(col) for col in cols])
 
     def image(self, p: Point) -> Point:

@@ -1,8 +1,11 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except twenty-three former implementations kept to test the current
+package except twenty-six former implementations kept to test the current
 ones against: `reference_rref` (the dense fraction-free loop),
+`reference_product` (the `Fraction` loop over `basis_product`),
+`reference_find_unit` (the dense n^2 x n solve),
+`reference_is_automorphism` (products of dense `Fraction` columns),
 `reference_ad_matrix` (the dense adjoint loop), `reference_annihilator`
 (the kernel of stacked dense adjoints),
 `reference_buchberger` (the all-pairs loop),
@@ -922,6 +925,73 @@ def reference_leibniz_rows(alg):
     return rows
 
 
+def reference_product(alg, u, v):
+    """The product of two coordinate vectors, summed in `Fraction`s over
+    `basis_product` at every pair of nonzero entries.
+
+    The package's `Algebra.product` as it was before it read the integer
+    table; kept as an oracle for that rewrite.
+    """
+    from axial.algebra import AlgebraError
+
+    n = alg.dim
+    if len(u) != n or len(v) != n:
+        raise AlgebraError("vector dimension mismatch")
+    out = [Fraction(0)] * n
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                for k, c in alg.basis_product(i, j):
+                    out[k] += a * b * c
+    return tuple(out)
+
+
+def reference_find_unit(alg):
+    """The unit, or None: the unique solution of the dense n^2 x n system
+    unit * e_j = e_j, verified on every basis vector.
+
+    The package's `Algebra.find_unit` as it was before it read one null
+    basis off the integer table; kept as an oracle for that rewrite.
+    """
+    from axial.linalg import mat, solve, unit_vec
+
+    n = alg.dim
+    rows = [[Fraction(0)] * n for _ in range(n * n)]  # row j n + k: (unit e_j)_k
+    for i in range(n):
+        for j in range(n):
+            for k, c in alg.basis_product(i, j):
+                rows[j * n + k][i] = c
+    rhs = tuple(Fraction(1 if k == j else 0) for j in range(n) for k in range(n))
+    candidate = solve(mat(rows), rhs)
+    if candidate is not None and any(
+        reference_product(alg, candidate, unit_vec(n, j)) != unit_vec(n, j) for j in range(n)
+    ):
+        return None
+    return candidate
+
+
+def reference_is_automorphism(alg, g):
+    """Whether the dense matrix g is invertible and multiplicative on every
+    pair of basis vectors, checked on its `Fraction` columns.
+
+    The package's `is_automorphism` as it was before it read g as an
+    `IntegerMap`; kept as an oracle for that rewrite.
+    """
+    from axial.linalg import Subspace, combination, transpose
+
+    n = alg.dim
+    cols = transpose(g)
+    if Subspace(n, cols).dim != n:
+        return False
+    for i in range(n):
+        for j in range(i, n):
+            product = alg.basis_product(i, j)
+            lhs = combination((c for _, c in product), (cols[k] for k, _ in product), n)
+            if lhs != reference_product(alg, cols[i], cols[j]):
+                return False
+    return True
+
+
 def reference_ad_matrix(alg, u):
     """The matrix of multiplication by u, summed entry by entry from the
     structure constants.
@@ -970,7 +1040,7 @@ def reference_check_axis(alg, v, law):
     n = alg.dim
     if is_zero_vec(v):
         return "not_idempotent: zero vector"
-    if alg.product(v, v) != v:
+    if reference_product(alg, v, v) != v:
         return "not_idempotent"
     ad = reference_ad_matrix(alg, v)
     eigendata = []
@@ -987,7 +1057,7 @@ def reference_check_axis(alg, v, law):
         target = subspace_sum([space for nu, space in eigendata if nu in allowed], ambient=n)
         for x in sl.basis:
             for y in sm.basis:
-                if not target.contains(alg.product(x, y)):
+                if not target.contains(reference_product(alg, x, y)):
                     return f"fusion_violation: {lam} * {mu}"
     one_space = next((s for lam, s in eigendata if lam == 1), None)
     if one_space is None or one_space.dim != 1:
@@ -1023,7 +1093,7 @@ def reference_infer_fusion_law(alg, v):
     from axial.linalg import is_zero_vec, vec
 
     v = vec(v)
-    if is_zero_vec(v) or alg.product(v, v) != v:
+    if is_zero_vec(v) or reference_product(alg, v, v) != v:
         return None
     eigenpairs, defect = reference_semisimple_spectrum(reference_ad_matrix(alg, v))
     if defect:
@@ -1037,7 +1107,7 @@ def reference_infer_fusion_law(alg, v):
         hit = set()
         for x in sl.basis:
             for y in sm.basis:
-                coords = reference_coordinates(basis, alg.product(x, y))
+                coords = reference_coordinates(basis, reference_product(alg, x, y))
                 hit.update(nu for nu, c in zip(owners, coords) if c)
         star[(lam, mu)] = frozenset(hit)
     try:
@@ -1121,7 +1191,6 @@ def reference_aut_from_axis_permutations(alg, axet):
     passes the form-value and zero-product pruning is turned into a matrix
     and verified.  Kept as an oracle for that rewrite.
     """
-    from axial.fusion import is_automorphism
     from axial.linalg import Subspace, inverse, mat, mat_from_cols, mat_mul, mat_vec
 
     n = alg.dim
@@ -1140,7 +1209,7 @@ def reference_aut_from_axis_permutations(alg, axet):
     if alg.gram is not None:
         color = [[alg.form_value(vectors[i], vectors[j]) for j in range(m)] for i in range(m)]
     zero = tuple([Fraction(0)] * n)
-    zero_product = [[alg.product(vectors[i], vectors[j]) == zero for j in range(m)] for i in range(m)]
+    zero_product = [[reference_product(alg, vectors[i], vectors[j]) == zero for j in range(m)] for i in range(m)]
     index = {v: i for i, v in enumerate(vectors)}
     basis_inv = inverse(mat_from_cols([vectors[i] for i in basis_positions]))
     matrices, perms = [], []
@@ -1158,7 +1227,7 @@ def reference_aut_from_axis_permutations(alg, axet):
     def extend(assigned):
         if len(assigned) == len(basis_positions):
             g = mat_mul(mat_from_cols([vectors[k] for k in assigned]), basis_inv)
-            if not is_automorphism(alg, g):
+            if not reference_is_automorphism(alg, g):
                 return
             perm = [index.get(mat_vec(g, v)) for v in vectors]
             if None in perm or len(set(perm)) != m:
@@ -1284,14 +1353,14 @@ def reference_intersect(s1, s2):
 
 def _reference_is_closed(alg, s):
     return all(
-        s.contains(alg.product(s.basis[i], s.basis[j]))
+        s.contains(reference_product(alg, s.basis[i], s.basis[j]))
         for i in range(s.dim)
         for j in range(i, s.dim)
     )
 
 
 def _reference_is_module(alg, u, w):
-    return all(w.contains(alg.product(x, y)) for x in u.basis for y in w.basis)
+    return all(w.contains(reference_product(alg, x, y)) for x in u.basis for y in w.basis)
 
 
 def reference_decompose_joint(alg, axes, law=None):
@@ -1362,16 +1431,16 @@ def reference_extension_space(alg, u, w, phi):
     phi_vectors = [combination(column, u.basis, alg.dim) for column in zip(*phi)]
     for r in range(l):
         for s in range(r, l):
-            lhs = alg.product(phi_vectors[r], phi_vectors[s])
-            product_coords = u.coordinates(alg.product(u.basis[r], u.basis[s]))
+            lhs = reference_product(alg, phi_vectors[r], phi_vectors[s])
+            product_coords = u.coordinates(reference_product(alg, u.basis[r], u.basis[s]))
             if lhs != combination(product_coords, phi_vectors, alg.dim):
                 raise AlgebraError("phi is not an automorphism of the subalgebra")
     if m == 0:
         return ExtensionSpace(phi, Subspace(0), 0)
     rows = []
     for r in range(l):
-        action = [w.coordinates(alg.product(phi_vectors[r], w.basis[c])) for c in range(m)]
-        module_coords = [w.coordinates(alg.product(u.basis[r], w.basis[j])) for j in range(m)]
+        action = [w.coordinates(reference_product(alg, phi_vectors[r], w.basis[c])) for c in range(m)]
+        module_coords = [w.coordinates(reference_product(alg, u.basis[r], w.basis[j])) for j in range(m)]
         for j in range(m):
             for out_row in range(m):
                 row = [Fraction(0)] * (m * m)

@@ -35,7 +35,9 @@ from axial.matsuo import matsuo_algebra, symmetric_transpositions
 from oracles import (
     reference_ad_matrix,
     reference_annihilator,
+    reference_find_unit,
     reference_frobenius_violation,
+    reference_product,
     reference_rref,
     reference_semisimple_spectrum,
 )
@@ -84,13 +86,13 @@ def test_find_unit_solves_once_with_or_without_a_unit(monkeypatch):
     import axial.algebra as algebra_module
 
     calls = []
-    original = algebra_module.solve
+    original = algebra_module.null_basis
 
-    def counting(a, b):
+    def counting(rows, ncols):
         calls.append(1)
-        return original(a, b)
+        return original(rows, ncols)
 
-    monkeypatch.setattr(algebra_module, "solve", counting)
+    monkeypatch.setattr(algebra_module, "null_basis", counting)
     no_unit = Algebra.from_gamma(2, [(0, 0, 0, 1)], gram=identity(2))
     assert [no_unit.find_unit() for _ in range(5)] == [None] * 5
     assert len(calls) == 1
@@ -267,6 +269,67 @@ def assert_minimal_polynomial(alg, v):
     flat = [tuple(x for row in power for x in row) for power in powers]
     assert is_zero_vec(combination(p, flat, alg.dim**2))
     assert len(reference_rref([list(row) for row in flat[:-1]])) == len(p) - 1
+
+
+@st.composite
+def rational_tables(draw):
+    """An algebra of dimension 0 to 6 without form, and whether it is built
+    unital: the zero algebra, a random table, or e_0 the unit of a random
+    table on the others, then written in a random triangular basis (by
+    `restrict`, so that the unit need not be a basis vector)."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["zero", "random", "unital"]))
+    if kind == "zero" or n == 0:
+        return Algebra.from_gamma(n, []), n == 0
+    if kind == "random":
+        gamma = [(i, j, k, draw(sparse_entries)) for i in range(n) for j in range(i, n) for k in range(n)]
+        return Algebra.from_gamma(n, gamma), False
+    gamma = [(0, j, j, 1) for j in range(n)]
+    gamma += [(i, j, k, draw(sparse_entries)) for i in range(1, n) for j in range(i, n) for k in range(n)]
+    alg = Algebra.from_gamma(n, gamma)
+    basis = [
+        vec(draw(st.sampled_from([1, -2, F(1, 3)])) if r == c else (draw(sparse_entries) if r < c else 0) for r in range(n))
+        for c in range(n)
+    ]
+    return alg.restrict(basis), True
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_tables(), st.randoms(use_true_random=False))
+def test_product_matches_the_fraction_loop(case, rng):
+    alg, _ = case
+    n = alg.dim
+    entries = [0, 0, 1, -1, F(1, 2), F(-3, 4), 5]
+    for _ in range(4):
+        u, v = (vec(rng.choice(entries) for _ in range(n)) for _ in range(2))
+        assert alg.product(u, v) == reference_product(alg, u, v)
+    with pytest.raises(AlgebraError, match="dimension mismatch"):
+        alg.product(zero_vec(n + 1), zero_vec(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_tables())
+def test_find_unit_matches_the_dense_solve(case):
+    alg, unital = case
+    expected = reference_find_unit(alg)
+    assert alg.find_unit() == expected
+    if unital:
+        assert expected is not None
+    if alg.dim and all(not alg.basis_product(i, j) for i in range(alg.dim) for j in range(alg.dim)):
+        assert expected is None
+    if expected is not None:
+        assert all(alg.product(expected, unit_vec(alg.dim, j)) == unit_vec(alg.dim, j) for j in range(alg.dim))
+
+
+def test_find_unit_on_unital_and_non_unital_algebras(q2, two_b):
+    assert Algebra.from_gamma(0, []).find_unit() == ()
+    for alg in (q2, two_b, direct_sum(q2, two_b), matsuo_algebra(symmetric_transpositions(4), F(1, 3))):
+        expected = reference_find_unit(alg)
+        assert expected is not None
+        assert Algebra(alg.dim, alg.table).find_unit() == expected
+    # a nonzero annihilator (e_1 e_j = 0 for all j) leaves no unit
+    assert Algebra.from_gamma(2, [(0, 0, 0, 1)]).find_unit() is None
+    assert Algebra.from_gamma(3, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 1, 2, 1)]).find_unit() is None
 
 
 @pytest.mark.parametrize("eta", ["1/2", "1/4", "1/3", "2/5", "3/8", "2"])

@@ -156,6 +156,13 @@ def test_tau_realizer_rejects_non_automorphism(q2, q2_law):
         tau_realizer(q2, bad, q2_law)
 
 
+def test_tau_realizer_rejects_a_matrix_of_the_wrong_shape(q2, q2_law):
+    # a 4 x 3 matrix is a ValueError naming the size, not "tau is not an
+    # algebra automorphism"
+    with pytest.raises(ValueError, match="4 x 4"):
+        tau_realizer(q2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], q2_law)
+
+
 def test_tau_realizer_reads_tau_written_as_lists(q2, q2_axes, q2_law):
     # axis 3's tau as tuples of Fractions, as lists of lists and with int
     # entries: one map, so the same two realizers

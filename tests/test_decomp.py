@@ -396,6 +396,30 @@ def test_intersect_clears_no_denominators_in_decompose_joint(monkeypatch, triple
     assert calls == []
 
 
+def test_perp_space_clears_no_denominators_in_partial_decomposition(monkeypatch, triple_2b):
+    """Work counter: perp_space multiplies the Gram matrix's integer columns
+    into the canonical rows and reads one null basis, so it runs no
+    kernels.primitive_row; it ran one per Fraction constraint row when it
+    went through mat_vec and kernel."""
+    axes = [check_axis(triple_2b, unit_vec(7, i), MONSTER_QUARTER) for i in range(3)]
+    calls, inside = [], []
+    primitive_row, perp_space = kernels.primitive_row, axial.decomp.perp_space
+
+    def counting_perp(s, gram):
+        inside.append(1)
+        try:
+            return perp_space(s, gram)
+        finally:
+            inside.pop()
+
+    # each primitive_row call records whether it ran inside perp_space
+    monkeypatch.setattr(kernels, "primitive_row", lambda entries: calls.append(bool(inside)) or primitive_row(entries))
+    monkeypatch.setattr(axial.decomp, "perp_space", counting_perp)
+    dec = partial_decomposition(triple_2b, axes)
+    assert dec.a_sharp is not None and dec.a_sharp.dim + dec.a_circ.dim == 7
+    assert not any(calls)
+
+
 def test_decompose_joint_refines_with_few_intersections(monkeypatch):
     """S8 with four commuting axes needs 60 meets when the parts are refined
     axis by axis; intersecting every tuple of eigenvalues took 165."""

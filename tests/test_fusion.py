@@ -48,6 +48,7 @@ from oracles import (
     reference_derivation_space,
     reference_graded_involution,
     reference_infer_fusion_law,
+    reference_is_automorphism,
     reference_leibniz_rows,
 )
 
@@ -190,6 +191,76 @@ def test_axis_image_under_automorphism(q2, q2_axes, q2_law):
     for axis in q2_axes:
         image = check_axis(q2, mat_vec(g, axis.vector), q2_law)
         assert image is not None
+
+
+@pytest.mark.parametrize("name", ["q2", "s3", "s4"])
+def test_is_automorphism_matches_the_dense_check(name, q2, matsuo_s3_quarter, s4_data):
+    """The integer check against `reference_is_automorphism`: on the tau and
+    sigma maps of every basis axis under the Monster (1/2, 1/4), Jordan 1/4
+    and Monster (1/4, 1/32) laws, on those maps with one entry perturbed, on
+    permutation matrices and on the zero map, which is multiplicative but
+    singular."""
+    alg = matsuo_algebra(s4_data, F(1, 4)) if name == "s4" else {"q2": q2, "s3": matsuo_s3_quarter}[name]
+    n = alg.dim
+    maps = []
+    for law in (monster_law(F(1, 2), F(1, 4)), jordan_law(F(1, 4)), MONSTER_QUARTER):
+        for i in range(n):
+            axis = check_axis(alg, unit_vec(n, i), law)
+            if axis is not None:
+                maps += [g.matrix() for g in (axis.miyamoto_map, axis.sigma_map) if g is not None]
+    assert maps
+    for g in maps:
+        assert is_automorphism(alg, g) and reference_is_automorphism(alg, g)
+        bent = [list(row) for row in g]
+        bent[0][n - 1] += F(1, 3)
+        assert not is_automorphism(alg, bent) and not reference_is_automorphism(alg, bent)
+    rng = random.Random(7)
+    perms = list(itertools.islice(itertools.permutations(range(n)), 60))
+    perms += [rng.sample(range(n), n) for _ in range(60)]
+    found = 0
+    for perm in perms:
+        g = tuple(tuple(F(1 if perm[j] == i else 0) for j in range(n)) for i in range(n))
+        expected = reference_is_automorphism(alg, g)
+        assert is_automorphism(alg, g) == expected
+        found += expected
+    assert found > 1
+    zero = ((F(0),) * n,) * n
+    assert not is_automorphism(alg, zero) and not reference_is_automorphism(alg, zero)
+
+
+def test_is_automorphism_rejects_a_singular_multiplicative_map(two_b):
+    # the projection onto the first summand of Q + Q keeps every product
+    g = ((F(1), F(0)), (F(0), F(0)))
+    assert not is_automorphism(two_b, g)
+    assert not reference_is_automorphism(two_b, g)
+    assert is_automorphism(two_b, ((F(0), F(1)), (F(1), F(0))))
+
+
+def test_is_automorphism_forms_no_fraction_product(monkeypatch, q2, q2_axes):
+    # the check reads the integer table: Algebra.product is never called
+    taus = [axis.miyamoto_map.matrix() for axis in q2_axes]
+
+    def fail(self, u, v):
+        raise AssertionError("Algebra.product called")
+
+    monkeypatch.setattr(Algebra, "product", fail)
+    assert all(is_automorphism(q2, tau) for tau in taus)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [],
+    ],
+    ids=["ragged", "4x3", "3x3", "empty"],
+)
+def test_is_automorphism_rejects_a_matrix_of_the_wrong_shape(q2, g):
+    # a malformed matrix is an error naming the size, not "no automorphism"
+    with pytest.raises(ValueError, match="4 x 4"):
+        is_automorphism(q2, g)
 
 
 def test_seress_association_property(q2, q2_axes):

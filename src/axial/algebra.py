@@ -6,8 +6,9 @@ unit vector, and basis labels.  Construction validates commutativity, the
 Frobenius property of the form, and the unit equations; operations that need
 an absent ingredient fail loudly.
 
-The `Fraction` table is the input and file format only: every computation
-reads the `integer_table`, the constants scaled to integers once.
+The `Fraction` table and Gram matrix are the input and file format only:
+every computation reads the `integer_table`, the constants scaled to
+integers once, and the `integer_gram`, the form as an `IntegerMap`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from axial.linalg import (
     Mat,
     Subspace,
     Vec,
+    apply_columns,
     canonical_span,
     combination,
     frac,
@@ -31,7 +33,6 @@ from axial.linalg import (
     independent_mod_p,
     integer_point,
     inverse,
-    kernel,
     mat,
     mat_from_cols,
     mat_vec,
@@ -39,10 +40,8 @@ from axial.linalg import (
     point_vector,
     solve,
     unit_vec,
-    vdot,
     vec,
 )
-from axial.univariate import primitive_part
 
 
 class AlgebraError(Exception):
@@ -92,9 +91,10 @@ def integer_product(table: dict, x: IntegerVec, y: IntegerVec) -> dict:
 class Algebra:
     """Finite-dimensional commutative algebra over Q.
 
-    `table` must not be mutated after construction: its `integer_table` is
-    built once and kept.  Derived algebras (`restrict`, `from_gamma`,
-    `direct_sum`) are new objects, each with its own.
+    `table` and `gram` must not be mutated after construction: their
+    `integer_table` and `integer_gram` are built once and kept.  Derived
+    algebras (`restrict`, `from_gamma`, `direct_sum`) are new objects, each
+    with its own.
     """
 
     __slots__ = (
@@ -105,6 +105,7 @@ class Algebra:
         "labels",
         "_unit_known",
         "_ints",
+        "_gram_map",
         "_frobenius_checked",
         "_form_ok",
     )
@@ -125,6 +126,7 @@ class Algebra:
         self.labels = labels
         self._unit_known = unit is not None
         self._ints: Optional[IntegerTable] = None
+        self._gram_map: Optional[IntegerMap] = None
         self._frobenius_checked = False  # set by `_validate` once the form passes
         self._form_ok: Optional[bool] = None
         if check:
@@ -178,16 +180,11 @@ class Algebra:
         if self.gram is not None:
             if len(self.gram) != n or any(len(r) != n for r in self.gram):
                 raise ValueError("gram matrix size does not match dimension")
-            for i in range(n):
-                for j in range(i):
-                    if self.gram[i][j] != self.gram[j][i]:
-                        raise ValueError(f"gram matrix not symmetric at {(i, j)}")
-            bad = self._frobenius_violation()
-            if bad is not None:
+            if (bad := self._asymmetry()) is not None:
+                raise ValueError(f"gram matrix not symmetric at {bad}")
+            if (bad := self._frobenius_violation()) is not None:
                 i, j, k = bad
-                raise ValueError(
-                    f"form is not Frobenius: (e{i}*e{j}, e{k}) != (e{i}, e{j}*e{k})"
-                )
+                raise ValueError(f"form is not Frobenius: (e{i}*e{j}, e{k}) != (e{i}, e{j}*e{k})")
             self._frobenius_checked = True
         if self.unit is not None:
             if len(self.unit) != n:
@@ -196,6 +193,10 @@ class Algebra:
                 if self.product(self.unit, unit_vec(n, j)) != unit_vec(n, j):
                     raise ValueError(f"declared unit fails on basis vector {j}")
 
+    def _asymmetry(self) -> Optional[tuple[int, int]]:
+        """The first (i, j), j < i, with gram[i][j] != gram[j][i], or None."""
+        return next(((i, j) for i, row in enumerate(self.gram) for j in range(i) if row[j] != self.gram[j][i]), None)
+
     def _frobenius_violation(self) -> Optional[tuple[int, int, int]]:
         """The least (i, j, k) with (e_i e_j, e_k) != (e_i, e_j e_k), or None.
 
@@ -203,17 +204,15 @@ class Algebra:
         Gram matrix symmetric (checked first) the right side is F(j, k, i).
         A triple can fail only where one side is nonzero, so only the
         triples that put a nonzero value of F on one side are tested; those
-        values come from the `integer_table` and the Gram matrix, both scaled
-        to integers by a positive factor, which changes no comparison.
+        values come from the `integer_table` and the `integer_gram`, both
+        scaled to integers by a positive factor, which changes no comparison
+        (its columns are its rows, the form being symmetric).
         """
-        gram, n = self.gram, self.dim
-        assert gram is not None
-        ints = primitive_part([g for row in gram for g in row])
-        gram_rows = [[(k, g) for k, g in enumerate(ints[r * n : r * n + n]) if g] for r in range(n)]
+        gram_cols = self.integer_gram().cols
         values: dict[tuple[int, int, int], int] = {}
         for (a, b), row in self.integer_table().table.items():
             for m, c in row:
-                for k, g in gram_rows[m]:
+                for k, g in gram_cols[m]:
                     values[(a, b, k)] = values.get((a, b, k), 0) + c * g
 
         def f(i, j, k):
@@ -246,23 +245,29 @@ class Algebra:
             self._ints = IntegerTable(denom, table, partners)
         return self._ints
 
+    def integer_gram(self) -> IntegerMap:
+        """The Gram matrix as an `IntegerMap`, built on first use and kept."""
+        if self._gram_map is None:
+            if self.gram is None:
+                raise MissingFormError("algebra has no Frobenius form")
+            self._gram_map = IntegerMap.from_matrix(self.gram, self.dim)
+        return self._gram_map
+
     def has_nondegenerate_form(self) -> bool:
         """Whether the Gram matrix is proved a nondegenerate Frobenius form;
         decided on first use and kept.
 
-        True is a proof: `_frobenius_violation` finds none (at construction
-        or now), and the Gram rows have full rank mod the prime
-        `linalg.MODULUS`, hence over Q.  False proves nothing about the
-        form: there is none, it is not Frobenius, or its rank mod p falls
-        short.
+        True is a proof: the form is symmetric and `_frobenius_violation`
+        finds none (both checked at construction or now), and the columns
+        of the `integer_gram` have full rank mod the prime `linalg.MODULUS`,
+        hence over Q.  False proves nothing about the form: there is none,
+        it is not symmetric or not Frobenius, or its rank mod p falls short.
         """
         if self._form_ok is None:
-            gram, n = self.gram, self.dim
-            rows = ({j: g for j, g in enumerate(row) if g} for row in gram or ())
             self._form_ok = (
-                gram is not None
-                and (self._frobenius_checked or self._frobenius_violation() is None)
-                and len(independent_mod_p(rows, n)) == n
+                self.gram is not None
+                and (self._frobenius_checked or (self._asymmetry() is None and self._frobenius_violation() is None))
+                and len(independent_mod_p(map(dict, self.integer_gram().cols), self.dim)) == self.dim
             )
         return self._form_ok
 
@@ -320,13 +325,22 @@ class Algebra:
         return table
 
     def form_value(self, u: Vec, v: Vec) -> Fraction:
-        """Frobenius form value (u, v)."""
-        if self.gram is None:
-            raise MissingFormError("algebra has no Frobenius form")
-        return vdot(u, mat_vec(self.gram, v))
+        """Frobenius form value (u, v): the `integer_gram` applied to the
+        `Point` of v, dotted with that of u, divided once by du dv G."""
+        gram = self.integer_gram()
+        if len(u) != self.dim or len(v) != self.dim:
+            raise AlgebraError("vector dimension mismatch")
+        du, x = integer_point(u)
+        dv, y = (du, x) if v is u else integer_point(v)
+        gy = apply_columns(gram.cols, y)
+        return Fraction(sum(p * gy.get(i, 0) for i, p in x), du * dv * gram.denom)
 
     def length(self, u: Vec) -> Fraction:
         return self.form_value(u, u)
+
+    def form_matrix(self, vectors: Sequence[Vec]) -> Mat:
+        """The Gram matrix of the form on the given vectors."""
+        return tuple(tuple(self.form_value(x, y) for y in vectors) for x in vectors)
 
     def find_unit(self) -> Optional[Vec]:
         """The multiplicative identity, or None when there is none: read off
@@ -383,12 +397,12 @@ class Algebra:
 
     def radical(self) -> Subspace:
         """Kernel of the Frobenius form (equals the algebra radical when the
-        generating axes are non-singular)."""
-        if self.gram is None:
-            raise MissingFormError("algebra has no Frobenius form")
-        if all(all(x == 0 for x in row) for row in self.gram):
+        generating axes are non-singular): the `null_basis` of the columns
+        of the `integer_gram`, its rows as the form is symmetric."""
+        cols = self.integer_gram().cols
+        if not any(cols):
             raise ValueError("the Frobenius form must be nonzero")
-        return kernel(self.gram)
+        return canonical_span(null_basis(map(dict, cols), self.dim), self.dim)
 
     def connectivity_components(self, axes: Sequence[Vec]) -> list[list[int]]:
         """Connected components of the nonzero-form graph on the given axes."""
@@ -422,12 +436,8 @@ class Algebra:
         if self.gram is None:
             raise MissingFormError("projection needs the Frobenius form")
         basis = b.basis
-        k = len(basis)
-        gram_b = tuple(
-            tuple(self.form_value(basis[r], basis[s]) for s in range(k)) for r in range(k)
-        )
-        rhs = tuple(self.form_value(one, basis[r]) for r in range(k))
-        coeffs = solve(gram_b, rhs) if k else ()
+        rhs = tuple(self.form_value(one, x) for x in basis)
+        coeffs = solve(self.form_matrix(basis), rhs) if basis else ()
         if coeffs is None:
             raise DegenerateFormError("form is degenerate on the subspace")
         result = combination(coeffs, basis, self.dim)
@@ -455,12 +465,7 @@ class Algebra:
             for t, c in enumerate(mat_vec(to_basis, table[r][s]))
             if c
         ]
-        gram = None
-        if self.gram is not None:
-            gram = tuple(
-                tuple(self.form_value(basis[r], basis[s]) for s in range(k))
-                for r in range(k)
-            )
+        gram = self.form_matrix(basis) if self.gram is not None else None
         return Algebra.from_gamma(k, gamma, gram=gram, labels=labels)
 
     def __repr__(self):

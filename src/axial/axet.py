@@ -356,14 +356,12 @@ def classify_pair(
     tau_order = None
     if a.miyamoto_map is not None and b.miyamoto_map is not None:
         tau_order = _product_order(a.miyamoto_map, b.miyamoto_map, alg.dim)
-    form_value = None
-    if alg.gram is not None:
-        form_value = alg.form_value(a.vector, b.vector)
+    form_value = alg.form_value(a.vector, b.vector) if alg.gram is not None else None
     unit_length = None
     if alg.gram is not None and alg.find_unit() is not None:
         try:
             one_b = alg.unit_of_subalgebra(sub)
-            unit_length = alg.form_value(one_b, one_b)
+            unit_length = alg.length(one_b)
         except AlgebraError:
             unit_length = None
 
@@ -451,7 +449,7 @@ def aut_from_axis_permutations(alg: Algebra, axet: Axet) -> AutGroup:
     # edge colours: (form value, all scaled by one positive integer, or
     # None; whether the product is zero); the diagonal flag is always False,
     # as a_i a_i = a_i
-    forms = frame.form_values(alg.gram) if alg.gram is not None else None
+    forms = frame.form_values(alg.integer_gram()) if alg.gram is not None else None
     color = [[(forms[p][q] if forms else None, not frame.product(p, q)) for q in range(m)] for p in range(m)]
 
     def consistent(assigned: list[int], candidate: int) -> bool:
@@ -532,12 +530,11 @@ class _AxetFrame:
         """P_pq, the integer product of axet vectors p and q, without zeros."""
         return self.products[(p, q) if p <= q else (q, p)]
 
-    def form_values(self, gram: Mat) -> list[list[int]]:
+    def form_values(self, gram: IntegerMap) -> list[list[int]]:
         """(a_p, a_q) for every pair of axet vectors, all times one positive
-        integer: the integer columns of the Gram map applied to each A_q,
-        dotted with each A_p."""
-        gram_cols = IntegerMap.from_matrix(gram).cols
-        columns = [apply_columns(gram_cols, x) for x in self.ints]
+        integer: the columns of the algebra's `integer_gram` applied to
+        each A_q, dotted with each A_p."""
+        columns = [apply_columns(gram.cols, x) for x in self.ints]
         return [[sum(x * w.get(i, 0) for i, x in u) for w in columns] for u in self.ints]
 
     def _combine(self, terms, assigned: Sequence[int]) -> dict[int, int]:

@@ -4,7 +4,10 @@ Relative to a set Y of axes whose involutions fix each other, the algebra
 splits into joint eigenspaces indexed by eigenvalue tuples.  The joint zero
 component is a subalgebra, every component is a module over it, and linear
 algebra on those modules (extension spaces, probe pairings) bounds which
-automorphisms of the small subalgebra extend to the whole algebra.
+automorphisms of the small subalgebra extend to the whole algebra.  Parts
+are refined axis by axis; the zero part's `products_in` table on each part
+serves the module checks and extension spaces; the completion is the
+`perp_space` of the `integer_gram`; sign kernels come off a GF(2) null space.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def partial_decomposition(alg: Algebra, axes: Sequence[Axis]) -> JointDecomposit
         raise MissingFormError("partial decomposition needs the Frobenius form")
     decomposition = decompose_joint(alg, axes)
     a_circ = decomposition.a_circ
-    sharp = perp_space(a_circ, alg.gram)
+    sharp = perp_space(a_circ, alg.integer_gram())
     if a_circ.dim + sharp.dim != alg.dim or not intersect(a_circ, sharp).is_zero():
         raise DegenerateFormError("form is degenerate on the component sum")
     if alg.products_in(decomposition.zero_adjoints, sharp.basis, sharp) is None:
@@ -161,7 +164,7 @@ def complement_in(alg: Algebra, outer: Subspace, inner: Subspace) -> Subspace:
         raise MissingFormError("complement needs the Frobenius form")
     if not outer.contains_subspace(inner):
         raise AlgebraError("inner subspace is not contained in the outer one")
-    return intersect(outer, perp_space(inner, alg.gram))
+    return intersect(outer, perp_space(inner, alg.integer_gram()))
 
 
 @dataclass

@@ -79,10 +79,6 @@ def vscale(c, v: Vec) -> Vec:
     return tuple(c * a for a in v)
 
 
-def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
-
-
 def combination(coeffs: Iterable, vectors: Iterable[Vec], n: int) -> Vec:
     """The linear combination sum c_i v_i in Q^n, skipping zero coefficients and entries."""
     out = [Fraction(0)] * n
@@ -454,11 +450,12 @@ def subspace_sum(spaces: Sequence[Subspace], ambient: Optional[int] = None) -> S
     return canonical_span(_canonical_rows(dict(row) for s in spaces for row in s.rows), n)
 
 
-def perp_space(s: Subspace, gram: Mat) -> Subspace:
+def perp_space(s: Subspace, gram: IntegerMap | Mat) -> Subspace:
     """Vectors orthogonal to every basis vector of s under the bilinear form:
-    the `null_basis` of the Gram matrix's integer columns applied to s's rows."""
+    the `null_basis` of the Gram map's integer columns applied to s's rows.
+    A dense Gram matrix is read once by `IntegerMap.from_matrix`."""
     n = s.ambient
-    cols = IntegerMap.from_matrix(gram, n).cols
+    cols = (gram if isinstance(gram, IntegerMap) else IntegerMap.from_matrix(gram, n)).cols
     return canonical_span(null_basis((apply_columns(cols, row) for row in s.rows), n), n)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from axial.algebra import Algebra, IntegerAdjoint, MissingFormError
+from axial.algebra import Algebra, IntegerAdjoint, MissingFormError, integer_product
 from axial.fusion import (
     Axis,
     FusionLaw,
@@ -37,6 +37,7 @@ from axial.linalg import (
     Vec,
     combination,
     frac,
+    integer_point,
     unit_vec,
     vadd,
     zero_vec,
@@ -94,30 +95,26 @@ def idempotent_system(
 
     For u = offset + sum x_i b_i, u^2 - u has constant part offset^2 - offset,
     x_i part 2 offset b_i - b_i and x_i x_j part b_i b_j, doubled for i != j.
-    Each product is read once into one term dict per coordinate.
+    Each vector is cleared to its `Point` once, and each product, the
+    `integer_product` of two points, is read once into one term dict per
+    coordinate.
     """
     nvars = len(basis)
-    terms: list[dict] = [{} for _ in range(alg.dim)]
-
-    def add(exp, v, factor):
-        for k, c in enumerate(v):
-            if c:
-                terms[k][exp] = terms[k].get(exp, 0) + factor * c
-
-    const = (0,) * nvars
     units = [tuple(int(j == i) for j in range(nvars)) for i in range(nvars)]
+    vectors = list(zip(units, map(integer_point, basis)))
     if offset is not None:
-        add(const, alg.product(offset, offset), 1)
-        for x, b in zip(units, basis):
-            add(x, alg.product(offset, b), 2)
-    for i in range(nvars):
-        for j in range(i, nvars):
-            exp = tuple(p + q for p, q in zip(units[i], units[j]))
-            add(exp, alg.product(basis[i], basis[j]), 1 if i == j else 2)
-    if offset is not None:
-        add(const, offset, -1)
-    for x, b in zip(units, basis):
-        add(x, b, -1)
+        vectors.insert(0, ((0,) * nvars, integer_point(offset)))
+    ints = alg.integer_table()
+    terms: list[dict] = [{} for _ in range(alg.dim)]
+    for a, (x, (dx, p)) in enumerate(vectors):
+        for b, (y, (dy, q)) in enumerate(vectors[a:], a):
+            exp, d = tuple(s + t for s, t in zip(x, y)), dx * dy * ints.denom
+            for k, c in integer_product(ints.table, p, q).items():
+                if c:
+                    terms[k][exp] = terms[k].get(exp, 0) + Fraction(c if a == b else 2 * c, d)
+    for x, (d, p) in vectors:
+        for k, c in p:
+            terms[k][x] = terms[k].get(x, 0) - Fraction(c, d)
     return [MPoly(nvars, {e: c for e, c in t.items() if c}, _clean=False) for t in terms]
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force solver for 3-variable polynomial systems.
 
 Used to cross-check the Groebner route; nothing here imports from the
-package except twenty-six former implementations kept to test the current
+package except twenty-seven former implementations kept to test the current
 ones against: `reference_rref` (the dense fraction-free loop),
 `reference_product` (the `Fraction` loop over `basis_product`),
+`reference_form_value` (the `Fraction` loop over the Gram matrix),
 `reference_find_unit` (the dense n^2 x n solve),
 `reference_is_automorphism` (products of dense `Fraction` columns),
 `reference_ad_matrix` (the dense adjoint loop), `reference_annihilator`
@@ -944,6 +945,26 @@ def reference_product(alg, u, v):
                 for k, c in alg.basis_product(i, j):
                     out[k] += a * b * c
     return tuple(out)
+
+
+def reference_form_value(alg, u, v):
+    """The form value (u, v), summed in `Fraction`s over the dense Gram
+    matrix at every pair of nonzero entries.
+
+    The package's `Algebra.form_value` as it was before it read the integer
+    Gram map; kept as an oracle for that rewrite.
+    """
+    from axial.algebra import AlgebraError
+
+    n = alg.dim
+    if len(u) != n or len(v) != n:
+        raise AlgebraError("vector dimension mismatch")
+    total = Fraction(0)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                total += a * alg.gram[i][j] * b
+    return total
 
 
 def reference_find_unit(alg):

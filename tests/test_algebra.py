@@ -18,6 +18,7 @@ from axial.algebra import (
 from axial.io import parse_algebra
 from axial.linalg import (
     MODULUS,
+    IntegerMap,
     Subspace,
     combination,
     det,
@@ -25,6 +26,8 @@ from axial.linalg import (
     identity,
     is_zero_vec,
     mat_mul,
+    mat_vec,
+    perp_space,
     unit_vec,
     vadd,
     vec,
@@ -36,7 +39,9 @@ from oracles import (
     reference_ad_matrix,
     reference_annihilator,
     reference_find_unit,
+    reference_form_value,
     reference_frobenius_violation,
+    reference_kernel,
     reference_product,
     reference_rref,
     reference_semisimple_spectrum,
@@ -173,6 +178,26 @@ def test_has_nondegenerate_form_states_its_direction(q2):
     # on the zero algebra every form is Frobenius; this one has determinant
     # p, so it is nondegenerate over Q but singular mod p: no proof, False
     assert not Algebra.from_gamma(2, [], gram=[[1, 1], [1, 1 + p]]).has_nondegenerate_form()
+
+
+def test_has_nondegenerate_form_requires_a_symmetric_form():
+    """Built with check=False, a Gram matrix that is not symmetric is no
+    proof, even when the Frobenius triples and the rank pass."""
+    gram = [[1, 0, 0], [0, 1, 0], [0, 7, 1]]
+    idempotents = Algebra.from_gamma(3, [(0, 0, 0, 1), (1, 1, 1, 1)], gram=gram, check=False)
+    assert not idempotents.has_nondegenerate_form()
+    assert not Algebra.from_gamma(2, [], gram=[[1, 5], [0, 1]], check=False).has_nondegenerate_form()
+    with pytest.raises(ValueError, match="not symmetric at"):
+        Algebra.from_gamma(2, [], gram=[[1, 5], [0, 1]])
+
+
+def test_form_value_and_length_reject_a_vector_of_the_wrong_length(q2):
+    with pytest.raises(AlgebraError, match="vector dimension mismatch"):
+        q2.form_value((1, 0), (1, 0, 0, 0))
+    with pytest.raises(AlgebraError, match="vector dimension mismatch"):
+        q2.form_value(unit_vec(4, 0), unit_vec(5, 0))
+    with pytest.raises(AlgebraError, match="vector dimension mismatch"):
+        q2.length((1,))
 
 
 def test_commutativity_is_structural():
@@ -330,6 +355,89 @@ def test_find_unit_on_unital_and_non_unital_algebras(q2, two_b):
     # a nonzero annihilator (e_1 e_j = 0 for all j) leaves no unit
     assert Algebra.from_gamma(2, [(0, 0, 0, 1)]).find_unit() is None
     assert Algebra.from_gamma(3, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 1, 2, 1)]).find_unit() is None
+
+
+@st.composite
+def rational_forms(draw):
+    """The zero algebra of dimension 0 to 6 with a symmetric rational form:
+    sparse entries, or a sum of fewer than n rank-one forms, so degenerate
+    forms are drawn often (on the zero algebra every form is Frobenius)."""
+    n = draw(st.integers(0, 6))
+    gram = [[F(0)] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = draw(sparse_entries)
+    else:
+        for _ in range(draw(st.integers(0, max(n - 1, 0)))):
+            c, v = draw(sparse_entries), [draw(sparse_entries) for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    gram[i][j] += c * v[i] * v[j]
+    return Algebra.from_gamma(n, [], gram=gram)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_forms(), st.randoms(use_true_random=False))
+def test_form_matches_the_fraction_loop(alg, rng):
+    n, gram = alg.dim, alg.gram
+    entries = [0, 0, 1, -1, F(1, 2), F(-3, 4), 5]
+    vectors = [zero_vec(n)] + [unit_vec(n, i) for i in range(n)]
+    vectors += [vec(rng.choice(entries) for _ in range(n)) for _ in range(3)]
+    for u in vectors:
+        assert alg.length(u) == alg.form_value(u, u) == reference_form_value(alg, u, u)
+        for v in vectors:
+            assert alg.form_value(u, tuple(v)) == reference_form_value(alg, u, v)
+    radical, pivots = reference_kernel(gram, n)
+    if any(any(row) for row in gram):
+        assert alg.radical().basis == radical and alg.radical().pivots == pivots
+    else:
+        with pytest.raises(ValueError, match="must be nonzero"):
+            alg.radical()
+    assert alg.has_nondegenerate_form() == (len(pivots) == 0)
+    s = Subspace(n, vectors[-2:])
+    expected = reference_kernel([[sum(x * gram[i][j] for i, x in enumerate(b)) for j in range(n)] for b in s.basis], n)
+    for form in (gram, alg.integer_gram()):
+        perp = perp_space(s, form)
+        assert (perp.basis, perp.pivots) == expected
+
+
+def test_the_gram_matrix_is_read_once_per_algebra(monkeypatch):
+    """Work counter: `integer_gram` is the one read of the Gram matrix, kept
+    on the algebra, and no dense `mat_vec` runs inside `form_value`,
+    `radical`, `perp_space` or `has_nondegenerate_form`."""
+    import axial.algebra
+    import axial.linalg
+    from axial.axet import Axet, aut_from_axis_permutations
+    from axial.decomp import complement_in, partial_decomposition
+    from axial.fusion import MONSTER_QUARTER, check_axis, jordan_law
+
+    reads, dense = [], []
+    from_matrix = IntegerMap.from_matrix.__func__
+    monkeypatch.setattr(IntegerMap, "from_matrix", classmethod(lambda cls, m, n=None: reads.append(m) or from_matrix(cls, m, n)))
+    for module in (axial.algebra, axial.linalg):
+        monkeypatch.setattr(module, "mat_vec", lambda m, v: dense.append(1) or mat_vec(m, v))
+
+    def gram_reads(alg):
+        return sum(1 for m in reads if tuple(map(tuple, m)) == alg.gram)
+
+    alg = parse_algebra(FIXTURES / "triple2b.alg").algebra
+    one, a1 = alg.require_unit(), unit_vec(7, 0)
+    assert alg.form_value(one, a1) == 1 and alg.length(one) == 4
+    assert alg.radical().is_zero() and alg.has_nondegenerate_form()
+    assert perp_space(Subspace(7, [a1]), alg.integer_gram()).dim == 6
+    assert not dense
+    axes = [check_axis(alg, unit_vec(7, i), MONSTER_QUARTER) for i in range(3)]
+    for _ in range(2):
+        assert partial_decomposition(alg, axes).a_sharp.is_zero()
+    assert complement_in(alg, full_space(7), Subspace(7, [a1])).dim == 6
+    assert gram_reads(alg) == 1
+
+    matsuo = matsuo_algebra(symmetric_transpositions(4), F(1, 4))
+    axet = Axet(tuple(check_axis(matsuo, unit_vec(6, i), jordan_law(F(1, 4))) for i in range(6)))
+    for _ in range(2):
+        assert aut_from_axis_permutations(matsuo, axet).order == 24
+    assert gram_reads(matsuo) == 1
 
 
 @pytest.mark.parametrize("eta", ["1/2", "1/4", "1/3", "2/5", "3/8", "2"])

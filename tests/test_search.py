@@ -3,8 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 import axial
+import axial.algebra
 import axial.axet
 import axial.fusion
+import axial.linalg
+import axial.search
 from axial.algebra import diagonal_algebra
 from axial.axet import classify_pair, twins_of
 from axial.fusion import MONSTER_QUARTER, check_axis, jordan_law
@@ -16,6 +19,7 @@ from axial.search import (
     SearchConfig,
     axes_from_idempotents,
     determinant_relation,
+    idempotent_system,
     naive_idempotents,
     nuanced_axes,
     symbolic_coordinates,
@@ -30,6 +34,33 @@ def test_z_lengths_are_the_unit_lengths_less_one():
     assert SearchConfig().z_lengths == expected
     # the table lives in axial.fusion and stays importable where it was
     assert axial.NS_UNIT_LENGTHS is axial.axet.NS_UNIT_LENGTHS is axial.fusion.NS_UNIT_LENGTHS
+
+
+IDEMPOTENT_BASIS = [vec([1, 0, 0, 0, F(1, 2), 0, 0]), unit_vec(7, 4), vec([0, F(-2, 3), 0, 1, 0, 0, 3])]
+
+
+@pytest.mark.parametrize("offset", [None, vec([F(1, 3), 0, F(-1, 2), 1, 0, 0, 2])])
+def test_idempotent_system_is_the_symbolic_square(triple_2b, offset):
+    """Polynomial k is coordinate k of u u - u for the symbolic coordinates
+    u, expanded over every pair of basis products in `MPoly` arithmetic."""
+    coords = symbolic_coordinates(triple_2b, IDEMPOTENT_BASIS, offset)
+    expected = [-c for c in coords]
+    for i, x in enumerate(coords):
+        for j, y in enumerate(coords):
+            for k, c in triple_2b.basis_product(i, j):
+                expected[k] = expected[k] + (x * y).scale(c)
+    assert idempotent_system(triple_2b, IDEMPOTENT_BASIS, offset) == expected
+
+
+def test_idempotent_system_clears_each_vector_once(monkeypatch, triple_2b):
+    """Work counter: m basis vectors and an offset are cleared to points
+    m + 1 times; a product per pair cleared them once per pair."""
+    calls = []
+    point = axial.linalg.integer_point
+    for module in (axial.algebra, axial.search):
+        monkeypatch.setattr(module, "integer_point", lambda v: calls.append(1) or point(v), raising=False)
+    idempotent_system(triple_2b, IDEMPOTENT_BASIS, vec([F(1, 3), 0, F(-1, 2), 1, 0, 0, 2]))
+    assert len(calls) <= len(IDEMPOTENT_BASIS) + 1
 
 
 def test_naive_2b_no_length(two_b):

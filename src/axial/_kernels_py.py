@@ -26,6 +26,8 @@ A sum that overflows a field sets its guard bit, and is reported as a
 `axial._backend`.
 """
 
+import functools
+import struct
 from fractions import Fraction
 from math import gcd
 
@@ -137,7 +139,8 @@ def rref(rows):
     return columns
 
 
-FIELD_BITS = 32  # bits per variable in a packed exponent, the guard bit included
+FIELD_BITS = 32  # bits per variable in a packed exponent, the guard bit included;
+# `unpack` reads each field as an unsigned 32-bit int
 
 
 def exponent_limit():
@@ -169,10 +172,15 @@ def pack(exp):
     return packed
 
 
+@functools.lru_cache(maxsize=None)
+def _fields(nvars):
+    return struct.Struct(f">{nvars}I")
+
+
 def unpack(packed, nvars):
-    """The exponent tuple of a packed exponent in `nvars` variables."""
-    mask = (1 << FIELD_BITS) - 1
-    return tuple((packed >> (FIELD_BITS * i)) & mask for i in range(nvars - 1, -1, -1))
+    """The exponent tuple of a packed exponent in `nvars` variables, read
+    from its big-endian bytes as `nvars` unsigned fields."""
+    return _fields(nvars).unpack(packed.to_bytes(4 * nvars, "big"))
 
 
 def degree(packed):

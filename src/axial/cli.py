@@ -9,6 +9,7 @@ deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -34,7 +35,6 @@ from axial.decomp import (
 )
 from axial.fusion import Axis, FusionLaw, check_axis_verbose, derivation_space
 from axial.groebner import (
-    DEFAULT_CAPS,
     POSITIVE_DIMENSIONAL,
     CapExceeded,
     NotZeroDimensional,
@@ -107,8 +107,14 @@ _CAPS_FIELDS = {
 }
 
 
+# The command line's solver caps: the library's, with a deadline per
+# Groebner basis, so that no command runs unbounded on a small input.
+DEFAULT_CAPS = SolverCaps(max_seconds=60.0)
+
+
 def _parse_caps(spec: str) -> SolverCaps:
-    """The argparse type of `--caps`: comma-separated `key=value` entries.
+    """The argparse type of `--caps`: comma-separated `key=value` entries
+    over `DEFAULT_CAPS`, so an entry without `deadline` keeps its deadline.
 
     `deadline` takes positive seconds, the others ints.
     """
@@ -126,7 +132,7 @@ def _parse_caps(spec: str) -> SolverCaps:
                 "or deadline=SECONDS (positive)"
             ) from None
         values[name] = value
-    return SolverCaps(**values)
+    return dataclasses.replace(DEFAULT_CAPS, **values)
 
 
 def _load(args) -> tuple[Algebra, list[tuple[str, tuple]], FusionLaw | None]:
@@ -500,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=_parse_caps,
             default=DEFAULT_CAPS,
             help="solver caps, e.g. basis=512,pairs=1000,deadline=30 "
-            "(deadline: seconds per Groebner basis computation)",
+            "(deadline: seconds per Groebner basis computation, 60 unless given)",
         )
 
     for name, handler, help_text in [

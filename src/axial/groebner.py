@@ -6,13 +6,15 @@ zero-dimensional ideals every rational point is extracted by eliminant
 root finding and back substitution, off that one basis: substituting a
 partial root into a lex Groebner basis leaves a Groebner basis of the branch
 in the elements whose leading coefficient survives (Gianni 1989, Kalkbrener
-1989, both EUROCAL '87, LNCS 378).  Extraction works on integers: each
-basis element is scaled to primitive integer terms once, a branch
-substitutes the numerators and denominators of its partial root, and each
-distinct eliminant of a level is split once per extraction.  Solutions that
-would live in a proper extension of Q are never approximated; the eliminant
-cofactors with no rational root are returned as witnesses instead, and
-split into irreducible factors only when a caller reads them.
+1989, both EUROCAL '87, LNCS 378).  A solve keeps one format, `PackedPolys`
+(primitive integer polynomials on packed exponents), from the generators
+through the reduced basis to the points, and builds an `MPoly` only when a
+caller reads one.  A branch substitutes the numerators and denominators of
+its partial root, and each distinct eliminant of a level is split once per
+extraction.  Solutions that would live in a proper extension of Q are
+never approximated; the eliminant cofactors with no rational root are
+returned as witnesses instead, and split into irreducible factors only when
+a caller reads them.
 """
 
 from __future__ import annotations
@@ -83,13 +85,15 @@ class SolveResult:
     `points` is complete over the algebraic closure exactly when the status is
     `finite` and `cofactors` is empty: then every eliminant along the
     extraction split into linear factors.  `eliminant_factors` splits the
-    cofactors into irreducible factors on first read.
+    cofactors into irreducible factors on first read.  `basis` is the basis
+    the points were read off, as `PackedPolys`: an unread basis builds no
+    `MPoly`.
     """
 
     status: str
     points: list[Vec] = field(default_factory=list)
     cofactors: list[tuple[int, ...]] = field(default_factory=list)
-    basis: list[MPoly] = field(default_factory=list)
+    basis: Sequence[MPoly] = field(default_factory=list)
 
     @property
     def complete_over_closure(self) -> bool:
@@ -112,6 +116,85 @@ class SolveResult:
 def _pack(p: MPoly) -> dict[int, int]:
     """The terms of p keyed by packed exponents, scaled by `primitive_part`."""
     return dict(zip(map(kernels.pack, p.terms), primitive_part(list(p.terms.values()))))
+
+
+class PackedPolys(Sequence[MPoly]):
+    """A read-only sequence of polynomials in one packed integer format.
+
+    Element i is `scales[i]` times `rows[i]`, a dict from packed exponents
+    (see `axial._kernels_py`) to coprime ints, empty for 0.  The solver
+    reads the rows; the `MPoly` of an element is built on its first read.
+    It compares equal to a list of the same `MPoly`s.
+    """
+
+    __slots__ = ("nvars", "rows", "scales", "_polys")
+
+    def __init__(self, nvars: int, rows: list[dict[int, int]], scales: list[Fraction], polys=None):
+        self.nvars = nvars
+        self.rows = rows
+        self.scales = scales
+        self._polys: list[Optional[MPoly]] = [None] * len(rows) if polys is None else polys
+
+    @classmethod
+    def of(cls, polys: Sequence[MPoly]) -> "PackedPolys":
+        """The polynomials as a `PackedPolys`, each `MPoly` packed once."""
+        if isinstance(polys, PackedPolys):
+            return polys
+        polys = list(polys)
+        terms = [dict(zip(map(kernels.pack, p.terms), p.terms.values())) for p in polys]
+        packed = cls.from_terms(polys[0].nvars if polys else 0, terms)
+        packed._polys = polys
+        return packed
+
+    @classmethod
+    def from_terms(cls, nvars: int, terms: Sequence[dict[int, Fraction]]) -> "PackedPolys":
+        """The polynomials with the given rational terms, keyed by packed exponents."""
+        rows, scales = [], []
+        for t in terms:
+            values = list(t.values())
+            ints = primitive_part(values)
+            rows.append(dict(zip(t, ints)))
+            scales.append(values[0] / ints[0] if values else Fraction(1))
+        return cls(nvars, rows, scales)
+
+    def nonzero(self) -> "PackedPolys":
+        """The nonzero elements, in order; self when none is zero."""
+        if all(self.rows):
+            return self
+        keep = [i for i, row in enumerate(self.rows) if row]
+        return PackedPolys(self.nvars, *([xs[i] for i in keep] for xs in (self.rows, self.scales, self._polys)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self.rows)))]
+        p = self._polys[i]
+        if p is None:
+            num, den, nvars = self.scales[i].numerator, self.scales[i].denominator, self.nvars
+            terms = {kernels.unpack(e, nvars): Fraction(c * num, den) for e, c in self.rows[i].items()}
+            p = self._polys[i] = MPoly(nvars, terms, _clean=False)
+        return p
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.rows)))
+
+    def __add__(self, other: Sequence[MPoly]) -> "PackedPolys":
+        other = PackedPolys.of(other)
+        return PackedPolys(
+            self.nvars, self.rows + other.rows, self.scales + other.scales, self._polys + other._polys
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, (PackedPolys, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def _divisor(terms: dict[int, int]) -> tuple[int, int, list[tuple[int, int]]]:
@@ -186,19 +269,14 @@ def normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
     Packs p and the basis, reduces with `kernels.normal_form` and carries
     the kernel's scale back, so the result is the exact normal form over Q.
     """
-    divisors = [_divisor(_pack(g)) for g in basis if g]
+    divisors = [_divisor(row) for row in PackedPolys.of(basis).rows if row]
     if not p or not divisors:
         return p
     work = _pack(p)
     start = next(iter(work.values())) / next(iter(p.terms.values()))
     scale = [start.numerator, start.denominator]
     r = kernels.normal_form(work, divisors, kernels.guard_mask(p.nvars), scale)
-    num, den = scale
-    return MPoly(
-        p.nvars,
-        {kernels.unpack(e, p.nvars): Fraction(c * den, num) for e, c in r.items()},
-        _clean=False,
-    )
+    return PackedPolys(p.nvars, [r], [Fraction(scale[1], scale[0])])[0]
 
 
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
@@ -210,18 +288,16 @@ def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     df, dg = _divisor(_pack(f)), _divisor(_pack(g))
     terms, content = _s_pair(df, dg, kernels.guard_mask(f.nvars))
     scale = Fraction(content * gcd(df[1], dg[1]), df[1] * dg[1])  # content / lcm(cf, cg)
-    return MPoly(
-        f.nvars, {kernels.unpack(e, f.nvars): c * scale for e, c in terms.items()}, _clean=False
-    )
+    return PackedPolys(f.nvars, [terms], [scale])[0]
 
 
-def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[MPoly]:
+def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> PackedPolys:
     """Reduced lexicographic Groebner basis of the ideal the generators span.
 
-    The generators are packed once (see `axial._kernels_py`): every basis
-    element is a primitive integer `_divisor` triple keyed by packed
-    exponents, from the reduction of the generators to the autoreduction,
-    which divides each returned element by its lead coefficient.  Pending
+    The generators are read as `PackedPolys` rows, packed once when they
+    are plain `MPoly`s: every basis element is a primitive integer
+    `_divisor` triple keyed by packed exponents, and the reduced basis is
+    returned as `PackedPolys`, each element monic once read.  Pending
     pairs wait in a heap ordered by the degree of their LCM, then the LCM
     itself.  Each new basis element passes through the Gebauer-Moeller
     update (Buchberger's product and chain criteria), so only pairs the
@@ -230,11 +306,11 @@ def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[M
     Raises CapExceeded instead of returning a silently truncated basis when a
     resource limit is hit, an exponent overflow and the deadline included.
     """
-    gens = [g for g in gens if g]
-    if not gens:
+    packed = PackedPolys.of(gens).nonzero()
+    if not packed.rows:
         raise ValueError("empty generator list")
     check = _deadline_check(caps)
-    nvars = gens[0].nvars
+    nvars = packed.nvars
     guard = kernels.guard_mask(nvars)
     lcm_of = kernels.lcm
     divisors: list[tuple[int, int, list]] = []  # the basis, in order
@@ -273,8 +349,8 @@ def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[M
             if pair_lcm != leads[k] + eh:  # product criterion
                 heapq.heappush(queue, (kernels.degree(pair_lcm), pair_lcm, k, new))
 
-    for g in gens:
-        r = _reduce(_pack(g), divisors, guard, check)
+    for row in packed.rows:
+        r = _reduce(dict(row), divisors, guard, check)
         if r:
             add(_divisor(r))
     reduced_pairs = 0
@@ -296,53 +372,36 @@ def buchberger(gens: Sequence[MPoly], caps: SolverCaps = DEFAULT_CAPS) -> list[M
     return _autoreduce(divisors, nvars, guard, check)
 
 
-def _autoreduce(basis: list[tuple], nvars: int, guard: int, check=None) -> list[MPoly]:
+def _autoreduce(basis: list[tuple], nvars: int, guard: int, check=None) -> PackedPolys:
     # Minimal basis: drop elements whose lead is divisible by another lead.
     basis = sorted(basis, key=lambda d: d[0])
     leads = [d[0] for d in basis]
-    minimal = []
-    for idx, (d, eg) in enumerate(zip(basis, leads)):
-        divisible = False
-        for jdx, eh in enumerate(leads):
-            if jdx == idx:
-                continue
-            if eh == eg and jdx < idx:
-                divisible = True
-                break
-            if eh != eg and kernels.divides(eh, eg, guard):
-                divisible = True
-                break
-        if not divisible:
-            minimal.append(d)
-    # Reduced basis: each element fully reduced against the others, then
-    # divided by its lead coefficient, the basis's one division.
+    minimal = [
+        d
+        for idx, (d, eg) in enumerate(zip(basis, leads))
+        if not any(
+            jdx < idx if eh == eg else kernels.divides(eh, eg, guard)
+            for jdx, eh in enumerate(leads)
+            if jdx != idx
+        )
+    ]
+    # Reduced basis: each element fully reduced against the others, and
+    # scaled by the inverse of its lead coefficient, in decreasing lead
+    # order.  A minimal basis keeps every lead, so no element reduces to 0.
     reduced = []
     for idx, (lead, lead_coeff, tail) in enumerate(minimal):
         work = {lead: lead_coeff}
         work.update(tail)
-        r = _reduce(work, minimal[:idx] + minimal[idx + 1 :], guard, check)
-        if r:
-            top = r[max(r)]
-            reduced.append(
-                MPoly(
-                    nvars,
-                    {kernels.unpack(e, nvars): Fraction(c, top) for e, c in r.items()},
-                    _clean=False,
-                )
-            )
-    reduced.sort(key=lambda g: g.lead()[0], reverse=True)
-    if not reduced:
-        return [MPoly.zero(nvars)]
-    return reduced
+        reduced.append(_reduce(work, minimal[:idx] + minimal[idx + 1 :], guard, check))
+    reduced.sort(key=max, reverse=True)
+    return PackedPolys(nvars, reduced, [Fraction(1, r[max(r)]) for r in reduced])
 
 
 def is_groebner_basis(basis: Sequence[MPoly]) -> bool:
     """Directly checkable certificate: every S-polynomial reduces to zero."""
-    nonzero = [g for g in basis if g]
-    if not nonzero:
-        return True
-    guard = kernels.guard_mask(nonzero[0].nvars)
-    divisors = [_divisor(_pack(g)) for g in nonzero]
+    packed = PackedPolys.of(basis)
+    divisors = [_divisor(row) for row in packed.rows if row]
+    guard = kernels.guard_mask(packed.nvars)
     for f, g in itertools.combinations(divisors, 2):
         if _reduce(_s_pair(f, g, guard)[0], divisors, guard):
             return False
@@ -356,30 +415,20 @@ def ideal_dimension_zero(gb: Sequence[MPoly]) -> bool:
     basis containing a nonzero constant (empty variety) counts as
     zero-dimensional.
     """
-    nonzero = [g for g in gb if g]
-    if not nonzero:
-        return False
-    nvars = nonzero[0].nvars
-    if nvars == 0:
-        return True
-    covered = set()
-    for g in nonzero:
-        exp = g.lead()[0]
-        support = [i for i, e in enumerate(exp) if e]
-        if not support:
-            return True  # 1 is in the ideal
-        if len(support) == 1:
-            covered.add(support[0])
-    return len(covered) == nvars
+    packed = PackedPolys.of(gb)
+    leads = [kernels.unpack(max(row), packed.nvars) for row in packed.rows if row]
+    supports = [[i for i, e in enumerate(lead) if e] for lead in leads]
+    pure_powers = {support[0] for support in supports if len(support) == 1}
+    return bool(leads) and ([] in supports or len(pure_powers) == packed.nvars)
 
 
 def enumerate_points(gb: Sequence[MPoly]) -> SolveResult:
     """All rational points of a zero-dimensional ideal, by lex elimination.
 
     `gb` must be a lex Groebner basis, reduced or not: the zero-dimensionality
-    test and every branch are read off it.  An element has level k when x_k
-    is its greatest variable.  Each element is scaled to primitive integer
-    terms once (`_integer_levels`).  From the least variable on, the partial
+    test and every branch are read off its `PackedPolys` rows, packed once
+    when it is a list of `MPoly`s.  An element has level k when x_k is its
+    greatest variable (`_levels`).  From the least variable on, the partial
     point (a_{k+1}, ...) is substituted into the level-k elements as
     numerators and denominators (`_specialise`): each result is the rational
     specialisation times a positive integer, so its primitive form is the
@@ -393,15 +442,15 @@ def enumerate_points(gb: Sequence[MPoly]) -> SolveResult:
     kept unsplit in `cofactors` as an extension witness and flagged via the
     status; `SolveResult.eliminant_factors` factors it only when read.
     """
-    gb = [g for g in gb if g]
-    if not gb:
+    gb = PackedPolys.of(gb).nonzero()
+    if not gb.rows:
         raise ValueError("empty basis")
     if not ideal_dimension_zero(gb):
         return SolveResult(POSITIVE_DIMENSIONAL, basis=gb)
     points: list[Vec] = []
     cofactors: list[tuple[int, ...]] = []
-    if not any(g.is_constant() for g in gb):
-        _extract(_integer_levels(gb), (), points, cofactors, {})
+    if all(max(row) for row in gb.rows):  # no nonzero constant
+        _extract(_levels(gb), (), points, cofactors, {})
     _sort_points(points)
     status = NEEDS_EXTENSION if cofactors else FINITE
     return SolveResult(status, points, cofactors, gb)
@@ -423,20 +472,20 @@ def _sort_points(points: list[Vec]) -> None:
     points.sort(key=lambda p: tuple(map(getitem, ranks, map(id, p))))
 
 
-def _integer_levels(gb: Sequence[MPoly]) -> list[list[tuple]]:
-    """The basis grouped by level, each element in primitive integer terms.
+def _levels(gb: PackedPolys) -> list[list[tuple]]:
+    """The nonconstant rows grouped by level, each exponent unpacked once.
 
     An element of level k is (degree, higher, degrees, terms): its degree in
     x_k, the greater indices j of the variables it uses beside x_k, its
-    degree in each, and its terms as (exponents, c), the coefficients c
-    scaled by `primitive_part`.
+    degree in each, and its terms as (exponents, c), c the row's ints.
     """
-    nvars = gb[0].nvars
+    nvars = gb.nvars
+    unpack = kernels.unpack
     levels: list[list[tuple]] = [[] for _ in range(nvars)]
-    for g in gb:
-        tops = [max(column) for column in zip(*g.terms)]
+    for row in gb.rows:
+        terms = [(unpack(e, nvars), c) for e, c in row.items()]
+        tops = [max(column) for column in zip(*(e for e, _ in terms))]
         k, *higher = (j for j in range(nvars) if tops[j])
-        terms = list(zip(g.terms, primitive_part(list(g.terms.values()))))
         levels[k].append((tops[k], higher, [tops[j] for j in higher], terms))
     return levels
 
@@ -603,6 +652,7 @@ __all__ = [
     "FINITE",
     "POSITIVE_DIMENSIONAL",
     "NEEDS_EXTENSION",
+    "PackedPolys",
     "normal_form",
     "s_polynomial",
     "buchberger",

@@ -8,7 +8,7 @@ the leading term of p is simply max(p.terms).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from axial.linalg import frac
 
@@ -64,9 +64,6 @@ class MPoly:
         """Lex-leading (exponent, coefficient); undefined on the zero polynomial."""
         exp = max(self.terms)
         return exp, self.terms[exp]
-
-    def total_degree(self) -> int:
-        return max((sum(exp) for exp in self.terms), default=0)
 
     def variables_used(self) -> set[int]:
         used = set()
@@ -179,19 +176,6 @@ class MPoly:
             elif key in out:
                 del out[key]
         return MPoly(self.nvars, out, _clean=False)
-
-    def evaluate(self, point: Iterable) -> Fraction:
-        vals = [frac(x) for x in point]
-        if len(vals) != self.nvars:
-            raise ValueError("point length does not match nvars")
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            term = c
-            for x, e in zip(vals, exp):
-                if e:
-                    term *= x**e
-            total += term
-        return total
 
     def __repr__(self):
         if not self.terms:

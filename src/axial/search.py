@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
+from axial._backend import kernels
 from axial.algebra import Algebra, IntegerAdjoint, MissingFormError, integer_product
 from axial.fusion import (
     Axis,
@@ -27,6 +29,7 @@ from axial.fusion import (
 from axial.groebner import (
     DEFAULT_CAPS,
     POSITIVE_DIMENSIONAL,
+    PackedPolys,
     SolveResult,
     SolverCaps,
     buchberger,
@@ -35,6 +38,7 @@ from axial.groebner import (
 from axial.linalg import (
     Subspace,
     Vec,
+    apply_columns,
     combination,
     frac,
     integer_point,
@@ -88,72 +92,92 @@ def symbolic_coordinates(
     return coords
 
 
+def _variables(nvars: int) -> list[int]:
+    """The packed exponents of x_0, ..., x_{nvars - 1}."""
+    return [kernels.pack(tuple(int(j == i) for j in range(nvars))) for i in range(nvars)]
+
+
 def idempotent_system(
     alg: Algebra, basis: Sequence[Vec], offset: Optional[Vec] = None
-) -> list[MPoly]:
+) -> PackedPolys:
     """The coordinate equations of u^2 = u over basis coordinates (+ offset).
 
     For u = offset + sum x_i b_i, u^2 - u has constant part offset^2 - offset,
     x_i part 2 offset b_i - b_i and x_i x_j part b_i b_j, doubled for i != j.
     Each vector is cleared to its `Point` once, and each product, the
-    `integer_product` of two points, is read once into one term dict per
-    coordinate.
+    `integer_product` of two points, is read once into one integer row per
+    coordinate, over D m^2 for D the `integer_table` denominator and m the
+    lcm of the points' denominators.
     """
     nvars = len(basis)
-    units = [tuple(int(j == i) for j in range(nvars)) for i in range(nvars)]
-    vectors = list(zip(units, map(integer_point, basis)))
+    vectors = list(zip(_variables(nvars), map(integer_point, basis)))
     if offset is not None:
-        vectors.insert(0, ((0,) * nvars, integer_point(offset)))
+        vectors.insert(0, (0, integer_point(offset)))
     ints = alg.integer_table()
-    terms: list[dict] = [{} for _ in range(alg.dim)]
+    m = lcm(*(d for _, (d, _) in vectors))
+    rows: list[dict[int, int]] = [{} for _ in range(alg.dim)]
     for a, (x, (dx, p)) in enumerate(vectors):
         for b, (y, (dy, q)) in enumerate(vectors[a:], a):
-            exp, d = tuple(s + t for s, t in zip(x, y)), dx * dy * ints.denom
+            exp, weight = x + y, (m // dx) * (m // dy) * (1 if a == b else 2)
             for k, c in integer_product(ints.table, p, q).items():
                 if c:
-                    terms[k][exp] = terms[k].get(exp, 0) + Fraction(c if a == b else 2 * c, d)
+                    rows[k][exp] = rows[k].get(exp, 0) + c * weight
     for x, (d, p) in vectors:
+        weight = (m // d) * m * ints.denom
         for k, c in p:
-            terms[k][x] = terms[k].get(x, 0) - Fraction(c, d)
-    return [MPoly(nvars, {e: c for e, c in t.items() if c}, _clean=False) for t in terms]
+            rows[k][x] = rows[k].get(x, 0) - c * weight
+    scales = []
+    for k, row in enumerate(rows):
+        content = gcd(*row.values())
+        rows[k] = {e: c // content for e, c in row.items() if c}
+        scales.append(Fraction(content, ints.denom * m * m))
+    return PackedPolys(nvars, rows, scales)
 
 
 def length_equation(
     alg: Algebra, basis: Sequence[Vec], length, offset: Optional[Vec] = None
-) -> MPoly:
-    """(u, u) = r as an equation: linear via the unit when available.
+) -> PackedPolys:
+    """(u, u) = r as an equation, a one-element `PackedPolys`: linear via the
+    unit when available.
 
     For idempotents (u, u) equals (1, u), so with a unit the constraint is the
     linear polynomial (1, u) - r; without one it falls back to the quadratic
-    (u, u) - r.  Both need the Frobenius form.
+    (u, u) - r.  Both need the Frobenius form.  Each vector is cleared to its
+    `Point` once, and the `integer_gram` columns are applied once to each
+    vector the form reads them against.
     """
     if alg.gram is None:
         raise MissingFormError("length constraints need the Frobenius form")
     r = frac(length)
     nvars = len(basis)
+    gram = alg.integer_gram()
+
+    def image(point):
+        d, x = point
+        return d * gram.denom, apply_columns(gram.cols, x)
+
+    def value(point, gy):
+        (d, x), (e, y) = point, gy
+        return Fraction(sum(c * y.get(i, 0) for i, c in x), d * e)
+
+    units = _variables(nvars)
+    points = [integer_point(b) for b in basis]
+    shift = None if offset is None else integer_point(offset)
     one = alg.find_unit()
     if one is not None:
-        shift = alg.form_value(one, offset) if offset is not None else Fraction(0)
-        poly = MPoly.const(nvars, shift - r)
-        for i, b in enumerate(basis):
-            c = alg.form_value(one, b)
-            if c:
-                poly = poly + MPoly.var(nvars, i).scale(c)
-        return poly
-    shift = alg.form_value(offset, offset) if offset is not None else Fraction(0)
-    poly = MPoly.const(nvars, shift - r)
-    for i in range(nvars):
-        if offset is not None:
-            c = 2 * alg.form_value(offset, basis[i])
-            if c:
-                poly = poly + MPoly.var(nvars, i).scale(c)
-        for j in range(i, nvars):
-            c = alg.form_value(basis[i], basis[j])
-            if i != j:
-                c *= 2
-            if c:
-                poly = poly + (MPoly.var(nvars, i) * MPoly.var(nvars, j)).scale(c)
-    return poly
+        g_one = image(integer_point(one))
+        terms = {0: (0 if shift is None else value(shift, g_one)) - r}
+        for x, point in zip(units, points):
+            terms[x] = value(point, g_one)
+    else:
+        images = [image(point) for point in points]
+        terms = {0: (0 if shift is None else value(shift, image(shift))) - r}
+        for i, x in enumerate(units):
+            if shift is not None:
+                terms[x] = 2 * value(shift, images[i])
+            for j in range(i, nvars):
+                terms[x + units[j]] = value(points[i], images[j]) * (1 if i == j else 2)
+    return PackedPolys.from_terms(nvars, [{e: c for e, c in terms.items() if c}])
 
 
 def _points_to_vectors(
@@ -195,10 +219,9 @@ def naive_idempotents(
         return SolveResult("finite", [candidate])
     gens = idempotent_system(alg, basis, offset)
     if length is not None:
-        gens.append(length_equation(alg, basis, length, offset))
-    gens.extend(extra_equations)
-    gens = [g for g in gens if g]
-    if not gens:
+        gens += length_equation(alg, basis, length, offset)
+    gens += extra_equations
+    if not any(gens.rows):
         # every vector of the coset is idempotent: positive-dimensional
         return SolveResult(POSITIVE_DIMENSIONAL)
     result = enumerate_points(buchberger(gens, caps))

@@ -30,11 +30,12 @@ fixpoint), `reference_transport_axis` (conjugation by dense matrices),
 `reference_intersect` (the kernel of stacked bases),
 `reference_decompose_joint` (every tuple of eigenvalues),
 `reference_extension_space` (dense rows) and `reference_sign_filter` (all
-2^k sign tuples).  Elimination goes through Sylvester resultants whose
-determinants are computed by evaluation at integer nodes plus Lagrange
-interpolation, rational roots come from the rational root theorem, and
-every candidate point is verified by substitution into the original
-system, so spurious resultant roots are harmless.
+2^k sign tuples), and two former `MPoly` methods with no package caller,
+`evaluate` and `total_degree`.  Elimination goes through Sylvester
+resultants whose determinants are computed by evaluation at integer nodes
+plus Lagrange interpolation, rational roots come from the rational root
+theorem, and every candidate point is verified by substitution into the
+original system, so spurious resultant roots are harmless.
 """
 
 from fractions import Fraction
@@ -180,8 +181,24 @@ def _list_mul(a, b):
     return out
 
 
-def _total_degree(p):
+def total_degree(p):
+    """Total degree of an `OPoly` or `MPoly` (`MPoly.total_degree` as it
+    was in the package)."""
     return max((sum(e) for e in p.terms), default=0)
+
+
+def evaluate(p, point):
+    """The value of an `MPoly` at a rational point (`MPoly.evaluate` as it
+    was in the package)."""
+    if len(point) != p.nvars:
+        raise ValueError("point length does not match nvars")
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        for x, e in zip(point, exp):
+            if e:
+                c *= Fraction(x) ** e
+        total += c
+    return total
 
 
 def _nodes(count):
@@ -233,7 +250,7 @@ def resultant_univariate(f, g, elim, keep):
         return out
     bound = min(
         df * g.degree_in(keep) + dg * f.degree_in(keep),
-        _total_degree(f) * _total_degree(g),
+        total_degree(f) * total_degree(g),
     )
     nodes = _nodes(bound + 1)
     values = []
@@ -266,7 +283,7 @@ def resultant_bivariate(f, g, elim):
         for _ in range(power):
             out = out * base
         return out
-    total_bound = _total_degree(f) * _total_degree(g)
+    total_bound = total_degree(f) * total_degree(g)
     bounds = [
         min(df * g.degree_in(o) + dg * f.degree_in(o), total_bound) for o in others
     ]
@@ -581,7 +598,7 @@ def reference_buchberger(gens, caps=None):
         r = reference_normal_form(reference_s_polynomial(basis[i], basis[j]), basis)
         if not r:
             continue
-        if r.total_degree() > caps.max_degree:
+        if total_degree(r) > caps.max_degree:
             raise CapExceeded(f"degree limit {caps.max_degree} exceeded")
         basis.append(r.monic())
         if len(basis) > caps.max_basis:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from axial import cli
+from axial import cli, groebner
 from axial.algebra import Algebra, AlgebraError
 from axial.cli import main
 from axial.io import (
@@ -601,3 +601,22 @@ def test_cli_caps_deadline_key_is_applied(capsys):
 def test_cli_caps_pairs_key_is_applied(capsys):
     assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--caps", "pairs=1"]) == 3
     assert "cap exceeded: pair limit 1 exceeded" in capsys.readouterr().out.splitlines()
+
+
+def test_cli_caps_keep_a_deadline_unless_one_is_named():
+    # the command line bounds each Groebner basis by 60 s unless --caps
+    # names a deadline; the library's default reads no clock
+    assert cli.DEFAULT_CAPS == cli.SolverCaps(max_seconds=60.0)
+    assert groebner.DEFAULT_CAPS.max_seconds is None
+    assert cli._parse_caps("basis=100") == cli.SolverCaps(max_basis=100, max_seconds=60.0)
+    assert cli._parse_caps("pairs=9,deadline=5") == cli.SolverCaps(max_pairs=9, max_seconds=5.0)
+    assert cli._parser().parse_args(["axes-naive", "q2.alg"]).caps == cli.DEFAULT_CAPS
+
+
+def test_cli_default_deadline_ends_a_long_solve(monkeypatch, capsys):
+    # a clock that jumps a minute per read: the default caps end the first
+    # solve with exit 3, where the library's default caps would not
+    clock = iter(range(0, 10**6, 61))
+    monkeypatch.setattr(groebner, "monotonic", lambda: next(clock))
+    assert main(["axes-naive", str(FIXTURES / "q2.alg"), "--length", "1"]) == 3
+    assert "cap exceeded: deadline of 60.0 s exceeded" in capsys.readouterr().out.splitlines()

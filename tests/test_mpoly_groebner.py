@@ -23,7 +23,7 @@ from axial.groebner import (
 from axial.linalg import unit_vec
 from axial.mpoly import MPoly
 from axial.search import idempotent_system
-from oracles import reference_buchberger, reference_enumerate_points
+from oracles import evaluate, reference_buchberger, reference_enumerate_points
 
 
 def xvar(n, i):
@@ -35,16 +35,16 @@ def test_mpoly_arithmetic_roundtrip():
     p = (x + y) * (x - y)
     assert p == x * x - y * y
     assert (p - p).is_zero()
-    assert p.evaluate([F(3), F(2)]) == 5
+    assert evaluate(p, [F(3), F(2)]) == 5
     assert p.substitute({1: F(2)}) == x * x - 4
 
 
 def test_mpoly_evaluate_rejects_a_point_of_the_wrong_length():
     x, y = xvar(2, 0), xvar(2, 1)
     with pytest.raises(ValueError):
-        (x + y).evaluate([1])
+        evaluate(x + y, [1])
     with pytest.raises(ValueError):
-        (x + y).evaluate([1, 2, 3])
+        evaluate(x + y, [1, 2, 3])
 
 
 def test_mpoly_rejects_a_negative_power():
@@ -306,7 +306,8 @@ def test_buchberger_s_polynomial_count(triple_2b, monkeypatch):
 
 def test_buchberger_keeps_the_basis_integer(triple_2b, monkeypatch):
     # Basis elements stay primitive integer polynomials on packed exponents;
-    # only the autoreduction divides by a lead, without MPoly arithmetic.
+    # each is divided by its lead only when the basis is read, without MPoly
+    # arithmetic.
     gens = idempotent_system(triple_2b, [unit_vec(7, i) for i in range(5)])
     calls = []
     for name in ("monic", "scale"):
@@ -372,7 +373,7 @@ def test_a_branch_without_an_eliminant_is_not_a_cap():
     # resource limit.
     x0, x1 = xvar(2, 0), xvar(2, 1)
     with pytest.raises(NotZeroDimensional, match="no eliminant found"):
-        groebner._extract(groebner._integer_levels([x0 - x1]), (), [], [], {})
+        groebner._extract(groebner._levels(groebner.PackedPolys.of([x0 - x1])), (), [], [], {})
 
 
 def test_points_satisfy_generators():
@@ -382,7 +383,7 @@ def test_points_satisfy_generators():
     assert res.points  # (1,1) and (-1,-1)
     for p in res.points:
         for g in gens:
-            assert g.evaluate(p) == 0
+            assert evaluate(g, p) == 0
 
 
 def test_bezout_count_for_diagonal_algebras():
@@ -611,7 +612,7 @@ def test_enumerate_points_matches_the_branch_recomputing_reference(gens):
     )
     assert res.basis == ref.basis
     for p in res.points:
-        assert all(g.evaluate(p) == 0 for g in gens)
+        assert all(evaluate(g, p) == 0 for g in gens)
     shuffled = res.points[::-1]
     groebner._sort_points(shuffled)
     assert shuffled == res.points == sorted(res.points)
@@ -655,3 +656,82 @@ def test_enumerate_points_matches_the_reference_on_edge_cases(build, status, npo
         ref.points,
         ref.eliminant_factors,
     )
+
+
+@st.composite
+def small_systems(draw):
+    """Seeded random systems in 2 to 4 variables: for most variables a
+    product of linear factors with small integer roots, sometimes times an
+    irreducible quadratic, and up to three polynomials of small rational
+    coefficients with exponents 0 and 1, each often shifted to vanish at one
+    integer point.  So the ideal is often zero-dimensional with rational
+    points, sometimes empty and sometimes not zero-dimensional."""
+    nvars = draw(st.integers(2, 4))
+    gens, target = [], []
+    for i in range(nvars):
+        roots = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+        target.append(roots[0])
+        if draw(st.integers(0, 4)) == 0:
+            continue
+        x = xvar(nvars, i)
+        poly = MPoly.const(nvars, 1)
+        for r in roots:
+            poly = poly * (x - r)
+        if draw(st.integers(0, 3)) == 0:
+            poly = poly * (x * x - draw(st.sampled_from([2, 3, -1])))
+        gens.append(poly)
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    exponents = st.tuples(*[st.integers(0, 1)] * nvars)
+    for _ in range(draw(st.integers(0 if gens else 1, 3))):
+        poly = MPoly(nvars, draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=3)))
+        if draw(st.booleans()):
+            poly = poly - evaluate(poly, target)
+        gens.append(poly)
+    return gens
+
+
+@seed(2)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(small_systems())
+def test_packed_basis_matches_the_reference_engine_and_extraction(gens):
+    assume(any(gens))
+    caps = SolverCaps(max_basis=64, max_degree=16, max_pairs=2000)
+    try:
+        want = reference_buchberger(gens, caps)
+    except CapExceeded:
+        assume(False)
+    gb = buchberger(gens, caps)
+    assert isinstance(gb, groebner.PackedPolys)
+    assert len(gb) == len(want) and all(g == w for g, w in zip(gb, want))
+    from_view = enumerate_points(gb)
+    from_list = enumerate_points(list(gb))
+    fields = ("status", "points", "cofactors", "eliminant_factors")
+    assert [getattr(from_view, f) for f in fields] == [getattr(from_list, f) for f in fields]
+    assert from_view == from_list and from_view.basis == from_list.basis == want
+    ref = reference_enumerate_points(want)
+    assert (from_view.status, from_view.points, from_view.eliminant_factors) == (
+        ref.status,
+        ref.points,
+        ref.eliminant_factors,
+    )
+    assert from_view.basis == ref.basis
+
+
+def test_naive_idempotents_builds_no_basis_polynomial_until_read(monkeypatch):
+    """Work counter: the idempotent system, the basis and the extraction
+    stay packed; each basis `MPoly` is built when the basis is read."""
+    built = []
+    original = MPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    alg = diagonal_algebra(3)
+    length_one = xvar(3, 0) + xvar(3, 1) + xvar(3, 2) - 1  # (1, u) = 1
+    want = reference_buchberger([*idempotent_system(alg, [unit_vec(3, i) for i in range(3)]), length_one])
+    monkeypatch.setattr(MPoly, "__init__", counting)
+    res = search.naive_idempotents(alg, length=1)
+    assert len(res.points) == 3 and built == []
+    assert list(res.basis) == want and len(built) == len(want)
+    assert res.basis[0] is res.basis[0] and len(built) == len(want)

@@ -20,10 +20,12 @@ from axial.search import (
     axes_from_idempotents,
     determinant_relation,
     idempotent_system,
+    length_equation,
     naive_idempotents,
     nuanced_axes,
     symbolic_coordinates,
 )
+from oracles import total_degree
 
 
 def test_z_lengths_are_the_unit_lengths_less_one():
@@ -61,6 +63,53 @@ def test_idempotent_system_clears_each_vector_once(monkeypatch, triple_2b):
         monkeypatch.setattr(module, "integer_point", lambda v: calls.append(1) or point(v), raising=False)
     idempotent_system(triple_2b, IDEMPOTENT_BASIS, vec([F(1, 3), 0, F(-1, 2), 1, 0, 0, 2]))
     assert len(calls) <= len(IDEMPOTENT_BASIS) + 1
+
+
+def _no_unit_algebra():
+    # e0 e0 = e0, e1 e1 = e1 and e2 annihilates everything: a Frobenius
+    # form and no unit, so the length equation takes its quadratic branch
+    gram = [[1, 0, 0], [0, F(3, 2), 0], [0, 0, 5]]
+    return axial.algebra.Algebra.from_gamma(3, [(0, 0, 0, 1), (1, 1, 1, 1)], gram=gram)
+
+
+LENGTH_CASES = [
+    ("unit", [vec([1, 0, 0, 0, F(1, 2), 0, 0]), unit_vec(7, 4)], vec([F(1, 3), 0, F(-1, 2), 1, 0, 0, 2])),
+    ("unit", IDEMPOTENT_BASIS, None),
+    ("none", [vec([1, F(-2, 3), 0]), vec([0, F(1, 2), 3])], vec([F(1, 3), 0, F(-1, 5)])),
+    ("none", [unit_vec(3, i) for i in range(3)], None),
+]
+
+
+@pytest.mark.parametrize("unit, basis, offset", LENGTH_CASES)
+def test_length_equation_is_the_symbolic_form(triple_2b, unit, basis, offset):
+    """(1, u) - r with a unit and (u, u) - r without, for the symbolic
+    coordinates u, expanded over the Gram matrix in `MPoly` arithmetic."""
+    alg = triple_2b if unit == "unit" else _no_unit_algebra()
+    coords = symbolic_coordinates(alg, basis, offset)
+    one = alg.find_unit()
+    assert (one is None) == (unit == "none")
+    left = coords if one is None else [MPoly.const(len(basis), c) for c in one]
+    expected = MPoly.const(len(basis), F(-3, 2))
+    for k, x in enumerate(left):
+        for j, y in enumerate(coords):
+            expected = expected + (x * y).scale(alg.gram[k][j])
+    assert length_equation(alg, basis, F(3, 2), offset) == [expected]
+
+
+@pytest.mark.parametrize("unit, basis, offset", LENGTH_CASES)
+def test_length_equation_clears_each_vector_once(monkeypatch, triple_2b, unit, basis, offset):
+    """Work counter: the m basis vectors, the unit and the offset are
+    cleared to points at most m + 2 times; a form value per basis vector or
+    pair cleared them once per value."""
+    alg = triple_2b if unit == "unit" else _no_unit_algebra()
+    alg.find_unit()  # kept on the algebra, like its integer_gram: built outside the count
+    alg.integer_gram()
+    calls = []
+    point = axial.linalg.integer_point
+    for module in (axial.algebra, axial.search):
+        monkeypatch.setattr(module, "integer_point", lambda v: calls.append(1) or point(v), raising=False)
+    length_equation(alg, basis, 1, offset)
+    assert len(calls) <= len(basis) + 2
 
 
 def test_naive_2b_no_length(two_b):
@@ -192,7 +241,7 @@ def test_determinant_relation_linear_case(triple_2b):
     w = a.eigenspace(F(1, 4))
     assert w.dim == 1
     relation = determinant_relation(triple_2b, z_symbolic, w, F(1, 32))
-    assert relation.total_degree() == 1
+    assert total_degree(relation) == 1
 
 
 def test_determinant_relation_rejects_unit_eigenvalue(triple_2b):
